@@ -56,6 +56,7 @@ const char* engine_of(dwcs::PolicyKind p) {
     case dwcs::PolicyKind::kEdf: return "pifo-edf";
     case dwcs::PolicyKind::kStaticPriority: return "pifo-sp";
     case dwcs::PolicyKind::kWfq: return "pifo-wfq";
+    case dwcs::PolicyKind::kTenantDwcs: return "pifo-tenant-dwcs";
   }
   return "?";
 }

@@ -1,46 +1,27 @@
 // Tiny shared argv parsing for the bench binaries.
 //
 // Every bench takes an optional positional output path plus `--key=value`
-// flags, so a run is reproducible from its command line alone (the seed in
-// particular lands in the output JSON). No dependency, no allocation beyond
-// the strings argv already is.
+// (or `--key value`) flags, so a run is reproducible from its command line
+// alone (the seed in particular lands in the output JSON). No dependency, no
+// allocation beyond the strings argv already is.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace nistream::bench {
 
-/// Value of `--<name>=<u64>` in argv, or `fallback` when absent. Accepts
-/// decimal and 0x-prefixed hex. A malformed value is a hard error — silently
-/// running with the wrong seed would poison a "reproducible" result.
-inline std::uint64_t flag_u64(int argc, char** argv, std::string_view name,
-                              std::uint64_t fallback) {
-  const std::string prefix = "--" + std::string{name} + "=";
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg{argv[i]};
-    if (!arg.starts_with(prefix)) continue;
-    const std::string value{arg.substr(prefix.size())};
-    char* end = nullptr;
-    const std::uint64_t v = std::strtoull(value.c_str(), &end, 0);
-    if (end == value.c_str() || *end != '\0') {
-      std::fprintf(stderr, "bad %s value: '%s'\n", prefix.c_str(),
-                   value.c_str());
-      std::exit(2);
-    }
-    return v;
-  }
-  return fallback;
-}
+namespace detail {
 
-/// Value of `--<name>=<str>` or `--<name> <str>` in argv, or `fallback`
-/// when absent. A flag present without a value is a hard error.
-inline std::string flag_str(int argc, char** argv, std::string_view name,
-                            std::string_view fallback) {
+/// Value of `--<name>=<value>` or `--<name> <value>` in argv, or nullopt when
+/// the flag is absent. A flag present without a value is a hard error.
+inline std::optional<std::string> flag_value(int argc, char** argv,
+                                             std::string_view name) {
   const std::string prefix = "--" + std::string{name};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
@@ -50,14 +31,51 @@ inline std::string flag_str(int argc, char** argv, std::string_view name,
         std::fprintf(stderr, "%s needs a value\n", prefix.c_str());
         std::exit(2);
       }
-      return argv[i + 1];
+      return std::string{argv[i + 1]};
     }
     if (arg[prefix.size()] == '=') {  // --name=<value>
       return std::string{arg.substr(prefix.size() + 1)};
     }
     // A longer flag sharing the prefix (--outdir vs --out): not ours.
   }
-  return std::string{fallback};
+  return std::nullopt;
+}
+
+/// Parse a whole token as a u64 (decimal or 0x-prefixed hex).
+inline std::optional<std::uint64_t> parse_u64(const std::string& token) {
+  char* end = nullptr;
+  const std::uint64_t v = std::strtoull(token.c_str(), &end, 0);
+  if (token.empty() || end != token.c_str() + token.size()) {
+    return std::nullopt;
+  }
+  return v;
+}
+
+}  // namespace detail
+
+/// Value of `--<name>=<u64>` or `--<name> <u64>` in argv, or `fallback` when
+/// absent. Accepts decimal and 0x-prefixed hex. A missing or malformed value
+/// is a hard error — silently running with the wrong seed would poison a
+/// "reproducible" result.
+inline std::uint64_t flag_u64(int argc, char** argv, std::string_view name,
+                              std::uint64_t fallback) {
+  const auto value = detail::flag_value(argc, argv, name);
+  if (!value) return fallback;
+  const auto v = detail::parse_u64(*value);
+  if (!v) {
+    std::fprintf(stderr, "bad --%s value: '%s'\n", std::string{name}.c_str(),
+                 value->c_str());
+    std::exit(2);
+  }
+  return *v;
+}
+
+/// Value of `--<name>=<str>` or `--<name> <str>` in argv, or `fallback`
+/// when absent. A flag present without a value is a hard error.
+inline std::string flag_str(int argc, char** argv, std::string_view name,
+                            std::string_view fallback) {
+  return detail::flag_value(argc, argv, name)
+      .value_or(std::string{fallback});
 }
 
 /// Value of `--<name>=<a,b,c>` parsed as comma-separated u64s, or `fallback`
@@ -75,14 +93,13 @@ inline std::vector<std::uint64_t> flag_u64_list(int argc, char** argv,
     const std::size_t end = comma == std::string::npos ? value.size() : comma;
     if (end > pos) {
       const std::string tok = value.substr(pos, end - pos);
-      char* tail = nullptr;
-      const std::uint64_t v = std::strtoull(tok.c_str(), &tail, 0);
-      if (tail == tok.c_str() || *tail != '\0') {
+      const auto v = detail::parse_u64(tok);
+      if (!v) {
         std::fprintf(stderr, "bad --%s entry: '%s'\n",
                      std::string{name}.c_str(), tok.c_str());
         std::exit(2);
       }
-      out.push_back(v);
+      out.push_back(*v);
     }
     if (comma == std::string::npos) break;
     pos = comma + 1;
@@ -119,18 +136,22 @@ inline bool flag_present(int argc, char** argv, std::string_view name) {
   return false;
 }
 
-/// First argv entry that is not a `--flag` (and not the value of a
-/// space-separated `--out <path>`), or `fallback`. Benches use this for
-/// their output path.
+/// First argv entry that is not a `--flag` and not the value of a
+/// space-separated `--out <path>` or numeric `--<name> <u64>` (`--jobs 1`),
+/// or `fallback`. Benches use this for their output path, which is never a
+/// bare number.
 inline std::string positional(int argc, char** argv,
                               std::string_view fallback) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
-    if (arg == "--out") {  // next entry is its value, not a positional
-      ++i;
+    if (arg.starts_with("--")) {
+      const bool bare = arg.find('=') == std::string_view::npos;
+      if (bare && i + 1 < argc &&
+          (arg == "--out" || detail::parse_u64(argv[i + 1]))) {
+        ++i;  // next entry is this flag's value, not a positional
+      }
       continue;
     }
-    if (arg.starts_with("--")) continue;
     return argv[i];
   }
   return std::string{fallback};

@@ -79,7 +79,7 @@ class RemoteVcmPort {
 
  private:
   void on_frame(const hw::EthFrame& f) {
-    auto ri = std::static_pointer_cast<RemoteInstruction>(f.payload);
+    auto ri = std::static_pointer_cast<const RemoteInstruction>(f.payload);
     if (!ri) return;
     engine_.schedule_in(stack_cost_, [this, ri] { inbox_.send(ri); });
   }
@@ -87,7 +87,7 @@ class RemoteVcmPort {
   VcmRuntime& runtime_;
   sim::Engine& engine_;
   sim::Time stack_cost_;
-  sim::Mailbox<std::shared_ptr<RemoteInstruction>> inbox_;
+  sim::Mailbox<std::shared_ptr<const RemoteInstruction>> inbox_;
   int port_ = -1;
   std::uint64_t dispatched_ = 0;
   std::uint64_t unknown_ = 0;

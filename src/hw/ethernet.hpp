@@ -8,6 +8,18 @@
 // is a FIFO drained at line rate, so concurrent streams contend exactly as
 // they would on the wire. Endpoint protocol-stack costs are charged by the
 // net layer, not here.
+//
+// Frames in flight wait on their destination port, not in the event heap.
+// Each downlink delivers in send order at strictly increasing times, so its
+// frames form a FIFO whose head is always its earliest event. send() takes an
+// engine ticket per frame and appends the frame to the port's queue; the
+// switch keeps one delivery event armed per non-empty downlink, and each
+// delivery arms the next head under that frame's own ticket. Every frame
+// therefore lands at exactly the (time, sequence) place a per-frame event
+// would have had, while the heap holds O(busy links) entries instead of
+// O(frames on the wire). The queues are intrusive lists threaded through one
+// free-listed node pool, grown in fixed-size chunks so growth never moves a
+// frame in flight.
 #pragma once
 
 #include <cassert>
@@ -25,11 +37,12 @@
 namespace nistream::hw {
 
 /// A link-level frame. `payload` is an opaque, shared, endpoint-typed body;
-/// the wire only cares about `bytes`.
+/// the wire only cares about `bytes`. Bodies are immutable once sent, so a
+/// retransmission can share the body of the first transmission.
 struct EthFrame {
   std::uint32_t bytes = 0;           // payload size on the wire
   std::uint64_t tag = 0;             // endpoint cookie (e.g. stream id)
-  std::shared_ptr<void> payload;     // endpoint-typed content
+  std::shared_ptr<const void> payload;  // endpoint-typed content
   int src_port = -1;
   sim::Time injected_at;             // when handed to the source port
   bool corrupted = false;            // bad CRC on delivery; receivers discard
@@ -48,7 +61,7 @@ class EthernetSwitch {
   /// Attach a device; returns its port number. `rx` fires when a frame has
   /// fully arrived at the device.
   int add_port(Receiver rx) {
-    ports_.push_back(Port{std::move(rx), sim::Time::zero(), sim::Time::zero()});
+    ports_.push_back(Port{.rx = std::move(rx)});
     return static_cast<int>(ports_.size()) - 1;
   }
 
@@ -89,9 +102,20 @@ class EthernetSwitch {
     dp.downlink_busy_until = delivered;
 
     bytes_switched_ += frame.bytes;
-    engine_.schedule_at(delivered, [this, dst, f = std::move(frame)] {
-      ports_[static_cast<std::size_t>(dst)].rx(f);
-    });
+    const std::uint32_t n = acquire_node();
+    InFlight& f = node(n);
+    f.frame = std::move(frame);
+    f.at = delivered;
+    f.ticket = engine_.reserve_ticket();
+    f.next = kNone;
+    if (dp.tail == kNone) {
+      dp.head = n;
+      dp.tail = n;
+      arm(dst);
+    } else {
+      node(dp.tail).next = n;
+      dp.tail = n;
+    }
   }
 
   /// Serialization time of one frame at line rate (includes L2 overhead).
@@ -102,6 +126,8 @@ class EthernetSwitch {
 
   [[nodiscard]] std::uint64_t bytes_switched() const { return bytes_switched_; }
   [[nodiscard]] std::uint64_t frames_lost() const { return frames_lost_; }
+  /// Frames queued on downlinks, waiting to be delivered.
+  [[nodiscard]] std::size_t frames_in_flight() const { return in_flight_; }
   [[nodiscard]] const EthernetParams& params() const { return params_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
 
@@ -111,19 +137,82 @@ class EthernetSwitch {
   void set_fault(fault::LinkFaultInjector* inj) { fault_ = inj; }
 
  private:
+  static constexpr std::uint32_t kNone = 0xFFFFFFFF;
+  static constexpr std::uint32_t kChunkNodes = 1024;
+
   struct Port {
     Receiver rx;
-    sim::Time uplink_busy_until;
-    sim::Time downlink_busy_until;
+    sim::Time uplink_busy_until = sim::Time::zero();
+    sim::Time downlink_busy_until = sim::Time::zero();
+    std::uint32_t head = kNone;  // downlink queue: next frame to deliver
+    std::uint32_t tail = kNone;
   };
+
+  /// A frame on its way down a port's downlink; a pool node.
+  struct InFlight {
+    EthFrame frame;
+    sim::Time at;        // delivery instant
+    sim::Ticket ticket;  // its place among events at that instant
+    std::uint32_t next = kNone;  // queue successor, or free-list successor
+  };
+
   [[nodiscard]] bool valid(int p) const {
     return p >= 0 && static_cast<std::size_t>(p) < ports_.size();
+  }
+
+  [[nodiscard]] InFlight& node(std::uint32_t n) {
+    return chunks_[n / kChunkNodes][n % kChunkNodes];
+  }
+
+  std::uint32_t acquire_node() {
+    ++in_flight_;
+    if (free_ != kNone) {
+      const std::uint32_t n = free_;
+      free_ = node(n).next;
+      return n;
+    }
+    if (carved_ == chunks_.size() * kChunkNodes) {
+      chunks_.push_back(std::make_unique<InFlight[]>(kChunkNodes));
+    }
+    return carved_++;
+  }
+
+  void release_node(std::uint32_t n) {
+    --in_flight_;
+    node(n).next = free_;
+    free_ = n;
+  }
+
+  /// Hand the engine the delivery event of `dst`'s queue head.
+  void arm(int dst) {
+    const InFlight& h = node(ports_[static_cast<std::size_t>(dst)].head);
+    engine_.schedule_at(h.at, h.ticket, [this, dst] { deliver(dst); });
+  }
+
+  void deliver(int dst) {
+    Port& p = ports_[static_cast<std::size_t>(dst)];
+    const std::uint32_t n = p.head;
+    InFlight& f = node(n);
+    const EthFrame frame = std::move(f.frame);
+    p.head = f.next;
+    if (p.head == kNone) {
+      p.tail = kNone;
+    } else {
+      arm(dst);
+    }
+    release_node(n);
+    p.rx(frame);
   }
 
   sim::Engine& engine_;
   EthernetParams params_;
   sim::Rng loss_rng_;
   std::vector<Port> ports_;
+  // In-flight frame pool: chunked so growth never moves a queued frame.
+  std::vector<std::unique_ptr<InFlight[]>> chunks_;
+  std::uint32_t carved_ = 0;  // nodes ever handed out
+  std::uint32_t free_ = kNone;
+  std::size_t in_flight_ = 0;
   std::uint64_t bytes_switched_ = 0;
   std::uint64_t frames_lost_ = 0;
   fault::LinkFaultInjector* fault_ = nullptr;

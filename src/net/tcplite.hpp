@@ -28,7 +28,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -36,10 +35,12 @@
 #include "hw/ethernet.hpp"
 #include "net/udp.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 
 namespace nistream::net {
 
-/// Wire format shared by both ends.
+/// Wire format shared by both ends. A sender builds one segment per sequence
+/// number and every (re)transmission of it carries that same immutable body.
 struct TcpLiteSegment {
   bool is_ack = false;
   bool is_fin = false;        // connection close; consumes a sequence number
@@ -100,7 +101,7 @@ class TcpLiteReceiver {
   };
 
   void on_frame(const hw::EthFrame& f) {
-    auto seg = std::static_pointer_cast<TcpLiteSegment>(f.payload);
+    auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
     if (!seg || seg->is_ack) return;
     const int reply_to = f.src_port;
     engine_.schedule_in(stack_cost_, [this, seg, reply_to] {
@@ -176,7 +177,8 @@ class TcpLiteSender {
   std::uint64_t send(Packet p) {
     assert(!closing_ && "TcpLiteSender::send after close()");
     const std::uint64_t seq = next_seq_++;
-    queue_.push_back(Entry{seq, std::move(p), /*fin=*/false});
+    queue_.push_back(std::make_shared<const TcpLiteSegment>(
+        TcpLiteSegment{.seq = seq, .payload = std::move(p)}));
     pump();
     return seq;
   }
@@ -185,7 +187,8 @@ class TcpLiteSender {
   bool close() {
     if (closing_) return false;
     closing_ = true;
-    queue_.push_back(Entry{next_seq_++, Packet{}, /*fin=*/true});
+    queue_.push_back(std::make_shared<const TcpLiteSegment>(
+        TcpLiteSegment{.is_fin = true, .seq = next_seq_++}));
     pump();
     return true;
   }
@@ -205,31 +208,23 @@ class TcpLiteSender {
   [[nodiscard]] bool aborted() const { return aborted_; }
 
  private:
-  struct Entry {
-    std::uint64_t seq;
-    Packet packet;
-    bool fin;
-  };
+  using Segment = std::shared_ptr<const TcpLiteSegment>;
 
   static constexpr std::uint32_t kFinBytes = 40;
 
   void pump() {
     if (aborted_) return;
     // Transmit every queued segment inside the window.
-    for (auto& e : queue_) {
-      if (e.seq >= base_ + params_.window) break;
-      if (e.seq < inflight_hi_) continue;  // already on the wire
-      transmit(e);
-      inflight_hi_ = e.seq + 1;
+    for (const Segment& seg : queue_) {
+      if (seg->seq >= base_ + params_.window) break;
+      if (seg->seq < inflight_hi_) continue;  // already on the wire
+      transmit(seg);
+      inflight_hi_ = seg->seq + 1;
     }
     arm_timer();
   }
 
-  void transmit(const Entry& e) {
-    auto seg = std::make_shared<TcpLiteSegment>();
-    seg->seq = e.seq;
-    seg->is_fin = e.fin;
-    seg->payload = e.packet;
+  void transmit(const Segment& seg) {
     engine_.schedule_in(stack_cost_, [this, seg] {
       const std::uint32_t bytes =
           seg->is_fin ? kFinBytes
@@ -241,11 +236,11 @@ class TcpLiteSender {
   }
 
   void on_frame(const hw::EthFrame& f) {
-    auto seg = std::static_pointer_cast<TcpLiteSegment>(f.payload);
+    auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
     if (!seg || !seg->is_ack) return;
     engine_.schedule_in(stack_cost_, [this, ack = seg->seq] {
       if (aborted_ || ack <= base_) return;  // stale
-      while (!queue_.empty() && queue_.front().seq < ack) queue_.pop_front();
+      while (!queue_.empty() && queue_.front()->seq < ack) queue_.pop_front();
       base_ = ack;
       retx_rounds_ = 0;  // progress resets the give-up counter
       timer_.cancel();
@@ -266,10 +261,11 @@ class TcpLiteSender {
       if (on_abort_) on_abort_(engine_.now());
       return;
     }
-    // Go-back-N: retransmit the whole window from base_.
-    for (auto& e : queue_) {
-      if (e.seq >= base_ + params_.window) break;
-      transmit(e);
+    // Go-back-N: retransmit the whole window from base_, sharing each
+    // segment's body with its earlier transmissions.
+    for (const Segment& seg : queue_) {
+      if (seg->seq >= base_ + params_.window) break;
+      transmit(seg);
       ++retransmissions_;
     }
     arm_timer();
@@ -281,7 +277,7 @@ class TcpLiteSender {
   int dst_port_;
   Params params_;
   int port_ = -1;
-  std::deque<Entry> queue_;        // unacked + unsent, seq-ordered
+  sim::Fifo<Segment> queue_;       // unacked + unsent, seq-ordered
   std::uint64_t next_seq_ = 0;
   std::uint64_t base_ = 0;         // lowest unacked seq
   std::uint64_t inflight_hi_ = 0;  // first never-transmitted seq

@@ -86,7 +86,7 @@ class UdpEndpoint {
       ++corrupt_dropped_;
       return;
     }
-    auto pkt = std::static_pointer_cast<Packet>(f.payload);
+    auto pkt = std::static_pointer_cast<const Packet>(f.payload);
     if (!pkt) return;  // not one of ours
     engine_.schedule_in(stack_cost_, [this, pkt] {
       ++received_;

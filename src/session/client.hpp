@@ -121,14 +121,28 @@ class RtspChurnClient {
     }
   }
 
-  /// Send `req` and await the response to its cseq (responses come back in
-  /// order on the control connection; a mismatch is counted, not fatal).
-  sim::Coro transact(RtspRequest req, RtspResponse* out) {
+  /// Send a `method` request and await the response to its cseq (responses
+  /// come back in order on the control connection; a mismatch is counted,
+  /// not fatal). The request is built here from the client's own state, so
+  /// run()'s long-lived frame holds no request.
+  sim::Coro transact(Method method, RtspResponse* out) {
+    RtspRequest req;
+    req.method = method;
     req.reply_port = resp_rx_.port();
     req.cseq = ++cseq_;
+    if (method == Method::kSetup) {
+      req.uri = config_.uri;
+      req.rtp_port = media_.port();
+      req.rtcp_port = rtcp_port_;
+      req.tolerance = config_.tolerance;
+      req.period = config_.period;
+      req.frame_bytes = config_.frame_bytes;
+      req.frames = config_.frames;
+    } else {
+      req.session_id = session_id_;
+    }
     const std::string text = format_request(req);
-    if (config_.behavior == Behavior::kSlowStart &&
-        req.method == Method::kSetup) {
+    if (config_.behavior == Behavior::kSlowStart && method == Method::kSetup) {
       co_await send_dribbled(text);
     } else {
       send_text(text);
@@ -141,18 +155,9 @@ class RtspChurnClient {
   sim::Coro run() {
     co_await sim::Delay{engine_, config_.arrival};
 
-    RtspRequest setup;
-    setup.method = Method::kSetup;
-    setup.uri = config_.uri;
-    setup.rtp_port = media_.port();
-    setup.rtcp_port = rtcp_port_;
-    setup.tolerance = config_.tolerance;
-    setup.period = config_.period;
-    setup.frame_bytes = config_.frame_bytes;
-    setup.frames = config_.frames;
     const sim::Time t0 = engine_.now();
     RtspResponse resp;
-    co_await transact(setup, &resp);
+    co_await transact(Method::kSetup, &resp);
     outcome_.responded_setup = true;
     outcome_.setup_status = resp.status;
     outcome_.setup_latency_ms = (engine_.now() - t0).to_ms();
@@ -167,10 +172,7 @@ class RtspChurnClient {
     session_id_ = resp.session_id;
     stream_ = resp.stream;
 
-    RtspRequest play;
-    play.method = Method::kPlay;
-    play.session_id = session_id_;
-    co_await transact(play, &resp);
+    co_await transact(Method::kPlay, &resp);
 
     if (config_.behavior == Behavior::kVanish) {
       // Half-open: never speaks again, never closes. The server's reaper
@@ -184,24 +186,15 @@ class RtspChurnClient {
         config_.drain_slack;
     if (config_.behavior == Behavior::kPauseResume) {
       co_await sim::Delay{engine_, config_.pause_after};
-      RtspRequest pause;
-      pause.method = Method::kPause;
-      pause.session_id = session_id_;
-      co_await transact(pause, &resp);
+      co_await transact(Method::kPause, &resp);
       if (resp.status == 200) media_.notify_pause(stream_);
       co_await sim::Delay{engine_, config_.pause_for};
-      RtspRequest resume;
-      resume.method = Method::kPlay;
-      resume.session_id = session_id_;
-      co_await transact(resume, &resp);
+      co_await transact(Method::kPlay, &resp);
       if (resp.status == 200) media_.notify_resume(stream_);
     }
     co_await sim::Delay{engine_, media};
 
-    RtspRequest teardown;
-    teardown.method = Method::kTeardown;
-    teardown.session_id = session_id_;
-    co_await transact(teardown, &resp);
+    co_await transact(Method::kTeardown, &resp);
     media_.notify_end(stream_, engine_.now());
     ctl_tx_.close();
     outcome_.completed = true;

@@ -34,13 +34,13 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <new>
 #include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 #include "sim/time.hpp"
 
 namespace nistream::sim {
@@ -272,32 +272,6 @@ struct Delay {
   void await_resume() const noexcept {}
 };
 
-/// FIFO queue of parked coroutines. A vector with a consumed-prefix index
-/// instead of std::deque: pushes reuse the same contiguous buffer once it has
-/// grown to the waiter high-water mark, so steady-state park/wake cycles
-/// allocate nothing.
-class WaiterQueue {
- public:
-  void push(std::coroutine_handle<> h) { q_.push_back(h); }
-
-  std::coroutine_handle<> pop() {
-    assert(head_ < q_.size());
-    std::coroutine_handle<> h = q_[head_++];
-    if (head_ == q_.size()) {
-      q_.clear();
-      head_ = 0;
-    }
-    return h;
-  }
-
-  [[nodiscard]] bool empty() const { return head_ == q_.size(); }
-  [[nodiscard]] std::size_t size() const { return q_.size() - head_; }
-
- private:
-  std::vector<std::coroutine_handle<>> q_;
-  std::size_t head_ = 0;
-};
-
 /// Broadcast condition: all current waiters are resumed on signal().
 /// Waiters resume through the event queue at the signalling instant, so
 /// wake-up order is deterministic (FIFO by wait order).
@@ -348,14 +322,16 @@ class Semaphore {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) { sem.waiters_.push(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      sem.waiters_.push_back(h);
+    }
     void await_resume() const noexcept {}
   };
   Awaiter acquire() { return Awaiter{*this}; }
 
   void release(std::int64_t n = 1) {
     while (n > 0 && !waiters_.empty()) {
-      auto h = waiters_.pop();
+      auto h = waiters_.pop_front();
       engine_.schedule_in(Time::zero(), [h] { h.resume(); });
       --n;
     }
@@ -368,10 +344,11 @@ class Semaphore {
  private:
   Engine& engine_;
   std::int64_t count_;
-  WaiterQueue waiters_;
+  Fifo<std::coroutine_handle<>> waiters_;
 };
 
-/// Unbounded typed channel; receivers block while empty.
+/// Unbounded typed channel; receivers block while empty. An idle mailbox
+/// owns no heap memory.
 template <typename T>
 class Mailbox {
  public:
@@ -390,9 +367,7 @@ class Mailbox {
     void await_suspend(std::coroutine_handle<> h) { inner.await_suspend(h); }
     T await_resume() {
       assert(!box.items_.empty());
-      T v = std::move(box.items_.front());
-      box.items_.pop_front();
-      return v;
+      return box.items_.pop_front();
     }
   };
   Receiver receive() { return Receiver{*this, sem_.acquire()}; }
@@ -402,7 +377,7 @@ class Mailbox {
 
  private:
   Semaphore sem_;
-  std::deque<T> items_;
+  Fifo<T> items_;
 };
 
 }  // namespace nistream::sim

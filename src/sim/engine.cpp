@@ -60,6 +60,16 @@ void Engine::release(std::uint32_t slot) {
 
 EventHandle Engine::schedule_at(Time at, InlineEvent fn) {
   if (at < now_) throw std::logic_error("Engine::schedule_at: time in the past");
+  return insert(at, next_seq_++, std::move(fn));
+}
+
+EventHandle Engine::schedule_at(Time at, Ticket ticket, InlineEvent fn) {
+  if (at < now_) throw std::logic_error("Engine::schedule_at: time in the past");
+  assert(ticket.seq_ < next_seq_ && "ticket not reserved by this engine");
+  return insert(at, ticket.seq_, std::move(fn));
+}
+
+EventHandle Engine::insert(Time at, std::uint64_t seq, InlineEvent fn) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -70,7 +80,7 @@ EventHandle Engine::schedule_at(Time at, InlineEvent fn) {
   }
   Slot& s = slots_[slot];
   s.at = at;
-  s.seq = next_seq_++;
+  s.seq = seq;
   s.fn = std::move(fn);
   s.armed = true;
   heap_.push_back(slot);

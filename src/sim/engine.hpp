@@ -11,6 +11,15 @@
 // the slot, recycled with it — so scheduling an event after warm-up
 // allocates nothing at all: no std::function heap path, no shared_ptr
 // control block per event, no heap churn at 100k in-flight timers.
+//
+// Tickets: a component whose future events already fire in the order they
+// were created (an Ethernet downlink delivers frames in send order, at
+// strictly increasing times) can keep them itself and hand the engine only
+// the next one. reserve_ticket() takes the sequence number an event created
+// now would get; schedule_at(at, ticket, fn) later inserts the event under
+// it. The event then runs exactly where it would have run had it been
+// scheduled when the ticket was taken, same-instant ties included, so the
+// heap holds one entry per such component instead of one per event.
 #pragma once
 
 #include <cassert>
@@ -48,6 +57,18 @@ class EventHandle {
   std::uint64_t gen_ = 0;
 };
 
+/// A reserved place in the engine's (time, sequence) order; see
+/// Engine::reserve_ticket. Use each ticket for at most one event.
+class Ticket {
+ public:
+  Ticket() = default;
+
+ private:
+  friend class Engine;
+  explicit Ticket(std::uint64_t seq) : seq_{seq} {}
+  std::uint64_t seq_ = 0;
+};
+
 /// The event engine. Not thread-safe by design: determinism comes first, and
 /// every experiment fits comfortably in one thread of a modern machine.
 class Engine {
@@ -66,6 +87,14 @@ class Engine {
     return schedule_at(now_ + delay, std::move(fn));
   }
 
+  /// Take the sequence number the next scheduled event would get, without
+  /// scheduling anything. The holder must hand the event over (below) before
+  /// the engine runs any event ordered after it.
+  [[nodiscard]] Ticket reserve_ticket() { return Ticket{next_seq_++}; }
+
+  /// Schedule `fn` at `at` (must be >= now()) in the place `ticket` reserved.
+  EventHandle schedule_at(Time at, Ticket ticket, InlineEvent fn);
+
   /// Run until the event queue drains. Returns the final clock value.
   Time run();
 
@@ -78,6 +107,8 @@ class Engine {
   bool step();
 
   /// Number of queued entries (cancelled-but-unpopped entries included).
+  /// Events a component still holds behind a reserved ticket are not queued
+  /// here yet, so they are not counted.
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
 
@@ -98,6 +129,7 @@ class Engine {
     if (sa.at != sb.at) return sa.at < sb.at;
     return sa.seq < sb.seq;
   }
+  EventHandle insert(Time at, std::uint64_t seq, InlineEvent fn);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void pop_top();

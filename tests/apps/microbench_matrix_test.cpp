@@ -4,23 +4,35 @@
 // point, not just the published corners.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "apps/experiments.hpp"
 
 namespace nistream::apps {
 namespace {
 
+// gtest dumps each point's bytes into the test's listed name, so the point
+// must have no padding bytes: a bool field would leave three of them holding
+// whatever was on the stack, and the name would change from run to run.
+enum class DCache : std::int32_t { kOff, kOn };
+
 struct MatrixPoint {
-  bool dcache;
+  DCache dcache;
   dwcs::DescriptorResidency residency;
   int n_streams;
 };
+static_assert(std::has_unique_object_representations_v<MatrixPoint>);
+
+constexpr auto kPinned = dwcs::DescriptorResidency::kPinnedMemory;
+constexpr auto kHwq = dwcs::DescriptorResidency::kHardwareQueue;
 
 class MicrobenchMatrix : public ::testing::TestWithParam<MatrixPoint> {
  protected:
   static MicrobenchResult run(const MatrixPoint& p, dwcs::ArithMode arith) {
     MicrobenchConfig c;
     c.arith = arith;
-    c.dcache_enabled = p.dcache;
+    c.dcache_enabled = p.dcache == DCache::kOn;
     c.residency = p.residency;
     c.n_streams = p.n_streams;
     c.n_frames = p.n_streams * 38;
@@ -52,20 +64,18 @@ TEST_P(MicrobenchMatrix, NativeFpuBeatsSoftFloat) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, MicrobenchMatrix,
     ::testing::Values(
-        MatrixPoint{false, dwcs::DescriptorResidency::kPinnedMemory, 2},
-        MatrixPoint{false, dwcs::DescriptorResidency::kPinnedMemory, 16},
-        MatrixPoint{true, dwcs::DescriptorResidency::kPinnedMemory, 2},
-        MatrixPoint{true, dwcs::DescriptorResidency::kPinnedMemory, 16},
-        MatrixPoint{false, dwcs::DescriptorResidency::kHardwareQueue, 4},
-        MatrixPoint{true, dwcs::DescriptorResidency::kHardwareQueue, 4},
-        MatrixPoint{true, dwcs::DescriptorResidency::kPinnedMemory, 64}),
+        MatrixPoint{DCache::kOff, kPinned, 2},
+        MatrixPoint{DCache::kOff, kPinned, 16},
+        MatrixPoint{DCache::kOn, kPinned, 2},
+        MatrixPoint{DCache::kOn, kPinned, 16},
+        MatrixPoint{DCache::kOff, kHwq, 4},
+        MatrixPoint{DCache::kOn, kHwq, 4},
+        MatrixPoint{DCache::kOn, kPinned, 64}),
     [](const auto& param_info) {
       const auto& p = param_info.param;
-      return std::string{p.dcache ? "cacheOn" : "cacheOff"} + "_" +
-             (p.residency == dwcs::DescriptorResidency::kPinnedMemory
-                  ? "pinned"
-                  : "hwq") +
-             "_s" + std::to_string(p.n_streams);
+      return std::string{p.dcache == DCache::kOn ? "cacheOn" : "cacheOff"} +
+             (p.residency == kPinned ? "_pinned" : "_hwq") + "_s" +
+             std::to_string(p.n_streams);
     });
 
 TEST(MicrobenchMatrixCache, CacheAlwaysHelpsPinnedMemory) {

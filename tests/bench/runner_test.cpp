@@ -4,6 +4,7 @@
 // Also pins the provenance-stamp contract: git_rev() resolves at RUN time
 // and always has a machine-checkable shape.
 #include "bench_util.hpp"
+#include "cli.hpp"
 #include "runner.hpp"
 
 #include <gtest/gtest.h>
@@ -100,6 +101,46 @@ TEST(FlagJobs, ParsesZeroAsOneAndCapsAtBound) {
   {
     char* argv[] = {prog};
     EXPECT_EQ(flag_jobs(1, argv), default_jobs());
+  }
+}
+
+TEST(FlagJobs, AcceptsTheSpaceForm) {
+  // The docs write `--jobs 1` and `--seed 7`; both forms must parse, and a
+  // numeric value must not be mistaken for the positional output path.
+  char prog[] = "bench";
+  char jobs[] = "--jobs";
+  char three[] = "3";
+  char seed[] = "--seed";
+  char seven[] = "7";
+  char eq_form[] = "--seed=0x10";
+  char out[] = "out.json";
+  {
+    char* argv[] = {prog, jobs, three, seed, seven};
+    EXPECT_EQ(flag_jobs(5, argv), 3u);
+    EXPECT_EQ(flag_u64(5, argv, "seed", 0), 7u);
+    EXPECT_EQ(positional(5, argv, "default.json"), "default.json");
+  }
+  {
+    char* argv[] = {prog, jobs, three, out, eq_form};
+    EXPECT_EQ(flag_jobs(5, argv), 3u);
+    EXPECT_EQ(flag_u64(5, argv, "seed", 0), 16u);
+    EXPECT_EQ(positional(5, argv, "default.json"), "out.json");
+  }
+}
+
+TEST(FlagJobs, TrailingFlagWithoutValueExits2) {
+  char prog[] = "bench";
+  char jobs[] = "--jobs";
+  char bad[] = "--jobs=four";
+  {
+    char* argv[] = {prog, jobs};
+    EXPECT_EXIT(flag_jobs(2, argv), testing::ExitedWithCode(2),
+                "--jobs needs a value");
+  }
+  {
+    char* argv[] = {prog, bad};
+    EXPECT_EXIT(flag_jobs(2, argv), testing::ExitedWithCode(2),
+                "bad --jobs value");
   }
 }
 

@@ -85,7 +85,8 @@ Fingerprint run_chaos(std::uint64_t seed) {
   const auto s = plane.summary();
   const auto m = server.metrics();
   return Fingerprint{
-      .cpu_cycles = server.ni().board().cpu().cycles(),
+      .cpu_cycles =
+          static_cast<std::uint64_t>(server.ni().board().cpu().cycles()),
       .faults_injected = s.total(),
       .frames_dropped = s.frames_dropped,
       .i2o_dropped = s.i2o_inbound_dropped + s.i2o_outbound_dropped,

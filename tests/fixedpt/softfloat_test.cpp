@@ -130,6 +130,10 @@ struct BinOpCase {
   SoftFloat (*sw)(SoftFloat, SoftFloat);
 };
 
+// gtest's default printer dumps the case's bytes into the test's listed
+// name; those bytes are pointers, which ASLR moves on every run.
+void PrintTo(const BinOpCase& op, std::ostream* os) { *os << op.name; }
+
 class SoftFloatVsHardware : public ::testing::TestWithParam<BinOpCase> {};
 
 TEST_P(SoftFloatVsHardware, BitExactOnNormals) {

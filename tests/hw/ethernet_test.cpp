@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
+
+#include "fault/injector.hpp"
 
 namespace nistream::hw {
 namespace {
@@ -89,7 +94,7 @@ TEST(Ethernet, PayloadSharedPtrSurvives) {
   body.reset();
   f.eng.run();
   ASSERT_EQ(f.rx_b.size(), 1u);
-  const auto got = std::static_pointer_cast<int>(f.rx_b[0].second.payload);
+  const auto got = std::static_pointer_cast<const int>(f.rx_b[0].second.payload);
   ASSERT_TRUE(got);
   EXPECT_EQ(*got, 42);
 }
@@ -100,6 +105,121 @@ TEST(Ethernet, BytesSwitchedAccumulates) {
   f.sw.send(f.b, f.a, EthFrame{.bytes = 200});
   f.eng.run();
   EXPECT_EQ(f.sw.bytes_switched(), 300u);
+}
+
+// ---------------------------------------------------------------------------
+// Frames in flight queue on their destination port; the engine sees only each
+// busy downlink's head. These pin that the order of events cannot tell.
+// ---------------------------------------------------------------------------
+
+TEST(Ethernet, TimerAtAQueuedFramesLandingInstantRunsAfterIt) {
+  // Frame 2 waits behind frame 1 on b's downlink. A timer scheduled after
+  // both sends, for the instant frame 2 lands, must run after that delivery,
+  // as it would if each frame had its own event. Arming frame 2 under a
+  // fresh sequence number when frame 1 lands would run the timer first.
+  sim::Engine eng;
+  EthernetSwitch sw{eng};
+  std::vector<std::pair<std::uint64_t, sim::Time>> order;  // tag 0 = timer
+  const int a = sw.add_port([](const EthFrame&) {});
+  const int b = sw.add_port(
+      [&](const EthFrame& f) { order.emplace_back(f.tag, eng.now()); });
+  sw.send(a, b, EthFrame{.bytes = 1000, .tag = 1});
+  sw.send(a, b, EthFrame{.bytes = 1000, .tag = 2});
+  const sim::Time w = sw.wire_time(1000);
+  const sim::Time lands = w + w + w + sw.params().switch_latency;
+  eng.schedule_at(lands, [&] { order.emplace_back(0, eng.now()); });
+  eng.run();
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0].first, 1u);
+  EXPECT_EQ(order[1], (std::pair<std::uint64_t, sim::Time>{2, lands}));
+  EXPECT_EQ(order[2], (std::pair<std::uint64_t, sim::Time>{0, lands}));
+}
+
+TEST(Ethernet, ThreeSendersIntoOnePortDeliverInSendOrder) {
+  // The downlink serializes in send order even when a later, shorter frame
+  // reaches the switch first; each lands one serialization after the last.
+  Fixture f;
+  const int c = f.sw.add_port([](const EthFrame&) {});
+  const int d = f.sw.add_port([](const EthFrame&) {});
+  f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = 1});
+  f.sw.send(c, f.b, EthFrame{.bytes = 400, .tag = 2});
+  f.sw.send(d, f.b, EthFrame{.bytes = 1400, .tag = 3});
+  f.eng.run();
+  const sim::Time latency = f.sw.params().switch_latency;
+  const sim::Time w1 = f.sw.wire_time(1000);
+  const sim::Time t1 = w1 + latency + w1;
+  const sim::Time t2 = std::max(f.sw.wire_time(400) + latency, t1) +
+                       f.sw.wire_time(400);
+  const sim::Time t3 = std::max(f.sw.wire_time(1400) + latency, t2) +
+                       f.sw.wire_time(1400);
+  ASSERT_EQ(f.rx_b.size(), 3u);
+  EXPECT_EQ(f.rx_b[0].second.tag, 1u);
+  EXPECT_EQ(f.rx_b[1].second.tag, 2u);
+  EXPECT_EQ(f.rx_b[2].second.tag, 3u);
+  EXPECT_EQ(f.rx_b[0].first, t1);
+  EXPECT_EQ(f.rx_b[1].first, t2);
+  EXPECT_EQ(f.rx_b[2].first, t3);
+  EXPECT_EQ(f.rx_b[1].second.src_port, c);
+  EXPECT_EQ(f.rx_b[2].second.src_port, d);
+}
+
+TEST(Ethernet, DroppedFramesNeverEnterTheQueue) {
+  // Loss model: every frame dropped at the switch.
+  {
+    sim::Engine eng;
+    EthernetParams p;
+    p.loss_rate = 1.0;
+    EthernetSwitch sw{eng, p};
+    int got = 0;
+    const int a = sw.add_port([](const EthFrame&) {});
+    const int b = sw.add_port([&](const EthFrame&) { ++got; });
+    for (int i = 0; i < 10; ++i) sw.send(a, b, EthFrame{.bytes = 100});
+    EXPECT_EQ(sw.frames_lost(), 10u);
+    EXPECT_EQ(sw.frames_in_flight(), 0u);
+    EXPECT_EQ(eng.pending_events(), 0u);
+    eng.run();
+    EXPECT_EQ(got, 0);
+  }
+  // Fault injector: dropped frames leave the downlink idle, so a later frame
+  // from another port lands as if they had never been sent.
+  sim::Engine eng;
+  EthernetSwitch sw{eng};
+  fault::LinkFaultInjector drop_all{
+      fault::LinkFaultPolicy{.frame_loss_rate = 1.0}, sim::Rng{1}};
+  std::vector<sim::Time> got;
+  const int a = sw.add_port([](const EthFrame&) {});
+  const int b = sw.add_port([&](const EthFrame&) { got.push_back(eng.now()); });
+  const int c = sw.add_port([](const EthFrame&) {});
+  sw.set_fault(&drop_all);
+  for (int i = 0; i < 10; ++i) sw.send(a, b, EthFrame{.bytes = 1000});
+  EXPECT_EQ(drop_all.drops(), 10u);
+  EXPECT_EQ(sw.frames_in_flight(), 0u);
+  EXPECT_EQ(eng.pending_events(), 0u);
+  sw.set_fault(nullptr);
+  sw.send(c, b, EthFrame{.bytes = 1000});
+  EXPECT_EQ(sw.frames_in_flight(), 1u);
+  eng.run();
+  const sim::Time w = sw.wire_time(1000);
+  EXPECT_EQ(got, (std::vector<sim::Time>{w + sw.params().switch_latency + w}));
+}
+
+TEST(Ethernet, QueuedFramesHoldOneEngineEventPerBusyDownlink) {
+  Fixture f;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = i});
+    f.sw.send(f.b, f.a, EthFrame{.bytes = 500, .tag = i});
+  }
+  EXPECT_EQ(f.sw.frames_in_flight(), 200u);
+  EXPECT_EQ(f.eng.pending_events(), 2u);
+  f.eng.run();
+  EXPECT_EQ(f.sw.frames_in_flight(), 0u);
+  ASSERT_EQ(f.rx_a.size(), 100u);
+  ASSERT_EQ(f.rx_b.size(), 100u);
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(f.rx_a[i].second.tag, i);
+    EXPECT_EQ(f.rx_b[i].second.tag, i);
+  }
+  EXPECT_EQ(f.eng.events_executed(), 200u);  // still one event per delivery
 }
 
 }  // namespace

@@ -2,67 +2,18 @@
 // plane builds the FlowTable (categories sized, rules and prefixes
 // installed — all of that may allocate), classify() must hit the global
 // heap ZERO times across hundreds of thousands of lookups spanning exact
-// hits, trie hits, and misses. Same counting-operator-new technique as the
-// datapath audit in tests/path/alloc_free_test.cpp.
+// hits, trie hits, and misses. Same counting-operator-new shim
+// (counting_new.hpp) as the datapath audit in tests/path/alloc_free_test.cpp.
 //
 // Under ASan/TSan the sanitizer owns the allocator, so the shim is compiled
 // out and the test degrades to exercising the same lookup mix.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "counting_new.hpp"
 #include "ingress/flow_table.hpp"
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define NISTREAM_COUNTING_NEW 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define NISTREAM_COUNTING_NEW 0
-#else
-#define NISTREAM_COUNTING_NEW 1
-#endif
-#else
-#define NISTREAM_COUNTING_NEW 1
-#endif
-
-#if NISTREAM_COUNTING_NEW
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-
-void* counted_alloc(std::size_t n) {
-  ++g_heap_allocs;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t) {
-  return counted_alloc(n);
-}
-void* operator new[](std::size_t n, std::align_val_t) {
-  return counted_alloc(n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-#endif  // NISTREAM_COUNTING_NEW
 
 namespace nistream::ingress {
 namespace {
@@ -113,17 +64,13 @@ TEST(IngressAllocFree, ClassifyNeverTouchesTheHeap) {
     }
   }
 
-#if NISTREAM_COUNTING_NEW
-  const std::uint64_t before = g_heap_allocs.load();
-#endif
+  const std::uint64_t before = test::heap_allocs();
   std::uint64_t delivered = 0;
   for (std::size_t i = 0; i < kLookups; ++i) {
     delivered += table.classify(keys[i & 1023]).match == Match::kExact;
   }
-#if NISTREAM_COUNTING_NEW
-  EXPECT_EQ(g_heap_allocs.load() - before, 0u)
+  EXPECT_EQ(test::heap_allocs() - before, 0u)
       << "classification fast path allocated";
-#endif
 
   EXPECT_EQ(table.stats().lookups, kLookups);
   EXPECT_GT(delivered, kLookups / 2);        // the exact-hit bulk

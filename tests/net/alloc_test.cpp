@@ -1,0 +1,116 @@
+// Allocation audit for the control-plane substrate. Idle mailboxes, TcpLite
+// senders and receivers own no heap memory; a retransmitted segment reuses
+// the body of its first transmission; a busy downlink reuses its queue
+// nodes. Same counting-operator-new shim (counting_new.hpp) as the datapath
+// audit in tests/path/alloc_free_test.cpp.
+//
+// Under ASan/TSan the sanitizer owns the allocator, so the counts read 0 and
+// the tests only exercise the same code.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "counting_new.hpp"
+#include "hw/ethernet.hpp"
+#include "net/tcplite.hpp"
+#include "session/rtsp.hpp"
+#include "sim/coro.hpp"
+
+namespace nistream::net {
+namespace {
+
+using sim::Time;
+
+TEST(MailboxAllocFree, ConstructionAllocatesNothing) {
+  sim::Engine eng;
+  const std::uint64_t before = test::heap_allocs();
+  {
+    sim::Mailbox<session::RtspResponse> responses{eng};
+    sim::Mailbox<std::string> text{eng};
+    EXPECT_TRUE(responses.empty());
+    EXPECT_TRUE(text.empty());
+  }
+  EXPECT_EQ(test::heap_allocs() - before, 0u);
+}
+
+TEST(TcpLiteAllocFree, ConstructionAllocatesOnlyPortTableGrowth) {
+  // An idle sender or receiver owns no heap memory. Each one does take a
+  // switch port, and the switch's port table grows geometrically, so a
+  // fleet of n endpoints costs O(log n) allocations in all, never one per
+  // endpoint (a std::deque send queue alone was two per sender).
+  constexpr std::size_t kEach = 1024;
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  const TcpLiteReceiver::DeliverFrom deliver = [](const Packet&, int, Time) {};
+  std::vector<std::optional<TcpLiteReceiver>> receivers(kEach);
+  std::vector<std::optional<TcpLiteSender>> senders(kEach);
+
+  const std::uint64_t before = test::heap_allocs();
+  for (std::size_t i = 0; i < kEach; ++i) {
+    receivers[i].emplace(eng, ether, Time::us(50), deliver);
+    senders[i].emplace(eng, ether, Time::us(50), receivers[i]->port());
+  }
+  EXPECT_LE(test::heap_allocs() - before, 16u)
+      << "endpoints allocate per instance";
+  EXPECT_TRUE(senders.back()->idle());
+}
+
+TEST(TcpLiteAllocFree, RetransmissionsReuseTheFirstTransmissionsSegment) {
+  // The peer never ACKs, so the sender retransmits its one segment every RTO.
+  sim::Engine eng;
+  // Give the engine's slab and free list the few slots an RTO round needs
+  // beyond what the first transmission grew, so only the sender is audited.
+  for (int i = 0; i < 4; ++i) eng.schedule_at(Time::zero(), [] {});
+  eng.run();
+  hw::EthernetSwitch ether{eng};
+  std::uint64_t arrivals = 0;
+  const int sink = ether.add_port([&](const hw::EthFrame&) { ++arrivals; });
+  TcpLiteSender tx{eng, ether, Time::us(50), sink,
+                   TcpLiteSender::Params{.window = 8, .rto = Time::ms(20)}};
+  tx.send(Packet{.seq = 0, .bytes = 500});
+  eng.run_until(Time::ms(10));
+  ASSERT_EQ(arrivals, 1u);  // the first transmission has landed
+  ASSERT_EQ(tx.retransmissions(), 0u);
+
+  const std::uint64_t before = test::heap_allocs();
+  test::trace_next_allocs(8);
+  eng.run_until(Time::ms(170));  // RTO rounds at 20, 40, ..., 160 ms
+  EXPECT_EQ(tx.retransmissions(), 8u);
+  EXPECT_EQ(arrivals, 9u);
+  EXPECT_EQ(test::heap_allocs() - before, 0u)
+      << "a retransmission allocated";
+}
+
+TEST(EthernetAllocFree, BusyPortReusesItsQueueNodes) {
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  std::uint64_t delivered = 0;
+  const int dst = ether.add_port([&](const hw::EthFrame&) { ++delivered; });
+  std::vector<int> srcs;
+  for (int i = 0; i < 4; ++i) {
+    srcs.push_back(ether.add_port([](const hw::EthFrame&) {}));
+  }
+  std::size_t peak = 0;
+  const auto burst = [&] {
+    for (std::size_t i = 0; i < 3000; ++i) {
+      ether.send(srcs[i % srcs.size()], dst, hw::EthFrame{.bytes = 1000});
+    }
+    peak = std::max(peak, ether.frames_in_flight());
+    eng.run();
+  };
+  burst();  // warm-up: grows the node pool and the engine's slab
+  ASSERT_EQ(ether.frames_in_flight(), 0u);
+
+  const std::uint64_t before = test::heap_allocs();
+  for (int round = 0; round < 10; ++round) burst();
+  EXPECT_EQ(test::heap_allocs() - before, 0u) << "queue nodes not reused";
+  EXPECT_EQ(peak, 3000u);
+  EXPECT_EQ(delivered, 11u * 3000u);
+}
+
+}  // namespace
+}  // namespace nistream::net

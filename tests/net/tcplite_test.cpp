@@ -196,7 +196,7 @@ TEST(TcpLiteTeardown, RetransmittedFinAfterCloseIsReackedOnce) {
   rx.set_on_peer_close([&](int, Time) { ++closes; });
   std::vector<std::uint64_t> acks;
   const int raw = ether.add_port([&](const hw::EthFrame& f) {
-    auto seg = std::static_pointer_cast<TcpLiteSegment>(f.payload);
+    auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
     if (seg && seg->is_ack) acks.push_back(seg->seq);
   });
   auto inject_fin = [&] {

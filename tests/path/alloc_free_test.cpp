@@ -10,73 +10,15 @@
 // dominant per-frame allocation source the tentpole removed).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "apps/client.hpp"
 #include "apps/media_server.hpp"
 #include "apps/producer.hpp"
+#include "counting_new.hpp"
 #include "path/paths.hpp"
 #include "sim/coro.hpp"
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define NISTREAM_COUNTING_NEW 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define NISTREAM_COUNTING_NEW 0
-#else
-#define NISTREAM_COUNTING_NEW 1
-#endif
-#else
-#define NISTREAM_COUNTING_NEW 1
-#endif
-
-#if NISTREAM_COUNTING_NEW
-
-#include <execinfo.h>
-#include <unistd.h>
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::atomic<int> g_trace_allocs{0};  // debug: dump this many backtraces
-
-void* counted_alloc(std::size_t n) {
-  ++g_heap_allocs;
-  if (g_trace_allocs.load(std::memory_order_relaxed) > 0 &&
-      g_trace_allocs.fetch_sub(1) > 0) {
-    void* frames[16];
-    const int depth = backtrace(frames, 16);
-    backtrace_symbols_fd(frames, depth, STDERR_FILENO);
-    write(STDERR_FILENO, "----\n", 5);
-  }
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc{};
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n); }
-void* operator new[](std::size_t n) { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t) {
-  return counted_alloc(n);
-}
-void* operator new[](std::size_t n, std::align_val_t) {
-  return counted_alloc(n);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
-#endif  // NISTREAM_COUNTING_NEW
 
 namespace nistream::path {
 namespace {
@@ -121,10 +63,8 @@ std::uint64_t steady_state_heap_allocs(std::uint64_t warmup,
   }
 
   const auto coro_before = sim::coro_pool_stats();
-#if NISTREAM_COUNTING_NEW
-  const std::uint64_t heap_before = g_heap_allocs.load();
-  if (std::getenv("NISTREAM_TRACE_ALLOCS")) g_trace_allocs.store(8);
-#endif
+  const std::uint64_t heap_before = test::heap_allocs();
+  test::trace_next_allocs(8);
 
   while (!stats.finished) {
     EXPECT_LT(eng.now(), Time::sec(120)) << "drain stalled";
@@ -140,12 +80,7 @@ std::uint64_t steady_state_heap_allocs(std::uint64_t warmup,
   EXPECT_EQ(coro_after.fresh_blocks, coro_before.fresh_blocks);
   EXPECT_EQ(coro_after.oversize_blocks, coro_before.oversize_blocks);
   EXPECT_GT(client.frames_received(sid), warmup);
-
-#if NISTREAM_COUNTING_NEW
-  return g_heap_allocs.load() - heap_before;
-#else
-  return 0;
-#endif
+  return test::heap_allocs() - heap_before;
 }
 
 TEST(AllocFree, SteadyStateFrameMachineryNeverAllocates) {

@@ -1,5 +1,5 @@
 // Unit tests for the discrete-event engine: ordering, tie-breaking,
-// cancellation, run_until semantics and determinism.
+// cancellation, run_until semantics, reserved tickets and determinism.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -138,6 +138,77 @@ TEST(Engine, StepExecutesExactlyOne) {
   EXPECT_TRUE(eng.step());
   EXPECT_EQ(count, 2);
   EXPECT_FALSE(eng.step());
+}
+
+TEST(Engine, TicketHandedOverMidRunKeepsItsSameInstantPlace) {
+  // The ticket is taken before the direct event at 10 us is scheduled, so
+  // the ticketed event runs first at 10 us even though it reaches the engine
+  // later, from inside the event at 5 us.
+  Engine eng;
+  std::vector<int> order;
+  const Ticket ticket = eng.reserve_ticket();
+  eng.schedule_at(Time::us(10), [&] { order.push_back(2); });
+  eng.schedule_at(Time::us(5), [&] {
+    eng.schedule_at(Time::us(10), ticket, [&] { order.push_back(1); });
+  });
+  EXPECT_EQ(eng.pending_events(), 2u);  // a held ticket is not queued yet
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(eng.events_executed(), 3u);
+}
+
+TEST(Engine, TicketedEventInThePastThrows) {
+  Engine eng;
+  const Ticket ticket = eng.reserve_ticket();
+  eng.schedule_at(Time::us(10), [] {});
+  eng.run();
+  EXPECT_THROW(eng.schedule_at(Time::us(5), ticket, [] {}), std::logic_error);
+}
+
+// Property: events scheduled through reserve_ticket() and handed over later
+// (here all at once, in reverse order) run in exactly the order direct
+// scheduling at reservation time gives, dense same-instant ties included.
+TEST(EngineProperty, TicketsMatchDirectScheduling) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    std::uint64_t lcg = seed * 2654435761u;
+    const auto rnd = [&lcg](std::uint64_t n) {
+      lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+      return (lcg >> 33) % n;
+    };
+    constexpr std::size_t kEvents = 400;
+    std::vector<Time> at;
+    std::vector<bool> held;
+    for (std::size_t i = 0; i < kEvents; ++i) {
+      at.push_back(Time::us(static_cast<double>(rnd(10))));  // dense ties
+      held.push_back(rnd(2) == 0);
+    }
+    const auto run = [&](bool use_tickets) {
+      struct Held {
+        Time at;
+        Ticket ticket;
+        std::size_t i;
+      };
+      Engine eng;
+      std::vector<std::size_t> fired;
+      std::vector<Held> later;
+      for (std::size_t i = 0; i < kEvents; ++i) {
+        if (use_tickets && held[i]) {
+          later.push_back(Held{at[i], eng.reserve_ticket(), i});
+        } else {
+          eng.schedule_at(at[i], [&fired, i] { fired.push_back(i); });
+        }
+      }
+      for (auto it = later.rbegin(); it != later.rend(); ++it) {
+        eng.schedule_at(it->at, it->ticket,
+                        [&fired, i = it->i] { fired.push_back(i); });
+      }
+      eng.run();
+      return fired;
+    };
+    const auto direct = run(false);
+    ASSERT_EQ(direct.size(), kEvents);
+    EXPECT_EQ(run(true), direct) << "seed " << seed;
+  }
 }
 
 // Property: against a brute-force reference model, random schedule/cancel
