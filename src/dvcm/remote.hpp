@@ -188,8 +188,7 @@ class ReliableRemoteVcmClient {
   ReliableRemoteVcmClient(sim::Engine& engine, hw::EthernetSwitch& ether,
                           sim::Time stack_cost, int dst_port,
                           net::TcpLiteSender::Params params =
-                              net::TcpLiteSender::Params{
-                                  .window = 8, .rto = sim::Time::ms(20)})
+                              net::TcpLiteSender::Params{.window = 8})
       : tx_{engine, ether, stack_cost, dst_port, params} {}
 
   void invoke(InstructionId id, std::uint64_t w0,

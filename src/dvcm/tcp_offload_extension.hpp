@@ -30,9 +30,7 @@ class TcpOffloadExtension final : public ExtensionModule {
  public:
   explicit TcpOffloadExtension(hw::EthernetSwitch& ether,
                                net::TcpLiteSender::Params params =
-                                   net::TcpLiteSender::Params{
-                                       .window = 8,
-                                       .rto = sim::Time::ms(20)})
+                                   net::TcpLiteSender::Params{.window = 8})
       : ether_{ether}, params_{params} {}
 
   [[nodiscard]] const char* name() const override { return "tcp-offload"; }

@@ -20,6 +20,13 @@
 // O(frames on the wire). The queues are intrusive lists threaded through one
 // free-listed node pool, grown in fixed-size chunks so growth never moves a
 // frame in flight.
+//
+// A device that goes away detaches its port. The port keeps its number (port
+// numbers are never reused) and bumps its generation; each queued frame
+// carries the generation it was addressed to, so frames queued before the
+// detach are dropped on landing, and frames sent to the port afterwards are
+// dropped at the switch. Either way the receiver of a destroyed device is
+// never called.
 #pragma once
 
 #include <cassert>
@@ -65,6 +72,19 @@ class EthernetSwitch {
     return static_cast<int>(ports_.size()) - 1;
   }
 
+  /// Detach the device on `port` (see the header comment). Its receiver is
+  /// released here and never called again.
+  void detach(int port) {
+    assert(attached(port));
+    Port& p = ports_[static_cast<std::size_t>(port)];
+    p.rx = nullptr;
+    ++p.gen;
+  }
+
+  [[nodiscard]] bool attached(int port) const {
+    return valid(port) && ports_[static_cast<std::size_t>(port)].rx;
+  }
+
   /// Send `frame` from `src` to `dst`. Delivery time accounts for uplink
   /// serialization, switch latency, downlink serialization and any queueing
   /// on both directions.
@@ -96,6 +116,10 @@ class EthernetSwitch {
     }
 
     Port& dp = ports_[static_cast<std::size_t>(dst)];
+    if (!dp.rx) {  // detached: nothing to forward to
+      ++frames_to_detached_;
+      return;
+    }
     const sim::Time down_start =
         std::max(at_switch + params_.switch_latency, dp.downlink_busy_until);
     const sim::Time delivered = down_start + wire;
@@ -107,6 +131,7 @@ class EthernetSwitch {
     f.frame = std::move(frame);
     f.at = delivered;
     f.ticket = engine_.reserve_ticket();
+    f.gen = dp.gen;
     f.next = kNone;
     if (dp.tail == kNone) {
       dp.head = n;
@@ -126,6 +151,10 @@ class EthernetSwitch {
 
   [[nodiscard]] std::uint64_t bytes_switched() const { return bytes_switched_; }
   [[nodiscard]] std::uint64_t frames_lost() const { return frames_lost_; }
+  /// Frames dropped because their destination port was detached.
+  [[nodiscard]] std::uint64_t frames_to_detached() const {
+    return frames_to_detached_;
+  }
   /// Frames queued on downlinks, waiting to be delivered.
   [[nodiscard]] std::size_t frames_in_flight() const { return in_flight_; }
   [[nodiscard]] const EthernetParams& params() const { return params_; }
@@ -146,6 +175,7 @@ class EthernetSwitch {
     sim::Time downlink_busy_until = sim::Time::zero();
     std::uint32_t head = kNone;  // downlink queue: next frame to deliver
     std::uint32_t tail = kNone;
+    std::uint32_t gen = 0;       // bumped by detach()
   };
 
   /// A frame on its way down a port's downlink; a pool node.
@@ -154,6 +184,7 @@ class EthernetSwitch {
     sim::Time at;        // delivery instant
     sim::Ticket ticket;  // its place among events at that instant
     std::uint32_t next = kNone;  // queue successor, or free-list successor
+    std::uint32_t gen = 0;       // destination port's generation at send
   };
 
   [[nodiscard]] bool valid(int p) const {
@@ -200,8 +231,13 @@ class EthernetSwitch {
     } else {
       arm(dst);
     }
+    const bool current = f.gen == p.gen;
     release_node(n);
-    p.rx(frame);
+    if (current) {
+      p.rx(frame);
+    } else {
+      ++frames_to_detached_;
+    }
   }
 
   sim::Engine& engine_;
@@ -215,6 +251,7 @@ class EthernetSwitch {
   std::size_t in_flight_ = 0;
   std::uint64_t bytes_switched_ = 0;
   std::uint64_t frames_lost_ = 0;
+  std::uint64_t frames_to_detached_ = 0;
   fault::LinkFaultInjector* fault_ = nullptr;
 };
 

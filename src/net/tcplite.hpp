@@ -9,8 +9,14 @@
 //
 // Scope deliberately matches what an embedded NI stack of the era shipped:
 // fixed window, cumulative ACK per received segment, go-back-N retransmit on
-// timeout. No congestion control, no SACK. Two things the RTSP session plane
-// forced onto that base:
+// timeout. No congestion control, no SACK. The retransmission timer is the
+// BSD one those stacks derived from, as RFC 6298 specifies it: an RTO
+// estimated from round-trip samples (Karn's rule: never from a segment that
+// was sent twice), 1 s before the first sample, doubled on every timeout up
+// to 60 s. A fixed timer shorter than the queueing delay of a busy port fires
+// for segments that are only waiting, and every resend deepens the queue;
+// docs/session_plane.md shows what that did to a 100k-client SETUP storm.
+// Three things the RTSP session plane forced onto that base:
 //
 //  * Per-peer sequence spaces. The original receiver kept ONE next-expected
 //    counter for every sender that addressed it, so a second client talking
@@ -24,10 +30,16 @@
 //    re-firing the close callback. Because each direction is a separate
 //    sender/receiver pair, one side can close while the other keeps
 //    flowing — the half-open states the session reaper exists for.
+//  * Owner-safe teardown. The front door destroys a connection's response
+//    sender when the client FINs. An endpoint's destructor cancels its timer
+//    and detaches its switch port, and every event it left pending checks
+//    that port before touching the endpoint, so nothing runs on freed memory.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <map>
 #include <memory>
@@ -47,6 +59,21 @@ struct TcpLiteSegment {
   std::uint64_t seq = 0;      // data/fin: segment sequence; ack: next expected
   Packet payload{};           // data segments only
 };
+
+namespace detail {
+
+/// Run `fn` after `delay` unless `port` is detached first: the event reads
+/// the switch, which outlives its endpoints, before it touches the endpoint
+/// `fn` captured.
+template <typename Fn>
+void schedule_while_attached(sim::Engine& engine, hw::EthernetSwitch& ether,
+                             int port, sim::Time delay, Fn fn) {
+  engine.schedule_in(delay, [sw = &ether, port, fn = std::move(fn)] {
+    if (sw->attached(port)) fn();
+  });
+}
+
+}  // namespace detail
 
 class TcpLiteReceiver {
  public:
@@ -75,6 +102,7 @@ class TcpLiteReceiver {
 
   TcpLiteReceiver(const TcpLiteReceiver&) = delete;
   TcpLiteReceiver& operator=(const TcpLiteReceiver&) = delete;
+  ~TcpLiteReceiver() { ether_.detach(port_); }
 
   /// Fires once per peer, when its FIN is delivered in order.
   void set_on_peer_close(PeerClose cb) { on_peer_close_ = std::move(cb); }
@@ -104,7 +132,8 @@ class TcpLiteReceiver {
     auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
     if (!seg || seg->is_ack) return;
     const int reply_to = f.src_port;
-    engine_.schedule_in(stack_cost_, [this, seg, reply_to] {
+    detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
+                                    [this, seg, reply_to] {
       Peer& peer = peers_[reply_to];
       if (seg->seq == peer.next_expected && !peer.closed) {
         ++peer.next_expected;
@@ -144,13 +173,55 @@ class TcpLiteReceiver {
   std::uint64_t peers_closed_ = 0;
 };
 
+/// RFC 6298 §2 round-trip estimator in integer ns: alpha = 1/8, beta = 1/4,
+/// K = 4. Before the first sample the RTO is §2.1's 1 s. The floor is 20 ms
+/// rather than §2.4's 1 s: a round trip on the switched LAN takes about a
+/// millisecond, so a segment lost on an idle link should cost tens of
+/// milliseconds, not a second.
+class RttEstimator {
+ public:
+  static constexpr sim::Time kInitialRto = sim::Time::sec(1);
+  static constexpr sim::Time kMinRto = sim::Time::ms(20);
+  /// §2.5's ceiling, which also caps the exponential backoff.
+  static constexpr sim::Time kMaxRto = sim::Time::sec(60);
+
+  /// Fold in one round-trip measurement R (§2.2, §2.3).
+  void sample(sim::Time r) {
+    const std::int64_t rn = r.raw_ns();
+    if (!has_sample_) {
+      srtt_ns_ = rn;
+      rttvar_ns_ = rn / 2;
+      has_sample_ = true;
+      return;
+    }
+    rttvar_ns_ = (3 * rttvar_ns_ + std::abs(srtt_ns_ - rn)) / 4;
+    srtt_ns_ = (7 * srtt_ns_ + rn) / 8;
+  }
+
+  /// The timeout before any backoff: SRTT + 4 RTTVAR, within the bounds.
+  [[nodiscard]] sim::Time rto() const {
+    if (!has_sample_) return kInitialRto;
+    return std::clamp(sim::Time::ns(srtt_ns_ + 4 * rttvar_ns_), kMinRto,
+                      kMaxRto);
+  }
+  [[nodiscard]] bool has_sample() const { return has_sample_; }
+  [[nodiscard]] sim::Time srtt() const { return sim::Time::ns(srtt_ns_); }
+  [[nodiscard]] sim::Time rttvar() const { return sim::Time::ns(rttvar_ns_); }
+
+ private:
+  std::int64_t srtt_ns_ = 0;
+  std::int64_t rttvar_ns_ = 0;
+  bool has_sample_ = false;
+};
+
 struct TcpLiteSenderParams {
-  std::size_t window = 8;             // segments in flight
-  sim::Time rto = sim::Time::ms(20);  // retransmission timeout
+  std::size_t window = 8;  // segments in flight
   /// Consecutive timeout rounds without ACK progress before the sender
   /// gives up (drops its queue and fires on_abort). 0 = retry forever,
   /// the historical behavior; services talking to clients that may vanish
   /// mid-connection set a bound so a dead peer cannot pin a timer forever.
+  /// With the backoff from the 1 s initial RTO, a bound of 8 resends at 1, 3,
+  /// 7, ..., 183 s and gives up at the ninth timeout, 243 s.
   unsigned max_retx_rounds = 0;
 };
 
@@ -169,6 +240,10 @@ class TcpLiteSender {
 
   TcpLiteSender(const TcpLiteSender&) = delete;
   TcpLiteSender& operator=(const TcpLiteSender&) = delete;
+  ~TcpLiteSender() {
+    timer_.cancel();
+    ether_.detach(port_);
+  }
 
   [[nodiscard]] int port() const { return port_; }
 
@@ -206,6 +281,10 @@ class TcpLiteSender {
     return closing_ && !aborted_ && queue_.empty();
   }
   [[nodiscard]] bool aborted() const { return aborted_; }
+  /// The timeout the next armed timer gets: the estimator's RTO, doubled
+  /// for every timeout since the last ACK progress (capped).
+  [[nodiscard]] sim::Time rto() const { return rto_; }
+  [[nodiscard]] const RttEstimator& rtt() const { return rtt_; }
 
  private:
   using Segment = std::shared_ptr<const TcpLiteSegment>;
@@ -218,6 +297,11 @@ class TcpLiteSender {
     for (const Segment& seg : queue_) {
       if (seg->seq >= base_ + params_.window) break;
       if (seg->seq < inflight_hi_) continue;  // already on the wire
+      if (!timing_) {  // time one first transmission at a time
+        timing_ = true;
+        timed_seq_ = seg->seq;
+        timed_at_ = engine_.now();
+      }
       transmit(seg);
       inflight_hi_ = seg->seq + 1;
     }
@@ -225,7 +309,8 @@ class TcpLiteSender {
   }
 
   void transmit(const Segment& seg) {
-    engine_.schedule_in(stack_cost_, [this, seg] {
+    detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
+                                    [this, seg] {
       const std::uint32_t bytes =
           seg->is_fin ? kFinBytes
                       : seg->payload.bytes + UdpEndpoint::kUdpIpHeaderBytes + 12;
@@ -238,11 +323,20 @@ class TcpLiteSender {
   void on_frame(const hw::EthFrame& f) {
     auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
     if (!seg || !seg->is_ack) return;
-    engine_.schedule_in(stack_cost_, [this, ack = seg->seq] {
+    detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
+                                    [this, ack = seg->seq] {
       if (aborted_ || ack <= base_) return;  // stale
       while (!queue_.empty() && queue_.front()->seq < ack) queue_.pop_front();
       base_ = ack;
       retx_rounds_ = 0;  // progress resets the give-up counter
+      if (timing_ && ack > timed_seq_) {
+        rtt_.sample(engine_.now() - timed_at_);
+        timing_ = false;
+      }
+      // Progress also ends the backoff, sample or not. Keeping it until a
+      // fresh sample (strict Karn) stalls go-back-N under heavy loss: every
+      // window after a timeout is a retransmission, so no sample comes.
+      rto_ = rtt_.rto();
       timer_.cancel();
       pump();
     });
@@ -250,7 +344,7 @@ class TcpLiteSender {
 
   void arm_timer() {
     if (queue_.empty() || timer_.pending()) return;
-    timer_ = engine_.schedule_in(params_.rto, [this] { on_timeout(); });
+    timer_ = engine_.schedule_in(rto_, [this] { on_timeout(); });
   }
 
   void on_timeout() {
@@ -262,7 +356,10 @@ class TcpLiteSender {
       return;
     }
     // Go-back-N: retransmit the whole window from base_, sharing each
-    // segment's body with its earlier transmissions.
+    // segment's body with its earlier transmissions. The timed segment is
+    // in that window, so its ACK can no longer give a sample (Karn).
+    timing_ = false;
+    rto_ = std::min(rto_ * 2, RttEstimator::kMaxRto);
     for (const Segment& seg : queue_) {
       if (seg->seq >= base_ + params_.window) break;
       transmit(seg);
@@ -285,6 +382,11 @@ class TcpLiteSender {
   unsigned retx_rounds_ = 0;       // consecutive timeouts since last progress
   bool closing_ = false;
   bool aborted_ = false;
+  bool timing_ = false;            // timed_seq_ awaits its RTT sample
+  std::uint64_t timed_seq_ = 0;
+  sim::Time timed_at_;             // when pump() first sent timed_seq_
+  RttEstimator rtt_;
+  sim::Time rto_ = RttEstimator::kInitialRto;
   Abort on_abort_;
   sim::EventHandle timer_;
 };

@@ -76,9 +76,7 @@ class RtspChurnClient {
                        on_response_bytes(p);
                      }}},
         ctl_tx_{engine, ether, net::kHostStackCost, control_port,
-                net::TcpLiteSenderParams{.window = 8,
-                                         .rto = sim::Time::ms(20),
-                                         .max_retx_rounds = 8}} {}
+                net::TcpLiteSenderParams{.window = 8, .max_retx_rounds = 8}} {}
 
   RtspChurnClient(const RtspChurnClient&) = delete;
   RtspChurnClient& operator=(const RtspChurnClient&) = delete;

@@ -78,8 +78,8 @@ class RtspFrontDoor {
     ingress::TenantDirectory* tenants = nullptr;
     /// Response channel back to each client: bounded retransmit so a
     /// vanished client cannot pin a response sender forever.
-    net::TcpLiteSenderParams response_params{
-        .window = 8, .rto = sim::Time::ms(20), .max_retx_rounds = 8};
+    net::TcpLiteSenderParams response_params{.window = 8,
+                                             .max_retx_rounds = 8};
   };
 
   struct Stats {

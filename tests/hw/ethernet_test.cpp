@@ -222,5 +222,28 @@ TEST(Ethernet, QueuedFramesHoldOneEngineEventPerBusyDownlink) {
   EXPECT_EQ(f.eng.events_executed(), 200u);  // still one event per delivery
 }
 
+TEST(Ethernet, DetachedPortDropsQueuedAndLaterFrames) {
+  Fixture f;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = i});
+  }
+  f.eng.step();  // the first frame lands
+  ASSERT_EQ(f.rx_b.size(), 1u);
+  f.sw.detach(f.b);
+  EXPECT_FALSE(f.sw.attached(f.b));
+  EXPECT_TRUE(f.sw.attached(f.a));
+  f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = 3});
+  f.sw.send(f.b, f.a, EthFrame{.bytes = 500, .tag = 4});  // uplink still works
+  f.eng.run();
+  EXPECT_EQ(f.rx_b.size(), 1u);
+  EXPECT_EQ(f.sw.frames_to_detached(), 3u);  // two queued, one sent later
+  EXPECT_EQ(f.sw.frames_in_flight(), 0u);
+  ASSERT_EQ(f.rx_a.size(), 1u);
+  EXPECT_EQ(f.rx_a[0].second.tag, 4u);
+  // Queued frames keep their delivery events, so the rest of the run keeps
+  // its event order; a frame sent after the detach never enters the queue.
+  EXPECT_EQ(f.eng.events_executed(), 4u);
+}
+
 }  // namespace
 }  // namespace nistream::hw

@@ -70,7 +70,7 @@ TEST(TcpLiteAllocFree, RetransmissionsReuseTheFirstTransmissionsSegment) {
   std::uint64_t arrivals = 0;
   const int sink = ether.add_port([&](const hw::EthFrame&) { ++arrivals; });
   TcpLiteSender tx{eng, ether, Time::us(50), sink,
-                   TcpLiteSender::Params{.window = 8, .rto = Time::ms(20)}};
+                   TcpLiteSender::Params{.window = 8}};
   tx.send(Packet{.seq = 0, .bytes = 500});
   eng.run_until(Time::ms(10));
   ASSERT_EQ(arrivals, 1u);  // the first transmission has landed
@@ -78,7 +78,8 @@ TEST(TcpLiteAllocFree, RetransmissionsReuseTheFirstTransmissionsSegment) {
 
   const std::uint64_t before = test::heap_allocs();
   test::trace_next_allocs(8);
-  eng.run_until(Time::ms(170));  // RTO rounds at 20, 40, ..., 160 ms
+  // The backed-off RTO rounds: 1, 3, 7, 15, 31, 63, 123 and 183 s.
+  eng.run_until(Time::sec(184));
   EXPECT_EQ(tx.retransmissions(), 8u);
   EXPECT_EQ(arrivals, 9u);
   EXPECT_EQ(test::heap_allocs() - before, 0u)

@@ -1,11 +1,17 @@
 // Tests for the TcpLite reliable transport over clean and lossy segments,
-// plus the Ethernet loss model it exists for.
+// plus the Ethernet loss model it exists for, its RFC 6298 retransmission
+// timer, and owner-safe teardown.
 #include "net/tcplite.hpp"
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <vector>
+
+#include "apps/client.hpp"
+#include "session/client.hpp"
+#include "session/server.hpp"
 
 namespace nistream::net {
 namespace {
@@ -17,6 +23,19 @@ hw::EthernetParams lossy(double rate, std::uint64_t seed = 7) {
   p.loss_rate = rate;
   p.loss_seed = seed;
   return p;
+}
+
+/// Hand-crafted cumulative ACK, as a peer's receiver would send it.
+void send_ack(hw::EthernetSwitch& ether, int from, int to,
+              std::uint64_t next_expected) {
+  auto ack = std::make_shared<TcpLiteSegment>();
+  ack->is_ack = true;
+  ack->seq = next_expected;
+  ether.send(from, to, hw::EthFrame{.bytes = 40, .payload = std::move(ack)});
+}
+
+std::uint64_t seq_of(const hw::EthFrame& f) {
+  return std::static_pointer_cast<const TcpLiteSegment>(f.payload)->seq;
 }
 
 struct Link {
@@ -87,8 +106,7 @@ TEST(TcpLite, SurvivesTenPercentLoss) {
 }
 
 TEST(TcpLite, SurvivesHeavyLoss) {
-  Link link{lossy(0.35, 11), TcpLiteSender::Params{.window = 4,
-                                                   .rto = Time::ms(10)}};
+  Link link{lossy(0.35, 11), TcpLiteSender::Params{.window = 4}};
   constexpr std::uint64_t kCount = 100;
   for (std::uint64_t i = 0; i < kCount; ++i) {
     link.tx.send(Packet{.seq = i, .bytes = 500});
@@ -112,8 +130,7 @@ TEST(TcpLite, NoDuplicateDelivery) {
 TEST(TcpLite, WindowLimitsInflight) {
   // With a window of 2 and no ACKs (receiver port detached via 100% loss),
   // at most 2 segments ever hit the wire per RTO.
-  Link link{lossy(1.0, 5), TcpLiteSender::Params{.window = 2,
-                                                 .rto = Time::ms(50)}};
+  Link link{lossy(1.0, 5), TcpLiteSender::Params{.window = 2}};
   for (std::uint64_t i = 0; i < 10; ++i) {
     link.tx.send(Packet{.seq = i, .bytes = 100});
   }
@@ -248,8 +265,7 @@ TEST(TcpLiteTeardown, SenderGivesUpAfterMaxRetxRounds) {
   // Against a vanished peer (100% loss) a bounded sender must stop instead
   // of pinning a retransmission timer forever.
   Link link{lossy(1.0, 9),
-            TcpLiteSender::Params{.window = 4, .rto = Time::ms(10),
-                                  .max_retx_rounds = 3}};
+            TcpLiteSender::Params{.window = 4, .max_retx_rounds = 3}};
   std::vector<Time> aborts;
   link.tx.set_on_abort([&](Time at) { aborts.push_back(at); });
   link.tx.send(Packet{.seq = 0, .bytes = 300});
@@ -262,8 +278,10 @@ TEST(TcpLiteTeardown, SenderGivesUpAfterMaxRetxRounds) {
   EXPECT_EQ(link.tx.acked(), 0u);
   EXPECT_EQ(link.tx.retransmissions(), 3u * 3u);  // 3 rounds x 3 segments
   ASSERT_EQ(aborts.size(), 1u);
-  // 3 allowed rounds + the round that trips the bound, 10ms RTO each.
-  EXPECT_GE(done, Time::ms(40));
+  // 3 allowed rounds at 1, 3 and 7 s, then the backed-off 8 s timer trips
+  // the bound.
+  EXPECT_EQ(aborts[0], Time::sec(15));
+  EXPECT_EQ(done, Time::sec(15));
   EXPECT_TRUE(link.delivered.empty());
 }
 
@@ -309,6 +327,295 @@ TEST(TcpLite, ThroughputReasonableOnCleanLink) {
   const double mbps = kCount * 1400 * 8.0 / done.to_sec() / 1e6;
   // Windowed but ACK-paced: should still fill a good part of 100 Mbps.
   EXPECT_GT(mbps, 30.0);
+}
+
+// --- Owner-safe teardown. Each sender or receiver is heap-allocated so a
+// use after free is a sanitizer error, not a read of a dead stack slot.
+
+TEST(TcpLiteTeardown, DestroyedSenderWithUnackedSegmentNeverFiresItsTimer) {
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  int arrivals = 0;
+  const int sink = ether.add_port([&](const hw::EthFrame&) { ++arrivals; });
+  auto tx = std::make_unique<TcpLiteSender>(eng, ether, Time::us(50), sink);
+  tx->send(Packet{.seq = 0, .bytes = 300});
+  eng.run_until(Time::ms(10));
+  ASSERT_EQ(arrivals, 1);  // on the wire, never ACKed
+  tx.reset();
+  eng.run_until(Time::sec(5));  // well past the RTO
+  EXPECT_EQ(arrivals, 1);
+  EXPECT_EQ(eng.pending_events(), 0u);
+}
+
+TEST(TcpLiteTeardown, DestroyedSenderDuringStackDelaySendsNothing) {
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  int arrivals = 0;
+  const int sink = ether.add_port([&](const hw::EthFrame&) { ++arrivals; });
+  auto tx = std::make_unique<TcpLiteSender>(eng, ether, Time::us(50), sink);
+  tx->send(Packet{.seq = 0, .bytes = 300});
+  tx->send(Packet{.seq = 1, .bytes = 300});
+  tx.reset();  // both transmissions still in the sender's stack
+  eng.run();
+  EXPECT_EQ(arrivals, 0);
+  EXPECT_EQ(ether.bytes_switched(), 0u);
+  EXPECT_EQ(eng.events_executed(), 2u);  // the stack events ran, as no-ops
+}
+
+TEST(TcpLiteTeardown, AckToDestroyedSenderIsDropped) {
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  std::vector<std::uint64_t> got;
+  const int peer =
+      ether.add_port([&](const hw::EthFrame& f) { got.push_back(seq_of(f)); });
+  auto tx = std::make_unique<TcpLiteSender>(eng, ether, Time::us(50), peer);
+  tx->send(Packet{.seq = 0, .bytes = 300});
+  eng.run_until(Time::ms(10));
+  ASSERT_EQ(got.size(), 1u);
+  const int dead = tx->port();
+  tx.reset();
+  send_ack(ether, peer, dead, 1);
+  eng.run();
+  EXPECT_EQ(ether.frames_to_detached(), 1u);
+  EXPECT_EQ(got.size(), 1u);
+}
+
+TEST(TcpLiteTeardown, DestroyedReceiverDuringStackDelayNeitherDeliversNorAcks) {
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  int delivered = 0;
+  auto rx = std::make_unique<TcpLiteReceiver>(
+      eng, ether, Time::us(500),
+      TcpLiteReceiver::Deliver{[&](const Packet&, Time) { ++delivered; }});
+  TcpLiteSender tx{eng, ether, Time::us(50), rx->port()};
+  tx.send(Packet{.seq = 0, .bytes = 300});
+  // The segment lands within ~100 us and then waits out the receiver's
+  // 500 us stack cost.
+  eng.run_until(Time::us(300));
+  ASSERT_EQ(ether.frames_in_flight(), 0u);
+  ASSERT_EQ(tx.acked(), 0u);
+  rx.reset();
+  eng.run_until(Time::ms(10));
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(tx.acked(), 0u);
+}
+
+// --- The RFC 6298 retransmission timer.
+
+TEST(TcpLiteRto, EstimatorFollowsRfc6298) {
+  RttEstimator est;
+  EXPECT_FALSE(est.has_sample());
+  EXPECT_EQ(est.rto(), Time::sec(1));  // §2.1, before any sample
+  // §2.2: SRTT = R, RTTVAR = R/2, RTO = SRTT + 4 RTTVAR.
+  est.sample(Time::ms(100));
+  EXPECT_EQ(est.srtt(), Time::ms(100));
+  EXPECT_EQ(est.rttvar(), Time::ms(50));
+  EXPECT_EQ(est.rto(), Time::ms(300));
+  // §2.3: RTTVAR = 3/4 RTTVAR + 1/4 |SRTT - R|, then SRTT = 7/8 SRTT + 1/8 R.
+  est.sample(Time::ms(200));
+  EXPECT_EQ(est.rttvar(), Time::us(62'500));
+  EXPECT_EQ(est.srtt(), Time::us(112'500));
+  EXPECT_EQ(est.rto(), Time::us(362'500));
+  est.sample(Time::ms(100));
+  EXPECT_EQ(est.rttvar(), Time::ms(50));
+  EXPECT_EQ(est.srtt(), Time::ns(110'937'500));
+  EXPECT_EQ(est.rto(), Time::ns(310'937'500));
+  // A LAN round trip sits on the 20 ms floor; a huge one on the 60 s cap.
+  RttEstimator lan;
+  lan.sample(Time::ms(1));
+  EXPECT_EQ(lan.rto(), Time::ms(20));
+  RttEstimator slow;
+  slow.sample(Time::sec(30));
+  EXPECT_EQ(slow.rto(), Time::sec(60));
+}
+
+TEST(TcpLiteRto, SenderSamplesFromPumpToAckProcessing) {
+  // The peer ACKs each segment 100 ms after it lands, so R is well above
+  // the floor and the RTO is exactly SRTT + 4 RTTVAR = 3R.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  int peer = -1;
+  int tx_port = -1;
+  peer = ether.add_port([&](const hw::EthFrame& f) {
+    eng.schedule_in(Time::ms(100), [&, next = seq_of(f) + 1] {
+      send_ack(ether, peer, tx_port, next);
+    });
+  });
+  TcpLiteSender tx{eng, ether, Time::us(50), peer};
+  tx_port = tx.port();
+  tx.send(Packet{.seq = 0, .bytes = 300});  // pump() runs at t = 0
+  while (tx.acked() == 0) ASSERT_TRUE(eng.step());
+  const Time r = eng.now();  // the step that processed the ACK
+  EXPECT_GT(r, Time::ms(100));
+  EXPECT_TRUE(tx.rtt().has_sample());
+  EXPECT_EQ(tx.rtt().srtt(), r);
+  EXPECT_EQ(tx.rtt().rttvar(), Time::ns(r.raw_ns() / 2));
+  EXPECT_EQ(tx.rto(), r + 4 * Time::ns(r.raw_ns() / 2));
+  EXPECT_EQ(tx.retransmissions(), 0u);
+}
+
+TEST(TcpLiteRto, AckOfRetransmittedSegmentGivesNoSample) {
+  // The peer ignores the first transmission and ACKs the retransmission:
+  // the ACK cannot tell which copy it answers, so it gives no sample (Karn),
+  // and the RTO falls back from the backed-off 2 s to the initial 1 s.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  int peer = -1;
+  int tx_port = -1;
+  int arrivals = 0;
+  peer = ether.add_port([&](const hw::EthFrame& f) {
+    if (++arrivals >= 2) send_ack(ether, peer, tx_port, seq_of(f) + 1);
+  });
+  TcpLiteSender tx{eng, ether, Time::us(50), peer};
+  tx_port = tx.port();
+  tx.send(Packet{.seq = 0, .bytes = 300});
+  eng.run_until(Time::sec(1) + Time::us(1));
+  EXPECT_EQ(tx.retransmissions(), 1u);
+  EXPECT_EQ(tx.rto(), Time::sec(2));
+  eng.run_until(Time::sec(2));
+  EXPECT_EQ(tx.acked(), 1u);
+  EXPECT_FALSE(tx.rtt().has_sample());
+  EXPECT_EQ(tx.rto(), Time::sec(1));
+}
+
+TEST(TcpLiteRto, SilentPeerSeesExponentialBackoffToTheCap) {
+  // The client and the front door run with max_retx_rounds = 8: against a
+  // peer that never answers, 8 resends at 1, 3, 7, 15, 31, 63, 123 and
+  // 183 s (doubling from 1 s, capped at 60 s), then the ninth timeout gives
+  // up.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  std::vector<Time> arrivals;
+  const int sink = ether.add_port(
+      [&](const hw::EthFrame&) { arrivals.push_back(eng.now()); });
+  TcpLiteSender tx{eng, ether, Time::us(50), sink,
+                   TcpLiteSender::Params{.window = 8, .max_retx_rounds = 8}};
+  std::vector<Time> aborts;
+  tx.set_on_abort([&](Time at) { aborts.push_back(at); });
+  tx.send(Packet{.seq = 0, .bytes = 300});
+  eng.run();
+  ASSERT_EQ(arrivals.size(), 9u);
+  const double resend_s[] = {1, 3, 7, 15, 31, 63, 123, 183};
+  for (std::size_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(arrivals[k + 1] - arrivals[0], Time::sec(resend_s[k]))
+        << "resend " << k;
+  }
+  EXPECT_EQ(tx.retransmissions(), 8u);
+  EXPECT_EQ(aborts, std::vector<Time>{Time::sec(243)});
+  EXPECT_TRUE(tx.aborted());
+}
+
+TEST(TcpLiteRto, AckProgressCollapsesTheBackoff) {
+  // The peer stays silent for three timeouts, so the RTO backs off to 8 s,
+  // then ACKs: the next segment gets the un-backed-off timer back. Once a
+  // promptly ACKed segment gives a sample, the timer drops to the floor and
+  // a later loss is retransmitted after 20 ms, not after 16 s.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  int peer = -1;
+  int tx_port = -1;
+  std::vector<Time> arrivals;
+  int ignore = 3;  // arrivals to leave unanswered
+  peer = ether.add_port([&](const hw::EthFrame& f) {
+    arrivals.push_back(eng.now());
+    if (ignore > 0) {
+      --ignore;
+    } else {
+      send_ack(ether, peer, tx_port, seq_of(f) + 1);
+    }
+  });
+  TcpLiteSender tx{eng, ether, Time::us(50), peer};
+  tx_port = tx.port();
+  tx.send(Packet{.seq = 0, .bytes = 300});
+  eng.run_until(Time::sec(7) + Time::us(1));  // timeouts at 1, 3 and 7 s
+  EXPECT_EQ(tx.retransmissions(), 3u);
+  EXPECT_EQ(tx.rto(), Time::sec(8));
+  eng.run_until(Time::sec(8));
+  ASSERT_EQ(tx.acked(), 1u);
+  EXPECT_EQ(tx.rto(), Time::sec(1));  // no sample yet: the initial RTO
+
+  tx.send(Packet{.seq = 1, .bytes = 300});
+  eng.run_until(Time::sec(9));
+  ASSERT_EQ(tx.acked(), 2u);
+  ASSERT_TRUE(tx.rtt().has_sample());
+  EXPECT_EQ(tx.rto(), Time::ms(20));
+
+  ignore = 1;  // lose the next first transmission
+  const Time sent_at = eng.now();
+  const std::size_t before = arrivals.size();
+  tx.send(Packet{.seq = 2, .bytes = 300});
+  eng.run_until(sent_at + Time::ms(100));
+  ASSERT_EQ(arrivals.size(), before + 2);
+  EXPECT_EQ(arrivals[before + 1] - arrivals[before], Time::ms(20));
+  EXPECT_EQ(tx.acked(), 3u);
+}
+
+TEST(TcpLiteRto, BurstIntoOnePortRetransmitsNothing) {
+  // 2,000 clients each send one 179-byte request at t = 0 into one NI port.
+  // The downlink drains them in ~41 ms, twice the RTO floor; no timer may
+  // fire for a request that is only waiting in that queue.
+  constexpr std::size_t kSenders = 2000;
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  std::map<int, int> per_peer;
+  Time last_delivery;
+  TcpLiteReceiver rx{eng, ether, kNiStackCost,
+                     [&](const Packet&, int peer, Time at) {
+                       ++per_peer[peer];
+                       last_delivery = at;
+                     }};
+  std::vector<std::unique_ptr<TcpLiteSender>> senders;
+  senders.reserve(kSenders);
+  for (std::size_t i = 0; i < kSenders; ++i) {
+    senders.push_back(std::make_unique<TcpLiteSender>(eng, ether,
+                                                      kHostStackCost,
+                                                      rx.port()));
+    senders.back()->send(Packet{.seq = i, .bytes = 179});
+  }
+  eng.run_until(Time::sec(5));
+  EXPECT_GT(last_delivery, Time::ms(41));
+  EXPECT_EQ(rx.delivered(), kSenders);
+  ASSERT_EQ(per_peer.size(), kSenders);
+  std::uint64_t retransmissions = 0;
+  for (const auto& tx : senders) {
+    retransmissions += tx->retransmissions();
+    EXPECT_TRUE(tx->idle());
+  }
+  EXPECT_EQ(retransmissions, 0u);
+  for (const auto& [peer, n] : per_peer) EXPECT_EQ(n, 1) << "peer " << peer;
+}
+
+TEST(TcpLiteSession, TenThousandClientSetupBurstAllClose) {
+  // 10,000 polite RTSP clients SETUP within 10 ms against one server with
+  // the storm's reaper settings. Every client must get through its script
+  // and FIN its control connection; none may give up on a queued request.
+  constexpr int kClients = 10'000;
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  session::SessionServer::Config cfg;
+  cfg.door.idle_timeout = Time::ms(500);
+  cfg.door.reap_interval = Time::ms(125);
+  session::SessionServer server{eng, ether, cfg};
+  apps::MpegClient media{eng, ether};
+  UdpEndpoint rtcp_sink{eng, ether, kHostStackCost,
+                        [](const Packet&, Time) {}};
+  std::vector<std::unique_ptr<session::RtspChurnClient>> clients;
+  clients.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    session::RtspChurnClient::Config c;
+    c.arrival = Time::us(i);
+    c.frames = 4 + static_cast<std::uint64_t>(i % 8);
+    c.period = Time::ms(10);
+    clients.push_back(std::make_unique<session::RtspChurnClient>(
+        eng, ether, server.control_port(), media, rtcp_sink.port(), c));
+    clients.back()->start();
+  }
+  eng.run_until(Time::sec(30));
+  EXPECT_EQ(server.door().control_rx().peers_closed(),
+            static_cast<std::uint64_t>(kClients));
+  int answered = 0;
+  for (const auto& c : clients) answered += c->outcome().responded_setup;
+  EXPECT_EQ(answered, kClients);
 }
 
 }  // namespace
