@@ -22,6 +22,7 @@
 #include "bench_util.hpp"
 #include "cli.hpp"
 #include "dwcs/scheduler.hpp"
+#include "runner.hpp"
 
 using namespace nistream;
 using sim::Time;
@@ -65,6 +66,7 @@ Outcome run(bool completion_anchor, int stall_ms) {
 int main(int argc, char** argv) {
   const std::string out = bench::out_path(argc, argv, "BENCH_anchor.json");
   const std::uint64_t seed = bench::flag_u64(argc, argv, "seed", 0);
+  bench::reject_unknown_flags(argc, argv);
 
   bench::header("Ablation: deadline anchoring after a scheduler stall");
   std::printf("  %-12s %-14s %10s %10s %12s\n", "anchoring", "stall (ms)",
@@ -92,18 +94,16 @@ int main(int argc, char** argv) {
 
   std::ofstream json{out};
   if (json) {
-    json << "{\n  \"seed\": " << seed << ",\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto cell = [&](std::size_t i, bench::Json& c) {
       const auto& r = rows[i];
-      json << "    {\"anchoring\": \""
-           << (r.anchor ? "completion" : "grid")
-           << "\", \"stall_ms\": " << r.stall
-           << ", \"on_time\": " << r.o.on_time
-           << ", \"dropped\": " << r.o.dropped
-           << ", \"violations\": " << r.o.violations << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+      c.s("anchoring", r.anchor ? "completion" : "grid")
+          .u("stall_ms", static_cast<std::uint64_t>(r.stall))
+          .u("on_time", r.o.on_time).u("dropped", r.o.dropped)
+          .u("violations", r.o.violations);
+    };
+    bench::Json{json, "{\n  ", ",\n  "}
+        .u("seed", seed).list("cells", rows.size(), 4, 2, cell)
+        .close("\n}\n");
     std::printf("  wrote %s\n", out.c_str());
   }
   return 0;

@@ -28,14 +28,9 @@
 // JSON (default BENCH_policy.json) with `--seed`, `--out`, `--jobs`.
 #include <array>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <memory>
-#include <string>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "cli.hpp"
 #include "dwcs/monitor.hpp"
 #include "dwcs/scheduler.hpp"
 #include "runner.hpp"
@@ -70,6 +65,11 @@ struct StreamCell {
   std::uint64_t rejected = 0;  // enqueue refused, ring full
 };
 
+struct CellSpec {
+  dwcs::PolicyKind policy;
+  unsigned load_pct;
+};
+
 struct Cell {
   dwcs::PolicyKind policy{};
   unsigned load_pct = 0;
@@ -88,7 +88,9 @@ std::unique_ptr<dwcs::DwcsScheduler> make_sched(dwcs::ReprKind repr,
   return std::make_unique<dwcs::DwcsScheduler>(cfg);
 }
 
-Cell run_cell(dwcs::PolicyKind policy, unsigned load_pct, std::uint64_t seed) {
+Cell run_cell(const CellSpec& spec, std::uint64_t seed) {
+  const dwcs::PolicyKind policy = spec.policy;
+  const unsigned load_pct = spec.load_pct;
   Cell c;
   c.policy = policy;
   c.load_pct = load_pct;
@@ -194,101 +196,54 @@ Cell run_cell(dwcs::PolicyKind policy, unsigned load_pct, std::uint64_t seed) {
   return c;
 }
 
-bool write_json(const std::vector<Cell>& cells, const std::string& path,
-                std::uint64_t seed, unsigned jobs) {
-  std::ofstream out{path};
-  if (!out) {
-    std::printf("could not write %s\n", path.c_str());
-    return false;
-  }
-  out << "{\n  \"bench\": \"ablate_policy\",\n";
-  bench::write_stamp(out, jobs);
-  out << "  \"seed\": " << seed << ",\n"
-      << "  \"workload\": {\"streams\": 2, \"period_ms\": " << kSlotMs
-      << ", \"horizon_ms\": " << kHorizonMs
-      << ", \"loose_tolerance\": \"7/8\", \"tight_tolerance\": \"3/8\", "
-         "\"required_ontime_per_slot_bp\": "
-      << kRequiredBp << "},\n  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    const auto stream_json = [&](const char* key, const StreamCell& s) {
-      char buf[320];
-      std::snprintf(buf, sizeof buf,
-                    "\"%s\": {\"violating_windows\": %llu, "
-                    "\"window_positions\": %llu, \"violation_rate\": %.4f, "
-                    "\"on_time\": %llu, \"dropped\": %llu, "
-                    "\"rejected\": %llu}",
-                    key,
-                    static_cast<unsigned long long>(s.violating_windows),
-                    static_cast<unsigned long long>(s.window_positions),
-                    s.violation_rate,
-                    static_cast<unsigned long long>(s.on_time),
-                    static_cast<unsigned long long>(s.dropped),
-                    static_cast<unsigned long long>(s.rejected));
-      return std::string{buf};
-    };
-    out << "    {\"policy\": \"" << dwcs::to_string(c.policy)
-        << "\", \"engine\": \"" << engine_of(c.policy)
-        << "\", \"load_pct\": " << c.load_pct
-        << ", \"service_share_pct\": " << c.service_share_pct << ",\n     ";
-    if (c.checked_identity) {
-      out << "\"dual_heap_identical\": "
-          << (c.dual_heap_identical ? "true" : "false") << ", ";
-    }
-    char agg[64];
-    std::snprintf(agg, sizeof agg, "%.4f", c.aggregate_rate);
-    out << stream_json("tight", c.tight) << ",\n     "
-        << stream_json("loose", c.loose) << ",\n     "
-        << "\"aggregate_violation_rate\": " << agg << "}"
-        << (i + 1 < cells.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
-  return true;
+void write_stream(bench::Json& j, const StreamCell& s) {
+  j.u("violating_windows", s.violating_windows)
+      .u("window_positions", s.window_positions)
+      .f("violation_rate", s.violation_rate, 4).u("on_time", s.on_time)
+      .u("dropped", s.dropped).u("rejected", s.rejected);
+}
+
+void write_cell(bench::Json& j, const Cell& c, const bench::Verdict&) {
+  j.s("policy", dwcs::to_string(c.policy)).s("engine", engine_of(c.policy))
+      .u("load_pct", c.load_pct).u("service_share_pct", c.service_share_pct)
+      .wrap(5);
+  if (c.checked_identity) j.b("dual_heap_identical", c.dual_heap_identical);
+  j.object("tight", [&](bench::Json& o) { write_stream(o, c.tight); });
+  j.wrap(5).object("loose", [&](bench::Json& o) { write_stream(o, c.loose); });
+  j.wrap(5).f("aggregate_violation_rate", c.aggregate_rate, 4);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = bench::flag_u64(argc, argv, "seed", 42);
-  const unsigned jobs = bench::flag_jobs(argc, argv);
-  const std::string out = bench::out_path(argc, argv, "BENCH_policy.json");
+  bench::Sweep sweep{argc, argv, "ablate_policy", "BENCH_policy.json", 42};
+  std::vector<CellSpec> specs;
+  for (const auto policy :
+       {dwcs::PolicyKind::kDwcs, dwcs::PolicyKind::kEdf,
+        dwcs::PolicyKind::kStaticPriority, dwcs::PolicyKind::kWfq}) {
+    for (const unsigned load : {90u, 110u}) specs.push_back({policy, load});
+  }
 
-  const std::vector<dwcs::PolicyKind> policies{
-      dwcs::PolicyKind::kDwcs, dwcs::PolicyKind::kEdf,
-      dwcs::PolicyKind::kStaticPriority, dwcs::PolicyKind::kWfq};
-  const std::vector<unsigned> loads{90, 110};
-
-  std::vector<Cell> cells(policies.size() * loads.size());
-  bench::run_cells(cells.size(), jobs, [&](std::size_t i) {
-    cells[i] = run_cell(policies[i / loads.size()], loads[i % loads.size()],
-                        seed);
+  // Every cell sees the master seed: the service gate depends on (seed,
+  // load) only, so all policies at one load face the same opportunities.
+  return sweep.run(bench::Plan<CellSpec, Cell>{
+      .title = "Ablation: rank policy under load (one PIFO engine)",
+      .cells = specs,
+      .run = run_cell,
+      .gates = [](const Cell& c, bench::Verdict& v) {
+        if (!c.dual_heap_identical) v.fail("PIFO-DWCS vs dual-heap mismatch");
+      },
+      .header = [](bench::Json& j) {
+        j.object("workload", [](bench::Json& w) {
+          w.u("streams", 2).u("period_ms", kSlotMs).u("horizon_ms", kHorizonMs)
+              .s("loose_tolerance", "7/8").s("tight_tolerance", "3/8")
+              .u("required_ontime_per_slot_bp", kRequiredBp);
+        });
+      },
+      .fields = write_cell,
+      .columns = {"policy", "load_pct", "tight.violation_rate",
+                  "loose.violation_rate", "tight.on_time", "loose.on_time",
+                  "dual_heap_identical"},
+      .json_ok = false,
   });
-
-  bench::header("Ablation: rank policy under load (one PIFO engine)");
-  std::printf("  %-16s %6s %12s %12s %11s %11s %10s\n", "policy", "load%",
-              "tight-vrate", "loose-vrate", "tight-sent", "loose-sent",
-              "identity");
-  bool ok = true;
-  for (const auto& c : cells) {
-    ok = ok && c.dual_heap_identical;
-    std::printf("  %-16s %6u %12.4f %12.4f %11llu %11llu %10s\n",
-                dwcs::to_string(c.policy), c.load_pct,
-                c.tight.violation_rate, c.loose.violation_rate,
-                static_cast<unsigned long long>(c.tight.on_time),
-                static_cast<unsigned long long>(c.loose.on_time),
-                !c.checked_identity        ? "-"
-                : c.dual_heap_identical    ? "ok"
-                                           : "MISMATCH");
-  }
-  bench::note("Every cell is the same scheduler core; only the rank function");
-  bench::note("differs. DWCS sheds losses by tolerance, so the tight stream's");
-  bench::note("windows survive overload that breaks them under EDF/SP.");
-
-  if (!write_json(cells, out, seed, jobs)) return 1;
-  if (!ok) {
-    std::printf("PIFO-DWCS vs dual-heap DECISION MISMATCH\n");
-    return 1;
-  }
-  return 0;
 }

@@ -21,6 +21,7 @@
 #include "cli.hpp"
 #include "hw/striped_volume.hpp"
 #include "path/frame_path.hpp"
+#include "runner.hpp"
 
 using namespace nistream;
 using sim::Time;
@@ -70,6 +71,7 @@ double frames_per_second(int width, std::uint64_t seed) {
 int main(int argc, char** argv) {
   const std::string out = bench::out_path(argc, argv, "BENCH_striping.json");
   const std::uint64_t seed = bench::flag_u64(argc, argv, "seed", 300);
+  bench::reject_unknown_flags(argc, argv);
 
   bench::header("Ablation: striped media volume (producer-side disk bound)");
   std::printf("  %-8s %16s %10s\n", "disks", "frames/sec", "speedup");
@@ -87,16 +89,16 @@ int main(int argc, char** argv) {
 
   std::ofstream json{out};
   if (json) {
-    json << "{\n  \"seed\": " << seed << ",\n  \"readers\": " << kReaders
-         << ",\n  \"frames_each\": " << kFramesEach
-         << ",\n  \"frame_bytes\": " << kFrameBytes << ",\n  \"widths\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      json << "    {\"disks\": " << rows[i].first
-           << ", \"frames_per_sec\": " << rows[i].second
-           << ", \"speedup\": " << rows[i].second / base << "}"
-           << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    const auto width = [&](std::size_t i, bench::Json& w) {
+      w.u("disks", static_cast<std::uint64_t>(rows[i].first))
+          .g("frames_per_sec", rows[i].second)
+          .g("speedup", rows[i].second / base);
+    };
+    bench::Json{json, "{\n  ", ",\n  "}
+        .u("seed", seed).u("readers", kReaders).u("frames_each", kFramesEach)
+        .u("frame_bytes", kFrameBytes)
+        .list("widths", rows.size(), 4, 2, width)
+        .close("\n}\n");
     std::printf("  wrote %s\n", out.c_str());
   }
   return 0;

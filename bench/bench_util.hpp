@@ -83,7 +83,7 @@ inline const std::string kGitRevAtStartup = git_rev();
 /// tracked JSON. `jobs` records the worker count the sweep ran under — it is
 /// the ONLY line allowed to differ between `--jobs 1` and `--jobs N` runs of
 /// a deterministic sweep (CI diffs the rest).
-inline void write_stamp(std::ofstream& out, unsigned jobs) {
+inline void write_stamp(std::ostream& out, unsigned jobs) {
   out << "  \"schema_version\": " << kJsonSchemaVersion << ",\n"
       << "  \"git_rev\": \"" << kGitRevAtStartup << "\",\n"
       << "  \"jobs\": " << jobs << ",\n";

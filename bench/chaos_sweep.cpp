@@ -18,21 +18,14 @@
 //
 // Reproducible from the command line:
 //   chaos_sweep [out.json] [--seed=u64] [--jobs=N] [--smoke]
-// Cells are independent simulations, so they run in parallel under --jobs
-// (default: one worker per hardware thread); results are emitted in grid
-// order, so the JSON is byte-identical for any job count (only its "jobs"
-// stamp differs). --smoke shrinks the grid for CI gate runs.
+// bench/runner.hpp runs the cells in parallel under --jobs and keeps the
+// JSON byte-identical for any job count; --smoke shrinks the grid for CI.
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "apps/client.hpp"
 #include "apps/failover_server.hpp"
-#include "bench_util.hpp"
-#include "cli.hpp"
 #include "fault/fault_plane.hpp"
 #include "mpeg/frame.hpp"
 #include "runner.hpp"
@@ -51,23 +44,19 @@ constexpr std::uint32_t kFrameBytes = mpeg::kPaperFrameBytes;
 // reads amortize the mechanical cost as a real media pump does.
 constexpr std::uint32_t kFramesPerBlock = 8;
 
+struct CellSpec {
+  double rate;
+  std::size_t streams;
+};
+
 struct CellResult {
-  double fault_rate = 0;
-  std::size_t streams = 0;
-  bool crash_scheduled = false;
+  CellSpec spec{};
   fault::FaultPlane::Summary faults;
+  apps::FailoverMediaServer::Metrics server;
   std::uint64_t frames_enqueued = 0;
   std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_rejected = 0;
-  std::uint64_t frames_purged = 0;
   std::uint64_t violating_windows = 0;
   double max_stream_violation_rate = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
-  double failover_latency_ms = 0;
-  double recovery_time_ms = 0;
-  bool ok = true;
-  std::string fail_reason;
 };
 
 /// Paced per-stream producer: prefetch the next frame from disk, then enqueue
@@ -109,11 +98,10 @@ sim::Coro chaos_producer(sim::Engine& engine, hw::ScsiDisk& disk,
   }
 }
 
-CellResult run_cell(double rate, std::size_t n_streams, std::uint64_t seed) {
-  CellResult r;
-  r.fault_rate = rate;
-  r.streams = n_streams;
-  r.crash_scheduled = rate > 0;
+CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
+  const double rate = spec.rate;
+  const std::size_t n_streams = spec.streams;
+  CellResult r{.spec = spec};
 
   sim::Engine eng;
   hostos::HostMachine host{eng, 2};
@@ -140,14 +128,7 @@ CellResult run_cell(double rate, std::size_t n_streams, std::uint64_t seed) {
   server.ni().board().disk(1).set_fault(&plane.disk());
   server.ni().attach_health(plane.health());
 
-  if (r.crash_scheduled) {
-    plane.health().schedule_crash(kCrashAt, kRebootAfter);
-  }
-
-  sim::Trace dbg_trace{1u << 20};
-  if (std::getenv("CHAOS_DEBUG") != nullptr) {
-    server.ni().service().set_trace(sim::TraceSink{&dbg_trace});
-  }
+  if (rate > 0) plane.health().schedule_crash(kCrashAt, kRebootAfter);
 
   std::uint64_t enqueued = 0;
   const std::size_t per_disk = (n_streams + 1) / 2;
@@ -173,196 +154,96 @@ CellResult run_cell(double rate, std::size_t n_streams, std::uint64_t seed) {
   eng.run_until(kRunFor);
 
   r.faults = plane.summary();
+  r.server = server.metrics();
   r.frames_enqueued = enqueued;
   r.frames_delivered = client.total_frames();
-  const auto m = server.metrics();
-  r.frames_rejected = m.frames_rejected;
-  r.frames_purged = m.frames_purged;
-  r.failovers = m.failovers;
-  r.failbacks = m.failbacks;
-  r.failover_latency_ms = m.failover_latency_ms;
-  r.recovery_time_ms = m.recovery_time_ms;
   r.violating_windows = server.monitor().total_violating_windows();
   for (std::size_t i = 0; i < n_streams; ++i) {
     const double vr =
         server.monitor().violation_rate(static_cast<dwcs::StreamId>(i));
     if (vr > r.max_stream_violation_rate) r.max_stream_violation_rate = vr;
   }
-
-  if (std::getenv("CHAOS_DEBUG") != nullptr) {
-    for (std::size_t i = 0; i < n_streams; ++i) {
-      const auto sid = static_cast<dwcs::StreamId>(i);
-      const auto& st = server.active().scheduler().stats(sid);
-      std::printf(
-          "  dbg stream %2zu: packets=%llu viol=%llu vrate=%.3f recv=%llu "
-          "enq=%llu ontime=%llu late=%llu drop=%llu\n",
-          i, static_cast<unsigned long long>(server.monitor().packets(sid)),
-          static_cast<unsigned long long>(
-              server.monitor().violating_windows(sid)),
-          server.monitor().violation_rate(sid),
-          static_cast<unsigned long long>(client.frames_received(sid)),
-          static_cast<unsigned long long>(st.enqueued),
-          static_cast<unsigned long long>(st.serviced_on_time),
-          static_cast<unsigned long long>(st.serviced_late),
-          static_cast<unsigned long long>(st.dropped));
-    }
-    // CHAOS_DEBUG_STREAM=<id> additionally dumps that stream's first few
-    // service-trace records (enqueue/dispatch/drop timeline).
-    if (const char* pick = std::getenv("CHAOS_DEBUG_STREAM")) {
-      const auto want = std::strtoull(pick, nullptr, 10);
-      int shown = 0;
-      for (const auto& rec : dbg_trace.records()) {
-        if (rec.a != want) continue;
-        std::printf("  dbg trace t=%.3fms %s/%s stream=%llu frame=%llu\n",
-                    rec.at.to_ms(), rec.category.c_str(), rec.label.c_str(),
-                    static_cast<unsigned long long>(rec.a),
-                    static_cast<unsigned long long>(rec.b));
-        if (++shown >= 12) break;
-      }
-    }
-  }
-
-  // Pass/fail per cell.
-  auto fail = [&r](const std::string& why) {
-    r.ok = false;
-    r.fail_reason += (r.fail_reason.empty() ? "" : "; ") + why;
-  };
-  if (rate == 0.0) {
-    if (r.faults.total() != 0) fail("faults injected at rate 0");
-    if (r.failovers != 0) fail("failover at rate 0");
-    if (r.violating_windows != 0) fail("violations in the perfect world");
-  } else {
-    if (r.faults.total() == 0) fail("no faults injected at nonzero rate");
-    if (r.failovers == 0) fail("watchdog never tripped on a dead board");
-    if (r.failbacks == 0) fail("NI never re-instated after reboot");
-    // "Bounded" = degradation, not collapse: even with the board dead for
-    // over a second of a six-second run, most window positions must hold.
-    if (r.max_stream_violation_rate > 0.5) {
-      fail("violation rate " + std::to_string(r.max_stream_violation_rate) +
-           " exceeds 0.5 on some stream");
-    }
-    if (r.frames_delivered < r.frames_enqueued / 2) {
-      fail("fewer than half the enqueued frames were delivered");
-    }
-  }
   return r;
 }
 
-void write_json(const std::vector<CellResult>& cells, const std::string& path,
-                std::uint64_t seed, unsigned jobs, bool all_ok) {
-  std::ofstream out{path};
-  if (!out) {
-    std::printf("could not write %s\n", path.c_str());
-    return;
+void check(const CellResult& r, bench::Verdict& v) {
+  if (r.spec.rate == 0.0) {
+    if (r.faults.total() != 0) v.fail("faults injected at rate 0");
+    if (r.server.failovers != 0) v.fail("failover at rate 0");
+    if (r.violating_windows != 0) v.fail("violations in the perfect world");
+  } else {
+    if (r.faults.total() == 0) v.fail("no faults injected at nonzero rate");
+    if (r.server.failovers == 0) {
+      v.fail("watchdog never tripped on a dead board");
+    }
+    if (r.server.failbacks == 0) v.fail("NI never re-instated after reboot");
+    // "Bounded" = degradation, not collapse: even with the board dead for
+    // over a second of a six-second run, most window positions must hold.
+    if (r.max_stream_violation_rate > 0.5) {
+      v.fail("violation rate " + std::to_string(r.max_stream_violation_rate) +
+             " exceeds 0.5 on some stream");
+    }
+    if (r.frames_delivered < r.frames_enqueued / 2) {
+      v.fail("fewer than half the enqueued frames were delivered");
+    }
   }
-  out << "{\n  \"bench\": \"chaos_sweep\",\n";
-  bench::write_stamp(out, jobs);
-  out << "  \"seed\": " << seed << ",\n"
-      << "  \"run_sec\": " << kRunFor.to_sec() << ",\n"
-      << "  \"crash_at_sec\": " << kCrashAt.to_sec() << ",\n"
-      << "  \"reboot_after_sec\": " << kRebootAfter.to_sec() << ",\n"
-      << "  \"ok\": " << (all_ok ? "true" : "false") << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"fault_rate\": %g, \"streams\": %zu, \"crash\": %s,\n"
-        "     \"faults_injected\": %llu, \"frames_dropped\": %llu, "
-        "\"frames_corrupted\": %llu, \"i2o_dropped\": %llu, "
-        "\"pci_errors\": %llu, \"disk_read_errors\": %llu, "
-        "\"disk_spikes\": %llu,\n"
-        "     \"enqueued\": %llu, \"delivered\": %llu, \"rejected\": %llu, "
-        "\"purged\": %llu,\n"
-        "     \"violating_windows\": %llu, \"max_violation_rate\": %.4f,\n"
-        "     \"failovers\": %llu, \"failbacks\": %llu, "
-        "\"failover_latency_ms\": %.3f, \"recovery_time_ms\": %.3f,\n"
-        "     \"ok\": %s%s%s%s}",
-        c.fault_rate, c.streams, c.crash_scheduled ? "true" : "false",
-        static_cast<unsigned long long>(c.faults.total()),
-        static_cast<unsigned long long>(c.faults.frames_dropped),
-        static_cast<unsigned long long>(c.faults.frames_corrupted),
-        static_cast<unsigned long long>(c.faults.i2o_inbound_dropped +
-                                        c.faults.i2o_outbound_dropped),
-        static_cast<unsigned long long>(c.faults.pci_errors),
-        static_cast<unsigned long long>(c.faults.disk_read_errors),
-        static_cast<unsigned long long>(c.faults.disk_spikes),
-        static_cast<unsigned long long>(c.frames_enqueued),
-        static_cast<unsigned long long>(c.frames_delivered),
-        static_cast<unsigned long long>(c.frames_rejected),
-        static_cast<unsigned long long>(c.frames_purged),
-        static_cast<unsigned long long>(c.violating_windows),
-        c.max_stream_violation_rate,
-        static_cast<unsigned long long>(c.failovers),
-        static_cast<unsigned long long>(c.failbacks), c.failover_latency_ms,
-        c.recovery_time_ms, c.ok ? "true" : "false",
-        c.ok ? "" : ", \"fail_reason\": \"", c.ok ? "" : c.fail_reason.c_str(),
-        c.ok ? "" : "\"");
-    out << buf << (i + 1 < cells.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+}
+
+void write_cell(bench::Json& j, const CellResult& c, const bench::Verdict& v) {
+  const auto& f = c.faults;
+  const auto& m = c.server;
+  j.g("fault_rate", c.spec.rate).u("streams", c.spec.streams)
+      .b("crash", c.spec.rate > 0)
+      .wrap(5).u("faults_injected", f.total())
+      .u("frames_dropped", f.frames_dropped)
+      .u("frames_corrupted", f.frames_corrupted)
+      .u("i2o_dropped", f.i2o_inbound_dropped + f.i2o_outbound_dropped)
+      .u("pci_errors", f.pci_errors).u("disk_read_errors", f.disk_read_errors)
+      .u("disk_spikes", f.disk_spikes)
+      .wrap(5).u("enqueued", c.frames_enqueued)
+      .u("delivered", c.frames_delivered).u("rejected", m.frames_rejected)
+      .u("purged", m.frames_purged)
+      .wrap(5).u("violating_windows", c.violating_windows)
+      .f("max_violation_rate", c.max_stream_violation_rate, 4)
+      .wrap(5).u("failovers", m.failovers).u("failbacks", m.failbacks)
+      .f("failover_latency_ms", m.failover_latency_ms, 3)
+      .f("recovery_time_ms", m.recovery_time_ms, 3)
+      .wrap(5).verdict(v);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      bench::out_path(argc, argv, "BENCH_chaos.json");
-  const std::uint64_t seed = bench::flag_u64(argc, argv, "seed", 0xFA017);
-  const unsigned jobs = bench::flag_jobs(argc, argv);
-  const bool smoke = bench::flag_present(argc, argv, "smoke");
+  bench::Sweep sweep{argc, argv, "chaos_sweep", "BENCH_chaos.json", 0xFA017};
 
   // --smoke keeps one perfect-world cell and one faulted cell: enough to
   // exercise both acceptance branches on a CI time budget.
   const std::vector<double> rates =
-      smoke ? std::vector<double>{0.0, 0.05}
-            : std::vector<double>{0.0, 0.01, 0.05};
+      sweep.smoke ? std::vector<double>{0.0, 0.05}
+                  : std::vector<double>{0.0, 0.01, 0.05};
   const std::vector<std::size_t> stream_counts =
-      smoke ? std::vector<std::size_t>{8} : std::vector<std::size_t>{8, 32};
-
-  struct CellSpec {
-    double rate;
-    std::size_t streams;
-  };
+      sweep.smoke ? std::vector<std::size_t>{8}
+                  : std::vector<std::size_t>{8, 32};
   std::vector<CellSpec> specs;
   for (const double rate : rates) {
     for (const std::size_t n : stream_counts) specs.push_back({rate, n});
   }
 
-  std::printf("==== chaos sweep: fault rate x streams, seed=%llu, "
-              "jobs=%u%s ====\n",
-              static_cast<unsigned long long>(seed), jobs,
-              smoke ? " (smoke)" : "");
-  std::vector<CellResult> cells(specs.size());
-  bench::run_cells(specs.size(), jobs, [&](std::size_t i) {
-    // Distinct seed per cell, derived from the master — a function of the
-    // cell's coordinates only, so parallel and sequential runs agree.
-    const std::uint64_t cell_seed =
-        seed ^ (static_cast<std::uint64_t>(specs[i].rate * 1000) << 32) ^
-        specs[i].streams;
-    cells[i] = run_cell(specs[i].rate, specs[i].streams, cell_seed);
+  return sweep.run(bench::Plan<CellSpec, CellResult>{
+      .title = "chaos sweep: fault rate x streams",
+      .cells = specs,
+      .coord = [](const CellSpec& s) {
+        return (static_cast<std::uint64_t>(s.rate * 1000) << 32) ^ s.streams;
+      },
+      .run = run_cell,
+      .gates = check,
+      .header = [](bench::Json& j) {
+        j.g("run_sec", kRunFor.to_sec()).g("crash_at_sec", kCrashAt.to_sec())
+            .g("reboot_after_sec", kRebootAfter.to_sec());
+      },
+      .fields = write_cell,
+      .columns = {"fault_rate", "streams", "faults_injected", "delivered",
+                  "violating_windows", "max_violation_rate",
+                  "failover_latency_ms", "recovery_time_ms", "ok"},
   });
-
-  std::printf("%8s %8s %8s %10s %10s %8s %10s %12s %10s %5s\n", "rate",
-              "streams", "faults", "delivered", "rejected", "viol",
-              "max_vrate", "failover_ms", "recov_ms", "ok");
-  bool all_ok = true;
-  for (const auto& c : cells) {
-    std::printf("%8g %8zu %8llu %10llu %10llu %8llu %10.4f %12.2f %10.2f %5s\n",
-                c.fault_rate, c.streams,
-                static_cast<unsigned long long>(c.faults.total()),
-                static_cast<unsigned long long>(c.frames_delivered),
-                static_cast<unsigned long long>(c.frames_rejected),
-                static_cast<unsigned long long>(c.violating_windows),
-                c.max_stream_violation_rate, c.failover_latency_ms,
-                c.recovery_time_ms, c.ok ? "yes" : "NO");
-    if (!c.ok) {
-      std::printf("         ^ FAIL: %s\n", c.fail_reason.c_str());
-      all_ok = false;
-    }
-  }
-  write_json(cells, out_path, seed, jobs, all_ok);
-  return all_ok ? 0 : 1;
 }

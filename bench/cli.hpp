@@ -2,10 +2,12 @@
 //
 // Every bench takes an optional positional output path plus `--key=value`
 // (or `--key value`) flags, so a run is reproducible from its command line
-// alone (the seed in particular lands in the output JSON). No dependency, no
-// allocation beyond the strings argv already is.
+// alone (the seed in particular lands in the output JSON). Every flag_*
+// call remembers the name it asked for, so reject_unknown_flags() can turn a
+// typo (`--sed=7`) into an error instead of a silent default. No dependency.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -18,10 +20,24 @@ namespace nistream::bench {
 
 namespace detail {
 
+/// Every flag name the bench has asked about so far.
+inline std::vector<std::string>& asked_flags() {
+  static std::vector<std::string> names;
+  return names;
+}
+
+inline void remember(std::string_view name) {
+  auto& names = asked_flags();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    names.emplace_back(name);
+  }
+}
+
 /// Value of `--<name>=<value>` or `--<name> <value>` in argv, or nullopt when
 /// the flag is absent. A flag present without a value is a hard error.
 inline std::optional<std::string> flag_value(int argc, char** argv,
                                              std::string_view name) {
+  remember(name);
   const std::string prefix = "--" + std::string{name};
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg{argv[i]};
@@ -129,6 +145,7 @@ inline std::vector<std::string> flag_str_list(int argc, char** argv,
 
 /// True when bare `--<name>` appears in argv (a boolean switch).
 inline bool flag_present(int argc, char** argv, std::string_view name) {
+  detail::remember(name);
   const std::string flag = "--" + std::string{name};
   for (int i = 1; i < argc; ++i) {
     if (flag == argv[i]) return true;
@@ -163,6 +180,24 @@ inline std::string out_path(int argc, char** argv, std::string_view fallback) {
   const std::string flagged = flag_str(argc, argv, "out", "");
   if (!flagged.empty()) return flagged;
   return positional(argc, argv, fallback);
+}
+
+/// Exits 2 naming the first `--flag` in argv that no flag_* call has asked
+/// about. Call it once the bench has read all of its flags; Sweep::run does.
+inline void reject_unknown_flags(int argc, char** argv) {
+  const auto& names = detail::asked_flags();
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg{argv[i]};
+    if (!arg.starts_with("--")) continue;
+    // Up to '=' or, when find() gives npos, to the end.
+    const std::string_view name = arg.substr(2, arg.find('=') - 2);
+    if (std::find(names.begin(), names.end(), name) != names.end()) continue;
+    std::string known;
+    for (const auto& n : names) known += " --" + n;
+    std::fprintf(stderr, "unknown flag --%.*s (known:%s)\n",
+                 static_cast<int>(name.size()), name.data(), known.c_str());
+    std::exit(2);
+  }
 }
 
 }  // namespace nistream::bench

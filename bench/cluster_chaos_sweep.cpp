@@ -22,20 +22,15 @@
 //
 // Reproducible from the command line:
 //   cluster_chaos_sweep [--out out.json] [--seed=u64] [--jobs=N] [--smoke]
-// Cells are independent simulations and run in parallel under --jobs;
-// results are emitted in grid order, so the JSON is byte-identical for any
-// job count (only its "jobs" stamp differs). --smoke trims the grid to one
-// headroom cell and the spill cell for CI gate runs.
+// bench/runner.hpp runs the cells in parallel under --jobs and keeps the
+// JSON byte-identical for any job count; --smoke trims the grid to one
+// headroom cell and the spill cell for CI.
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/client.hpp"
-#include "bench_util.hpp"
-#include "cli.hpp"
 #include "cluster/control_plane.hpp"
 #include "fault/board_health.hpp"
 #include "runner.hpp"
@@ -66,25 +61,12 @@ struct CellSpec {
 
 struct CellResult {
   CellSpec spec{};
+  cluster::ClusterControlPlane::Metrics plane;
   std::uint64_t streams_placed = 0;
   std::uint64_t frames_enqueued = 0;
   std::uint64_t frames_delivered = 0;
-  std::uint64_t frames_rejected = 0;
-  std::uint64_t frames_purged = 0;
   std::uint64_t violating_windows = 0;
-  std::uint64_t failovers = 0;
-  std::uint64_t failbacks = 0;
-  std::uint64_t migrations_completed = 0;
-  std::uint64_t drainbacks_completed = 0;
-  std::uint64_t host_takeovers = 0;
-  std::uint64_t stale_adoptions = 0;
-  double failover_latency_ms = 0;
-  double readmission_complete_ms = 0;
-  double recovery_time_ms = 0;
   std::uint64_t charge_fingerprint = 0;  // summed per-board CPU cycles
-  bool replay_identical = true;
-  bool ok = true;
-  std::string fail_reason;
 };
 
 sim::Coro paced_producer(sim::Engine& eng, cluster::ClusterControlPlane& plane,
@@ -101,9 +83,8 @@ sim::Coro paced_producer(sim::Engine& eng, cluster::ClusterControlPlane& plane,
   }
 }
 
-CellResult run_once(const CellSpec& spec, std::uint64_t seed) {
-  CellResult r;
-  r.spec = spec;
+CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
+  CellResult r{.spec = spec};
 
   sim::Engine eng;
   hostos::HostMachine host{eng, 2};
@@ -135,22 +116,11 @@ CellResult run_once(const CellSpec& spec, std::uint64_t seed) {
   }
   eng.run_until(kRunFor);
 
-  const auto& m = plane.metrics();
+  r.plane = plane.metrics();
   r.streams_placed = plane.streams_opened();
   r.frames_enqueued = enqueued;
   r.frames_delivered = client.total_frames();
-  r.frames_rejected = m.frames_rejected;
-  r.frames_purged = m.frames_purged;
   r.violating_windows = plane.monitor().total_violating_windows();
-  r.failovers = m.failovers;
-  r.failbacks = m.failbacks;
-  r.migrations_completed = m.migrations_completed;
-  r.drainbacks_completed = m.drainbacks_completed;
-  r.host_takeovers = m.host_takeover_streams;
-  r.stale_adoptions = m.stale_adoptions;
-  r.failover_latency_ms = m.failover_latency_ms;
-  r.readmission_complete_ms = m.readmission_complete_ms;
-  r.recovery_time_ms = m.recovery_time_ms;
   for (int b = 0; b < spec.boards; ++b) {
     r.charge_fingerprint += static_cast<std::uint64_t>(
         plane.ni(b).board().cpu().cycles());
@@ -158,160 +128,103 @@ CellResult run_once(const CellSpec& spec, std::uint64_t seed) {
   return r;
 }
 
-CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
-  // Same-seed replay: the control plane's choreography must be
-  // deterministic down to the charge stream.
-  CellResult r = run_once(spec, seed);
-  const CellResult again = run_once(spec, seed);
-  r.replay_identical =
-      r.charge_fingerprint == again.charge_fingerprint &&
-      r.frames_delivered == again.frames_delivered &&
-      r.violating_windows == again.violating_windows &&
-      r.migrations_completed == again.migrations_completed &&
-      r.host_takeovers == again.host_takeovers;
+/// Same-seed replay: the control plane's choreography must be
+/// deterministic down to the charge stream.
+std::uint64_t replay_print(const CellResult& r) {
+  bench::Fingerprint fp;
+  for (const std::uint64_t v :
+       {r.charge_fingerprint, r.frames_delivered, r.violating_windows,
+        r.plane.migrations_completed, r.plane.host_takeover_streams}) {
+    fp.add(v);
+  }
+  return fp.h;
+}
 
-  auto fail = [&r](const std::string& why) {
-    r.ok = false;
-    r.fail_reason += (r.fail_reason.empty() ? "" : "; ") + why;
-  };
-  if (!r.replay_identical) fail("same-seed replay diverged");
-  if (r.failovers != 1) fail("expected exactly one failover");
-  if (r.failbacks != 1) fail("expected exactly one fail-back after reboot");
-  if (spec.expect_spill) {
-    if (r.host_takeovers == 0) {
-      fail("tight cell should have spilled to the host");
+void check(const CellResult& r, bench::Verdict& v) {
+  const auto& m = r.plane;
+  if (m.failovers != 1) v.fail("expected exactly one failover");
+  if (m.failbacks != 1) v.fail("expected exactly one fail-back after reboot");
+  if (r.spec.expect_spill) {
+    if (m.host_takeover_streams == 0) {
+      v.fail("tight cell should have spilled to the host");
     }
   } else {
     // The headline property: siblings with headroom absorb the board death
     // entirely — the host never enters the data path.
-    if (r.host_takeovers != 0) {
-      fail("host takeover despite sibling headroom");
+    if (m.host_takeover_streams != 0) {
+      v.fail("host takeover despite sibling headroom");
     }
   }
   // Re-admission bound: 2x the single-board failover detection latency
   // measured by PR 2's chaos sweep (~251 ms).
-  if (r.readmission_complete_ms <= 0 || r.readmission_complete_ms > 502.0) {
-    fail("re-admission took " + std::to_string(r.readmission_complete_ms) +
-         " ms (bound 502)");
+  if (m.readmission_complete_ms <= 0 || m.readmission_complete_ms > 502.0) {
+    v.fail("re-admission took " + std::to_string(m.readmission_complete_ms) +
+           " ms (bound 502)");
   }
   if (r.frames_delivered < r.frames_enqueued / 2) {
-    fail("fewer than half the enqueued frames were delivered");
+    v.fail("fewer than half the enqueued frames were delivered");
   }
-  return r;
 }
 
-void write_json(const std::vector<CellResult>& cells, const std::string& path,
-                std::uint64_t seed, unsigned jobs, bool all_ok) {
-  std::ofstream out{path};
-  if (!out) {
-    std::printf("could not write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"cluster_chaos_sweep\",\n";
-  bench::write_stamp(out, jobs);
-  out << "  \"seed\": " << seed << ",\n"
-      << "  \"run_sec\": " << kRunFor.to_sec() << ",\n"
-      << "  \"crash_at_sec\": " << kCrashAt.to_sec() << ",\n"
-      << "  \"reboot_after_sec\": " << kRebootAfter.to_sec() << ",\n"
-      << "  \"per_board_capacity\": " << kPerBoardCapacity << ",\n"
-      << "  \"ok\": " << (all_ok ? "true" : "false") << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"boards\": %d, \"streams\": %zu, \"expect_spill\": %s,\n"
-        "     \"placed\": %llu, \"enqueued\": %llu, \"delivered\": %llu, "
-        "\"rejected\": %llu, \"purged\": %llu,\n"
-        "     \"violating_windows\": %llu, \"failovers\": %llu, "
-        "\"failbacks\": %llu, \"migrations\": %llu, \"drainbacks\": %llu, "
-        "\"host_takeovers\": %llu, \"stale_adoptions\": %llu,\n"
-        "     \"failover_latency_ms\": %.3f, "
-        "\"readmission_complete_ms\": %.3f, \"recovery_time_ms\": %.3f,\n"
-        "     \"charge_fingerprint\": %llu, \"replay_identical\": %s, "
-        "\"ok\": %s%s%s%s}",
-        c.spec.boards, c.spec.streams, c.spec.expect_spill ? "true" : "false",
-        static_cast<unsigned long long>(c.streams_placed),
-        static_cast<unsigned long long>(c.frames_enqueued),
-        static_cast<unsigned long long>(c.frames_delivered),
-        static_cast<unsigned long long>(c.frames_rejected),
-        static_cast<unsigned long long>(c.frames_purged),
-        static_cast<unsigned long long>(c.violating_windows),
-        static_cast<unsigned long long>(c.failovers),
-        static_cast<unsigned long long>(c.failbacks),
-        static_cast<unsigned long long>(c.migrations_completed),
-        static_cast<unsigned long long>(c.drainbacks_completed),
-        static_cast<unsigned long long>(c.host_takeovers),
-        static_cast<unsigned long long>(c.stale_adoptions),
-        c.failover_latency_ms, c.readmission_complete_ms, c.recovery_time_ms,
-        static_cast<unsigned long long>(c.charge_fingerprint),
-        c.replay_identical ? "true" : "false", c.ok ? "true" : "false",
-        c.ok ? "" : ", \"fail_reason\": \"", c.ok ? "" : c.fail_reason.c_str(),
-        c.ok ? "" : "\"");
-    out << buf << (i + 1 < cells.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+void write_cell(bench::Json& j, const CellResult& c, const bench::Verdict& v) {
+  const auto& m = c.plane;
+  j.u("boards", static_cast<std::uint64_t>(c.spec.boards))
+      .u("streams", c.spec.streams).b("expect_spill", c.spec.expect_spill)
+      .wrap(5).u("placed", c.streams_placed).u("enqueued", c.frames_enqueued)
+      .u("delivered", c.frames_delivered).u("rejected", m.frames_rejected)
+      .u("purged", m.frames_purged)
+      .wrap(5).u("violating_windows", c.violating_windows)
+      .u("failovers", m.failovers).u("failbacks", m.failbacks)
+      .u("migrations", m.migrations_completed)
+      .u("drainbacks", m.drainbacks_completed)
+      .u("host_takeovers", m.host_takeover_streams)
+      .u("stale_adoptions", m.stale_adoptions)
+      .wrap(5).f("failover_latency_ms", m.failover_latency_ms, 3)
+      .f("readmission_complete_ms", m.readmission_complete_ms, 3)
+      .f("recovery_time_ms", m.recovery_time_ms, 3)
+      .wrap(5).u("charge_fingerprint", c.charge_fingerprint)
+      .b("replay_identical", v.replay_identical).verdict(v);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      bench::out_path(argc, argv, "BENCH_cluster.json");
-  const std::uint64_t seed = bench::flag_u64(argc, argv, "seed", 0xC1A57);
-  const unsigned jobs = bench::flag_jobs(argc, argv);
-  const bool smoke = bench::flag_present(argc, argv, "smoke");
+  bench::Sweep sweep{argc, argv, "cluster_chaos_sweep", "BENCH_cluster.json",
+                     0xC1A57};
 
   // Cells: (boards, streams). Light cells leave sibling headroom (board 0's
   // share fits on the survivors); the tight 2-board cell fills both boards
   // so the evacuation must spill. --smoke keeps one of each regime.
-  const std::vector<CellSpec> cells_spec =
-      smoke ? std::vector<CellSpec>{
-                  {.boards = 3, .streams = 6, .expect_spill = false},
-                  {.boards = 2, .streams = 18, .expect_spill = true},
-              }
-            : std::vector<CellSpec>{
-                  {.boards = 3, .streams = 6, .expect_spill = false},
-                  {.boards = 3, .streams = 12, .expect_spill = false},
-                  {.boards = 2, .streams = 8, .expect_spill = false},
-                  {.boards = 2, .streams = 18, .expect_spill = true},
-              };
+  const std::vector<CellSpec> specs =
+      sweep.smoke ? std::vector<CellSpec>{
+                        {.boards = 3, .streams = 6, .expect_spill = false},
+                        {.boards = 2, .streams = 18, .expect_spill = true},
+                    }
+                  : std::vector<CellSpec>{
+                        {.boards = 3, .streams = 6, .expect_spill = false},
+                        {.boards = 3, .streams = 12, .expect_spill = false},
+                        {.boards = 2, .streams = 8, .expect_spill = false},
+                        {.boards = 2, .streams = 18, .expect_spill = true},
+                    };
 
-  std::printf("==== cluster chaos sweep: NI-to-NI failover, seed=%llu, "
-              "jobs=%u%s ====\n",
-              static_cast<unsigned long long>(seed), jobs,
-              smoke ? " (smoke)" : "");
-  std::vector<CellResult> cells(cells_spec.size());
-  bench::run_cells(cells_spec.size(), jobs, [&](std::size_t i) {
-    const auto& spec = cells_spec[i];
-    const std::uint64_t cell_seed =
-        seed ^ (static_cast<std::uint64_t>(spec.boards) << 32) ^ spec.streams;
-    cells[i] = run_cell(spec, cell_seed);
+  return sweep.run(bench::Plan<CellSpec, CellResult>{
+      .title = "cluster chaos sweep: NI-to-NI failover",
+      .cells = specs,
+      .coord = [](const CellSpec& s) {
+        return (static_cast<std::uint64_t>(s.boards) << 32) ^ s.streams;
+      },
+      .run = run_cell,
+      .replay = replay_print,
+      .gates = check,
+      .header = [](bench::Json& j) {
+        j.g("run_sec", kRunFor.to_sec()).g("crash_at_sec", kCrashAt.to_sec())
+            .g("reboot_after_sec", kRebootAfter.to_sec())
+            .u("per_board_capacity", kPerBoardCapacity);
+      },
+      .fields = write_cell,
+      .columns = {"boards", "streams", "placed", "delivered", "migrations",
+                  "drainbacks", "host_takeovers", "violating_windows",
+                  "failover_latency_ms", "readmission_complete_ms",
+                  "replay_identical", "ok"},
   });
-
-  std::printf("%7s %8s %7s %10s %9s %6s %6s %6s %11s %11s %7s %5s\n", "boards",
-              "streams", "placed", "delivered", "migrated", "drain", "spill",
-              "viol", "detect_ms", "readmit_ms", "replay", "ok");
-  bool all_ok = true;
-  for (const auto& c : cells) {
-    std::printf("%7d %8zu %7llu %10llu %9llu %6llu %6llu %6llu %11.2f %11.2f "
-                "%7s %5s\n",
-                c.spec.boards, c.spec.streams,
-                static_cast<unsigned long long>(c.streams_placed),
-                static_cast<unsigned long long>(c.frames_delivered),
-                static_cast<unsigned long long>(c.migrations_completed),
-                static_cast<unsigned long long>(c.drainbacks_completed),
-                static_cast<unsigned long long>(c.host_takeovers),
-                static_cast<unsigned long long>(c.violating_windows),
-                c.failover_latency_ms, c.readmission_complete_ms,
-                c.replay_identical ? "same" : "DIFF", c.ok ? "yes" : "NO");
-    if (!c.ok) {
-      std::printf("        ^ FAIL: %s\n", c.fail_reason.c_str());
-      all_ok = false;
-    }
-  }
-  write_json(cells, out_path, seed, jobs, all_ok);
-  return all_ok ? 0 : 1;
 }

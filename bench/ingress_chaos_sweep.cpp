@@ -31,20 +31,16 @@
 // Reproducible from the command line:
 //   ingress_chaos_sweep [out.json] [--seed=u64] [--jobs=N] [--smoke]
 //                       [--tenants=alpha,beta]
-// Cells are independent simulations; results are emitted in grid order, so
-// the JSON is byte-identical for any job count (only its "jobs" stamp
-// differs). --smoke shrinks the fleets for CI gate runs.
-#include <algorithm>
+// bench/runner.hpp runs the cells in parallel under --jobs and keeps the
+// JSON byte-identical for any job count; --smoke shrinks the fleets for CI.
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/client.hpp"
-#include "bench_util.hpp"
-#include "cli.hpp"
 #include "ingress/demux.hpp"
 #include "runner.hpp"
 #include "session/client.hpp"
@@ -63,30 +59,6 @@ constexpr sim::Time kFramePeriod = sim::Time::ms(10);
 // with share s admits about s * 0.90 / 0.012 streams.
 constexpr double kCpuLoadPerStream = 120e-6 / 10e-3;
 constexpr double kHeadroom = 0.90;
-
-std::uint64_t splitmix64(std::uint64_t s) {
-  s += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d4b9f2a6c3e1b5ull;
-  return z ^ (z >> 31);
-}
-
-struct Fingerprint {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void add_double(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    __builtin_memcpy(&bits, &d, sizeof bits);
-    add(bits);
-  }
-};
 
 struct TenantOutcome {
   std::string name;
@@ -109,16 +81,21 @@ struct FleetResult {
   std::vector<TenantOutcome> tenants;  // index 0 = flooder
 };
 
-struct FleetSpec {
-  const std::vector<std::string>* tenant_names = nullptr;
-  std::size_t victim_n = 0;     // polite clients per tenant
-  std::size_t flood_setups = 0; // extra flooder SETUPs (0 = baseline)
-  std::size_t flood_packets = 0;// raw packets at the demux (0 = baseline)
+struct CellSpec {
+  const char* label;
+  const std::vector<std::string>* tenants;  // index 0 = flooder
+  std::size_t victim_n;       // polite clients per tenant
+  std::size_t flood_setups;   // extra flooder SETUPs in the flood half
+  std::size_t flood_packets;  // raw packets at the demux in the flood half
 };
 
-FleetResult run_fleet(const FleetSpec& spec, std::uint64_t seed) {
+/// One half of a cell: the victims alone, or with `flood` the victims plus
+/// the flooder's SETUPs and raw packets.
+FleetResult run_fleet(const CellSpec& spec, bool flood, std::uint64_t seed) {
   FleetResult r;
-  const auto& names = *spec.tenant_names;
+  const auto& names = *spec.tenants;
+  const std::size_t flood_setups = flood ? spec.flood_setups : 0;
+  const std::size_t flood_packets = flood ? spec.flood_packets : 0;
   sim::Engine eng;
   hw::EthernetSwitch ether{eng};
 
@@ -158,11 +135,11 @@ FleetResult run_fleet(const FleetSpec& spec, std::uint64_t seed) {
   // and flood runs of a cell — the comparison is apples to apples.
   const auto window_us = static_cast<std::uint64_t>(kStormWindow.to_us());
   const auto client_cfg = [&](std::size_t tenant_idx, std::size_t i) {
-    const std::uint64_t s =
-        splitmix64(seed ^ (static_cast<std::uint64_t>(tenant_idx) << 40) ^ i);
+    std::uint64_t s = seed ^ (static_cast<std::uint64_t>(tenant_idx) << 40) ^ i;
+    s = bench::splitmix64(s);  // a hash chain: each output seeds the next
     session::RtspChurnClient::Config c;
     c.arrival = sim::Time::us(static_cast<double>(s % window_us));
-    c.frames = 4 + splitmix64(s) % 8;
+    c.frames = 4 + bench::splitmix64(s) % 8;
     c.period = kFramePeriod;
     c.uri = "rtsp://ni/" + names[tenant_idx] + "/s" + std::to_string(i);
     return c;
@@ -182,7 +159,7 @@ FleetResult run_fleet(const FleetSpec& spec, std::uint64_t seed) {
   for (std::size_t t = 0; t < names.size(); ++t) spawn(t, spec.victim_n, 0);
   // The control-plane flood: 10x-budget SETUPs, distinct stream URIs so
   // every one is a fresh admission decision against the flooder's share.
-  spawn(0, spec.flood_setups, spec.victim_n);
+  spawn(0, flood_setups, spec.victim_n);
 
   // The data-plane flood: raw packets spread across the storm window,
   // alternating between the flooder's address block and nobody's.
@@ -193,7 +170,7 @@ FleetResult run_fleet(const FleetSpec& spec, std::uint64_t seed) {
     for (std::size_t i = 0; i < packets; ++i) {
       co_await sim::Delay{eng, sim::Time::us(gap_us)};
       net::Packet p;
-      rng = splitmix64(rng);
+      rng = bench::splitmix64(rng);
       p.stream_id = i % 2 == 0
                         ? ingress::pack_flow(from, 1 << 20 | (rng & 0xFFFF))
                         : ingress::pack_flow(99, rng & 0xFFFF);
@@ -203,14 +180,16 @@ FleetResult run_fleet(const FleetSpec& spec, std::uint64_t seed) {
   };
   net::UdpEndpoint flood_tx{eng, ether, net::kHostStackCost,
                             net::UdpEndpoint::Receiver{}};
-  if (spec.flood_packets > 0) {
-    raw_flood(flood_tx, spec.flood_packets, flooder, splitmix64(seed ^ 0xF10))
+  if (flood_packets > 0) {
+    std::uint64_t flood_seed = seed ^ 0xF10;
+    raw_flood(flood_tx, flood_packets, flooder,
+              bench::splitmix64(flood_seed))
         .detach();
   }
 
   eng.run_until(kRunFor);
 
-  Fingerprint fp;
+  bench::Fingerprint fp;
   r.tenants.resize(names.size());
   for (std::size_t t = 0; t < names.size(); ++t) {
     r.tenants[t].name = names[t];
@@ -260,53 +239,36 @@ FleetResult run_fleet(const FleetSpec& spec, std::uint64_t seed) {
 }
 
 struct CellResult {
-  const char* label = "";
-  std::size_t victim_n = 0;
-  std::size_t flood_setups = 0;
-  std::size_t flood_packets = 0;
+  CellSpec spec{};
   FleetResult baseline;
   FleetResult flood;
-  bool replay_identical = false;
-  bool ok = true;
-  std::string fail_reason;
 };
 
-CellResult run_cell(const char* label,
-                    const std::vector<std::string>& tenant_names,
-                    std::size_t victim_n, std::size_t flood_setups,
-                    std::size_t flood_packets, std::uint64_t seed) {
-  CellResult r;
-  r.label = label;
-  r.victim_n = victim_n;
-  r.flood_setups = flood_setups;
-  r.flood_packets = flood_packets;
+CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
+  return {spec, run_fleet(spec, false, seed), run_fleet(spec, true, seed)};
+}
 
-  FleetSpec base{&tenant_names, victim_n, 0, 0};
-  FleetSpec flood{&tenant_names, victim_n, flood_setups, flood_packets};
-  r.baseline = run_fleet(base, seed);
-  r.flood = run_fleet(flood, seed);
-  // Replay gate: both halves of the cell rerun from the same seeds must
-  // fingerprint identically, or the ingress plane leaked nondeterminism.
-  r.replay_identical =
-      run_fleet(base, seed).fingerprint == r.baseline.fingerprint &&
-      run_fleet(flood, seed).fingerprint == r.flood.fingerprint;
+/// Both halves rerun from the same seed must fingerprint identically, or
+/// the ingress plane leaked nondeterminism.
+std::uint64_t replay_print(const CellResult& r) {
+  bench::Fingerprint fp;
+  fp.add(r.baseline.fingerprint);
+  fp.add(r.flood.fingerprint);
+  return fp.h;
+}
 
-  auto fail = [&r](const std::string& why) {
-    r.ok = false;
-    r.fail_reason += (r.fail_reason.empty() ? "" : "; ") + why;
-  };
-  if (!r.replay_identical) fail("same-seed replay diverged");
+void check(const CellResult& r, bench::Verdict& v) {
   if (r.flood.door.tenant_rejected_453 == 0) {
-    fail("flooder never hit its tenant budget");
+    v.fail("flooder never hit its tenant budget");
   }
   if (r.flood.door.post_play_admission_violations != 0 ||
       r.baseline.door.post_play_admission_violations != 0) {
-    fail("admission decided after PLAY");
+    v.fail("admission decided after PLAY");
   }
   const std::size_t total_clients =
-      tenant_names.size() * victim_n + flood_setups;
+      r.spec.tenants->size() * r.spec.victim_n + r.spec.flood_setups;
   if (r.flood.responded != total_clients) {
-    fail("control plane dropped SETUPs under flood");
+    v.fail("control plane dropped SETUPs under flood");
   }
   // The headline gate: no victim scope's max per-stream violation rate may
   // move beyond noise relative to its own flood-free baseline, and every
@@ -315,111 +277,71 @@ CellResult run_cell(const char* label,
     const auto& b = r.baseline.tenants[t];
     const auto& f = r.flood.tenants[t];
     if (f.scope_max_violation_rate > b.scope_max_violation_rate + 0.02) {
-      fail("victim " + f.name + " max violation rate " +
-           std::to_string(f.scope_max_violation_rate) + " vs baseline " +
-           std::to_string(b.scope_max_violation_rate));
+      v.fail("victim " + f.name + " max violation rate " +
+             std::to_string(f.scope_max_violation_rate) + " vs baseline " +
+             std::to_string(b.scope_max_violation_rate));
     }
     if (f.admitted != b.admitted) {
-      fail("victim " + f.name + " admissions moved under flood (" +
-           std::to_string(f.admitted) + " vs " + std::to_string(b.admitted) +
-           ")");
+      v.fail("victim " + f.name + " admissions moved under flood (" +
+             std::to_string(f.admitted) + " vs " +
+             std::to_string(b.admitted) + ")");
     }
   }
   const auto& d = r.flood.demux;
   if (d.received != d.delivered + d.dropped_rule + d.dropped_attributed +
                         d.dropped_unmatched + d.ring_full) {
-    fail("demux lost packets (accounting mismatch)");
+    v.fail("demux lost packets (accounting mismatch)");
   }
-  if (d.received != flood_packets) fail("raw flood not fully received");
-  if (d.delivered != 0) fail("raw garbage reached a stream ring");
-  if (flood_packets > 0 &&
+  if (d.received != r.spec.flood_packets) {
+    v.fail("raw flood not fully received");
+  }
+  if (d.delivered != 0) v.fail("raw garbage reached a stream ring");
+  if (r.spec.flood_packets > 0 &&
       (d.dropped_attributed == 0 || d.dropped_unmatched == 0)) {
-    fail("flood drops not split attributed/unmatched");
+    v.fail("flood drops not split attributed/unmatched");
   }
-  if (r.baseline.demux.received != 0) fail("baseline saw raw traffic");
-  if (r.flood.frames_delivered == 0) fail("no media delivered at all");
-  return r;
+  if (r.baseline.demux.received != 0) v.fail("baseline saw raw traffic");
+  if (r.flood.frames_delivered == 0) v.fail("no media delivered at all");
 }
 
-void write_fleet(std::ofstream& out, const char* key, const FleetResult& f) {
-  out << "     \"" << key << "\": {\"setups_ok\": " << f.door.setups_ok
-      << ", \"rejected_453\": " << f.door.rejected_453
-      << ", \"tenant_rejected_453\": " << f.door.tenant_rejected_453
-      << ", \"reaped_idle\": " << f.door.reaped_idle
-      << ", \"frames_delivered\": " << f.frames_delivered
-      << ",\n      \"demux\": {\"received\": " << f.demux.received
-      << ", \"delivered\": " << f.demux.delivered
-      << ", \"dropped_attributed\": " << f.demux.dropped_attributed
-      << ", \"dropped_unmatched\": " << f.demux.dropped_unmatched
-      << ", \"attributed_to_flooder\": " << f.attributed_to_flooder
-      << "},\n      \"tenants\": [\n";
-  for (std::size_t t = 0; t < f.tenants.size(); ++t) {
+void write_fleet(bench::Json& j, const FleetResult& f) {
+  j.u("setups_ok", f.door.setups_ok).u("rejected_453", f.door.rejected_453)
+      .u("tenant_rejected_453", f.door.tenant_rejected_453)
+      .u("reaped_idle", f.door.reaped_idle)
+      .u("frames_delivered", f.frames_delivered);
+  j.wrap(6).object("demux", [&](bench::Json& d) {
+    d.u("received", f.demux.received).u("delivered", f.demux.delivered)
+        .u("dropped_attributed", f.demux.dropped_attributed)
+        .u("dropped_unmatched", f.demux.dropped_unmatched)
+        .u("attributed_to_flooder", f.attributed_to_flooder);
+  });
+  const auto tenant = [&](std::size_t t, bench::Json& o) {
     const auto& tn = f.tenants[t];
-    char buf[320];
-    std::snprintf(buf, sizeof buf,
-                  "       {\"name\": \"%s\", \"scope\": %u, \"clients\": "
-                  "%llu, \"admitted\": %llu, \"completed\": %llu, "
-                  "\"scope_max_violation_rate\": %.4f, "
-                  "\"scope_aggregate_violation_rate\": %.6f, "
-                  "\"scope_violating_streams\": %llu}",
-                  tn.name.c_str(), tn.scope,
-                  static_cast<unsigned long long>(tn.clients),
-                  static_cast<unsigned long long>(tn.admitted),
-                  static_cast<unsigned long long>(tn.completed),
-                  tn.scope_max_violation_rate,
-                  tn.scope_aggregate_violation_rate,
-                  static_cast<unsigned long long>(tn.scope_violating_streams));
-    out << buf << (t + 1 < f.tenants.size() ? ",\n" : "\n");
-  }
-  out << "      ]}";
+    o.s("name", tn.name).u("scope", tn.scope).u("clients", tn.clients)
+        .u("admitted", tn.admitted).u("completed", tn.completed)
+        .f("scope_max_violation_rate", tn.scope_max_violation_rate, 4)
+        .f("scope_aggregate_violation_rate",
+           tn.scope_aggregate_violation_rate, 6)
+        .u("scope_violating_streams", tn.scope_violating_streams);
+  };
+  j.wrap(6).list("tenants", f.tenants.size(), 7, 6, tenant);
 }
 
-void write_json(const std::vector<CellResult>& cells,
-                const std::vector<std::string>& tenant_names,
-                const std::string& path, std::uint64_t seed, unsigned jobs,
-                bool all_ok) {
-  std::ofstream out{path};
-  if (!out) {
-    std::printf("could not write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"ingress_chaos_sweep\",\n";
-  bench::write_stamp(out, jobs);
-  out << "  \"seed\": " << seed << ",\n  \"tenants\": [";
-  for (std::size_t i = 0; i < tenant_names.size(); ++i) {
-    out << "\"" << tenant_names[i] << "\""
-        << (i + 1 < tenant_names.size() ? ", " : "");
-  }
-  out << "],\n  \"flooder\": \"" << tenant_names[0] << "\",\n"
-      << "  \"ok\": " << (all_ok ? "true" : "false") << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    out << "    {\"cell\": \"" << c.label
-        << "\", \"victims_per_tenant\": " << c.victim_n
-        << ", \"flood_setups\": " << c.flood_setups
-        << ", \"flood_packets\": " << c.flood_packets
-        << ", \"replay_identical\": " << (c.replay_identical ? "true" : "false")
-        << ", \"ok\": " << (c.ok ? "true" : "false");
-    if (!c.ok) out << ", \"fail_reason\": \"" << c.fail_reason << "\"";
-    out << ",\n";
-    write_fleet(out, "baseline", c.baseline);
-    out << ",\n";
-    write_fleet(out, "flood", c.flood);
-    out << "}" << (i + 1 < cells.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+void write_cell(bench::Json& j, const CellResult& c, const bench::Verdict& v) {
+  j.s("cell", c.spec.label).u("victims_per_tenant", c.spec.victim_n)
+      .u("flood_setups", c.spec.flood_setups)
+      .u("flood_packets", c.spec.flood_packets)
+      .b("replay_identical", v.replay_identical).verdict(v);
+  j.wrap(5).object("baseline",
+                   [&](bench::Json& f) { write_fleet(f, c.baseline); });
+  j.wrap(5).object("flood", [&](bench::Json& f) { write_fleet(f, c.flood); });
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      bench::out_path(argc, argv, "BENCH_ingress.json");
-  const std::uint64_t seed = bench::flag_u64(argc, argv, "seed", 0x16E55);
-  const unsigned jobs = bench::flag_jobs(argc, argv);
-  const bool smoke = bench::flag_present(argc, argv, "smoke");
+  bench::Sweep sweep{argc, argv, "ingress_chaos_sweep", "BENCH_ingress.json",
+                     0x16E55};
   const std::vector<std::string> tenant_names =
       bench::flag_str_list(argc, argv, "tenants", "alpha,beta,gamma");
   if (tenant_names.size() < 2) {
@@ -432,54 +354,39 @@ int main(int argc, char** argv) {
   const double share = 1.0 / static_cast<double>(tenant_names.size());
   const auto capacity = static_cast<std::size_t>(share * kHeadroom /
                                                  kCpuLoadPerStream);
-  struct CellSpec {
-    const char* label;
-    std::size_t victim_n;
-    std::size_t flood_packets;
+  if (capacity < 3) {  // the near-capacity cell runs capacity - 2 victims
+    std::fprintf(stderr, "--tenants: too many tenants for one board\n");
+    return 2;
+  }
+  const std::size_t flood_setups = 10 * capacity;
+  const auto cell = [&](const char* label, std::size_t victim_n,
+                        std::size_t flood_packets) {
+    return CellSpec{label, &tenant_names, victim_n, flood_setups,
+                    flood_packets};
   };
   const std::vector<CellSpec> specs =
-      smoke ? std::vector<CellSpec>{{"light", capacity / 2, 1'000}}
-            : std::vector<CellSpec>{{"light", capacity / 2, 4'000},
-                                    {"near-capacity", capacity - 2, 8'000}};
-  const std::size_t flood_setups = 10 * capacity;
+      sweep.smoke ? std::vector<CellSpec>{cell("light", capacity / 2, 1'000)}
+                  : std::vector<CellSpec>{
+                        cell("light", capacity / 2, 4'000),
+                        cell("near-capacity", capacity - 2, 8'000)};
 
-  std::printf("==== ingress chaos sweep: %zu tenants (flooder=%s), "
-              "capacity=%zu streams/tenant, seed=%llu, jobs=%u%s ====\n",
-              tenant_names.size(), tenant_names[0].c_str(), capacity,
-              static_cast<unsigned long long>(seed), jobs,
-              smoke ? " (smoke)" : "");
-  std::vector<CellResult> cells(specs.size());
-  bench::run_cells(specs.size(), jobs, [&](std::size_t i) {
-    std::uint64_t coord = specs[i].victim_n * 8191 + specs[i].flood_packets;
-    cells[i] = run_cell(specs[i].label, tenant_names, specs[i].victim_n,
-                        flood_setups, specs[i].flood_packets, seed ^ coord);
+  return sweep.run(bench::Plan<CellSpec, CellResult>{
+      .title = "ingress chaos sweep: " + std::to_string(tenant_names.size()) +
+               " tenants (flooder=" + tenant_names[0] +
+               "), capacity=" + std::to_string(capacity) + " streams/tenant",
+      .cells = specs,
+      .coord = [](const CellSpec& s) {
+        return std::uint64_t{s.victim_n * 8191 + s.flood_packets};
+      },
+      .run = run_cell,
+      .replay = replay_print,
+      .gates = check,
+      .header = [&](bench::Json& j) {
+        j.strings("tenants", tenant_names).s("flooder", tenant_names[0]);
+      },
+      .fields = write_cell,
+      .columns = {"cell", "victims_per_tenant", "flood.tenant_rejected_453",
+                  "flood.demux.dropped_attributed",
+                  "flood.demux.dropped_unmatched", "replay_identical", "ok"},
   });
-
-  std::printf("%14s %8s %8s %10s %10s %12s %12s %7s %5s\n", "cell", "victims",
-              "t453", "attr_drop", "unmatched", "victim_max", "base_max",
-              "replay", "ok");
-  bool all_ok = true;
-  for (const auto& c : cells) {
-    double victim_max = 0, base_max = 0;
-    for (std::size_t t = 1; t < c.flood.tenants.size(); ++t) {
-      victim_max = std::max(victim_max,
-                            c.flood.tenants[t].scope_max_violation_rate);
-      base_max = std::max(base_max,
-                          c.baseline.tenants[t].scope_max_violation_rate);
-    }
-    std::printf(
-        "%14s %8zu %8llu %10llu %10llu %12.4f %12.4f %7s %5s\n", c.label,
-        c.victim_n,
-        static_cast<unsigned long long>(c.flood.door.tenant_rejected_453),
-        static_cast<unsigned long long>(c.flood.demux.dropped_attributed),
-        static_cast<unsigned long long>(c.flood.demux.dropped_unmatched),
-        victim_max, base_max, c.replay_identical ? "yes" : "NO",
-        c.ok ? "yes" : "NO");
-    if (!c.ok) {
-      std::printf("           ^ FAIL: %s\n", c.fail_reason.c_str());
-      all_ok = false;
-    }
-  }
-  write_json(cells, tenant_names, out_path, seed, jobs, all_ok);
-  return all_ok ? 0 : 1;
 }

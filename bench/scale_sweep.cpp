@@ -874,20 +874,24 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = bench::flag_u64(argc, argv, "seed", 0x5ca1e);
   const unsigned jobs = bench::flag_jobs(argc, argv);
   const bool smoke = bench::flag_present(argc, argv, "smoke");
+  const bool identity = bench::flag_present(argc, argv, "identity");
   const std::vector<std::uint32_t> shard_list = shard_flag(argc, argv);
+  // --identity only.
+  const std::size_t identity_streams = static_cast<std::size_t>(
+      bench::flag_u64(argc, argv, "streams", 100'000));
+  const std::uint64_t identity_budget =
+      bench::flag_u64(argc, argv, "decisions", 20'000);
+  // Throughput sweep only.
+  const std::vector<dwcs::ReprKind> kinds = repr_flag(argc, argv);
+  const auto rules_list = rules_flag(argc, argv);
+  const std::string out_path = bench::out_path(
+      argc, argv, identity ? "BENCH_scale_identity.json" : "BENCH_scale.json");
+  bench::reject_unknown_flags(argc, argv);
 
-  if (bench::flag_present(argc, argv, "identity")) {
-    const std::size_t n = static_cast<std::size_t>(
-        bench::flag_u64(argc, argv, "streams", 100'000));
-    const std::uint64_t budget =
-        bench::flag_u64(argc, argv, "decisions", 20'000);
-    return run_identity(shard_list, n, seed, budget,
-                        bench::out_path(argc, argv,
-                                        "BENCH_scale_identity.json"),
-                        jobs);
+  if (identity) {
+    return run_identity(shard_list, identity_streams, seed, identity_budget,
+                        out_path, jobs);
   }
-  const std::string out_path =
-      bench::out_path(argc, argv, "BENCH_scale.json");
 
   const std::vector<std::size_t> sizes =
       smoke ? std::vector<std::size_t>{1'000}
@@ -898,7 +902,6 @@ int main(int argc, char** argv) {
   // pass: the simulated clock is deterministic, so equal work per cell makes
   // sim_decisions_per_s directly comparable across shard counts.
   const std::uint64_t sim_budget = smoke ? 2'000 : 20'000;
-  const std::vector<dwcs::ReprKind> kinds = repr_flag(argc, argv);
 
   struct ReprCell {
     dwcs::ReprKind kind;
@@ -947,7 +950,6 @@ int main(int argc, char** argv) {
 
   // Classification family: flows x wildcard-rule-count grid. Flow counts
   // reuse the scheduler family's sizes; the rule axis comes from --rules.
-  const auto rules_list = rules_flag(argc, argv);
   struct ClassCell {
     std::string label;
     std::size_t wildcards;

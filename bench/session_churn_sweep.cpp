@@ -28,21 +28,15 @@
 //
 // Reproducible from the command line:
 //   session_churn_sweep [out.json] [--seed=u64] [--jobs=N] [--smoke]
-// Cells are independent simulations, so they run in parallel under --jobs;
-// results are emitted in grid order, so the JSON is byte-identical for any
-// job count (only its "jobs" stamp differs). --smoke shrinks the fleets for
-// CI gate runs.
+// bench/runner.hpp runs the cells in parallel under --jobs and keeps the
+// JSON byte-identical for any job count; --smoke shrinks the fleets for CI.
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "apps/client.hpp"
-#include "bench_util.hpp"
-#include "cli.hpp"
 #include "runner.hpp"
 #include "session/client.hpp"
 #include "session/server.hpp"
@@ -72,30 +66,6 @@ constexpr Scenario kStorm{"storm", 0, 0, 0};
 constexpr Scenario kSlowStart{"slowstart", 30, 30, 30};
 constexpr Scenario kHalfOpen{"halfopen", 0, 30, 40};
 
-std::uint64_t splitmix64(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d4b9f2a6c3e1b5ull;
-  return z ^ (z >> 31);
-}
-
-struct Fingerprint {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void add_double(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    __builtin_memcpy(&bits, &d, sizeof bits);
-    add(bits);
-  }
-};
-
 session::RtspChurnClient::Behavior pick_behavior(const Scenario& sc,
                                                  std::uint64_t r) {
   using B = session::RtspChurnClient::Behavior;
@@ -106,13 +76,17 @@ session::RtspChurnClient::Behavior pick_behavior(const Scenario& sc,
   return B::kPolite;
 }
 
+struct CellSpec {
+  const Scenario* sc;
+  std::size_t sessions;
+};
+
 /// One complete fleet run: everything the fingerprint (and the JSON) needs.
-struct FleetResult {
+struct CellResult {
+  CellSpec spec{};
   std::uint64_t fingerprint = 0;
   session::RtspFrontDoor::Stats door;
   std::uint64_t responded = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t completed = 0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t rtcp_reports = 0;
   double setup_ms_p50 = 0;
@@ -123,8 +97,9 @@ struct FleetResult {
   std::uint64_t violating_streams = 0;
 };
 
-FleetResult run_fleet(const Scenario& sc, std::size_t n, std::uint64_t seed) {
-  FleetResult r;
+CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
+  const std::size_t n = spec.sessions;
+  CellResult r{.spec = spec};
   sim::Engine eng;
   hw::EthernetSwitch ether{eng};
   session::SessionServer::Config cfg;
@@ -144,10 +119,10 @@ FleetResult run_fleet(const Scenario& sc, std::size_t n, std::uint64_t seed) {
   const auto window_us = static_cast<std::uint64_t>(kStormWindow.to_us());
   for (std::size_t i = 0; i < n; ++i) {
     session::RtspChurnClient::Config c;
-    c.behavior = pick_behavior(sc, splitmix64(rng));
+    c.behavior = pick_behavior(*spec.sc, bench::splitmix64(rng));
     c.arrival =
-        sim::Time::us(static_cast<double>(splitmix64(rng) % window_us));
-    c.frames = 4 + splitmix64(rng) % 8;
+        sim::Time::us(static_cast<double>(bench::splitmix64(rng) % window_us));
+    c.frames = 4 + bench::splitmix64(rng) % 8;
     c.period = kFramePeriod;
     clients.push_back(std::make_unique<session::RtspChurnClient>(
         eng, ether, server.control_port(), media, rtcp_sink.port(), c));
@@ -155,7 +130,7 @@ FleetResult run_fleet(const Scenario& sc, std::size_t n, std::uint64_t seed) {
   }
   eng.run_until(kRunFor);
 
-  Fingerprint fp;
+  bench::Fingerprint fp;
   std::vector<double> setup_ms;
   setup_ms.reserve(n);
   for (const auto& c : clients) {
@@ -164,8 +139,6 @@ FleetResult run_fleet(const Scenario& sc, std::size_t n, std::uint64_t seed) {
       ++r.responded;
       setup_ms.push_back(o.setup_latency_ms);
     }
-    if (o.admitted) ++r.admitted;
-    if (o.completed) ++r.completed;
     fp.add(static_cast<std::uint64_t>(o.setup_status));
     fp.add_double(o.setup_latency_ms);
     fp.add(o.admitted ? 1 : 0);
@@ -202,179 +175,93 @@ FleetResult run_fleet(const Scenario& sc, std::size_t n, std::uint64_t seed) {
   return r;
 }
 
-struct CellResult {
-  const Scenario* scenario = nullptr;
-  std::size_t sessions = 0;
-  FleetResult fleet;
-  bool replay_identical = false;
-  bool ok = true;
-  std::string fail_reason;
-};
-
-CellResult run_cell(const Scenario& sc, std::size_t n, std::uint64_t seed) {
-  CellResult r;
-  r.scenario = &sc;
-  r.sessions = n;
-  // Two full runs from the same seed: the replay gate IS the measurement —
-  // a fingerprint mismatch means the session plane leaked nondeterminism
-  // (container iteration order, time-dependent ids, ...).
-  r.fleet = run_fleet(sc, n, seed);
-  const FleetResult replay = run_fleet(sc, n, seed);
-  r.replay_identical = replay.fingerprint == r.fleet.fingerprint;
-
-  auto fail = [&r](const std::string& why) {
-    r.ok = false;
-    r.fail_reason += (r.fail_reason.empty() ? "" : "; ") + why;
-  };
-  if (!r.replay_identical) fail("same-seed replay diverged");
-  if (r.fleet.door.post_play_admission_violations != 0) {
-    fail("admission decided after PLAY");
+void check(const CellResult& r, bench::Verdict& v) {
+  const std::size_t n = r.spec.sessions;
+  if (r.door.post_play_admission_violations != 0) {
+    v.fail("admission decided after PLAY");
   }
-  if (r.fleet.responded != n) {
-    fail(std::to_string(n - r.fleet.responded) + " clients got no answer");
+  if (r.responded != n) {
+    v.fail(std::to_string(n - r.responded) + " clients got no answer");
   }
-  if (r.fleet.door.setups_ok + r.fleet.door.rejected_453 != n) {
-    fail("admissions not all decided at SETUP");
+  if (r.door.setups_ok + r.door.rejected_453 != n) {
+    v.fail("admissions not all decided at SETUP");
   }
   // Max is reported but the gate is population-level: at the ~90% CPU
   // utilization admission allows, one unlucky four-frame stream can pin the
   // max at 1.0 without the service degrading for anyone else.
-  if (r.fleet.aggregate_violation_rate > 0.05) {
-    fail("aggregate violation rate " +
-         std::to_string(r.fleet.aggregate_violation_rate) + " exceeds 0.05");
+  if (r.aggregate_violation_rate > 0.05) {
+    v.fail("aggregate violation rate " +
+           std::to_string(r.aggregate_violation_rate) + " exceeds 0.05");
   }
-  if (r.fleet.frames_delivered == 0) fail("no media delivered at all");
-  return r;
+  if (r.frames_delivered == 0) v.fail("no media delivered at all");
 }
 
-void write_json(const std::vector<CellResult>& cells, const std::string& path,
-                std::uint64_t seed, unsigned jobs, bool all_ok) {
-  std::ofstream out{path};
-  if (!out) {
-    std::printf("could not write %s\n", path.c_str());
-    return;
-  }
-  out << "{\n  \"bench\": \"session_churn_sweep\",\n";
-  bench::write_stamp(out, jobs);
-  out << "  \"seed\": " << seed << ",\n"
-      << "  \"storm_window_sec\": " << kStormWindow.to_sec() << ",\n"
-      << "  \"run_sec\": " << kRunFor.to_sec() << ",\n"
-      << "  \"ok\": " << (all_ok ? "true" : "false") << ",\n"
-      << "  \"cells\": [\n";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const auto& c = cells[i];
-    const auto& d = c.fleet.door;
-    char buf[1536];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"scenario\": \"%s\", \"sessions\": %zu,\n"
-        "     \"requests\": %llu, \"setups_ok\": %llu, "
-        "\"rejected_453\": %llu, \"reject_rate\": %.4f,\n"
-        "     \"plays\": %llu, \"pauses\": %llu, \"resumes\": %llu, "
-        "\"teardowns\": %llu, \"reaped_idle\": %llu, \"conn_closed\": %llu, "
-        "\"eos\": %llu, \"stale_454\": %llu, \"bad_state_455\": %llu,\n"
-        "     \"frames_pumped\": %llu, \"frames_delivered\": %llu, "
-        "\"rtcp_reports\": %llu,\n"
-        "     \"setup_ms_p50\": %.3f, \"setup_ms_p99\": %.3f, "
-        "\"setup_ms_max\": %.3f,\n"
-        "     \"max_violation_rate\": %.4f, "
-        "\"aggregate_violation_rate\": %.6f, \"violating_streams\": %llu, "
-        "\"post_play_admission_violations\": %llu, "
-        "\"replay_identical\": %s,\n"
-        "     \"ok\": %s%s%s%s}",
-        c.scenario->name, c.sessions,
-        static_cast<unsigned long long>(d.requests),
-        static_cast<unsigned long long>(d.setups_ok),
-        static_cast<unsigned long long>(d.rejected_453),
-        c.sessions ? static_cast<double>(d.rejected_453) /
-                         static_cast<double>(c.sessions)
-                   : 0.0,
-        static_cast<unsigned long long>(d.plays),
-        static_cast<unsigned long long>(d.pauses),
-        static_cast<unsigned long long>(d.resumes),
-        static_cast<unsigned long long>(d.teardowns),
-        static_cast<unsigned long long>(d.reaped_idle),
-        static_cast<unsigned long long>(d.conn_closed),
-        static_cast<unsigned long long>(d.eos),
-        static_cast<unsigned long long>(d.stale_454),
-        static_cast<unsigned long long>(d.bad_state_455),
-        static_cast<unsigned long long>(d.frames_pumped),
-        static_cast<unsigned long long>(c.fleet.frames_delivered),
-        static_cast<unsigned long long>(c.fleet.rtcp_reports),
-        c.fleet.setup_ms_p50, c.fleet.setup_ms_p99, c.fleet.setup_ms_max,
-        c.fleet.max_violation_rate, c.fleet.aggregate_violation_rate,
-        static_cast<unsigned long long>(c.fleet.violating_streams),
-        static_cast<unsigned long long>(d.post_play_admission_violations),
-        c.replay_identical ? "true" : "false", c.ok ? "true" : "false",
-        c.ok ? "" : ", \"fail_reason\": \"", c.ok ? "" : c.fail_reason.c_str(),
-        c.ok ? "" : "\"");
-    out << buf << (i + 1 < cells.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
+void write_cell(bench::Json& j, const CellResult& c, const bench::Verdict& v) {
+  const auto& d = c.door;
+  const double n = static_cast<double>(c.spec.sessions);
+  j.s("scenario", c.spec.sc->name).u("sessions", c.spec.sessions)
+      .wrap(5).u("requests", d.requests).u("setups_ok", d.setups_ok)
+      .u("rejected_453", d.rejected_453)
+      .f("reject_rate", n > 0 ? static_cast<double>(d.rejected_453) / n : 0.0,
+         4)
+      .wrap(5).u("plays", d.plays).u("pauses", d.pauses)
+      .u("resumes", d.resumes).u("teardowns", d.teardowns)
+      .u("reaped_idle", d.reaped_idle).u("conn_closed", d.conn_closed)
+      .u("eos", d.eos).u("stale_454", d.stale_454)
+      .u("bad_state_455", d.bad_state_455)
+      .wrap(5).u("frames_pumped", d.frames_pumped)
+      .u("frames_delivered", c.frames_delivered)
+      .u("rtcp_reports", c.rtcp_reports)
+      .wrap(5).f("setup_ms_p50", c.setup_ms_p50, 3)
+      .f("setup_ms_p99", c.setup_ms_p99, 3)
+      .f("setup_ms_max", c.setup_ms_max, 3)
+      .wrap(5).f("max_violation_rate", c.max_violation_rate, 4)
+      .f("aggregate_violation_rate", c.aggregate_violation_rate, 6)
+      .u("violating_streams", c.violating_streams)
+      .u("post_play_admission_violations", d.post_play_admission_violations)
+      .b("replay_identical", v.replay_identical)
+      .wrap(5).verdict(v);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path =
-      bench::out_path(argc, argv, "BENCH_session.json");
-  const std::uint64_t seed = bench::flag_u64(argc, argv, "seed", 0x5E55);
-  const unsigned jobs = bench::flag_jobs(argc, argv);
-  const bool smoke = bench::flag_present(argc, argv, "smoke");
+  bench::Sweep sweep{argc, argv, "session_churn_sweep", "BENCH_session.json",
+                     0x5E55};
 
-  struct CellSpec {
-    const Scenario* sc;
-    std::size_t sessions;
-  };
   // --smoke keeps all three behavior mixes at a CI-budget fleet size; the
   // full grid adds the 100k storm cell the acceptance criteria name.
   const std::vector<CellSpec> specs =
-      smoke ? std::vector<CellSpec>{{&kStorm, 1500},
-                                    {&kSlowStart, 1500},
-                                    {&kHalfOpen, 1500}}
-            : std::vector<CellSpec>{{&kStorm, 20'000},
-                                    {&kSlowStart, 20'000},
-                                    {&kHalfOpen, 20'000},
-                                    {&kStorm, 100'000}};
+      sweep.smoke ? std::vector<CellSpec>{{&kStorm, 1500},
+                                          {&kSlowStart, 1500},
+                                          {&kHalfOpen, 1500}}
+                  : std::vector<CellSpec>{{&kStorm, 20'000},
+                                          {&kSlowStart, 20'000},
+                                          {&kHalfOpen, 20'000},
+                                          {&kStorm, 100'000}};
 
-  std::printf("==== session churn sweep: scenario x sessions, seed=%llu, "
-              "jobs=%u%s ====\n",
-              static_cast<unsigned long long>(seed), jobs,
-              smoke ? " (smoke)" : "");
-  std::vector<CellResult> cells(specs.size());
-  bench::run_cells(specs.size(), jobs, [&](std::size_t i) {
-    // Distinct seed per cell, derived from the master — a function of the
-    // cell's coordinates only, so parallel and sequential runs agree.
-    std::uint64_t coord = specs[i].sessions;
-    for (const char* p = specs[i].sc->name; *p; ++p) {
-      coord = coord * 131 + static_cast<std::uint64_t>(*p);
-    }
-    cells[i] = run_cell(*specs[i].sc, specs[i].sessions, seed ^ coord);
+  return sweep.run(bench::Plan<CellSpec, CellResult>{
+      .title = "session churn sweep: scenario x sessions",
+      .cells = specs,
+      .coord = [](const CellSpec& s) {
+        std::uint64_t coord = s.sessions;
+        for (const char* p = s.sc->name; *p; ++p) coord = coord * 131 + *p;
+        return coord;
+      },
+      .run = run_cell,
+      // Two full runs from the same seed: a fingerprint mismatch means the
+      // session plane leaked nondeterminism (container iteration order,
+      // time-dependent ids, ...).
+      .replay = [](const CellResult& r) { return r.fingerprint; },
+      .gates = check,
+      .header = [](bench::Json& j) {
+        j.g("storm_window_sec", kStormWindow.to_sec())
+            .g("run_sec", kRunFor.to_sec());
+      },
+      .fields = write_cell,
+      .columns = {"scenario", "sessions", "setups_ok", "rejected_453",
+                  "reaped_idle", "eos", "frames_delivered", "setup_ms_p99",
+                  "max_violation_rate", "aggregate_violation_rate",
+                  "replay_identical", "ok"},
   });
-
-  std::printf("%10s %9s %9s %9s %9s %8s %9s %9s %10s %10s %7s %5s\n",
-              "scenario", "sessions", "setup_ok", "rej453", "reaped", "eos",
-              "frames", "p99_ms", "max_vrate", "agg_vrate", "replay", "ok");
-  bool all_ok = true;
-  for (const auto& c : cells) {
-    std::printf(
-        "%10s %9zu %9llu %9llu %9llu %8llu %9llu %9.2f %10.4f %10.6f %7s "
-        "%5s\n",
-        c.scenario->name, c.sessions,
-        static_cast<unsigned long long>(c.fleet.door.setups_ok),
-        static_cast<unsigned long long>(c.fleet.door.rejected_453),
-        static_cast<unsigned long long>(c.fleet.door.reaped_idle),
-        static_cast<unsigned long long>(c.fleet.door.eos),
-        static_cast<unsigned long long>(c.fleet.frames_delivered),
-        c.fleet.setup_ms_p99, c.fleet.max_violation_rate,
-        c.fleet.aggregate_violation_rate, c.replay_identical ? "yes" : "NO",
-        c.ok ? "yes" : "NO");
-    if (!c.ok) {
-      std::printf("           ^ FAIL: %s\n", c.fail_reason.c_str());
-      all_ok = false;
-    }
-  }
-  write_json(cells, out_path, seed, jobs, all_ok);
-  return all_ok ? 0 : 1;
 }

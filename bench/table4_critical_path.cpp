@@ -13,6 +13,8 @@
 using namespace nistream;
 
 int main(int argc, char** argv) {
+  const bool show_stages = bench::flag_present(argc, argv, "stages");
+  bench::reject_unknown_flags(argc, argv);
   bench::header("Table 4: critical-path frame-transfer benchmarks");
   const auto r = apps::run_critical_path(/*n_transfers=*/1000);
 
@@ -29,7 +31,7 @@ int main(int argc, char** argv) {
   // Per-stage means stamped by the FramePath each experiment ran on — the
   // same decomposition, uniform across every path. Opt-in so the default
   // output stays byte-stable across refactors.
-  if (bench::flag_present(argc, argv, "stages")) {
+  if (show_stages) {
     std::printf(" Stage breakdown (server-side, ms/frame):\n");
     const auto breakdown = [](const char* label,
                               const std::vector<apps::StageLatency>& stages) {

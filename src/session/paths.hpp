@@ -1,9 +1,10 @@
-// RTP-tailed variants of the paper's producer paths (see path/paths.hpp).
+// RTP-tailed producer paths (see path/paths.hpp): the synthetic path the
+// front door pumps, and Path C.
 //
-// An RTSP session's data plane is an ordinary Path A/B/C producer with an
-// RTP tail spliced in between segmentation and the scheduler ring:
+// An RTSP session's data plane is an ordinary producer path with an RTP
+// tail spliced in between segmentation and the scheduler ring:
 //
-//   storage -> segment -> rtp -> rtcp -> [bus] -> enqueue
+//   [storage] -> segment -> rtp -> rtcp -> enqueue
 //
 // The RTP packetizer charges the producer CPU and grows the frame by the
 // header; the RTCP stage piggybacks periodic sender reports onto the frame
@@ -14,9 +15,6 @@
 #pragma once
 
 #include "dvcm/stream_service.hpp"
-#include "hostos/filesystem.hpp"
-#include "hostos/host.hpp"
-#include "hw/pci.hpp"
 #include "hw/scsi_disk.hpp"
 #include "net/udp.hpp"
 #include "path/frame_path.hpp"
@@ -51,52 +49,6 @@ inline path::FramePath session_path_synthetic(sim::Engine& engine,
           task, rtp, params.rtp_cycles_per_packet, params.ticks_per_frame)
       .stage<path::RtcpReportStage>(engine, rtcp_out, rtcp_port, rtp,
                                     params.rtcp_interval)
-      .stage<path::EnqueueStage>(engine, service, params.backoff);
-  return p;
-}
-
-/// Path A with an RTP tail: host filesystem -> host-process segmentation +
-/// packetization -> host scheduler ring.
-template <typename Fs>
-path::FramePath session_path_a(hostos::HostMachine& host,
-                               hostos::Process& proc, Fs& fs,
-                               dvcm::StreamService& service,
-                               path::RtpState& rtp,
-                               net::UdpEndpoint& rtcp_out, int rtcp_port,
-                               const RtpTailParams& params) {
-  path::FramePath p{host.engine(), "session-a"};
-  p.template stage<path::FsStage<Fs>>(fs, &host.scheduler(), &proc.thread())
-      .template stage<path::SegmentStage<hostos::Process>>(
-          proc, path::kSegmentationCyclesPerFrame)
-      .template stage<path::RtpPacketizeStage<hostos::Process>>(
-          proc, rtp, params.rtp_cycles_per_packet, params.ticks_per_frame)
-      .template stage<path::RtcpReportStage>(host.engine(), rtcp_out,
-                                             rtcp_port, rtp,
-                                             params.rtcp_interval)
-      .template stage<path::EnqueueStage>(host.engine(), service,
-                                          params.backoff);
-  return p;
-}
-
-/// Path B with an RTP tail: NI disk -> wind-task segmentation +
-/// packetization -> PCI p2p DMA -> scheduler-NI ring. RTP is built before
-/// the bus hop so the DMA moves wire-format bytes.
-inline path::FramePath session_path_b(sim::Engine& engine, hw::ScsiDisk& disk,
-                                      rtos::Task& task, hw::PciBus& bus,
-                                      dvcm::StreamService& service,
-                                      path::RtpState& rtp,
-                                      net::UdpEndpoint& rtcp_out,
-                                      int rtcp_port,
-                                      const RtpTailParams& params) {
-  path::FramePath p{engine, "session-b"};
-  p.stage<path::DiskStage<hw::ScsiDisk>>(disk)
-      .stage<path::SegmentStage<rtos::Task>>(
-          task, path::kSegmentationCyclesPerFrame)
-      .stage<path::RtpPacketizeStage<rtos::Task>>(
-          task, rtp, params.rtp_cycles_per_packet, params.ticks_per_frame)
-      .stage<path::RtcpReportStage>(engine, rtcp_out, rtcp_port, rtp,
-                                    params.rtcp_interval)
-      .stage<path::PciDmaStage>(bus)
       .stage<path::EnqueueStage>(engine, service, params.backoff);
   return p;
 }

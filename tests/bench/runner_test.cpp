@@ -1,8 +1,9 @@
-// The sweep runner's determinism contract: run_cells writes every cell's
-// result into its own pre-assigned slot, so the output array is identical
-// for any --jobs value — thread scheduling affects only wall-clock time.
-// Also pins the provenance-stamp contract: git_rev() resolves at RUN time
-// and always has a machine-checkable shape.
+// The sweep harness's contracts: run_cells writes every cell's result into
+// its own pre-assigned slot, so the output array is identical for any
+// --jobs value — thread scheduling affects only wall-clock time; the JSON
+// field writer's exact bytes; the verdict ledger and the replay gate; the
+// unknown-flag check. Also pins the provenance-stamp contract: git_rev()
+// resolves at RUN time and always has a machine-checkable shape.
 #include "bench_util.hpp"
 #include "cli.hpp"
 #include "runner.hpp"
@@ -11,7 +12,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,15 +27,9 @@ namespace {
 // Deterministic per-cell "simulation": a splitmix64 chain seeded purely from
 // the cell index, like real sweep cells seed from grid coordinates.
 std::uint64_t cell_value(std::size_t i) {
-  std::uint64_t x = 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(i);
-  for (int k = 0; k < 64; ++k) {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-  }
-  return x;
+  std::uint64_t x = i;
+  for (int k = 0; k < 63; ++k) splitmix64(x);
+  return splitmix64(x);
 }
 
 std::vector<std::uint64_t> sweep(std::size_t n, unsigned jobs) {
@@ -142,6 +141,100 @@ TEST(FlagJobs, TrailingFlagWithoutValueExits2) {
     EXPECT_EXIT(flag_jobs(2, argv), testing::ExitedWithCode(2),
                 "bad --jobs value");
   }
+}
+
+TEST(FlagJobs, UnknownFlagExits2NamingIt) {
+  // A typo must not run silently with the default seed.
+  char prog[] = "bench", jobs[] = "--jobs", three[] = "3";
+  char smoke[] = "--smoke", seed[] = "--seed=7", typo[] = "--sed=7";
+  char* argv[] = {prog, jobs, three, smoke, seed, typo};
+  EXPECT_EQ(flag_jobs(6, argv), 3u);
+  EXPECT_TRUE(flag_present(6, argv, "smoke"));
+  EXPECT_EQ(flag_u64(6, argv, "seed", 0), 7u);
+  reject_unknown_flags(5, argv);  // every flag was asked for: returns
+  EXPECT_EXIT(reject_unknown_flags(6, argv), testing::ExitedWithCode(2),
+              "unknown flag --sed ");
+}
+
+// ---------------------------------------------------------------------------
+// The JSON field writer, the verdict ledger and the replay gate.
+// ---------------------------------------------------------------------------
+
+TEST(SweepJson, WritesTheExactBytesAndEscapesStrings) {
+  std::ostringstream out;
+  Json::Record record;
+  Json j{out, "{", ", ", &record};
+  Verdict v;
+  v.fail("tenant a\"b over budget");
+  j.s("name", "a\"b\\c\n\x01").u("n", 18446744073709551615ull)
+      .wrap(5).g("rate", 0.05).g("sec", 6.0).f("p", 2.0 / 3, 4)
+      .object("o", [](Json& o) { o.b("x", true); })
+      .wrap(5).strings("tenants", {"a\"b", "beta"}).verdict(v);
+  j.wrap(1).list("rows", 2, 3, 2, [](std::size_t i, Json& r) { r.u("i", i); });
+  j.close();
+  EXPECT_EQ(out.str(),
+            R"({"name": "a\"b\\c\u000a\u0001", "n": 18446744073709551615,
+     "rate": 0.05, "sec": 6, "p": 0.6667, "o": {"x": true},
+     "tenants": ["a\"b", "beta"], "ok": false, "fail_reason": "tenant a\"b over budget",
+ "rows": [
+   {"i": 0},
+   {"i": 1}
+  ]})");
+  // The table reads the recorded fields; nested keys are dotted.
+  EXPECT_EQ(record.size(), 9u);
+  EXPECT_EQ(record["o.x"], "true");
+}
+
+TEST(SweepVerdict, FailJoinsReasonsWithSemicolons) {
+  Verdict v;
+  EXPECT_TRUE(v.ok && v.replay_identical);
+  v.fail("first gate");
+  v.fail("second gate");
+  EXPECT_FALSE(v.ok);
+  EXPECT_EQ(v.fail_reason, "first gate; second gate");
+}
+
+TEST(SweepReplay, ADivergentSecondRunFailsTheCell) {
+  // Cell 1's second run differs from its first; cell 0 replays exactly.
+  const std::string path = testing::TempDir() + "sweep_replay_test.json";
+  std::string out_flag = "--out=" + path;
+  char prog[] = "toy_sweep", jobs[] = "--jobs=2";
+  char* argv[] = {prog, jobs, out_flag.data()};
+  const Sweep sweep{3, argv, "toy_sweep", "unused.json", 5};
+  std::atomic<std::uint64_t> cell1_runs{0};
+  testing::internal::CaptureStdout();
+  const int rc = sweep.run(Plan<std::uint64_t, std::uint64_t>{
+      .cells = {0, 1},
+      .coord = [](const std::uint64_t& id) { return id; },
+      .run = [&](const std::uint64_t& id, std::uint64_t seed) {
+        return id == 1 ? ++cell1_runs : seed;
+      },
+      .replay = [](const std::uint64_t& r) { return r; },
+      .gates = [](const std::uint64_t& r, Verdict& v) {
+        if (r < 5) v.fail("toy gate");
+      },
+      .header = [](Json&) {},
+      .fields = [](Json& j, const std::uint64_t& r, const Verdict& v) {
+        j.u("result", r).b("replay_identical", v.replay_identical).verdict(v);
+      },
+      .columns = {"result", "ok"},
+  });
+  const std::string table = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 1);
+  EXPECT_NE(table.find("  ^ FAIL: same-seed replay diverged; toy gate\n"),
+            std::string::npos) << table;
+  // Cell seeds are master ^ coord: cell 0 runs on 5.
+  std::ifstream in{path};
+  const std::string doc{std::istreambuf_iterator<char>{in}, {}};
+  EXPECT_NE(doc.find(R"(  "seed": 5,
+  "ok": false,
+  "cells": [
+    {"result": 5, "replay_identical": true, "ok": true},
+    {"result": 1, "replay_identical": false, "ok": false, "fail_reason": "same-seed replay diverged; toy gate"}
+  ]
+}
+)"), std::string::npos) << doc;
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------

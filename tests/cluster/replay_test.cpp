@@ -46,7 +46,7 @@ sim::Coro jittered_producer(sim::Engine& eng, ClusterControlPlane& plane,
 }
 
 /// Everything observable about one run, for whole-struct equality.
-struct Fingerprint {
+struct Observed {
   std::uint64_t board_cycles[3];
   std::uint64_t client_frames;
   std::uint64_t client_bytes;
@@ -59,10 +59,10 @@ struct Fingerprint {
   std::uint64_t purged;
   std::uint64_t rejected;
 
-  bool operator==(const Fingerprint&) const = default;
+  bool operator==(const Observed&) const = default;
 };
 
-Fingerprint run_cluster_chaos(std::uint64_t seed) {
+Observed run_cluster_chaos(std::uint64_t seed) {
   sim::Engine eng;
   hostos::HostMachine host{eng, 2};
   hw::EthernetSwitch ether{eng};
@@ -91,7 +91,7 @@ Fingerprint run_cluster_chaos(std::uint64_t seed) {
   eng.run_until(Time::sec(3));
 
   const auto& m = plane.metrics();
-  Fingerprint f{};
+  Observed f{};
   for (int b = 0; b < 3; ++b) {
     f.board_cycles[b] = static_cast<std::uint64_t>(
         plane.ni(b).board().cpu().cycles());

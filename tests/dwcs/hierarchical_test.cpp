@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "dwcs/dual_heap.hpp"
+#include "lockstep.hpp"
 #include "sim/random.hpp"
 
 namespace nistream::dwcs {
@@ -69,110 +70,29 @@ TEST(ShardHash, StableAcrossCallsAndSpreadsLoad) {
 // Decision identity vs DualHeapRepr.
 // ---------------------------------------------------------------------------
 
-class FakeTable final : public StreamTable {
- public:
-  FakeTable() : StreamTable{views_} {}
-  StreamView& mutable_view(StreamId id) { return views_[id]; }
-  StreamId add(const StreamView& v) {
-    views_.push_back(v);
-    return static_cast<StreamId>(views_.size() - 1);
-  }
-  [[nodiscard]] std::size_t size() const { return views_.size(); }
-
- private:
-  std::vector<StreamView> views_;
-};
-
-StreamView random_view(sim::Rng& rng, Time now) {
-  StreamView v;
-  const std::int64_t y = 1 + static_cast<std::int64_t>(rng.below(6));
-  v.current = {static_cast<std::int64_t>(
-                   rng.below(static_cast<std::uint64_t>(y + 1))),
-               y};
-  // Coarse deadline grid so ties are the common case and rule 5 decides.
-  v.next_deadline = now + Time::ms(10 * (1 + static_cast<int>(rng.below(4))));
-  v.head_enqueued_at = now;
-  return v;
-}
-
-/// Drive DualHeapRepr and HierarchicalScheduler(shards) in lock-step through
-/// a randomized insert/remove/update/dispatch workload and assert pick() and
-/// earliest_deadline() agree on every round. Returns rounds with a winner.
-int run_lockstep(std::uint32_t shards, std::uint64_t seed) {
+/// The sharded scheduler against one flat dual heap, in lock-step.
+int sharded_lockstep(std::uint32_t shards, std::uint64_t seed) {
   FakeTable table;
   Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
   DualHeapRepr reference{table, cmp, null_cost_hook(), 0x0100'0000};
   HierarchicalScheduler sharded{table, cmp, null_cost_hook(), 0x0200'0000,
                                 HierarchicalParams{.shards = shards}};
   EXPECT_EQ(sharded.shards(), shards);
-
-  sim::Rng rng{seed};
-  std::vector<bool> present;
-  Time now = Time::zero();
-  const auto insert = [&](StreamId id) {
-    reference.insert(id);
-    sharded.insert(id);
-    present[id] = true;
-  };
-
-  for (int i = 0; i < 32; ++i) {
-    const auto id = table.add(random_view(rng, now));
-    present.push_back(false);
-    insert(id);
-  }
-
-  int decided = 0;
-  for (int round = 0; round < 1500; ++round) {
-    now += Time::ms(1 + static_cast<double>(rng.below(5)));
-    const auto op = rng.below(10);
-    if (op == 0 && table.size() < 96) {
-      const auto id = table.add(random_view(rng, now));
-      present.push_back(false);
-      insert(id);
-    } else if (op == 1) {
-      const auto id = static_cast<StreamId>(rng.below(table.size()));
-      if (present[id]) {
-        reference.remove(id);
-        sharded.remove(id);
-        present[id] = false;
-      } else {
-        table.mutable_view(id) = random_view(rng, now);
-        insert(id);
-      }
-    }
-
-    const auto p_ref = reference.pick();
-    const auto p_sh = sharded.pick();
-    EXPECT_EQ(p_sh, p_ref) << "shards " << shards << " seed " << seed
-                           << " round " << round;
-    EXPECT_EQ(sharded.earliest_deadline(), reference.earliest_deadline())
-        << "shards " << shards << " seed " << seed << " round " << round;
-    if (!p_ref || p_sh != p_ref) continue;
-
-    // Dispatch the winner: window adjustment + deadline advance, then
-    // update both reprs — the scheduler's own mutation pattern.
-    auto& v = table.mutable_view(*p_ref);
-    if (v.current.y > v.current.x) --v.current.y;
-    v.next_deadline +=
-        Time::ms(10 * (1 + static_cast<double>(rng.below(4))));
-    reference.update(*p_ref);
-    sharded.update(*p_ref);
-    ++decided;
-  }
-  return decided;
+  return run_lockstep(table, reference, sharded, seed,
+                      "shards " + std::to_string(shards));
 }
 
 TEST(HierarchicalIdentity, OneShardMatchesDualHeap) {
   // Same seeds as the 5-way differential test.
   for (const std::uint64_t seed : {7u, 99u, 1234u}) {
-    EXPECT_GT(run_lockstep(1, seed), 1000) << "seed " << seed;
+    EXPECT_GT(sharded_lockstep(1, seed), 1000) << "seed " << seed;
   }
 }
 
 TEST(HierarchicalIdentity, MultiShardMatchesDualHeap) {
   for (const std::uint32_t shards : {2u, 3u, 4u, 8u, 16u}) {
     for (const std::uint64_t seed : {7u, 99u, 1234u}) {
-      EXPECT_GT(run_lockstep(shards, seed), 1000)
+      EXPECT_GT(sharded_lockstep(shards, seed), 1000)
           << "shards " << shards << " seed " << seed;
     }
   }
@@ -224,9 +144,9 @@ std::int64_t charged_cycles(std::uint32_t shards, std::int64_t hop_cycles) {
     now += Time::ms(2);
     const auto p = h.pick();
     if (!p) break;
-    auto& v = table.mutable_view(*p);
-    if (v.current.y > v.current.x) --v.current.y;
-    v.next_deadline += Time::ms(10 * (1 + static_cast<double>(rng.below(4))));
+    table.rule_a(*p);
+    table.mutable_view(*p).next_deadline +=
+        Time::ms(10 * (1 + static_cast<double>(rng.below(4))));
     h.update(*p);
   }
   return hook.total;

@@ -25,26 +25,13 @@
 
 #include <vector>
 
+#include "lockstep.hpp"
 #include "sim/random.hpp"
 
 namespace nistream::dwcs {
 namespace {
 
 using sim::Time;
-
-class FakeTable final : public StreamTable {
- public:
-  FakeTable() : StreamTable{views_} {}
-  StreamView& mutable_view(StreamId id) { return views_[id]; }
-  StreamId add(const StreamView& v) {
-    views_.push_back(v);
-    return static_cast<StreamId>(views_.size() - 1);
-  }
-  [[nodiscard]] std::size_t size() const { return views_.size(); }
-
- private:
-  std::vector<StreamView> views_;
-};
 
 struct Harness {
   FakeTable table;
@@ -101,14 +88,9 @@ TEST(ReprDifferential, RandomizedLockStep) {
       v.head_enqueued_at = now;
       return v;
     };
-    // Original window constraints, per stream — the harness's stand-in for
-    // StreamParams::tolerance (StreamView carries only the current one).
-    std::vector<WindowConstraint> originals;
-
     Time now = Time::zero();
     for (int i = 0; i < 24; ++i) {
       const auto id = h.table.add(random_view(now));
-      originals.push_back(h.table.mutable_view(id).current);
       h.present.push_back(false);
       h.insert(id);
     }
@@ -122,7 +104,6 @@ TEST(ReprDifferential, RandomizedLockStep) {
       const auto op = rng.below(10);
       if (op == 0 && h.table.size() < 64) {
         const auto id = h.table.add(random_view(now));
-        originals.push_back(h.table.mutable_view(id).current);
         h.present.push_back(false);
         h.insert(id);
         ++backlogged;
@@ -132,8 +113,7 @@ TEST(ReprDifferential, RandomizedLockStep) {
           h.remove(id);
           --backlogged;
         } else if (!h.present[id]) {
-          h.table.mutable_view(id) = random_view(now);
-          originals[id] = h.table.mutable_view(id).current;
+          h.table.reset(id, random_view(now));
           h.insert(id);
           ++backlogged;
         }
@@ -179,10 +159,9 @@ TEST(ReprDifferential, RandomizedLockStep) {
       // advance, exactly as the scheduler would, then update every repr.
       if (pick0) {
         dispatched.push_back(*pick0);
-        auto& v = h.table.mutable_view(*pick0);
-        if (v.current.y > v.current.x) --v.current.y;
-        if (v.current.y == v.current.x) v.current = originals[*pick0];
-        v.next_deadline += Time::ms(10 * (1 + static_cast<double>(rng.below(4))));
+        h.table.rule_a(*pick0);
+        h.table.mutable_view(*pick0).next_deadline +=
+            Time::ms(10 * (1 + static_cast<double>(rng.below(4))));
         h.update(*pick0);
       }
     }

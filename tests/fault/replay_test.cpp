@@ -36,7 +36,7 @@ sim::Coro paced_producer(sim::Engine& eng, apps::FailoverMediaServer& server,
 }
 
 /// Everything observable about one run, for whole-struct equality.
-struct Fingerprint {
+struct Observed {
   std::uint64_t cpu_cycles;  // NI charge stream fingerprint
   std::uint64_t faults_injected;
   std::uint64_t frames_dropped;
@@ -50,10 +50,10 @@ struct Fingerprint {
   std::uint64_t purged;
   std::uint64_t rejected;
 
-  bool operator==(const Fingerprint&) const = default;
+  bool operator==(const Observed&) const = default;
 };
 
-Fingerprint run_chaos(std::uint64_t seed) {
+Observed run_chaos(std::uint64_t seed) {
   sim::Engine eng;
   hostos::HostMachine host{eng, 2};
   hw::PciBus bus{eng};
@@ -84,7 +84,7 @@ Fingerprint run_chaos(std::uint64_t seed) {
 
   const auto s = plane.summary();
   const auto m = server.metrics();
-  return Fingerprint{
+  return Observed{
       .cpu_cycles =
           static_cast<std::uint64_t>(server.ni().board().cpu().cycles()),
       .faults_injected = s.total(),

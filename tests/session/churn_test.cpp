@@ -11,37 +11,16 @@
 #include <vector>
 
 #include "apps/client.hpp"
+#include "runner.hpp"  // the sweep harness's splitmix64 and Fingerprint
 #include "session/client.hpp"
 #include "session/server.hpp"
 
 namespace nistream::session {
 namespace {
 
+using bench::Fingerprint;
+using bench::splitmix64;
 using sim::Time;
-
-std::uint64_t splitmix64(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d4b9f2a6c3e1b5ull;
-  return z ^ (z >> 31);
-}
-
-struct Fingerprint {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
-  void add_double(double d) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof d);
-    __builtin_memcpy(&bits, &d, sizeof bits);
-    add(bits);
-  }
-};
 
 RtspChurnClient::Behavior pick_behavior(std::uint64_t r) {
   const std::uint64_t p = r % 100;
