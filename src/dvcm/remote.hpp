@@ -14,6 +14,10 @@
 // ReliableRemoteVcmClient/Port run the same instructions over TcpLite, so
 // every instruction arrives exactly once and in order (see
 // tests/dvcm/remote_test.cpp).
+//
+// Teardown follows the net layer's: each endpoint detaches its switch port
+// when destroyed, and its pending stack-cost events check that port before
+// they touch the endpoint.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +46,7 @@ class RemoteVcmPort {
 
   RemoteVcmPort(VcmRuntime& runtime, hw::EthernetSwitch& ether,
                 sim::Time stack_cost)
-      : runtime_{runtime}, engine_{runtime.board().engine()},
+      : runtime_{runtime}, engine_{runtime.board().engine()}, ether_{ether},
         stack_cost_{stack_cost}, inbox_{engine_} {
     port_ = ether.add_port([this](const hw::EthFrame& f) { on_frame(f); });
     // Network-dispatch task: peer of the I2O dispatch task.
@@ -72,6 +76,9 @@ class RemoteVcmPort {
 
   RemoteVcmPort(const RemoteVcmPort&) = delete;
   RemoteVcmPort& operator=(const RemoteVcmPort&) = delete;
+  /// Its dispatch task waits on the inbox, which no event reaches once the
+  /// port is detached; destroy the port while that task is idle.
+  ~RemoteVcmPort() { ether_.detach(port_); }
 
   [[nodiscard]] int port() const { return port_; }
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
@@ -81,11 +88,13 @@ class RemoteVcmPort {
   void on_frame(const hw::EthFrame& f) {
     auto ri = std::static_pointer_cast<const RemoteInstruction>(f.payload);
     if (!ri) return;
-    engine_.schedule_in(stack_cost_, [this, ri] { inbox_.send(ri); });
+    net::detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
+                                         [this, ri] { inbox_.send(ri); });
   }
 
   VcmRuntime& runtime_;
   sim::Engine& engine_;
+  hw::EthernetSwitch& ether_;
   sim::Time stack_cost_;
   sim::Mailbox<std::shared_ptr<const RemoteInstruction>> inbox_;
   int port_ = -1;
@@ -103,6 +112,7 @@ class RemoteVcmClient {
 
   RemoteVcmClient(const RemoteVcmClient&) = delete;
   RemoteVcmClient& operator=(const RemoteVcmClient&) = delete;
+  ~RemoteVcmClient() { ether_.detach(port_); }
 
   [[nodiscard]] int port() const { return port_; }
 
@@ -115,11 +125,14 @@ class RemoteVcmClient {
     ri->w0 = w0;
     ri->w1 = w1;
     ri->payload = std::move(payload);
-    engine_.schedule_in(stack_cost_, [this, dst_port, ri, bulk_bytes] {
-      ether_.send(port_, dst_port,
-                  hw::EthFrame{.bytes = RemoteVcmPort::kHeaderBytes + bulk_bytes,
-                               .tag = ri->id, .payload = ri});
-    });
+    net::detail::schedule_while_attached(
+        engine_, ether_, port_, stack_cost_,
+        [this, dst_port, ri, bulk_bytes] {
+          ether_.send(
+              port_, dst_port,
+              hw::EthFrame{.bytes = RemoteVcmPort::kHeaderBytes + bulk_bytes,
+                           .tag = ri->id, .payload = ri});
+        });
     ++sent_;
   }
 

@@ -21,18 +21,25 @@
 // free-listed node pool, grown in fixed-size chunks so growth never moves a
 // frame in flight.
 //
-// A device that goes away detaches its port. The port keeps its number (port
-// numbers are never reused) and bumps its generation; each queued frame
-// carries the generation it was addressed to, so frames queued before the
-// detach are dropped on landing, and frames sent to the port afterwards are
-// dropped at the switch. Either way the receiver of a destroyed device is
-// never called.
+// A device that goes away detaches its port, and the port is recycled: once
+// its downlink queue has drained it goes on a free list, and the next
+// add_port() hands it to a new device with fresh link times, so the table
+// holds the ports attached at once, not every port ever made. A port
+// address carries the port's generation next to its index, the way an
+// sim::EventHandle pairs a slot with its generation: detach() bumps the
+// generation, so an address names one occupant of a port, never a later
+// one. Each queued frame carries the generation it was addressed to; frames
+// queued before the detach are dropped on landing, and frames sent to the
+// old address afterwards are dropped at the switch, whoever holds the port
+// by then. Either way the receiver of a destroyed device is never called,
+// and a device never sees a frame meant for an earlier occupant of its port.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/injector.hpp"
@@ -50,7 +57,7 @@ struct EthFrame {
   std::uint32_t bytes = 0;           // payload size on the wire
   std::uint64_t tag = 0;             // endpoint cookie (e.g. stream id)
   std::shared_ptr<const void> payload;  // endpoint-typed content
-  int src_port = -1;
+  int src_port = -1;                 // the sender's port address
   sim::Time injected_at;             // when handed to the source port
   bool corrupted = false;            // bad CRC on delivery; receivers discard
 };
@@ -65,24 +72,56 @@ class EthernetSwitch {
   EthernetSwitch(const EthernetSwitch&) = delete;
   EthernetSwitch& operator=(const EthernetSwitch&) = delete;
 
-  /// Attach a device; returns its port number. `rx` fires when a frame has
-  /// fully arrived at the device.
-  int add_port(Receiver rx) {
-    ports_.push_back(Port{.rx = std::move(rx)});
-    return static_cast<int>(ports_.size()) - 1;
+  /// A port address is `index | generation << kIndexBits`, a non-negative
+  /// int. A port's first occupant has generation 0, so its address is its
+  /// index. A port whose 2^(31 - kIndexBits) generations run out is retired
+  /// instead of recycled.
+  static constexpr int kIndexBits = 21;
+
+  [[nodiscard]] static constexpr std::uint32_t index_of(int addr) {
+    return static_cast<std::uint32_t>(addr) & (kMaxPorts - 1);
+  }
+  [[nodiscard]] static constexpr std::uint32_t generation_of(int addr) {
+    return static_cast<std::uint32_t>(addr) >> kIndexBits;
   }
 
-  /// Detach the device on `port` (see the header comment). Its receiver is
+  /// Attach a device; returns its port address. `rx` fires when a frame has
+  /// fully arrived at the device. Reuses a recycled port if there is one.
+  int add_port(Receiver rx) {
+    std::uint32_t i;
+    if (!free_ports_.empty()) {
+      i = free_ports_.back();
+      free_ports_.pop_back();
+      Port& p = ports_[i];
+      p.uplink_busy_until = sim::Time::zero();
+      p.downlink_busy_until = sim::Time::zero();
+      p.rx = std::move(rx);
+    } else {
+      if (ports_.size() == kMaxPorts) {
+        throw std::length_error("EthernetSwitch: port table full");
+      }
+      i = static_cast<std::uint32_t>(ports_.size());
+      ports_.push_back(Port{.rx = std::move(rx)});
+    }
+    return static_cast<int>(i | (ports_[i].gen << kIndexBits));
+  }
+
+  /// Detach the device at `port` (see the header comment). Its receiver is
   /// released here and never called again.
   void detach(int port) {
     assert(attached(port));
-    Port& p = ports_[static_cast<std::size_t>(port)];
+    const std::uint32_t i = index_of(port);
+    Port& p = ports_[i];
     p.rx = nullptr;
     ++p.gen;
+    if (p.head == kNone) recycle(i);
   }
 
+  /// True while `port` names the device attached there.
   [[nodiscard]] bool attached(int port) const {
-    return valid(port) && ports_[static_cast<std::size_t>(port)].rx;
+    if (!valid(port)) return false;
+    const Port& p = ports_[index_of(port)];
+    return p.rx && p.gen == generation_of(port);
   }
 
   /// Send `frame` from `src` to `dst`. Delivery time accounts for uplink
@@ -94,7 +133,7 @@ class EthernetSwitch {
     frame.injected_at = engine_.now();
     const sim::Time wire = wire_time(frame.bytes);
 
-    Port& sp = ports_[static_cast<std::size_t>(src)];
+    Port& sp = ports_[index_of(src)];
     const sim::Time up_start = std::max(engine_.now(), sp.uplink_busy_until);
     const sim::Time at_switch = up_start + wire;
     sp.uplink_busy_until = at_switch;
@@ -115,11 +154,12 @@ class EthernetSwitch {
       frame.corrupted = fault_->corrupt_frame();
     }
 
-    Port& dp = ports_[static_cast<std::size_t>(dst)];
-    if (!dp.rx) {  // detached: nothing to forward to
+    if (!attached(dst)) {  // that occupant is gone: nothing to forward to
       ++frames_to_detached_;
       return;
     }
+    const std::uint32_t di = index_of(dst);
+    Port& dp = ports_[di];
     const sim::Time down_start =
         std::max(at_switch + params_.switch_latency, dp.downlink_busy_until);
     const sim::Time delivered = down_start + wire;
@@ -136,7 +176,7 @@ class EthernetSwitch {
     if (dp.tail == kNone) {
       dp.head = n;
       dp.tail = n;
-      arm(dst);
+      arm(di);
     } else {
       node(dp.tail).next = n;
       dp.tail = n;
@@ -157,6 +197,8 @@ class EthernetSwitch {
   }
   /// Frames queued on downlinks, waiting to be delivered.
   [[nodiscard]] std::size_t frames_in_flight() const { return in_flight_; }
+  /// Ports in the table, attached or free: the most attached at once.
+  [[nodiscard]] std::size_t port_table_size() const { return ports_.size(); }
   [[nodiscard]] const EthernetParams& params() const { return params_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
 
@@ -168,6 +210,8 @@ class EthernetSwitch {
  private:
   static constexpr std::uint32_t kNone = 0xFFFFFFFF;
   static constexpr std::uint32_t kChunkNodes = 1024;
+  static constexpr std::uint32_t kMaxPorts = 1u << kIndexBits;
+  static constexpr std::uint32_t kGenerations = 1u << (31 - kIndexBits);
 
   struct Port {
     Receiver rx;
@@ -188,7 +232,12 @@ class EthernetSwitch {
   };
 
   [[nodiscard]] bool valid(int p) const {
-    return p >= 0 && static_cast<std::size_t>(p) < ports_.size();
+    return p >= 0 && index_of(p) < ports_.size();
+  }
+
+  /// Put detached port `i`, its downlink drained, on the free list.
+  void recycle(std::uint32_t i) {
+    if (ports_[i].gen < kGenerations) free_ports_.push_back(i);
   }
 
   [[nodiscard]] InFlight& node(std::uint32_t n) {
@@ -214,25 +263,26 @@ class EthernetSwitch {
     free_ = n;
   }
 
-  /// Hand the engine the delivery event of `dst`'s queue head.
-  void arm(int dst) {
-    const InFlight& h = node(ports_[static_cast<std::size_t>(dst)].head);
-    engine_.schedule_at(h.at, h.ticket, [this, dst] { deliver(dst); });
+  /// Hand the engine the delivery event of port `i`'s queue head.
+  void arm(std::uint32_t i) {
+    const InFlight& h = node(ports_[i].head);
+    engine_.schedule_at(h.at, h.ticket, [this, i] { deliver(i); });
   }
 
-  void deliver(int dst) {
-    Port& p = ports_[static_cast<std::size_t>(dst)];
+  void deliver(std::uint32_t i) {
+    Port& p = ports_[i];
     const std::uint32_t n = p.head;
     InFlight& f = node(n);
     const EthFrame frame = std::move(f.frame);
     p.head = f.next;
-    if (p.head == kNone) {
-      p.tail = kNone;
-    } else {
-      arm(dst);
-    }
     const bool current = f.gen == p.gen;
     release_node(n);
+    if (p.head != kNone) {
+      arm(i);
+    } else {
+      p.tail = kNone;
+      if (!p.rx) recycle(i);
+    }
     if (current) {
       p.rx(frame);
     } else {
@@ -244,6 +294,7 @@ class EthernetSwitch {
   EthernetParams params_;
   sim::Rng loss_rng_;
   std::vector<Port> ports_;
+  std::vector<std::uint32_t> free_ports_;  // detached, drained, reusable
   // In-flight frame pool: chunked so growth never moves a queued frame.
   std::vector<std::unique_ptr<InFlight[]>> chunks_;
   std::uint32_t carved_ = 0;  // nodes ever handed out

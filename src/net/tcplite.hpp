@@ -34,6 +34,15 @@
 //    sender when the client FINs. An endpoint's destructor cancels its timer
 //    and detaches its switch port, and every event it left pending checks
 //    that port before touching the endpoint, so nothing runs on freed memory.
+//  * Recycled ports. The switch hands a detached port to the next device, so
+//    a receiver keys its peers by port index and remembers which occupant
+//    (port address) each sequence space belongs to. A segment from a newer
+//    occupant starts a fresh sequence space. Its old occupant's segments all
+//    landed first, because a downlink delivers in send order. The peer table
+//    is bounded by ports, not by connections ever made.
+//
+// ACKs allocate nothing: an ACK carries its number in EthFrame::tag and
+// points at one shared immutable ACK segment.
 #pragma once
 
 #include <algorithm>
@@ -53,24 +62,24 @@ namespace nistream::net {
 
 /// Wire format shared by both ends. A sender builds one segment per sequence
 /// number and every (re)transmission of it carries that same immutable body.
+/// An ACK's number (the next sequence expected) rides in EthFrame::tag, so
+/// every ACK shares one body.
 struct TcpLiteSegment {
   bool is_ack = false;
   bool is_fin = false;        // connection close; consumes a sequence number
-  std::uint64_t seq = 0;      // data/fin: segment sequence; ack: next expected
+  std::uint64_t seq = 0;      // data/fin: segment sequence
   Packet payload{};           // data segments only
 };
 
 namespace detail {
 
-/// Run `fn` after `delay` unless `port` is detached first: the event reads
-/// the switch, which outlives its endpoints, before it touches the endpoint
-/// `fn` captured.
-template <typename Fn>
-void schedule_while_attached(sim::Engine& engine, hw::EthernetSwitch& ether,
-                             int port, sim::Time delay, Fn fn) {
-  engine.schedule_in(delay, [sw = &ether, port, fn = std::move(fn)] {
-    if (sw->attached(port)) fn();
-  });
+/// The body of every ACK. It has no owner (an aliasing shared_ptr with no
+/// control block), so copying it neither allocates nor counts references.
+inline const std::shared_ptr<const void>& ack_body() {
+  static const TcpLiteSegment kAck{.is_ack = true};
+  static const std::shared_ptr<const void> body{std::shared_ptr<const void>{},
+                                                &kAck};
+  return body;
 }
 
 }  // namespace detail
@@ -78,9 +87,9 @@ void schedule_while_attached(sim::Engine& engine, hw::EthernetSwitch& ether,
 class TcpLiteReceiver {
  public:
   using Deliver = std::function<void(const Packet&, sim::Time at)>;
-  /// Peer-aware delivery: `peer_port` is the sending TcpLiteSender's port —
-  /// the connection identity a multi-client service (the RTSP front door)
-  /// keys its per-connection state on.
+  /// Peer-aware delivery: `peer_port` is the sending TcpLiteSender's port
+  /// address — the connection identity a multi-client service (the RTSP
+  /// front door) keys its per-connection state on.
   using DeliverFrom =
       std::function<void(const Packet&, int peer_port, sim::Time at)>;
   using PeerClose = std::function<void(int peer_port, sim::Time at)>;
@@ -113,11 +122,13 @@ class TcpLiteReceiver {
   [[nodiscard]] std::uint64_t discarded_out_of_order() const {
     return discarded_;
   }
+  /// Sending ports with a sequence space here: at most one per port index.
   [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
   [[nodiscard]] std::uint64_t peers_closed() const { return peers_closed_; }
   [[nodiscard]] bool peer_closed(int peer_port) const {
-    const auto it = peers_.find(peer_port);
-    return it != peers_.end() && it->second.closed;
+    const auto it = peers_.find(hw::EthernetSwitch::index_of(peer_port));
+    return it != peers_.end() && it->second.port == peer_port &&
+           it->second.closed;
   }
 
  private:
@@ -125,6 +136,7 @@ class TcpLiteReceiver {
 
   struct Peer {
     std::uint64_t next_expected = 0;
+    int port = -1;  // the occupant this sequence space belongs to
     bool closed = false;
   };
 
@@ -134,7 +146,8 @@ class TcpLiteReceiver {
     const int reply_to = f.src_port;
     detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
                                     [this, seg, reply_to] {
-      Peer& peer = peers_[reply_to];
+      Peer& peer = peers_[hw::EthernetSwitch::index_of(reply_to)];
+      if (peer.port != reply_to) peer = Peer{.port = reply_to};
       if (seg->seq == peer.next_expected && !peer.closed) {
         ++peer.next_expected;
         if (seg->is_fin) {
@@ -153,11 +166,10 @@ class TcpLiteReceiver {
         ++discarded_;
       }  // duplicates below next_expected (incl. a retransmitted FIN after
          // close) are silently re-ACKed
-      auto ack = std::make_shared<TcpLiteSegment>();
-      ack->is_ack = true;
-      ack->seq = peer.next_expected;
       ether_.send(port_, reply_to,
-                  hw::EthFrame{.bytes = kAckBytes, .payload = std::move(ack)});
+                  hw::EthFrame{.bytes = kAckBytes,
+                               .tag = peer.next_expected,
+                               .payload = detail::ack_body()});
     });
   }
 
@@ -167,7 +179,7 @@ class TcpLiteReceiver {
   DeliverFrom deliver_;
   PeerClose on_peer_close_;
   int port_ = -1;
-  std::map<int, Peer> peers_;  // one sequence space per sending port
+  std::map<std::uint32_t, Peer> peers_;  // sequence spaces by port index
   std::uint64_t delivered_ = 0;
   std::uint64_t discarded_ = 0;
   std::uint64_t peers_closed_ = 0;
@@ -217,7 +229,7 @@ class RttEstimator {
 struct TcpLiteSenderParams {
   std::size_t window = 8;  // segments in flight
   /// Consecutive timeout rounds without ACK progress before the sender
-  /// gives up (drops its queue and fires on_abort). 0 = retry forever,
+  /// gives up (drops its queue and stops its timer). 0 = retry forever,
   /// the historical behavior; services talking to clients that may vanish
   /// mid-connection set a bound so a dead peer cannot pin a timer forever.
   /// With the backoff from the 1 s initial RTO, a bound of 8 resends at 1, 3,
@@ -228,8 +240,6 @@ struct TcpLiteSenderParams {
 class TcpLiteSender {
  public:
   using Params = TcpLiteSenderParams;
-
-  using Abort = std::function<void(sim::Time at)>;
 
   TcpLiteSender(sim::Engine& engine, hw::EthernetSwitch& ether,
                 sim::Time stack_cost, int dst_port, Params params = Params{})
@@ -268,10 +278,6 @@ class TcpLiteSender {
     return true;
   }
 
-  /// Notified when max_retx_rounds expires and the sender abandons the
-  /// connection (queued segments are dropped, the timer stops).
-  void set_on_abort(Abort cb) { on_abort_ = std::move(cb); }
-
   [[nodiscard]] std::uint64_t acked() const { return base_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
   [[nodiscard]] bool idle() const { return queue_.empty(); }
@@ -280,6 +286,8 @@ class TcpLiteSender {
   [[nodiscard]] bool fin_acked() const {
     return closing_ && !aborted_ && queue_.empty();
   }
+  /// True once max_retx_rounds expired and the sender abandoned the
+  /// connection (queued segments dropped, timer stopped).
   [[nodiscard]] bool aborted() const { return aborted_; }
   /// The timeout the next armed timer gets: the estimator's RTO, doubled
   /// for every timeout since the last ACK progress (capped).
@@ -321,10 +329,10 @@ class TcpLiteSender {
   }
 
   void on_frame(const hw::EthFrame& f) {
-    auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
-    if (!seg || !seg->is_ack) return;
+    const auto* seg = static_cast<const TcpLiteSegment*>(f.payload.get());
+    if (seg == nullptr || !seg->is_ack) return;
     detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
-                                    [this, ack = seg->seq] {
+                                    [this, ack = f.tag] {
       if (aborted_ || ack <= base_) return;  // stale
       while (!queue_.empty() && queue_.front()->seq < ack) queue_.pop_front();
       base_ = ack;
@@ -352,7 +360,6 @@ class TcpLiteSender {
         ++retx_rounds_ > params_.max_retx_rounds) {
       aborted_ = true;
       queue_.clear();
-      if (on_abort_) on_abort_(engine_.now());
       return;
     }
     // Go-back-N: retransmit the whole window from base_, sharing each
@@ -387,7 +394,6 @@ class TcpLiteSender {
   sim::Time timed_at_;             // when pump() first sent timed_seq_
   RttEstimator rtt_;
   sim::Time rto_ = RttEstimator::kInitialRto;
-  Abort on_abort_;
   sim::EventHandle timer_;
 };
 

@@ -10,6 +10,11 @@
 // sender's CPU time matters (the scheduler dispatch loops in the Figure 7-10
 // experiments), the sending task additionally consumes CPU through its own
 // scheduler — see apps::MediaServer.
+//
+// Owner-safe teardown: an endpoint's destructor detaches its switch port,
+// and every stack-cost event it left pending checks that port before it
+// touches the endpoint, so a destroyed endpoint's pending work runs as a
+// no-op and its port can go to the next device.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +44,22 @@ struct Packet {
   std::shared_ptr<void> body;
 };
 
+namespace detail {
+
+/// Run `fn` after `delay` unless `port` is detached first: the event reads
+/// the switch, which outlives its endpoints, before it touches the endpoint
+/// `fn` captured. The port address names one occupant, so a later device on
+/// a recycled port does not revive the event.
+template <typename Fn>
+void schedule_while_attached(sim::Engine& engine, hw::EthernetSwitch& ether,
+                             int port, sim::Time delay, Fn fn) {
+  engine.schedule_in(delay, [sw = &ether, port, fn = std::move(fn)] {
+    if (sw->attached(port)) fn();
+  });
+}
+
+}  // namespace detail
+
 class UdpEndpoint {
  public:
   using Receiver = std::function<void(const Packet&, sim::Time delivered)>;
@@ -53,6 +74,7 @@ class UdpEndpoint {
 
   UdpEndpoint(const UdpEndpoint&) = delete;
   UdpEndpoint& operator=(const UdpEndpoint&) = delete;
+  ~UdpEndpoint() { ether_.detach(port_); }
 
   [[nodiscard]] int port() const { return port_; }
 
@@ -63,7 +85,8 @@ class UdpEndpoint {
   void send(int dst_port, Packet pkt) {
     ++sent_;
     bytes_sent_ += pkt.bytes;
-    engine_.schedule_in(stack_cost_, [this, dst_port, pkt] {
+    detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
+                                    [this, dst_port, pkt] {
       ether_.send(port_, dst_port,
                   hw::EthFrame{.bytes = pkt.bytes + kUdpIpHeaderBytes,
                                .tag = pkt.stream_id,
@@ -88,7 +111,8 @@ class UdpEndpoint {
     }
     auto pkt = std::static_pointer_cast<const Packet>(f.payload);
     if (!pkt) return;  // not one of ours
-    engine_.schedule_in(stack_cost_, [this, pkt] {
+    detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
+                                    [this, pkt] {
       ++received_;
       if (rx_) rx_(*pkt, engine_.now());
     });

@@ -99,11 +99,10 @@ class RtspChurnClient {
     }
   }
 
-  void send_text(const std::string& text) {
-    auto body = std::make_shared<std::string>(text);
+  void send_text(std::string text) {
     net::Packet pkt;
-    pkt.bytes = static_cast<std::uint32_t>(body->size());
-    pkt.body = std::move(body);
+    pkt.bytes = static_cast<std::uint32_t>(text.size());
+    pkt.body = std::make_shared<std::string>(std::move(text));
     ctl_tx_.send(pkt);
   }
 
@@ -119,15 +118,13 @@ class RtspChurnClient {
     }
   }
 
-  /// Send a `method` request and await the response to its cseq (responses
-  /// come back in order on the control connection; a mismatch is counted,
-  /// not fatal). The request is built here from the client's own state, so
-  /// run()'s long-lived frame holds no request.
-  sim::Coro transact(Method method, RtspResponse* out) {
+  /// The text of a `method` request, built from the client's own state.
+  [[nodiscard]] std::string request_text(Method method,
+                                         std::uint64_t cseq) const {
     RtspRequest req;
     req.method = method;
     req.reply_port = resp_rx_.port();
-    req.cseq = ++cseq_;
+    req.cseq = cseq;
     if (method == Method::kSetup) {
       req.uri = config_.uri;
       req.rtp_port = media_.port();
@@ -139,15 +136,22 @@ class RtspChurnClient {
     } else {
       req.session_id = session_id_;
     }
-    const std::string text = format_request(req);
+    return format_request(req);
+  }
+
+  /// Send a `method` request and await the response to its cseq (responses
+  /// come back in order on the control connection; a mismatch is counted,
+  /// not fatal). The request text moves into the segment body, so while the
+  /// client waits for its answer the coroutine frame holds only the CSeq.
+  sim::Coro transact(Method method, RtspResponse* out) {
+    const std::uint64_t cseq = ++cseq_;
     if (config_.behavior == Behavior::kSlowStart && method == Method::kSetup) {
-      co_await send_dribbled(text);
+      co_await send_dribbled(request_text(method, cseq));
     } else {
-      send_text(text);
+      send_text(request_text(method, cseq));
     }
-    RtspResponse resp = co_await responses_.receive();
-    if (resp.cseq != req.cseq) ++outcome_.cseq_errors;
-    *out = resp;
+    *out = co_await responses_.receive();
+    if (out->cseq != cseq) ++outcome_.cseq_errors;
   }
 
   sim::Coro run() {

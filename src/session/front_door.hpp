@@ -18,6 +18,11 @@
 //    FIN, or the reaper collecting a half-open session.
 //  * Session ids are incarnation-prefixed; ids minted by an earlier
 //    incarnation answer 454, never touch another session's state.
+//  * Connections are keyed by the client's port index and remember which
+//    occupant (port address) they belong to. The switch recycles ports, so
+//    bytes from a newer occupant of a connection's port mean its client is
+//    gone: the connection closes as its FIN would have closed it. The
+//    connection table is bounded by ports, not by connections ever made.
 #pragma once
 
 #include <cstdint>
@@ -131,6 +136,7 @@ class RtspFrontDoor {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t live_sessions() const { return sessions_.size(); }
   [[nodiscard]] std::size_t live_pumps() const { return pumps_.size(); }
+  [[nodiscard]] std::size_t connections() const { return conns_.size(); }
   [[nodiscard]] std::uint32_t incarnation() const {
     return config_.incarnation;
   }
@@ -164,6 +170,7 @@ class RtspFrontDoor {
   /// sessions it owns (so a FIN tears them all down).
   struct Connection {
     MessageBuffer buf;
+    int peer = -1;  // the client's sending port address
     int reply_port = -1;
     std::unique_ptr<net::TcpLiteSender> tx;
     std::vector<std::uint64_t> sessions;
@@ -191,7 +198,7 @@ class RtspFrontDoor {
     // Control bytes ride in the packet body as a string chunk; bytes-on-wire
     // charging already happened in TcpLite. Reassemble per connection, then
     // hand complete messages to the control task.
-    Connection& conn = conns_[peer];
+    Connection& conn = connection(peer);
     if (const auto* chunk =
             static_cast<const std::string*>(p.body.get())) {
       conn.buf.append(*chunk);
@@ -201,9 +208,38 @@ class RtspFrontDoor {
     }
   }
 
+  /// The connection of the client at `peer`, made on first use. A
+  /// connection of an earlier occupant of that port is closed first.
+  Connection& connection(int peer) {
+    const std::uint32_t key = hw::EthernetSwitch::index_of(peer);
+    auto it = conns_.find(key);
+    if (it != conns_.end() && it->second.peer != peer) {
+      close_connection(it);
+      it = conns_.end();
+    }
+    if (it == conns_.end()) {
+      it = conns_.emplace(key, Connection{}).first;
+      it->second.peer = peer;
+    }
+    return it->second;
+  }
+
+  /// A newer occupant holds `peer`'s port: that client and its connection
+  /// are gone.
+  [[nodiscard]] bool superseded(int peer) const {
+    const auto it = conns_.find(hw::EthernetSwitch::index_of(peer));
+    return it != conns_.end() && it->second.peer != peer;
+  }
+
   void on_conn_close(int peer) {
-    const auto it = conns_.find(peer);
-    if (it == conns_.end()) return;
+    // A FIN lands after every segment of its connection, and a newer
+    // occupant's segments after the FIN, so the entry is this connection or
+    // an earlier occupant's; either way it is over.
+    const auto it = conns_.find(hw::EthernetSwitch::index_of(peer));
+    if (it != conns_.end()) close_connection(it);
+  }
+
+  void close_connection(std::map<std::uint32_t, Connection>::iterator it) {
     // Close every session the connection owns — the client FIN'd without
     // TEARDOWN (or after it; then the list is already empty).
     const std::vector<std::uint64_t> owned = std::move(it->second.sessions);
@@ -213,7 +249,7 @@ class RtspFrontDoor {
         ++stats_.conn_closed;
       }
     }
-    conns_.erase(peer);
+    conns_.erase(it);
   }
 
   sim::Coro control_loop() {
@@ -224,10 +260,13 @@ class RtspFrontDoor {
           config_.request_cycles +
           config_.parse_cycles_per_byte *
               static_cast<std::int64_t>(p.text.size()));
+      // A newer client on the sender's port closed this one's connection
+      // while the request waited: there is no one left to answer.
+      if (superseded(p.peer)) continue;
       // Learn the response destination even from requests that won't parse:
       // the 400 still has to reach the client.
       if (const auto rp = find_reply_port(p.text)) {
-        conns_[p.peer].reply_port = *rp;
+        connection(p.peer).reply_port = *rp;
       }
       const auto req = parse_request(p.text);
       if (!req) {
@@ -305,7 +344,7 @@ class RtspFrontDoor {
     if (monitor_ != nullptr) {
       monitor_->add_stream({tid, s.stream}, req.tolerance);
     }
-    conns_[peer].sessions.push_back(sid);
+    connection(peer).sessions.push_back(sid);
     sessions_.emplace(sid, s);
     ++stats_.setups_ok;
     respond(peer, RtspResponse{.status = 200,
@@ -384,7 +423,7 @@ class RtspFrontDoor {
   }
 
   void respond(int peer, const RtspResponse& resp) {
-    Connection& conn = conns_[peer];
+    Connection& conn = connection(peer);
     if (conn.reply_port < 0) return;  // nowhere to answer; client is mute
     if (!conn.tx) {
       conn.tx = std::make_unique<net::TcpLiteSender>(
@@ -490,8 +529,8 @@ class RtspFrontDoor {
     // the closing client — they are churn cost, not a scheduling miss.
     if (monitor_ != nullptr) monitor_->retire({s.tenant, s.stream});
     service_.scheduler().purge_stream(s.stream);
-    auto cit = conns_.find(s.ctl_peer);
-    if (cit != conns_.end()) {
+    const auto cit = conns_.find(hw::EthernetSwitch::index_of(s.ctl_peer));
+    if (cit != conns_.end() && cit->second.peer == s.ctl_peer) {
       std::erase(cit->second.sessions, sid);
     }
     sessions_.erase(it);
@@ -539,7 +578,7 @@ class RtspFrontDoor {
   rtos::Task& ctl_task_;
   // std::map throughout: deterministic iteration order is what makes a
   // same-seed churn replay byte-identical.
-  std::map<int, Connection> conns_;
+  std::map<std::uint32_t, Connection> conns_;  // by client port index
   std::map<std::uint64_t, Session> sessions_;
   std::map<std::uint64_t, std::unique_ptr<PumpContext>> pumps_;
   std::vector<rtos::Task*> free_tasks_;

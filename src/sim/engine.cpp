@@ -15,15 +15,23 @@ std::ostream& operator<<(std::ostream& os, Time t) {
   return os << us / 1e6 << "s";
 }
 
+Engine::~Engine() {
+  // Captures may cancel events as they are destroyed. Empty the slab first,
+  // so every handle those destructors use finds no slot and does nothing.
+  heap_.clear();
+  const std::vector<Slot> dying = std::move(slots_);
+  slots_.clear();
+}
+
 void Engine::sift_up(std::size_t i) {
   const std::uint32_t moving = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!earlier(moving, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = moving;
+  place(i, moving);
 }
 
 void Engine::sift_down(std::size_t i) {
@@ -38,24 +46,31 @@ void Engine::sift_down(std::size_t i) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
     if (!earlier(heap_[best], moving)) break;
-    heap_[i] = heap_[best];
+    place(i, heap_[best]);
     i = best;
   }
-  heap_[i] = moving;
+  place(i, moving);
 }
 
-void Engine::pop_top() {
-  heap_[0] = heap_.back();
+void Engine::erase_at(std::size_t i) {
+  const std::uint32_t last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (i == heap_.size()) return;
+  heap_[i] = last;
+  if (i > 0 && earlier(last, heap_[(i - 1) / 4])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
 }
 
-void Engine::release(std::uint32_t slot) {
+InlineEvent Engine::release(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  s.fn.reset();
-  s.armed = false;
   ++s.gen;
+  erase_at(s.heap_pos);
+  InlineEvent fn = std::move(s.fn);
   free_.push_back(slot);
+  return fn;
 }
 
 EventHandle Engine::schedule_at(Time at, InlineEvent fn) {
@@ -82,31 +97,22 @@ EventHandle Engine::insert(Time at, std::uint64_t seq, InlineEvent fn) {
   s.at = at;
   s.seq = seq;
   s.fn = std::move(fn);
-  s.armed = true;
   heap_.push_back(slot);
   sift_up(heap_.size() - 1);
   return EventHandle{this, slot, s.gen};
 }
 
 bool Engine::step() {
-  while (!heap_.empty()) {
-    const std::uint32_t slot = heap_[0];
-    pop_top();
-    if (!slots_[slot].armed) {  // cancelled: recycle and keep looking
-      release(slot);
-      continue;
-    }
-    now_ = slots_[slot].at;
-    ++executed_;
-    // Move the callable out and free the slot *before* invoking: the
-    // callback may schedule new events (which may reuse this slot) or
-    // cancel through a stale handle (which the bumped generation defeats).
-    InlineEvent fn = std::move(slots_[slot].fn);
-    release(slot);
-    fn();
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const std::uint32_t slot = heap_[0];
+  now_ = slots_[slot].at;
+  ++executed_;
+  // Free the slot *before* invoking: the callback may schedule new events
+  // (which may reuse this slot) or cancel through a stale handle (which the
+  // bumped generation defeats).
+  InlineEvent fn = release(slot);
+  fn();
+  return true;
 }
 
 Time Engine::run() {
@@ -115,16 +121,7 @@ Time Engine::run() {
 }
 
 Time Engine::run_until(Time deadline) {
-  while (!heap_.empty()) {
-    const std::uint32_t slot = heap_[0];
-    if (!slots_[slot].armed) {
-      pop_top();
-      release(slot);
-      continue;
-    }
-    if (slots_[slot].at > deadline) break;
-    step();
-  }
+  while (!heap_.empty() && slots_[heap_[0]].at <= deadline) step();
   if (now_ < deadline) now_ = deadline;
   return now_;
 }

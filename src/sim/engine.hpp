@@ -12,6 +12,14 @@
 // allocates nothing at all: no std::function heap path, no shared_ptr
 // control block per event, no heap churn at 100k in-flight timers.
 //
+// Cancellation is eager: each slot records its place in the heap, so
+// cancel() takes the event out of the heap in O(log n) and frees its slot
+// at once. The slab and the heap therefore hold armed events only; a
+// transport that re-arms a retransmission timer on every ACK does not leave
+// a trail of dead entries waiting for their deadlines. Events run in
+// (time, sequence) order, a total order, so removing an entry early never
+// changes which event runs next.
+//
 // Tickets: a component whose future events already fire in the order they
 // were created (an Ethernet downlink delivers frames in send order, at
 // strictly increasing times) can keep them itself and hand the engine only
@@ -38,12 +46,14 @@ class Engine;
 /// Copyable and cheap: a (slot, generation) pair into the engine's slab. The
 /// generation check makes cancelling an already-fired or already-cancelled
 /// event a no-op even after the slot has been reused for a newer event.
-/// Handles must not be used after their Engine is destroyed.
+/// Handles must not be used after their Engine is destroyed, except that
+/// cancel() from a capture destroyed by ~Engine is a no-op.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  /// Prevent the event from firing. Safe to call at any point.
+  /// Prevent the event from firing and free its slot. Safe to call at any
+  /// point, including from the destructor of an event's own capture.
   inline void cancel();
   [[nodiscard]] inline bool pending() const;
 
@@ -76,6 +86,7 @@ class Engine {
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
+  ~Engine();
 
   [[nodiscard]] Time now() const { return now_; }
 
@@ -106,11 +117,13 @@ class Engine {
   /// Execute exactly one event, if any. Returns false when the queue is empty.
   bool step();
 
-  /// Number of queued entries (cancelled-but-unpopped entries included).
-  /// Events a component still holds behind a reserved ticket are not queued
-  /// here yet, so they are not counted.
+  /// Number of armed events: scheduled, neither fired nor cancelled. Events
+  /// a component still holds behind a reserved ticket are not queued here
+  /// yet, so they are not counted.
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
+  /// Slots in the slab: the most events ever armed at once. Never shrinks.
+  [[nodiscard]] std::size_t slab_size() const { return slots_.size(); }
 
  private:
   friend class EventHandle;
@@ -119,8 +132,8 @@ class Engine {
     Time at = Time::zero();
     std::uint64_t seq = 0;
     std::uint64_t gen = 0;  // bumped on release; stale handles see a mismatch
+    std::uint32_t heap_pos = 0;  // index in heap_ while armed
     InlineEvent fn;
-    bool armed = false;  // false = cancelled or fired; popped lazily
   };
 
   [[nodiscard]] bool earlier(std::uint32_t a, std::uint32_t b) const {
@@ -130,21 +143,25 @@ class Engine {
     return sa.seq < sb.seq;
   }
   EventHandle insert(Time at, std::uint64_t seq, InlineEvent fn);
+  void place(std::size_t i, std::uint32_t slot) {
+    heap_[i] = slot;
+    slots_[slot].heap_pos = static_cast<std::uint32_t>(i);
+  }
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void pop_top();
-  /// Return the slot to the free list; invalidates outstanding handles.
-  void release(std::uint32_t slot);
+  /// Remove the heap entry at `i`, keeping the heap ordered.
+  void erase_at(std::size_t i);
+  /// Unqueue an armed event and free its slot, invalidating its handles.
+  /// Returns the capture, for the caller to run or destroy once the engine
+  /// is consistent again.
+  InlineEvent release(std::uint32_t slot);
 
   void handle_cancel(std::uint32_t slot, std::uint64_t gen) {
-    if (slot < slots_.size() && slots_[slot].gen == gen) {
-      slots_[slot].armed = false;  // entry stays heaped, popped lazily
-    }
+    if (handle_pending(slot, gen)) release(slot);  // capture dies here
   }
   [[nodiscard]] bool handle_pending(std::uint32_t slot,
                                     std::uint64_t gen) const {
-    return slot < slots_.size() && slots_[slot].gen == gen &&
-           slots_[slot].armed;
+    return slot < slots_.size() && slots_[slot].gen == gen;
   }
 
   std::vector<Slot> slots_;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "apps/client.hpp"
 #include "apps/media_server.hpp"
 #include "dvcm/dwcs_extension.hpp"
@@ -156,6 +158,38 @@ TEST(RemoteVcm, ReliableVariantSurvivesLossyInterconnect) {
   EXPECT_GT(client.transport().retransmissions(), 0u);
   EXPECT_GT(ether.frames_lost(), 0u);
   EXPECT_EQ(port.dispatched(), kCount);
+}
+
+// --- Owner-safe teardown. Endpoints are heap-allocated so a use after free
+// is a sanitizer error, not a read of a dead stack slot.
+
+TEST(RemoteVcmTeardown, DestroyedClientDuringStackDelaySendsNothing) {
+  ClusterFixture f;
+  auto client = std::make_unique<RemoteVcmClient>(
+      f.eng, f.ether, f.cal.ethernet.stack_traversal);
+  client->invoke(f.remote_port.port(), kExtensionBase + 0x700, 1, nullptr);
+  client.reset();  // the instruction is still in the client's stack
+  f.eng.run_until(Time::ms(50));
+  EXPECT_EQ(f.remote_port.dispatched(), 0u);
+  EXPECT_EQ(f.remote_port.unknown_instructions(), 0u);
+}
+
+TEST(RemoteVcmTeardown, DestroyedPortDropsTheInstructionInItsStack) {
+  ClusterFixture f;
+  auto port = std::make_unique<RemoteVcmPort>(
+      f.sched_node.runtime(), f.ether, f.cal.ethernet.stack_traversal);
+  const int dead = port->port();
+  f.remote_client.invoke(dead, kExtensionBase + 0x700, 1, nullptr);
+  // The sender's 555 us stack, then ~20 us on the wire: by now the
+  // instruction has landed and waits out the port's own stack delay.
+  f.eng.run_until(f.cal.ethernet.stack_traversal + Time::us(100));
+  ASSERT_EQ(f.ether.frames_in_flight(), 0u);
+  port.reset();
+  f.eng.run_until(Time::ms(50));
+  EXPECT_EQ(f.remote_port.dispatched(), 0u);
+  f.remote_client.invoke(dead, kExtensionBase + 0x700, 2, nullptr);
+  f.eng.run_until(Time::ms(100));
+  EXPECT_EQ(f.ether.frames_to_detached(), 1u);
 }
 
 }  // namespace

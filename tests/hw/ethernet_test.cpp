@@ -245,5 +245,95 @@ TEST(Ethernet, DetachedPortDropsQueuedAndLaterFrames) {
   EXPECT_EQ(f.eng.events_executed(), 4u);
 }
 
+// --- Port recycling.
+
+TEST(EthernetRecycle, DetachedPortIsReusedOnceItsDownlinkDrains) {
+  Fixture f;
+  f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = 1});
+  f.sw.detach(f.b);  // one frame still queued for b
+  const int c = f.sw.add_port([](const EthFrame&) {});
+  EXPECT_NE(EthernetSwitch::index_of(c), EthernetSwitch::index_of(f.b));
+  EXPECT_EQ(f.sw.port_table_size(), 3u);
+  f.eng.run();  // the queued frame lands on the detached port and is dropped
+  EXPECT_EQ(f.sw.frames_to_detached(), 1u);
+  const int d = f.sw.add_port([](const EthFrame&) {});
+  EXPECT_EQ(EthernetSwitch::index_of(d), EthernetSwitch::index_of(f.b));
+  EXPECT_EQ(EthernetSwitch::generation_of(d), 1u);
+  EXPECT_NE(d, f.b);
+  EXPECT_TRUE(f.sw.attached(d));
+  EXPECT_FALSE(f.sw.attached(f.b));
+  EXPECT_EQ(f.sw.port_table_size(), 3u);
+}
+
+TEST(EthernetRecycle, FrameToAnOldGenerationNeverReachesTheNewOccupant) {
+  Fixture f;
+  f.sw.detach(f.b);
+  std::vector<std::uint64_t> got;
+  const int c =
+      f.sw.add_port([&got](const EthFrame& fr) { got.push_back(fr.tag); });
+  ASSERT_EQ(EthernetSwitch::index_of(c), EthernetSwitch::index_of(f.b));
+  f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = 1});  // the old address
+  f.sw.send(f.a, c, EthFrame{.bytes = 1000, .tag = 2});
+  f.eng.run();
+  EXPECT_EQ(got, std::vector<std::uint64_t>{2});
+  EXPECT_TRUE(f.rx_b.empty());
+  EXPECT_EQ(f.sw.frames_to_detached(), 1u);
+}
+
+TEST(EthernetRecycle, QueuedFrameOfTheOldOccupantIsDroppedAfterReuse) {
+  // b detaches with a frame queued; the port is reused only after that
+  // frame lands, so the drop happens before the new occupant can see it.
+  Fixture f;
+  f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = 1});
+  f.sw.detach(f.b);
+  f.eng.run();
+  std::uint64_t got = 0;
+  const int c = f.sw.add_port([&got](const EthFrame&) { ++got; });
+  ASSERT_EQ(EthernetSwitch::index_of(c), EthernetSwitch::index_of(f.b));
+  f.eng.run();
+  EXPECT_EQ(got, 0u);
+  EXPECT_TRUE(f.rx_b.empty());
+  EXPECT_EQ(f.sw.frames_to_detached(), 1u);
+}
+
+TEST(EthernetRecycle, RecycledPortStartsWithFreshLinkTimes) {
+  Fixture f;
+  // b fills its uplink for ~8 ms, then goes away; its port drains at once.
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    f.sw.send(f.b, f.a, EthFrame{.bytes = 1000, .tag = i});
+  }
+  f.sw.detach(f.b);
+  const int c = f.sw.add_port([](const EthFrame&) {});
+  ASSERT_EQ(EthernetSwitch::index_of(c), EthernetSwitch::index_of(f.b));
+  std::vector<sim::Time> got;
+  const int d = f.sw.add_port(
+      [&got, &f](const EthFrame&) { got.push_back(f.eng.now()); });
+  f.sw.send(c, d, EthFrame{.bytes = 1000});
+  f.eng.run();
+  const sim::Time w = f.sw.wire_time(1000);
+  EXPECT_EQ(got, (std::vector<sim::Time>{w + f.sw.params().switch_latency + w}));
+}
+
+TEST(EthernetRecycle, PortIsRetiredWhenItsGenerationsRunOut) {
+  // An address holds 31 - kIndexBits generation bits, so the port's last
+  // occupant is generation 2^(31 - kIndexBits) - 1; after it the port is
+  // never handed out again, and no address can ever name two occupants.
+  sim::Engine eng;
+  EthernetSwitch sw{eng};
+  constexpr std::uint32_t kGenerations = 1u
+                                         << (31 - EthernetSwitch::kIndexBits);
+  int port = -1;
+  for (std::uint32_t g = 0; g < kGenerations; ++g) {
+    port = sw.add_port([](const EthFrame&) {});
+    ASSERT_EQ(EthernetSwitch::index_of(port), 0u);
+    ASSERT_EQ(EthernetSwitch::generation_of(port), g);
+    sw.detach(port);
+  }
+  EXPECT_GT(port, 0);  // the last address is still a non-negative int
+  const int next = sw.add_port([](const EthFrame&) {});
+  EXPECT_EQ(EthernetSwitch::index_of(next), 1u);
+  EXPECT_EQ(sw.port_table_size(), 2u);
+}
+
 }  // namespace
 }  // namespace nistream::hw

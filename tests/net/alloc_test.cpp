@@ -1,7 +1,8 @@
 // Allocation audit for the control-plane substrate. Idle mailboxes, TcpLite
-// senders and receivers own no heap memory; a retransmitted segment reuses
-// the body of its first transmission; a busy downlink reuses its queue
-// nodes. Same counting-operator-new shim (counting_new.hpp) as the datapath
+// senders and receivers own no heap memory; a steady exchange allocates one
+// body per data segment sent and nothing per ACK; a retransmitted segment
+// reuses the body of its first transmission; a busy downlink reuses its
+// queue nodes. Same counting-operator-new shim (counting_new.hpp) as the datapath
 // audit in tests/path/alloc_free_test.cpp.
 //
 // Under ASan/TSan the sanitizer owns the allocator, so the counts read 0 and
@@ -84,6 +85,36 @@ TEST(TcpLiteAllocFree, RetransmissionsReuseTheFirstTransmissionsSegment) {
   EXPECT_EQ(arrivals, 9u);
   EXPECT_EQ(test::heap_allocs() - before, 0u)
       << "a retransmission allocated";
+}
+
+TEST(TcpLiteAllocFree, SteadyExchangeAllocatesPerSegmentNeverPerAck) {
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  std::uint64_t delivered = 0;
+  TcpLiteReceiver rx{eng, ether, Time::us(50),
+                     TcpLiteReceiver::Deliver{
+                         [&](const Packet&, Time) { ++delivered; }}};
+  TcpLiteSender tx{eng, ether, Time::us(50), rx.port(),
+                   TcpLiteSender::Params{.window = 8}};
+  constexpr std::uint64_t kSegments = 64;
+  const auto exchange = [&] {
+    for (std::uint64_t i = 0; i < kSegments; ++i) {
+      tx.send(Packet{.seq = i, .bytes = 500});
+    }
+    eng.run();  // every segment ACKed, the timer stopped
+  };
+  exchange();  // warm-up: the slab, the node pool, the queue, the peer entry
+  ASSERT_EQ(delivered, kSegments);
+
+  const std::uint64_t before = test::heap_allocs();
+  exchange();
+  EXPECT_EQ(delivered, 2 * kSegments);
+  EXPECT_EQ(tx.acked(), 2 * kSegments);
+  EXPECT_EQ(tx.retransmissions(), 0u);
+  // One segment body per send(); the receiver sent one ACK per segment.
+  EXPECT_EQ(test::heap_allocs() - before,
+            NISTREAM_COUNTING_NEW ? kSegments : 0u)
+      << "an ACK allocated";
 }
 
 TEST(EthernetAllocFree, BusyPortReusesItsQueueNodes) {

@@ -25,13 +25,14 @@ hw::EthernetParams lossy(double rate, std::uint64_t seed = 7) {
   return p;
 }
 
-/// Hand-crafted cumulative ACK, as a peer's receiver would send it.
+/// Hand-crafted cumulative ACK, as a peer's receiver would send it: the
+/// number rides in the frame tag.
 void send_ack(hw::EthernetSwitch& ether, int from, int to,
               std::uint64_t next_expected) {
   auto ack = std::make_shared<TcpLiteSegment>();
   ack->is_ack = true;
-  ack->seq = next_expected;
-  ether.send(from, to, hw::EthFrame{.bytes = 40, .payload = std::move(ack)});
+  ether.send(from, to, hw::EthFrame{.bytes = 40, .tag = next_expected,
+                                    .payload = std::move(ack)});
 }
 
 std::uint64_t seq_of(const hw::EthFrame& f) {
@@ -214,7 +215,7 @@ TEST(TcpLiteTeardown, RetransmittedFinAfterCloseIsReackedOnce) {
   std::vector<std::uint64_t> acks;
   const int raw = ether.add_port([&](const hw::EthFrame& f) {
     auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
-    if (seg && seg->is_ack) acks.push_back(seg->seq);
+    if (seg && seg->is_ack) acks.push_back(f.tag);  // the ACK number
   });
   auto inject_fin = [&] {
     auto seg = std::make_shared<TcpLiteSegment>();
@@ -266,21 +267,19 @@ TEST(TcpLiteTeardown, SenderGivesUpAfterMaxRetxRounds) {
   // of pinning a retransmission timer forever.
   Link link{lossy(1.0, 9),
             TcpLiteSender::Params{.window = 4, .max_retx_rounds = 3}};
-  std::vector<Time> aborts;
-  link.tx.set_on_abort([&](Time at) { aborts.push_back(at); });
   link.tx.send(Packet{.seq = 0, .bytes = 300});
   link.tx.send(Packet{.seq = 1, .bytes = 300});
   link.tx.close();
+  // 3 allowed rounds at 1, 3 and 7 s, then the backed-off 8 s timer trips
+  // the bound.
+  link.eng.run_until(Time::sec(15) - Time::ns(1));
+  EXPECT_FALSE(link.tx.aborted());
   const Time done = link.eng.run();  // terminates: the abort stops the timer
   EXPECT_TRUE(link.tx.aborted());
   EXPECT_FALSE(link.tx.fin_acked());
   EXPECT_TRUE(link.tx.idle());  // queue dropped
   EXPECT_EQ(link.tx.acked(), 0u);
   EXPECT_EQ(link.tx.retransmissions(), 3u * 3u);  // 3 rounds x 3 segments
-  ASSERT_EQ(aborts.size(), 1u);
-  // 3 allowed rounds at 1, 3 and 7 s, then the backed-off 8 s timer trips
-  // the bound.
-  EXPECT_EQ(aborts[0], Time::sec(15));
   EXPECT_EQ(done, Time::sec(15));
   EXPECT_TRUE(link.delivered.empty());
 }
@@ -400,6 +399,75 @@ TEST(TcpLiteTeardown, DestroyedReceiverDuringStackDelayNeitherDeliversNorAcks) {
   EXPECT_EQ(tx.acked(), 0u);
 }
 
+// --- Recycled ports.
+
+TEST(TcpLiteRecycle, NewSenderOnARecycledPortGetsAFreshSequenceSpace) {
+  // a sends five segments and FINs; b then takes a's port. Without a fresh
+  // sequence space b's segments 0..2 would read as duplicates of a's, and
+  // a's FIN would keep the peer closed.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  std::vector<std::pair<int, std::uint64_t>> got;
+  TcpLiteReceiver rx{eng, ether, Time::us(50),
+                     [&](const Packet& p, int peer, Time) {
+                       got.emplace_back(peer, p.seq);
+                     }};
+  auto a = std::make_unique<TcpLiteSender>(eng, ether, Time::us(50),
+                                           rx.port());
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    a->send(Packet{.seq = 100 + i, .bytes = 300});
+  }
+  a->close();
+  eng.run();
+  ASSERT_TRUE(a->fin_acked());
+  const int old_port = a->port();
+  EXPECT_TRUE(rx.peer_closed(old_port));
+  a.reset();
+
+  TcpLiteSender b{eng, ether, Time::us(50), rx.port()};
+  ASSERT_EQ(hw::EthernetSwitch::index_of(b.port()),
+            hw::EthernetSwitch::index_of(old_port));
+  ASSERT_NE(b.port(), old_port);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    b.send(Packet{.seq = 200 + i, .bytes = 300});
+  }
+  eng.run();
+  EXPECT_EQ(b.acked(), 3u);
+  EXPECT_EQ(b.retransmissions(), 0u);
+  EXPECT_EQ(rx.discarded_out_of_order(), 0u);
+  EXPECT_EQ(rx.peer_count(), 1u);  // one port, one sequence space
+  EXPECT_FALSE(rx.peer_closed(b.port()));
+  EXPECT_FALSE(rx.peer_closed(old_port));  // that occupant's state is gone
+  const std::vector<std::pair<int, std::uint64_t>> expect{
+      {old_port, 100}, {old_port, 101}, {old_port, 102}, {old_port, 103},
+      {old_port, 104}, {b.port(), 200},  {b.port(), 201},  {b.port(), 202}};
+  EXPECT_EQ(got, expect);
+}
+
+TEST(TcpLiteRecycle, AckForTheOldOccupantNeverReachesTheNewSender) {
+  // a's segment is in the receiver's stack when a goes away and b takes the
+  // port; the ACK to a's address is dropped, and b's sequence space is
+  // untouched by it.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  TcpLiteReceiver rx{eng, ether, Time::us(500),
+                     TcpLiteReceiver::Deliver{[](const Packet&, Time) {}}};
+  auto a = std::make_unique<TcpLiteSender>(eng, ether, Time::us(50),
+                                           rx.port());
+  a->send(Packet{.seq = 0, .bytes = 300});
+  eng.run_until(Time::us(300));  // landed, waiting out the 500 us stack
+  ASSERT_EQ(ether.frames_in_flight(), 0u);
+  const int old_port = a->port();
+  a.reset();
+  TcpLiteSender b{eng, ether, Time::us(50), rx.port()};
+  ASSERT_EQ(hw::EthernetSwitch::index_of(b.port()),
+            hw::EthernetSwitch::index_of(old_port));
+  eng.run_until(Time::ms(5));
+  EXPECT_EQ(ether.frames_to_detached(), 1u);  // the ACK to a
+  EXPECT_EQ(b.acked(), 0u);
+  EXPECT_TRUE(b.idle());
+}
+
 // --- The RFC 6298 retransmission timer.
 
 TEST(TcpLiteRto, EstimatorFollowsRfc6298) {
@@ -490,10 +558,10 @@ TEST(TcpLiteRto, SilentPeerSeesExponentialBackoffToTheCap) {
       [&](const hw::EthFrame&) { arrivals.push_back(eng.now()); });
   TcpLiteSender tx{eng, ether, Time::us(50), sink,
                    TcpLiteSender::Params{.window = 8, .max_retx_rounds = 8}};
-  std::vector<Time> aborts;
-  tx.set_on_abort([&](Time at) { aborts.push_back(at); });
   tx.send(Packet{.seq = 0, .bytes = 300});
-  eng.run();
+  eng.run_until(Time::sec(243) - Time::ns(1));
+  EXPECT_FALSE(tx.aborted());
+  EXPECT_EQ(eng.run(), Time::sec(243));  // the ninth timeout gives up
   ASSERT_EQ(arrivals.size(), 9u);
   const double resend_s[] = {1, 3, 7, 15, 31, 63, 123, 183};
   for (std::size_t k = 0; k < 8; ++k) {
@@ -501,7 +569,6 @@ TEST(TcpLiteRto, SilentPeerSeesExponentialBackoffToTheCap) {
         << "resend " << k;
   }
   EXPECT_EQ(tx.retransmissions(), 8u);
-  EXPECT_EQ(aborts, std::vector<Time>{Time::sec(243)});
   EXPECT_TRUE(tx.aborted());
 }
 

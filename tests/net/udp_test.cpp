@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace nistream::net {
 namespace {
 
@@ -79,6 +81,34 @@ TEST(Udp, ForeignFramesIgnored) {
   f.eng.run();
   EXPECT_TRUE(f.received.empty());
   EXPECT_EQ(f.rx.packets_received(), 0u);
+}
+
+TEST(UdpTeardown, DestroyedEndpointDropsItsDatagramsAndFreesItsPort) {
+  // One datagram waits out the receiver's 500 us stack, one is still on the
+  // wire, when the receiver is destroyed. Under ASan neither touches freed
+  // memory; once the wire is clear the port goes to the next device.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  int received = 0;
+  auto rx = std::make_unique<UdpEndpoint>(
+      eng, ether, Time::us(500),
+      [&received](const Packet&, Time) { ++received; });
+  UdpEndpoint tx{eng, ether, Time::us(50), UdpEndpoint::Receiver{}};
+  const int dead = rx->port();
+  tx.send(dead, Packet{.seq = 0, .bytes = 1000});
+  eng.schedule_at(Time::us(200),
+                  [&] { tx.send(dead, Packet{.seq = 1, .bytes = 1000}); });
+  eng.run_until(Time::us(350));
+  ASSERT_EQ(ether.frames_in_flight(), 1u);  // the second, on the wire
+  ASSERT_EQ(eng.pending_events(), 2u);      // it, and the first's stack delay
+  rx.reset();
+  eng.run();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(ether.frames_to_detached(), 1u);
+  const int next = ether.add_port([](const hw::EthFrame&) {});
+  EXPECT_EQ(hw::EthernetSwitch::index_of(next),
+            hw::EthernetSwitch::index_of(dead));
+  EXPECT_NE(next, dead);
 }
 
 }  // namespace

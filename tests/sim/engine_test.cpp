@@ -5,10 +5,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace nistream::sim {
 namespace {
+
+/// An event capture member that cancels `victim` when it is destroyed.
+struct CancelOnDestroy {
+  EventHandle* victim;
+  explicit CancelOnDestroy(EventHandle* v) : victim{v} {}
+  CancelOnDestroy(CancelOnDestroy&& o) noexcept
+      : victim{std::exchange(o.victim, nullptr)} {}
+  CancelOnDestroy(const CancelOnDestroy&) = delete;
+  CancelOnDestroy& operator=(const CancelOnDestroy&) = delete;
+  CancelOnDestroy& operator=(CancelOnDestroy&&) = delete;
+  ~CancelOnDestroy() {
+    if (victim != nullptr) victim->cancel();
+  }
+};
 
 TEST(Time, Constructors) {
   EXPECT_EQ(Time::us(1).raw_ns(), 1000);
@@ -84,6 +99,74 @@ TEST(Engine, CancelPreventsExecution) {
   EXPECT_FALSE(h.pending());
   eng.run();
   EXPECT_FALSE(fired);
+}
+
+TEST(Engine, CancelFreesTheSlotAtOnce) {
+  Engine eng;
+  bool fired = false;
+  EventHandle h = eng.schedule_at(Time::us(10), [&] { fired = true; });
+  eng.schedule_at(Time::us(20), [] {});
+  eng.schedule_at(Time::us(30), [] {});
+  EXPECT_EQ(eng.pending_events(), 3u);
+  h.cancel();
+  EXPECT_EQ(eng.pending_events(), 2u);  // gone now, not at its deadline
+  h.cancel();                           // a second cancel is a no-op
+  EXPECT_EQ(eng.pending_events(), 2u);
+  eng.schedule_at(Time::us(40), [] {});
+  EXPECT_EQ(eng.slab_size(), 3u);  // the new event took the freed slot
+  eng.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(eng.events_executed(), 3u);
+  EXPECT_EQ(eng.now(), Time::us(40));
+}
+
+TEST(Engine, CancelFromACapturesDestructorFreesBothSlots) {
+  // a's capture cancels b, and a itself, as it is destroyed.
+  Engine eng;
+  std::vector<int> order;
+  EventHandle a;
+  EventHandle b = eng.schedule_at(Time::us(20), [&] { order.push_back(2); });
+  eng.schedule_at(Time::us(30), [&] { order.push_back(3); });
+  a = eng.schedule_at(Time::us(10),
+                      [&order, cb = CancelOnDestroy{&b},
+                       ca = CancelOnDestroy{&a}] { order.push_back(1); });
+  ASSERT_EQ(eng.pending_events(), 3u);
+  a.cancel();
+  EXPECT_EQ(eng.pending_events(), 1u);
+  EXPECT_FALSE(a.pending());
+  EXPECT_FALSE(b.pending());
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{3}));
+}
+
+TEST(Engine, FiredEventsCaptureMayCancelAnother) {
+  // The capture outlives the call and dies after it, cancelling b.
+  Engine eng;
+  std::vector<int> order;
+  EventHandle b = eng.schedule_at(Time::us(20), [&] { order.push_back(2); });
+  eng.schedule_at(Time::us(30), [&] { order.push_back(3); });
+  eng.schedule_at(Time::us(10), [&order, cb = CancelOnDestroy{&b}] {
+    order.push_back(1);
+  });
+  EXPECT_TRUE(eng.step());
+  EXPECT_EQ(eng.pending_events(), 1u);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+}
+
+TEST(Engine, DestroyedWithCancellingCapturesStaysSafe) {
+  // Each capture cancels the next event as ~Engine destroys it; those
+  // cancels find nothing to do. Under ASan nothing touches freed memory.
+  std::vector<EventHandle> handles(4);
+  {
+    Engine eng;
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      handles[i] = eng.schedule_at(
+          Time::us(static_cast<double>(i + 1)),
+          [next = CancelOnDestroy{&handles[(i + 1) % handles.size()]}] {});
+    }
+    EXPECT_EQ(eng.pending_events(), handles.size());
+  }
 }
 
 TEST(Engine, CancelAfterFireIsNoop) {
@@ -213,12 +296,15 @@ TEST(EngineProperty, TicketsMatchDirectScheduling) {
 
 // Property: against a brute-force reference model, random schedule/cancel
 // sequences execute exactly the non-cancelled events in (time, insertion)
-// order.
+// order. Events are cancelled both before the run and by other events while
+// it runs, so cancelled entries leave the heap from every position.
 TEST(EngineProperty, MatchesReferenceModel) {
   struct Ref {
     std::int64_t at_us;
     std::uint64_t seq;
     bool cancelled = false;
+    std::size_t victim = 0;  // the event this one cancels when it fires
+    bool cancels = false;
   };
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     Engine eng;
@@ -230,29 +316,43 @@ TEST(EngineProperty, MatchesReferenceModel) {
       lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
       return (lcg >> 33) % n;
     };
-    for (std::uint64_t i = 0; i < 500; ++i) {
+    constexpr std::uint64_t kEvents = 500;
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
       const auto at = static_cast<std::int64_t>(rnd(1000));
-      ref.push_back(Ref{at, i});
+      Ref r{at, i};
+      r.cancels = rnd(3) == 0;
+      r.victim = rnd(kEvents);  // may be itself, or an event already fired
+      ref.push_back(r);
       handles.push_back(eng.schedule_at(
-          Time::us(static_cast<double>(at)), [&fired, i] { fired.push_back(i); }));
-      if (rnd(5) == 0 && !handles.empty()) {
+          Time::us(static_cast<double>(at)),
+          [&fired, &handles, i, victim = r.victim, cancels = r.cancels] {
+            fired.push_back(i);
+            if (cancels) handles[victim].cancel();
+          }));
+      if (rnd(5) == 0) {
         const auto victim = rnd(handles.size());
         handles[victim].cancel();
         ref[victim].cancelled = true;
       }
     }
     eng.run();
+    std::vector<std::size_t> order(ref.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&ref](std::size_t a, std::size_t b) {
+                       if (ref[a].at_us != ref[b].at_us) {
+                         return ref[a].at_us < ref[b].at_us;
+                       }
+                       return ref[a].seq < ref[b].seq;
+                     });
     std::vector<std::uint64_t> expect;
-    std::vector<const Ref*> live;
-    for (const auto& r : ref) {
-      if (!r.cancelled) live.push_back(&r);
+    for (const std::size_t i : order) {
+      if (ref[i].cancelled) continue;
+      expect.push_back(ref[i].seq);
+      if (ref[i].cancels) ref[ref[i].victim].cancelled = true;
     }
-    std::stable_sort(live.begin(), live.end(), [](const Ref* a, const Ref* b) {
-      if (a->at_us != b->at_us) return a->at_us < b->at_us;
-      return a->seq < b->seq;
-    });
-    for (const auto* r : live) expect.push_back(r->seq);
     ASSERT_EQ(fired, expect) << "seed " << seed;
+    EXPECT_EQ(eng.pending_events(), 0u);
   }
 }
 
