@@ -41,8 +41,18 @@
 //    landed first, because a downlink delivers in send order. The peer table
 //    is bounded by ports, not by connections ever made.
 //
-// ACKs allocate nothing: an ACK carries its number in EthFrame::tag and
-// points at one shared immutable ACK segment.
+// Peer storage follows the two shapes a receiver takes. Most receivers hear
+// one peer (a client's response receiver hears the front door's sender for
+// its connection), so the first peer to speak gets a slot inside the
+// receiver. A service port hears many: every later peer gets the entry of
+// its port index in a vector, grown in one step to the switch's port table
+// whenever an index past its end speaks. Neither allocates per peer, and
+// nothing iterates the peers, so the layout cannot move an output.
+//
+// Nothing allocates per segment: an ACK carries its number in EthFrame::tag
+// and points at one shared immutable ACK segment, and a data or FIN segment
+// is a packet box from net::detail::PacketBoxPool, recycled once it is
+// acknowledged and its last transmission has landed.
 #pragma once
 
 #include <algorithm>
@@ -50,10 +60,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "hw/ethernet.hpp"
+#include "net/packet_pool.hpp"
 #include "net/udp.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
@@ -102,10 +113,13 @@ class TcpLiteReceiver {
                                                   sim::Time at) { d(p, at); }}
                                 : DeliverFrom{}} {}
 
-  TcpLiteReceiver(sim::Engine& engine, hw::EthernetSwitch& ether,
-                  sim::Time stack_cost, DeliverFrom deliver)
-      : engine_{engine}, ether_{ether}, stack_cost_{stack_cost},
-        deliver_{std::move(deliver)} {
+  /// `engine` must be the switch's own; the receiver reaches it through
+  /// the switch.
+  TcpLiteReceiver([[maybe_unused]] sim::Engine& engine,
+                  hw::EthernetSwitch& ether, sim::Time stack_cost,
+                  DeliverFrom deliver)
+      : ether_{ether}, stack_cost_{stack_cost}, deliver_{std::move(deliver)} {
+    assert(&engine == &ether.engine());
     port_ = ether.add_port([this](const hw::EthFrame& f) { on_frame(f); });
   }
 
@@ -117,18 +131,19 @@ class TcpLiteReceiver {
   void set_on_peer_close(PeerClose cb) { on_peer_close_ = std::move(cb); }
 
   [[nodiscard]] int port() const { return port_; }
+  [[nodiscard]] hw::EthernetSwitch& ether() const { return ether_; }
   /// Total in-order data deliveries across all peers (FINs not counted).
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t discarded_out_of_order() const {
     return discarded_;
   }
-  /// Sending ports with a sequence space here: at most one per port index.
-  [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
+  /// Port indices that have had a sequence space here: one per index,
+  /// whichever occupant of the port spoke last.
+  [[nodiscard]] std::size_t peer_count() const { return peer_count_; }
   [[nodiscard]] std::uint64_t peers_closed() const { return peers_closed_; }
   [[nodiscard]] bool peer_closed(int peer_port) const {
-    const auto it = peers_.find(hw::EthernetSwitch::index_of(peer_port));
-    return it != peers_.end() && it->second.port == peer_port &&
-           it->second.closed;
+    const Peer* peer = find(hw::EthernetSwitch::index_of(peer_port));
+    return peer != nullptr && peer->port == peer_port && peer->closed;
   }
 
  private:
@@ -136,27 +151,52 @@ class TcpLiteReceiver {
 
   struct Peer {
     std::uint64_t next_expected = 0;
-    int port = -1;  // the occupant this sequence space belongs to
+    int port = -1;  // the occupant this sequence space belongs to; -1: none
     bool closed = false;
   };
+
+  /// The sequence space of port index `i`, or nullptr if it never spoke.
+  [[nodiscard]] const Peer* find(std::uint32_t i) const {
+    if (first_.port >= 0 && hw::EthernetSwitch::index_of(first_.port) == i) {
+      return &first_;
+    }
+    return i < peers_.size() && peers_[i].port >= 0 ? &peers_[i] : nullptr;
+  }
+
+  /// The sequence space of the occupant at `port`, made on first use: the
+  /// inline slot for the first index to speak, the index's vector entry for
+  /// any other. A newer occupant of a port starts a fresh space.
+  Peer& peer_for(int port) {
+    const std::uint32_t i = hw::EthernetSwitch::index_of(port);
+    Peer* peer = &first_;
+    if (first_.port >= 0 && hw::EthernetSwitch::index_of(first_.port) != i) {
+      if (i >= peers_.size()) peers_.resize(ether_.port_table_size());
+      peer = &peers_[i];
+    }
+    if (peer->port != port) {
+      if (peer->port < 0) ++peer_count_;
+      *peer = Peer{.port = port};
+    }
+    return *peer;
+  }
 
   void on_frame(const hw::EthFrame& f) {
     auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
     if (!seg || seg->is_ack) return;
     const int reply_to = f.src_port;
-    detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
-                                    [this, seg, reply_to] {
-      Peer& peer = peers_[hw::EthernetSwitch::index_of(reply_to)];
-      if (peer.port != reply_to) peer = Peer{.port = reply_to};
+    detail::schedule_while_attached(ether_.engine(), ether_, port_,
+                                    stack_cost_, [this, seg, reply_to] {
+      Peer& peer = peer_for(reply_to);
       if (seg->seq == peer.next_expected && !peer.closed) {
         ++peer.next_expected;
+        const sim::Time now = ether_.engine().now();
         if (seg->is_fin) {
           peer.closed = true;
           ++peers_closed_;
-          if (on_peer_close_) on_peer_close_(reply_to, engine_.now());
+          if (on_peer_close_) on_peer_close_(reply_to, now);
         } else {
           ++delivered_;
-          if (deliver_) deliver_(seg->payload, reply_to, engine_.now());
+          if (deliver_) deliver_(seg->payload, reply_to, now);
         }
       } else if (seg->seq >= peer.next_expected) {
         // Go-back-N: out-of-order segments are not buffered. This covers the
@@ -173,13 +213,14 @@ class TcpLiteReceiver {
     });
   }
 
-  sim::Engine& engine_;
   hw::EthernetSwitch& ether_;
   sim::Time stack_cost_;
   DeliverFrom deliver_;
   PeerClose on_peer_close_;
   int port_ = -1;
-  std::map<std::uint32_t, Peer> peers_;  // sequence spaces by port index
+  std::uint32_t peer_count_ = 0;
+  Peer first_;               // the first port index to speak
+  std::vector<Peer> peers_;  // every other index's, by port index
   std::uint64_t delivered_ = 0;
   std::uint64_t discarded_ = 0;
   std::uint64_t peers_closed_ = 0;
@@ -227,7 +268,7 @@ class RttEstimator {
 };
 
 struct TcpLiteSenderParams {
-  std::size_t window = 8;  // segments in flight
+  std::uint32_t window = 8;  // segments in flight
   /// Consecutive timeout rounds without ACK progress before the sender
   /// gives up (drops its queue and stops its timer). 0 = retry forever,
   /// the historical behavior; services talking to clients that may vanish
@@ -241,10 +282,14 @@ class TcpLiteSender {
  public:
   using Params = TcpLiteSenderParams;
 
-  TcpLiteSender(sim::Engine& engine, hw::EthernetSwitch& ether,
-                sim::Time stack_cost, int dst_port, Params params = Params{})
-      : engine_{engine}, ether_{ether}, stack_cost_{stack_cost},
-        dst_port_{dst_port}, params_{params} {
+  /// `engine` must be the switch's own; the sender reaches it through the
+  /// switch.
+  TcpLiteSender([[maybe_unused]] sim::Engine& engine,
+                hw::EthernetSwitch& ether, sim::Time stack_cost, int dst_port,
+                Params params = Params{})
+      : ether_{ether}, stack_cost_{stack_cost}, dst_port_{dst_port},
+        params_{params} {
+    assert(&engine == &ether.engine());
     port_ = ether.add_port([this](const hw::EthFrame& f) { on_frame(f); });
   }
 
@@ -262,8 +307,8 @@ class TcpLiteSender {
   std::uint64_t send(Packet p) {
     assert(!closing_ && "TcpLiteSender::send after close()");
     const std::uint64_t seq = next_seq_++;
-    queue_.push_back(std::make_shared<const TcpLiteSegment>(
-        TcpLiteSegment{.seq = seq, .payload = std::move(p)}));
+    queue_.push_back(
+        make_segment(TcpLiteSegment{.seq = seq, .payload = std::move(p)}));
     pump();
     return seq;
   }
@@ -272,8 +317,8 @@ class TcpLiteSender {
   bool close() {
     if (closing_) return false;
     closing_ = true;
-    queue_.push_back(std::make_shared<const TcpLiteSegment>(
-        TcpLiteSegment{.is_fin = true, .seq = next_seq_++}));
+    queue_.push_back(
+        make_segment(TcpLiteSegment{.is_fin = true, .seq = next_seq_++}));
     pump();
     return true;
   }
@@ -299,6 +344,12 @@ class TcpLiteSender {
 
   static constexpr std::uint32_t kFinBytes = 40;
 
+  /// A segment and its control block, in one pooled packet box.
+  static Segment make_segment(TcpLiteSegment seg) {
+    return std::allocate_shared<TcpLiteSegment>(
+        detail::PacketBoxAllocator<TcpLiteSegment>{}, std::move(seg));
+  }
+
   void pump() {
     if (aborted_) return;
     // Transmit every queued segment inside the window.
@@ -308,7 +359,7 @@ class TcpLiteSender {
       if (!timing_) {  // time one first transmission at a time
         timing_ = true;
         timed_seq_ = seg->seq;
-        timed_at_ = engine_.now();
+        timed_at_ = ether_.engine().now();
       }
       transmit(seg);
       inflight_hi_ = seg->seq + 1;
@@ -317,8 +368,8 @@ class TcpLiteSender {
   }
 
   void transmit(const Segment& seg) {
-    detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
-                                    [this, seg] {
+    detail::schedule_while_attached(ether_.engine(), ether_, port_,
+                                    stack_cost_, [this, seg] {
       const std::uint32_t bytes =
           seg->is_fin ? kFinBytes
                       : seg->payload.bytes + UdpEndpoint::kUdpIpHeaderBytes + 12;
@@ -331,14 +382,14 @@ class TcpLiteSender {
   void on_frame(const hw::EthFrame& f) {
     const auto* seg = static_cast<const TcpLiteSegment*>(f.payload.get());
     if (seg == nullptr || !seg->is_ack) return;
-    detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
-                                    [this, ack = f.tag] {
+    detail::schedule_while_attached(ether_.engine(), ether_, port_,
+                                    stack_cost_, [this, ack = f.tag] {
       if (aborted_ || ack <= base_) return;  // stale
       while (!queue_.empty() && queue_.front()->seq < ack) queue_.pop_front();
       base_ = ack;
       retx_rounds_ = 0;  // progress resets the give-up counter
       if (timing_ && ack > timed_seq_) {
-        rtt_.sample(engine_.now() - timed_at_);
+        rtt_.sample(ether_.engine().now() - timed_at_);
         timing_ = false;
       }
       // Progress also ends the backoff, sample or not. Keeping it until a
@@ -352,7 +403,7 @@ class TcpLiteSender {
 
   void arm_timer() {
     if (queue_.empty() || timer_.pending()) return;
-    timer_ = engine_.schedule_in(rto_, [this] { on_timeout(); });
+    timer_ = ether_.engine().schedule_in(rto_, [this] { on_timeout(); });
   }
 
   void on_timeout() {
@@ -375,12 +426,11 @@ class TcpLiteSender {
     arm_timer();
   }
 
-  sim::Engine& engine_;
   hw::EthernetSwitch& ether_;
   sim::Time stack_cost_;
   int dst_port_;
-  Params params_;
   int port_ = -1;
+  Params params_;
   sim::Fifo<Segment> queue_;       // unacked + unsent, seq-ordered
   std::uint64_t next_seq_ = 0;
   std::uint64_t base_ = 0;         // lowest unacked seq

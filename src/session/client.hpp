@@ -13,9 +13,28 @@
 // model the synthetic workloads use (satellite: one client model, not two).
 // Control rides TcpLite both ways: this client owns its request sender and
 // its response receiver, and names the latter's port in Reply-Port.
+//
+// A client holds only what its stage of the script uses, because a storm
+// builds 100k of them at once:
+//  * It starts at its arrival. start() schedules the arrival event; the
+//    script's coroutine is made when it fires, and lives until the script
+//    ends. Before that the client is its endpoints and its Config.
+//  * One answer outstanding. A client has at most one request in flight, so
+//    the waiting coroutine's handle and the answer it waits for are all the
+//    answer path needs: no mailbox. An answer that arrives while no request
+//    waits is counted in cseq_errors and dropped.
+//  * The script is a plain member function (next_step) that books each
+//    answer and picks the next request and the wait before it. run() only
+//    loops over it, so its frame, and transact()'s, fit 128-byte pool blocks.
+//
+// Lifetime: a client may be destroyed before its arrival (the arrival event
+// then runs nothing) or after its script completes (outcome().completed).
+// Destroying it while the script waits on a timer or an answer is not
+// supported.
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -62,14 +81,16 @@ class RtspChurnClient {
     bool completed = false;  // lifecycle script ran to its end
     int setup_status = 0;
     double setup_latency_ms = 0;
+    /// Answers whose CSeq was not the waiting request's, plus answers that
+    /// arrived while no request waited.
     std::uint64_t cseq_errors = 0;
   };
 
   RtspChurnClient(sim::Engine& engine, hw::EthernetSwitch& ether,
                   int control_port, apps::MpegClient& media, int rtcp_port,
                   Config config)
-      : engine_{engine}, config_{config}, media_{media},
-        rtcp_port_{rtcp_port}, responses_{engine},
+      : engine_{engine}, config_{std::move(config)}, media_{media},
+        rtcp_port_{rtcp_port},
         resp_rx_{engine, ether, net::kHostStackCost,
                  net::TcpLiteReceiver::DeliverFrom{
                      [this](const net::Packet& p, int, sim::Time) {
@@ -81,21 +102,56 @@ class RtspChurnClient {
   RtspChurnClient(const RtspChurnClient&) = delete;
   RtspChurnClient& operator=(const RtspChurnClient&) = delete;
 
-  /// Kick off the scripted lifecycle (returns immediately; the script runs
-  /// on the engine). The client object must outlive the run.
-  void start() { run().detach(); }
+  /// Kick off the scripted lifecycle `config.arrival` from now (returns
+  /// immediately; the script runs on the engine). An arrival at or before
+  /// now starts the script at once. The arrival event checks the client's
+  /// response port first, so a client destroyed before it runs nothing.
+  void start() {
+    if (config_.arrival <= sim::Time::zero()) {
+      run().detach();
+      return;
+    }
+    net::detail::schedule_while_attached(engine_, resp_rx_.ether(),
+                                         resp_rx_.port(), config_.arrival,
+                                         [this] { run().detach(); });
+  }
 
   [[nodiscard]] const Outcome& outcome() const { return outcome_; }
   [[nodiscard]] std::uint64_t session_id() const { return session_id_; }
   [[nodiscard]] std::uint64_t stream() const { return stream_; }
 
  private:
+  /// One request of the script and the wait before it.
+  struct Step {
+    sim::Time wait;
+    Method method = Method::kUnknown;  // kUnknown: the script is over
+  };
+
+  /// co_await Answer{*this}: park until on_response_bytes() has the answer.
+  struct Answer {
+    RtspChurnClient& client;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) const noexcept {
+      client.waiting_ = h;
+    }
+    void await_resume() const noexcept {}
+  };
+
   void on_response_bytes(const net::Packet& p) {
     if (const auto* chunk = static_cast<const std::string*>(p.body.get())) {
       buf_.append(*chunk);
     }
     while (auto msg = buf_.next()) {
-      if (auto resp = parse_response(*msg)) responses_.send(*resp);
+      const auto resp = parse_response(*msg);
+      if (!resp) continue;
+      if (!waiting_) {  // nothing asked for this one
+        ++outcome_.cseq_errors;
+        continue;
+      }
+      answer_ = *resp;
+      // The wake-up a Semaphore::release would schedule.
+      engine_.schedule_in(sim::Time::zero(),
+                          [h = std::exchange(waiting_, {})] { h.resume(); });
     }
   }
 
@@ -108,7 +164,8 @@ class RtspChurnClient {
 
   /// kSlowStart sends the text in pieces with a gap between segments — the
   /// server sees a request trickling across many TcpLite deliveries.
-  sim::Coro send_dribbled(std::string text) {
+  sim::Coro send_dribbled(Method method) {
+    const std::string text = request_text(method);
     const std::size_t n =
         static_cast<std::size_t>(std::max(config_.slow_start_chunks, 1));
     const std::size_t step = (text.size() + n - 1) / n;
@@ -118,13 +175,13 @@ class RtspChurnClient {
     }
   }
 
-  /// The text of a `method` request, built from the client's own state.
-  [[nodiscard]] std::string request_text(Method method,
-                                         std::uint64_t cseq) const {
+  /// The text of a `method` request under the current CSeq, built from the
+  /// client's own state.
+  [[nodiscard]] std::string request_text(Method method) const {
     RtspRequest req;
     req.method = method;
     req.reply_port = resp_rx_.port();
-    req.cseq = cseq;
+    req.cseq = cseq_;
     if (method == Method::kSetup) {
       req.uri = config_.uri;
       req.rtp_port = media_.port();
@@ -139,67 +196,83 @@ class RtspChurnClient {
     return format_request(req);
   }
 
-  /// Send a `method` request and await the response to its cseq (responses
-  /// come back in order on the control connection; a mismatch is counted,
+  /// Send a `method` request and await its answer in answer_ (answers come
+  /// back in order on the control connection; a CSeq mismatch is counted,
   /// not fatal). The request text moves into the segment body, so while the
-  /// client waits for its answer the coroutine frame holds only the CSeq.
-  sim::Coro transact(Method method, RtspResponse* out) {
-    const std::uint64_t cseq = ++cseq_;
+  /// client waits the frame holds no text.
+  sim::Coro transact(Method method) {
+    const sim::Time sent = engine_.now();
+    ++cseq_;
     if (config_.behavior == Behavior::kSlowStart && method == Method::kSetup) {
-      co_await send_dribbled(request_text(method, cseq));
+      co_await send_dribbled(method);
     } else {
-      send_text(request_text(method, cseq));
+      send_text(request_text(method));
     }
-    *out = co_await responses_.receive();
-    if (out->cseq != cseq) ++outcome_.cseq_errors;
+    co_await Answer{*this};
+    if (answer_.cseq != cseq_) ++outcome_.cseq_errors;
+    if (method == Method::kSetup) {
+      outcome_.setup_latency_ms = (engine_.now() - sent).to_ms();
+    }
   }
 
-  sim::Coro run() {
-    co_await sim::Delay{engine_, config_.arrival};
-
-    const sim::Time t0 = engine_.now();
-    RtspResponse resp;
-    co_await transact(Method::kSetup, &resp);
-    outcome_.responded_setup = true;
-    outcome_.setup_status = resp.status;
-    outcome_.setup_latency_ms = (engine_.now() - t0).to_ms();
-    if (resp.status != 200) {
-      // 453: over capacity. The polite thing — and what keeps the server's
-      // connection table clean — is to FIN the control channel and go away.
-      ctl_tx_.close();
+  /// The lifecycle script, one call per answer. cseq_ requests have been
+  /// answered so far and the last answer is in answer_: book it, and return
+  /// the next request with the wait before it. Requests 1 and 2 are SETUP
+  /// and PLAY, kPauseResume then sends PAUSE (3) and PLAY (4), and every
+  /// behavior but kVanish ends with TEARDOWN.
+  Step next_step() {
+    const auto finish = [this] {
       outcome_.completed = true;
-      co_return;
-    }
-    outcome_.admitted = true;
-    session_id_ = resp.session_id;
-    stream_ = resp.stream;
-
-    co_await transact(Method::kPlay, &resp);
-
-    if (config_.behavior == Behavior::kVanish) {
-      // Half-open: never speaks again, never closes. The server's reaper
-      // owns this session's fate now.
-      outcome_.completed = true;
-      co_return;
-    }
-
+      return Step{};
+    };
+    const bool pause_resume = config_.behavior == Behavior::kPauseResume;
     const sim::Time media =
         config_.period * static_cast<std::int64_t>(config_.frames) +
         config_.drain_slack;
-    if (config_.behavior == Behavior::kPauseResume) {
-      co_await sim::Delay{engine_, config_.pause_after};
-      co_await transact(Method::kPause, &resp);
-      if (resp.status == 200) media_.notify_pause(stream_);
-      co_await sim::Delay{engine_, config_.pause_for};
-      co_await transact(Method::kPlay, &resp);
-      if (resp.status == 200) media_.notify_resume(stream_);
+    switch (cseq_) {
+      case 0:
+        return {sim::Time::zero(), Method::kSetup};
+      case 1:  // SETUP answered
+        outcome_.responded_setup = true;
+        outcome_.setup_status = answer_.status;
+        if (answer_.status != 200) {
+          // 453: over capacity. The polite thing — and what keeps the
+          // server's connection table clean — is to FIN the control channel
+          // and go away.
+          ctl_tx_.close();
+          return finish();
+        }
+        outcome_.admitted = true;
+        session_id_ = answer_.session_id;
+        stream_ = answer_.stream;
+        return {sim::Time::zero(), Method::kPlay};
+      case 2:  // PLAY answered
+        // Half-open: a vanishing client never speaks again, never closes.
+        // The server's reaper owns this session's fate now.
+        if (config_.behavior == Behavior::kVanish) return finish();
+        if (pause_resume) return {config_.pause_after, Method::kPause};
+        return {media, Method::kTeardown};
+      case 3:  // PAUSE answered (kPauseResume), else TEARDOWN
+        if (!pause_resume) break;
+        if (answer_.status == 200) media_.notify_pause(stream_);
+        return {config_.pause_for, Method::kPlay};
+      case 4:  // the resuming PLAY answered
+        if (answer_.status == 200) media_.notify_resume(stream_);
+        return {media, Method::kTeardown};
+      default:
+        break;
     }
-    co_await sim::Delay{engine_, media};
-
-    co_await transact(Method::kTeardown, &resp);
-    media_.notify_end(stream_, engine_.now());
+    media_.notify_end(stream_, engine_.now());  // TEARDOWN answered
     ctl_tx_.close();
-    outcome_.completed = true;
+    return finish();
+  }
+
+  sim::Coro run() {
+    for (Step step = next_step(); step.method != Method::kUnknown;
+         step = next_step()) {
+      co_await sim::Delay{engine_, step.wait};
+      co_await transact(step.method);
+    }
   }
 
   sim::Engine& engine_;
@@ -207,11 +280,12 @@ class RtspChurnClient {
   apps::MpegClient& media_;
   int rtcp_port_;
   MessageBuffer buf_;
-  sim::Mailbox<RtspResponse> responses_;
   net::TcpLiteReceiver resp_rx_;
   net::TcpLiteSender ctl_tx_;
+  std::coroutine_handle<> waiting_;  // transact() parked on its answer
+  RtspResponse answer_;              // the last answer handed to it
   Outcome outcome_;
-  std::uint64_t cseq_ = 0;
+  std::uint64_t cseq_ = 0;  // requests sent, and the CSeq of the last one
   std::uint64_t session_id_ = 0;
   std::uint64_t stream_ = 0;
 };

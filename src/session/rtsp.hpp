@@ -29,6 +29,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "dwcs/types.hpp"
 #include "sim/time.hpp"
@@ -360,6 +361,10 @@ split_header(std::string_view line) {
 /// Reassembles complete `\r\n\r\n`-terminated messages from a TCP-like byte
 /// stream delivered in arbitrary chunks. Keeps at most one partial message
 /// of buffered bytes; next() pops complete messages in arrival order.
+///
+/// A buffer that holds exactly one whole message, the usual case, hands its
+/// own string over as that message and is left empty, without capacity: an
+/// idle connection holds no text, and the message is not copied again.
 class MessageBuffer {
  public:
   void append(std::string_view chunk) { buf_.append(chunk); }
@@ -369,7 +374,11 @@ class MessageBuffer {
   [[nodiscard]] std::optional<std::string> next() {
     const std::size_t end = buf_.find("\r\n\r\n");
     if (end == std::string::npos) return std::nullopt;
-    std::string msg = buf_.substr(0, end + 2);  // keep last header's \r\n
+    if (end + 4 == buf_.size()) {
+      buf_.resize(end + 2);  // keep last header's \r\n
+      return std::exchange(buf_, std::string{});
+    }
+    std::string msg = buf_.substr(0, end + 2);
     buf_.erase(0, end + 4);
     return msg;
   }

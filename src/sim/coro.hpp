@@ -30,6 +30,7 @@
 //    holds by construction.
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
@@ -68,15 +69,22 @@ static_assert(alignof(Completion) <= alignof(std::max_align_t));
 
 inline constexpr std::uint16_t kOversizeBucket = 0xFFFF;
 
+/// Pool geometry: bucket b holds blocks of (b + 1) × 64 bytes, header
+/// included, up to 2 KiB.
+inline constexpr std::size_t kCoroGranuleBytes = 64;
+inline constexpr std::size_t kCoroBucketCount = 32;
+
 /// Per-thread allocation counters, readable via coro_pool_stats(). The
 /// zero-steady-state-allocation tests key off fresh_blocks/oversize_blocks
-/// staying flat while frames keep growing.
+/// staying flat while frames keep growing; the footprint tests read which
+/// bucket a coroutine's frames come from.
 struct CoroPoolStats {
   std::uint64_t frames = 0;         // coroutine frames allocated (pool or not)
   std::uint64_t pool_reuses = 0;    // served from a bucket free list
   std::uint64_t fresh_blocks = 0;   // had to touch ::operator new (bucketed)
   std::uint64_t oversize_blocks = 0;  // frame too big for any bucket
   std::uint64_t releases = 0;       // blocks whose refcount hit zero
+  std::array<std::uint64_t, kCoroBucketCount> bucket_frames{};  // by bucket
 };
 
 /// Size-bucketed free list for coroutine blocks. 64-byte granularity, 32
@@ -86,9 +94,6 @@ struct CoroPoolStats {
 /// rather than quietly re-adding steady-state allocations.
 class CoroFramePool {
  public:
-  static constexpr std::size_t kGranuleBytes = 64;
-  static constexpr std::size_t kBucketCount = 32;
-
   ~CoroFramePool() {
     for (auto& bucket : free_) {
       for (void* block : bucket) ::operator delete(block);
@@ -98,13 +103,15 @@ class CoroFramePool {
   void* allocate(std::size_t frame_bytes, std::uint16_t& bucket_out) {
     ++stats_.frames;
     const std::size_t total = kCompletionHeaderBytes + frame_bytes;
-    const std::size_t bucket = (total + kGranuleBytes - 1) / kGranuleBytes - 1;
-    if (bucket >= kBucketCount) {
+    const std::size_t bucket =
+        (total + kCoroGranuleBytes - 1) / kCoroGranuleBytes - 1;
+    if (bucket >= kCoroBucketCount) {
       ++stats_.oversize_blocks;
       bucket_out = kOversizeBucket;
       return ::operator new(total);
     }
     bucket_out = static_cast<std::uint16_t>(bucket);
+    ++stats_.bucket_frames[bucket];
     auto& list = free_[bucket];
     if (!list.empty()) {
       ++stats_.pool_reuses;
@@ -113,7 +120,7 @@ class CoroFramePool {
       return block;
     }
     ++stats_.fresh_blocks;
-    return ::operator new((bucket + 1) * kGranuleBytes);
+    return ::operator new((bucket + 1) * kCoroGranuleBytes);
   }
 
   void release(void* block, std::uint16_t bucket) {
@@ -133,7 +140,7 @@ class CoroFramePool {
   }
 
  private:
-  std::vector<void*> free_[kBucketCount];
+  std::vector<void*> free_[kCoroBucketCount];
   CoroPoolStats stats_;
 };
 

@@ -1,6 +1,7 @@
 // Allocation audit for the control-plane substrate. Idle mailboxes, TcpLite
-// senders and receivers own no heap memory; a steady exchange allocates one
-// body per data segment sent and nothing per ACK; a retransmitted segment
+// senders and receivers own no heap memory; a receiver's first peer costs
+// nothing; a steady exchange allocates nothing, neither per data segment
+// (segments are pooled packet boxes) nor per ACK; a retransmitted segment
 // reuses the body of its first transmission; a busy downlink reuses its
 // queue nodes. Same counting-operator-new shim (counting_new.hpp) as the datapath
 // audit in tests/path/alloc_free_test.cpp.
@@ -103,18 +104,45 @@ TEST(TcpLiteAllocFree, SteadyExchangeAllocatesPerSegmentNeverPerAck) {
     }
     eng.run();  // every segment ACKed, the timer stopped
   };
-  exchange();  // warm-up: the slab, the node pool, the queue, the peer entry
+  exchange();  // warm-up: the slab, the node pool, the queue, the box pool
   ASSERT_EQ(delivered, kSegments);
 
   const std::uint64_t before = test::heap_allocs();
+  test::trace_next_allocs(8);
   exchange();
   EXPECT_EQ(delivered, 2 * kSegments);
   EXPECT_EQ(tx.acked(), 2 * kSegments);
   EXPECT_EQ(tx.retransmissions(), 0u);
-  // One segment body per send(); the receiver sent one ACK per segment.
-  EXPECT_EQ(test::heap_allocs() - before,
-            NISTREAM_COUNTING_NEW ? kSegments : 0u)
-      << "an ACK allocated";
+  // Each send() took a pooled segment box back from an acknowledged one,
+  // and the receiver sent one ACK per segment.
+  EXPECT_EQ(test::heap_allocs() - before, 0u)
+      << "a segment or an ACK allocated";
+}
+
+TEST(TcpLiteAllocFree, ReceiversFirstPeerAllocatesNothing) {
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  {  // warm-up on another pair: the slab, the node pool, the box pool
+    TcpLiteReceiver rx{eng, ether, Time::us(50),
+                       TcpLiteReceiver::Deliver{[](const Packet&, Time) {}}};
+    TcpLiteSender tx{eng, ether, Time::us(50), rx.port()};
+    for (std::uint64_t i = 0; i < 8; ++i) tx.send(Packet{.seq = i});
+    eng.run();
+  }
+  std::uint64_t delivered = 0;
+  TcpLiteReceiver rx{eng, ether, Time::us(50),
+                     TcpLiteReceiver::Deliver{
+                         [&](const Packet&, Time) { ++delivered; }}};
+  TcpLiteSender tx{eng, ether, Time::us(50), rx.port()};
+  tx.send(Packet{.seq = 0, .bytes = 500});  // grows the sender's queue
+
+  const std::uint64_t before = test::heap_allocs();
+  test::trace_next_allocs(8);
+  eng.run();
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(rx.peer_count(), 1u);
+  EXPECT_EQ(tx.acked(), 1u);
+  EXPECT_EQ(test::heap_allocs() - before, 0u) << "the first peer allocated";
 }
 
 TEST(EthernetAllocFree, BusyPortReusesItsQueueNodes) {

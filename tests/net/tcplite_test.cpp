@@ -468,6 +468,94 @@ TEST(TcpLiteRecycle, AckForTheOldOccupantNeverReachesTheNewSender) {
   EXPECT_TRUE(b.idle());
 }
 
+TEST(TcpLiteRecycle, RecycledPortsGetFreshSpacesInlineAndInTheVector) {
+  // a speaks first and takes the receiver's inline slot; b takes its port
+  // index's vector entry. Both go away, and a2 and b2 take their ports and
+  // start again at sequence 0: each needs a fresh space, in either slot.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  std::map<int, std::vector<std::uint64_t>> by_peer;
+  TcpLiteReceiver rx{eng, ether, Time::us(50),
+                     [&](const Packet& p, int peer, Time) {
+                       by_peer[peer].push_back(p.seq);
+                     }};
+  auto a = std::make_unique<TcpLiteSender>(eng, ether, Time::us(50),
+                                           rx.port());
+  auto b = std::make_unique<TcpLiteSender>(eng, ether, Time::us(50),
+                                           rx.port());
+  for (std::uint64_t i = 0; i < 3; ++i) a->send(Packet{.seq = 100 + i});
+  eng.run();
+  for (std::uint64_t i = 0; i < 3; ++i) b->send(Packet{.seq = 200 + i});
+  eng.run();
+  const int a_port = a->port();
+  const int b_port = b->port();
+  b.reset();
+  a.reset();  // the free list is LIFO: a's port is handed out first
+
+  TcpLiteSender a2{eng, ether, Time::us(50), rx.port()};
+  TcpLiteSender b2{eng, ether, Time::us(50), rx.port()};
+  ASSERT_EQ(hw::EthernetSwitch::index_of(a2.port()),
+            hw::EthernetSwitch::index_of(a_port));
+  ASSERT_EQ(hw::EthernetSwitch::index_of(b2.port()),
+            hw::EthernetSwitch::index_of(b_port));
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    a2.send(Packet{.seq = 300 + i});
+    b2.send(Packet{.seq = 400 + i});
+  }
+  eng.run();
+  EXPECT_EQ(a2.acked(), 2u);
+  EXPECT_EQ(b2.acked(), 2u);
+  EXPECT_EQ(a2.retransmissions() + b2.retransmissions(), 0u);
+  EXPECT_EQ(rx.discarded_out_of_order(), 0u);
+  EXPECT_EQ(rx.delivered(), 10u);
+  EXPECT_EQ(rx.peer_count(), 2u);  // two port indices
+  EXPECT_EQ(by_peer[a_port], (std::vector<std::uint64_t>{100, 101, 102}));
+  EXPECT_EQ(by_peer[b_port], (std::vector<std::uint64_t>{200, 201, 202}));
+  EXPECT_EQ(by_peer[a2.port()], (std::vector<std::uint64_t>{300, 301}));
+  EXPECT_EQ(by_peer[b2.port()], (std::vector<std::uint64_t>{400, 401}));
+}
+
+// --- Peer storage: the first peer inline, the others by port index.
+
+TEST(TcpLitePeers, ThousandScatteredSendersEachDeliverOnceInOrder) {
+  // 1,000 senders into one receiver, their port indices scattered among
+  // other devices' ports. The second half is built after the first half
+  // has spoken, so the peer vector grows past its first size.
+  constexpr std::size_t kSenders = 1000;
+  constexpr std::uint64_t kSegments = 3;
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  std::map<int, std::vector<std::uint64_t>> by_peer;
+  TcpLiteReceiver rx{eng, ether, Time::us(50),
+                     [&](const Packet& p, int peer, Time) {
+                       by_peer[peer].push_back(p.seq);
+                     }};
+  std::vector<std::unique_ptr<TcpLiteSender>> senders;
+  const auto add_and_run = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t gap = senders.size() * 7 % 5; gap > 0; --gap) {
+        ether.add_port([](const hw::EthFrame&) {});
+      }
+      senders.push_back(std::make_unique<TcpLiteSender>(
+          eng, ether, Time::us(50), rx.port()));
+      for (std::uint64_t k = 0; k < kSegments; ++k) {
+        senders.back()->send(Packet{.seq = k, .bytes = 200});
+      }
+    }
+    eng.run();
+  };
+  add_and_run(kSenders / 2);
+  add_and_run(kSenders / 2);
+  EXPECT_EQ(rx.peer_count(), kSenders);
+  EXPECT_EQ(rx.delivered(), kSenders * kSegments);
+  EXPECT_EQ(rx.discarded_out_of_order(), 0u);
+  EXPECT_EQ(by_peer.size(), kSenders);
+  for (const auto& tx : senders) {
+    EXPECT_EQ(by_peer[tx->port()], (std::vector<std::uint64_t>{0, 1, 2}));
+    EXPECT_EQ(tx->retransmissions(), 0u);
+  }
+}
+
 // --- The RFC 6298 retransmission timer.
 
 TEST(TcpLiteRto, EstimatorFollowsRfc6298) {

@@ -135,6 +135,69 @@ TEST(RtspMessageBuffer, ReassemblesAcrossChunkBoundaries) {
   EXPECT_EQ(buf.pending_bytes(), 0u);
 }
 
+std::string play_request(std::uint64_t cseq) {
+  RtspRequest r;
+  r.method = Method::kPlay;
+  r.cseq = cseq;
+  r.session_id = 0x0000000100000002;
+  return format_request(r);
+}
+
+/// A message as next() returns it: the final blank line's \r\n dropped.
+std::string popped(const std::string& msg) {
+  return msg.substr(0, msg.size() - 2);
+}
+
+TEST(RtspMessageBuffer, WholeMessageLeavesNothingPending) {
+  const std::string one = play_request(1);
+  MessageBuffer buf;
+  buf.append(one);
+  const auto m = buf.next();
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(*m, popped(one));
+  EXPECT_EQ(buf.pending_bytes(), 0u);
+  EXPECT_FALSE(buf.next().has_value());
+  // The emptied buffer takes the next message as before.
+  buf.append(play_request(2));
+  const auto m2 = buf.next();
+  ASSERT_TRUE(m2.has_value());
+  EXPECT_EQ(parse_request(*m2)->cseq, 2u);
+}
+
+TEST(RtspMessageBuffer, MessageAndAHalfKeepsTheHalf) {
+  const std::string one = play_request(1);
+  const std::string two = play_request(2);
+  const std::string half = two.substr(0, two.size() / 2);
+  MessageBuffer buf;
+  buf.append(one + half);
+  const auto m1 = buf.next();
+  ASSERT_TRUE(m1.has_value());
+  EXPECT_EQ(*m1, popped(one));
+  EXPECT_EQ(buf.pending_bytes(), half.size());
+  EXPECT_FALSE(buf.next().has_value());
+  buf.append(two.substr(half.size()));
+  const auto m2 = buf.next();
+  ASSERT_TRUE(m2.has_value());
+  EXPECT_EQ(*m2, popped(two));
+  EXPECT_EQ(buf.pending_bytes(), 0u);
+}
+
+TEST(RtspMessageBuffer, MessageSplitAcrossChunksReassemblesExactly) {
+  const std::string one = play_request(7);
+  MessageBuffer buf;
+  const std::size_t third = one.size() / 3;
+  buf.append(one.substr(0, third));
+  EXPECT_FALSE(buf.next().has_value());
+  buf.append(one.substr(third, third));
+  EXPECT_FALSE(buf.next().has_value());
+  EXPECT_EQ(buf.pending_bytes(), 2 * third);
+  buf.append(one.substr(2 * third));
+  const auto m = buf.next();
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(*m, popped(one));
+  EXPECT_EQ(buf.pending_bytes(), 0u);
+}
+
 TEST(RtspMessageBuffer, SplitTerminatorAndBackToBackMessages) {
   RtspRequest r;
   r.method = Method::kPlay;

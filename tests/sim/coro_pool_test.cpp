@@ -77,6 +77,30 @@ TEST(CoroPool, OversizeFramesFallBackToHeapAndStayCorrect) {
       << "oversize blocks are freed, not pooled, but still counted released";
 }
 
+TEST(CoroPool, FramesAreCountedInTheirBucket) {
+  // Every pooled frame lands in the one bucket its size maps to; an
+  // oversize frame is in none of them.
+  Engine eng;
+  int done = 0;
+  std::size_t got = 0;
+  const auto before = coro_pool_stats();
+  for (int i = 0; i < 8; ++i) tick(eng, done).detach();
+  huge_frame(eng, got).detach();
+  eng.run();
+  const auto after = coro_pool_stats();
+  std::uint64_t bucketed = 0;
+  std::size_t buckets_used = 0;
+  for (std::size_t b = 0; b < after.bucket_frames.size(); ++b) {
+    const std::uint64_t n = after.bucket_frames[b] - before.bucket_frames[b];
+    bucketed += n;
+    buckets_used += n != 0;
+  }
+  EXPECT_EQ(after.frames - before.frames, 9u);
+  EXPECT_EQ(after.oversize_blocks - before.oversize_blocks, 1u);
+  EXPECT_EQ(bucketed, 8u);
+  EXPECT_EQ(buckets_used, 1u);  // one coroutine, one frame size
+}
+
 // Mixed workload: nested frames (parent awaits child) recycle just as well.
 Coro child(Engine& eng) { co_await Delay{eng, Time::us(1)}; }
 
