@@ -97,9 +97,6 @@ class ServerNode {
   }
 
   [[nodiscard]] int ni_count() const { return static_cast<int>(nis_.size()); }
-  [[nodiscard]] NiSchedulerServer& ni_server(int i) {
-    return *nis_[static_cast<std::size_t>(i)]->server;
-  }
   [[nodiscard]] const dwcs::AdmissionController& admission(int i) const {
     return *nis_[static_cast<std::size_t>(i)]->admission;
   }

@@ -135,7 +135,6 @@ class HttperfLoad {
     }(*this, host.engine()).detach();
   }
 
-  [[nodiscard]] double base_rate_per_sec() const { return base_rate_per_sec_; }
   [[nodiscard]] double multiplier_at(double t_sec) const {
     double m = params_.profile.front().second;
     for (const auto& [start, mult] : params_.profile) {

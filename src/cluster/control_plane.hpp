@@ -210,9 +210,6 @@ class ClusterControlPlane {
 
   // ---- observability ----
 
-  [[nodiscard]] int board_count() const {
-    return static_cast<int>(members_.size());
-  }
   [[nodiscard]] apps::NiSchedulerServer& ni(int b) { return *member(b).ni; }
   [[nodiscard]] const dwcs::AdmissionController& admission(int b) const {
     return *members_[static_cast<std::size_t>(b)]->admission;

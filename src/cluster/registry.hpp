@@ -112,15 +112,6 @@ class ShadowRegistry {
     return it == by_local_.end() ? nullptr : &it->second;
   }
 
-  /// Streams whose current residence is `board` (in global-id order).
-  [[nodiscard]] std::vector<GlobalStreamId> resident_on(int board) const {
-    std::vector<GlobalStreamId> out;
-    for (const auto& r : records_) {
-      if (r.where.placed() && r.where.board == board) out.push_back(r.id);
-    }
-    return out;
-  }
-
  private:
   [[nodiscard]] static std::uint64_t local_key(int board,
                                                dwcs::StreamId local) {

@@ -130,13 +130,9 @@ class HostWatchdog {
   void stop() { running_ = false; }
 
   [[nodiscard]] bool tripped() const { return tripped_; }
-  [[nodiscard]] int consecutive_missed() const { return missed_; }
-  [[nodiscard]] std::uint64_t probes_sent() const { return probe_seq_; }
   [[nodiscard]] std::uint64_t acks_received() const { return acks_; }
   [[nodiscard]] std::uint64_t trips() const { return trips_; }
   [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
-  [[nodiscard]] sim::Time tripped_at() const { return tripped_at_; }
-  [[nodiscard]] sim::Time recovered_at() const { return recovered_at_; }
   [[nodiscard]] std::uint64_t last_ack_incarnation() const {
     return last_ack_incarnation_;
   }
@@ -148,7 +144,6 @@ class HostWatchdog {
     if (tripped_) {
       tripped_ = false;
       ++recoveries_;
-      recovered_at_ = engine_.now();
       probe_gap_ = config_.interval;
       if (on_recovery_) on_recovery_(engine_.now(), last_ack_incarnation_);
     }
@@ -159,7 +154,6 @@ class HostWatchdog {
     if (!tripped_ && missed_ >= config_.max_missed) {
       tripped_ = true;
       ++trips_;
-      tripped_at_ = engine_.now();
       if (on_trip_) on_trip_(engine_.now());
     }
     if (tripped_) {
@@ -183,8 +177,6 @@ class HostWatchdog {
   std::uint64_t acks_ = 0;
   std::uint64_t trips_ = 0;
   std::uint64_t recoveries_ = 0;
-  sim::Time tripped_at_ = sim::Time::zero();
-  sim::Time recovered_at_ = sim::Time::zero();
   int missed_ = 0;
   bool tripped_ = false;
   bool running_ = false;

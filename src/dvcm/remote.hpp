@@ -17,7 +17,8 @@
 //
 // Teardown follows the net layer's: each endpoint detaches its switch port
 // when destroyed, and its pending stack-cost events check that port before
-// they touch the endpoint.
+// they touch the endpoint. A port's dispatch task checks it after every
+// wait, so a port may be destroyed even mid-dispatch.
 #pragma once
 
 #include <cstdint>
@@ -40,66 +41,82 @@ struct RemoteInstruction {
   std::shared_ptr<void> payload;
 };
 
+namespace detail {
+
+using Inbox = sim::Mailbox<std::shared_ptr<const RemoteInstruction>>;
+
+struct DispatchCounts {
+  std::uint64_t dispatched = 0;
+  std::uint64_t unknown = 0;
+};
+
+/// A remote port's network-dispatch task, peer of the I2O dispatch task:
+/// dispatch each instruction through the registry and charge the NI CPU.
+/// The inbox lives in this frame (`inbox` points at it from the start) and
+/// the port is held by switch address, so after every wait the loop checks
+/// the port is attached before touching its counts, as
+/// net::detail::schedule_while_attached does for events.
+inline sim::Coro dispatch_loop(VcmRuntime& runtime, rtos::Task& task,
+                               hw::EthernetSwitch& ether, int port,
+                               Inbox*& inbox, DispatchCounts& counts) {
+  Inbox box{ether.engine()};
+  inbox = &box;
+  for (;;) {
+    const auto ri = co_await box.receive();
+    if (!ether.attached(port)) co_return;
+    const std::int64_t before = runtime.board().cpu().cycles();
+    hw::I2oMessage msg;
+    msg.function = ri->id;
+    msg.w0 = ri->w0;
+    msg.w1 = ri->w1;
+    msg.payload = ri->payload;
+    const bool known = runtime.registry().dispatch(msg);
+    const std::int64_t handler = runtime.board().cpu().cycles() - before;
+    co_await task.consume_cycles(VcmRuntime::kDispatchCycles + handler);
+    if (!ether.attached(port)) co_return;
+    ++(known ? counts.dispatched : counts.unknown);
+  }
+}
+
+}  // namespace detail
+
 class RemoteVcmPort {
  public:
   static constexpr std::uint32_t kHeaderBytes = 24;
 
   RemoteVcmPort(VcmRuntime& runtime, hw::EthernetSwitch& ether,
                 sim::Time stack_cost)
-      : runtime_{runtime}, engine_{runtime.board().engine()}, ether_{ether},
-        stack_cost_{stack_cost}, inbox_{engine_} {
+      : ether_{ether}, stack_cost_{stack_cost} {
     port_ = ether.add_port([this](const hw::EthFrame& f) { on_frame(f); });
-    // Network-dispatch task: peer of the I2O dispatch task.
-    rtos::Task& task = runtime.kernel().spawn("tVcmRemote", 61);
-    [](RemoteVcmPort& self, rtos::Task& t) -> sim::Coro {
-      for (;;) {
-        const auto ri = co_await self.inbox_.receive();
-        const std::int64_t before = self.runtime_.board().cpu().cycles();
-        hw::I2oMessage msg;
-        msg.function = ri->id;
-        msg.w0 = ri->w0;
-        msg.w1 = ri->w1;
-        msg.payload = ri->payload;
-        const bool known = self.runtime_.registry().dispatch(msg);
-        const std::int64_t handler =
-            self.runtime_.board().cpu().cycles() - before;
-        co_await t.consume_cycles(VcmRuntime::kDispatchCycles + handler);
-        if (known) {
-          ++self.dispatched_;
-        } else {
-          ++self.unknown_;
-        }
-      }
-    }(*this, task)
+    detail::dispatch_loop(runtime, runtime.kernel().spawn("tVcmRemote", 61),
+                          ether, port_, inbox_, counts_)
         .detach();
   }
 
   RemoteVcmPort(const RemoteVcmPort&) = delete;
   RemoteVcmPort& operator=(const RemoteVcmPort&) = delete;
-  /// Its dispatch task waits on the inbox, which no event reaches once the
-  /// port is detached; destroy the port while that task is idle.
   ~RemoteVcmPort() { ether_.detach(port_); }
 
   [[nodiscard]] int port() const { return port_; }
-  [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
-  [[nodiscard]] std::uint64_t unknown_instructions() const { return unknown_; }
+  [[nodiscard]] std::uint64_t dispatched() const { return counts_.dispatched; }
+  [[nodiscard]] std::uint64_t unknown_instructions() const {
+    return counts_.unknown;
+  }
 
  private:
   void on_frame(const hw::EthFrame& f) {
     auto ri = std::static_pointer_cast<const RemoteInstruction>(f.payload);
     if (!ri) return;
-    net::detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
-                                         [this, ri] { inbox_.send(ri); });
+    net::detail::schedule_while_attached(ether_.engine(), ether_, port_,
+                                         stack_cost_,
+                                         [this, ri] { inbox_->send(ri); });
   }
 
-  VcmRuntime& runtime_;
-  sim::Engine& engine_;
   hw::EthernetSwitch& ether_;
   sim::Time stack_cost_;
-  sim::Mailbox<std::shared_ptr<const RemoteInstruction>> inbox_;
   int port_ = -1;
-  std::uint64_t dispatched_ = 0;
-  std::uint64_t unknown_ = 0;
+  detail::Inbox* inbox_ = nullptr;  // in the dispatch task's frame
+  detail::DispatchCounts counts_;
 };
 
 class RemoteVcmClient {
@@ -151,49 +168,29 @@ class ReliableRemoteVcmPort {
  public:
   ReliableRemoteVcmPort(VcmRuntime& runtime, hw::EthernetSwitch& ether,
                         sim::Time stack_cost)
-      : runtime_{runtime},
-        rx_{runtime.board().engine(), ether, stack_cost,
-            [this](const net::Packet& p, sim::Time) { deliver(p); }},
-        inbox_{runtime.board().engine()} {
-    rtos::Task& task = runtime.kernel().spawn("tVcmRemoteRel", 61);
-    [](ReliableRemoteVcmPort& self, rtos::Task& t) -> sim::Coro {
-      for (;;) {
-        const auto ri = co_await self.inbox_.receive();
-        const std::int64_t before = self.runtime_.board().cpu().cycles();
-        hw::I2oMessage msg;
-        msg.function = ri->id;
-        msg.w0 = ri->w0;
-        msg.w1 = ri->w1;
-        msg.payload = ri->payload;
-        const bool known = self.runtime_.registry().dispatch(msg);
-        const std::int64_t handler =
-            self.runtime_.board().cpu().cycles() - before;
-        co_await t.consume_cycles(VcmRuntime::kDispatchCycles + handler);
-        if (known) {
-          ++self.dispatched_;
-        } else {
-          ++self.unknown_;
-        }
-      }
-    }(*this, task)
+      : rx_{runtime.board().engine(), ether, stack_cost,
+            [this](const net::Packet& p, sim::Time) { deliver(p); }} {
+    detail::dispatch_loop(runtime,
+                          runtime.kernel().spawn("tVcmRemoteRel", 61), ether,
+                          rx_.port(), inbox_, counts_)
         .detach();
   }
 
   [[nodiscard]] int port() const { return rx_.port(); }
-  [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
-  [[nodiscard]] std::uint64_t unknown_instructions() const { return unknown_; }
+  [[nodiscard]] std::uint64_t dispatched() const { return counts_.dispatched; }
+  [[nodiscard]] std::uint64_t unknown_instructions() const {
+    return counts_.unknown;
+  }
 
  private:
   void deliver(const net::Packet& p) {
-    auto ri = std::static_pointer_cast<RemoteInstruction>(p.body);
-    if (ri) inbox_.send(std::move(ri));
+    auto ri = std::static_pointer_cast<const RemoteInstruction>(p.body);
+    if (ri) inbox_->send(std::move(ri));
   }
 
-  VcmRuntime& runtime_;
   net::TcpLiteReceiver rx_;
-  sim::Mailbox<std::shared_ptr<RemoteInstruction>> inbox_;
-  std::uint64_t dispatched_ = 0;
-  std::uint64_t unknown_ = 0;
+  detail::Inbox* inbox_ = nullptr;  // in the dispatch task's frame
+  detail::DispatchCounts counts_;
 };
 
 class ReliableRemoteVcmClient {

@@ -17,7 +17,6 @@ HierarchicalScheduler::HierarchicalScheduler(const StreamTable& table,
       charged_{hook.accounted()},
       hop_cycles_{params.hop_cycles},
       policy_{policy},
-      pifo_cores_{params.pifo_cores},
       tenant_{&cmp},
       root_pick_{RootWinnerLess{this}, hook,
                  base + params.shards * kCoreStride},
@@ -41,10 +40,6 @@ std::unique_ptr<ScheduleRepr> HierarchicalScheduler::make_core(
     SimAddr core_base) {
   switch (policy_) {
     case PolicyKind::kDwcs:
-      if (pifo_cores_) {
-        return std::make_unique<PifoRepr<DwcsRank>>(table_, DwcsRank{&cmp_},
-                                                    *hook_, core_base);
-      }
       return std::make_unique<DualHeapRepr>(table_, cmp_, *hook_, core_base);
     case PolicyKind::kEdf:
       return std::make_unique<PifoRepr<EdfRank>>(table_, EdfRank{}, *hook_,

@@ -87,9 +87,9 @@ inline constexpr SimAddr kCoreStride = 0x20000;
 class HierarchicalScheduler final : public ScheduleRepr {
  public:
   /// `policy` selects the rank order of the whole sharded machine: the
-  /// per-core engines (DualHeapRepr for DWCS unless params.pifo_cores, a
-  /// PifoRepr of the policy's rank struct otherwise) and the root arbiter's
-  /// winner order. The earliest-deadline side is policy-independent.
+  /// per-core engines (DualHeapRepr for DWCS, a PifoRepr of the policy's
+  /// rank struct otherwise) and the root arbiter's winner order. The
+  /// earliest-deadline side is policy-independent.
   HierarchicalScheduler(const StreamTable& table, const Comparator& cmp,
                         CostHook& hook, SimAddr base,
                         const HierarchicalParams& params,
@@ -208,7 +208,6 @@ class HierarchicalScheduler final : public ScheduleRepr {
   bool charged_;  // cached hook.accounted(); false only for the null hook
   std::int64_t hop_cycles_;
   PolicyKind policy_;
-  bool pifo_cores_;
   /// WFQ root rank; its WfqState is shared with every per-core engine when
   /// policy_ == kWfq so finish tags are globally comparable (unused, but
   /// cheap, for the other policies).

@@ -48,14 +48,4 @@ class CpuModelCostHook final : public CostHook {
   hw::ArithCosts float_costs_;
 };
 
-/// The cost tables a given (machine, arithmetic mode) pair implies.
-[[nodiscard]] inline CpuModelCostHook make_i960_hook(hw::CpuModel& cpu,
-                                                     const hw::Calibration& cal) {
-  return CpuModelCostHook{cpu, cal.ni_int, cal.ni_softfp};
-}
-[[nodiscard]] inline CpuModelCostHook make_host_hook(hw::CpuModel& cpu,
-                                                     const hw::Calibration& cal) {
-  return CpuModelCostHook{cpu, cal.host_int, cal.host_fpu};
-}
-
 }  // namespace nistream::dwcs

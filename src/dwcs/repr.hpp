@@ -119,11 +119,6 @@ struct HierarchicalParams {
   /// Default 0: decision-identity runs add no cycles the single-core
   /// dual-heap would not charge. Ablatable (hw::InterconnectParams).
   std::int64_t hop_cycles = 0;
-  /// Under PolicyKind::kDwcs, run PifoRepr<DwcsRank> cores instead of the
-  /// default DualHeapRepr cores. Decision-identical either way (same total
-  /// order); the knob exists so the rank-engine-inside-shards combination is
-  /// differentially testable.
-  bool pifo_cores = false;
 };
 
 [[nodiscard]] const char* to_string(ReprKind kind);

@@ -86,9 +86,6 @@ class ShardCycleMeter final : public CostHook {
 
   [[nodiscard]] std::int64_t total() const { return total_; }
   [[nodiscard]] std::uint32_t cores() const { return cores_; }
-  [[nodiscard]] const hw::CacheModel& core_cache(std::uint32_t c) const {
-    return caches_[c];
-  }
 
  private:
   [[nodiscard]] static std::int64_t cost(const hw::ArithCosts& t, Op op,

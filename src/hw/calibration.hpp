@@ -213,6 +213,4 @@ struct Calibration {
   InterconnectParams interconnect = kSingleCoreNi;
 };
 
-[[nodiscard]] inline Calibration default_calibration() { return Calibration{}; }
-
 }  // namespace nistream::hw

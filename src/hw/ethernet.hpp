@@ -17,34 +17,30 @@
 // delivery arms the next head under that frame's own ticket. Every frame
 // therefore lands at exactly the (time, sequence) place a per-frame event
 // would have had, while the heap holds O(busy links) entries instead of
-// O(frames on the wire). The queues are intrusive lists threaded through one
-// free-listed node pool, grown in fixed-size chunks so growth never moves a
-// frame in flight.
+// O(frames on the wire). The queues are lists threaded through a
+// sim::HandleTable of frames.
 //
-// A device that goes away detaches its port, and the port is recycled: once
-// its downlink queue has drained it goes on a free list, and the next
-// add_port() hands it to a new device with fresh link times, so the table
-// holds the ports attached at once, not every port ever made. A port
-// address carries the port's generation next to its index, the way an
-// sim::EventHandle pairs a slot with its generation: detach() bumps the
-// generation, so an address names one occupant of a port, never a later
-// one. Each queued frame carries the generation it was addressed to; frames
-// queued before the detach are dropped on landing, and frames sent to the
-// old address afterwards are dropped at the switch, whoever holds the port
-// by then. Either way the receiver of a destroyed device is never called,
-// and a device never sees a frame meant for an earlier occupant of its port.
+// Ports live in a sim::HandleTable too. detach() releases the device's
+// receiver at once; the port's slot is erased (its generation bumped) once
+// its downlink has drained, and the next add_port() reuses it with fresh
+// link times. A port address carries the slot's generation next to its
+// index, so it names one occupant, never a later one. A port is never
+// reissued while frames are queued on it, so a queued frame is for the
+// current occupant exactly when the port is still attached: frames queued
+// before a detach are dropped on landing, and frames sent to the old address
+// afterwards are dropped at the switch. A destroyed device's receiver is
+// never called, and no device sees a frame meant for an earlier occupant.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
-#include <vector>
 
 #include "fault/injector.hpp"
 #include "hw/calibration.hpp"
 #include "sim/engine.hpp"
+#include "sim/handle_table.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -86,49 +82,33 @@ class EthernetSwitch {
   }
 
   /// Attach a device; returns its port address. `rx` fires when a frame has
-  /// fully arrived at the device. Reuses a recycled port if there is one.
+  /// fully arrived at the device. Reuses a recycled port if there is one;
+  /// throws std::length_error once 2^kIndexBits ports are in use.
   int add_port(Receiver rx) {
-    std::uint32_t i;
-    if (!free_ports_.empty()) {
-      i = free_ports_.back();
-      free_ports_.pop_back();
-      Port& p = ports_[i];
-      p.uplink_busy_until = sim::Time::zero();
-      p.downlink_busy_until = sim::Time::zero();
-      p.rx = std::move(rx);
-    } else {
-      if (ports_.size() == kMaxPorts) {
-        throw std::length_error("EthernetSwitch: port table full");
-      }
-      i = static_cast<std::uint32_t>(ports_.size());
-      ports_.push_back(Port{.rx = std::move(rx)});
-    }
-    return static_cast<int>(i | (ports_[i].gen << kIndexBits));
+    const std::uint32_t i = ports_.emplace(Port{.rx = std::move(rx)});
+    return static_cast<int>(i | (ports_.generation(i) << kIndexBits));
   }
 
-  /// Detach the device at `port` (see the header comment). Its receiver is
-  /// released here and never called again.
+  /// Detach the device at `port` (see the header comment).
   void detach(int port) {
     assert(attached(port));
     const std::uint32_t i = index_of(port);
     Port& p = ports_[i];
     p.rx = nullptr;
-    ++p.gen;
-    if (p.head == kNone) recycle(i);
+    if (p.head == kNone) ports_.erase(i);
   }
 
   /// True while `port` names the device attached there.
   [[nodiscard]] bool attached(int port) const {
-    if (!valid(port)) return false;
-    const Port& p = ports_[index_of(port)];
-    return p.rx && p.gen == generation_of(port);
+    return port >= 0 && ports_.live(index_of(port), generation_of(port)) &&
+           ports_[index_of(port)].rx;
   }
 
-  /// Send `frame` from `src` to `dst`. Delivery time accounts for uplink
-  /// serialization, switch latency, downlink serialization and any queueing
-  /// on both directions.
+  /// Send `frame` from `src` (whose slot must be live) to `dst`. Delivery
+  /// time accounts for uplink serialization, switch latency, downlink
+  /// serialization and any queueing on both directions.
   void send(int src, int dst, EthFrame frame) {
-    assert(valid(src) && valid(dst));
+    assert(src >= 0 && ports_.live(index_of(src), generation_of(src)));
     frame.src_port = src;
     frame.injected_at = engine_.now();
     const sim::Time wire = wire_time(frame.bytes);
@@ -166,19 +146,14 @@ class EthernetSwitch {
     dp.downlink_busy_until = delivered;
 
     bytes_switched_ += frame.bytes;
-    const std::uint32_t n = acquire_node();
-    InFlight& f = node(n);
-    f.frame = std::move(frame);
-    f.at = delivered;
-    f.ticket = engine_.reserve_ticket();
-    f.gen = dp.gen;
-    f.next = kNone;
+    const std::uint32_t n = frames_.emplace(
+        InFlight{std::move(frame), delivered, engine_.reserve_ticket()});
     if (dp.tail == kNone) {
       dp.head = n;
       dp.tail = n;
       arm(di);
     } else {
-      node(dp.tail).next = n;
+      frames_[dp.tail].next = n;
       dp.tail = n;
     }
   }
@@ -196,8 +171,11 @@ class EthernetSwitch {
     return frames_to_detached_;
   }
   /// Frames queued on downlinks, waiting to be delivered.
-  [[nodiscard]] std::size_t frames_in_flight() const { return in_flight_; }
-  /// Ports in the table, attached or free: the most attached at once.
+  [[nodiscard]] std::size_t frames_in_flight() const {
+    return frames_.live_count();
+  }
+  /// Ports in the table, attached, free or retired: the most attached at
+  /// once, plus any retired.
   [[nodiscard]] std::size_t port_table_size() const { return ports_.size(); }
   [[nodiscard]] const EthernetParams& params() const { return params_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
@@ -208,8 +186,7 @@ class EthernetSwitch {
   void set_fault(fault::LinkFaultInjector* inj) { fault_ = inj; }
 
  private:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFF;
-  static constexpr std::uint32_t kChunkNodes = 1024;
+  static constexpr std::uint32_t kNone = sim::Handle::kNone;
   static constexpr std::uint32_t kMaxPorts = 1u << kIndexBits;
   static constexpr std::uint32_t kGenerations = 1u << (31 - kIndexBits);
 
@@ -219,69 +196,37 @@ class EthernetSwitch {
     sim::Time downlink_busy_until = sim::Time::zero();
     std::uint32_t head = kNone;  // downlink queue: next frame to deliver
     std::uint32_t tail = kNone;
-    std::uint32_t gen = 0;       // bumped by detach()
   };
 
-  /// A frame on its way down a port's downlink; a pool node.
+  /// A frame on its way down a port's downlink.
   struct InFlight {
     EthFrame frame;
     sim::Time at;        // delivery instant
     sim::Ticket ticket;  // its place among events at that instant
-    std::uint32_t next = kNone;  // queue successor, or free-list successor
-    std::uint32_t gen = 0;       // destination port's generation at send
+    std::uint32_t next = kNone;  // queue successor
   };
-
-  [[nodiscard]] bool valid(int p) const {
-    return p >= 0 && index_of(p) < ports_.size();
-  }
-
-  /// Put detached port `i`, its downlink drained, on the free list.
-  void recycle(std::uint32_t i) {
-    if (ports_[i].gen < kGenerations) free_ports_.push_back(i);
-  }
-
-  [[nodiscard]] InFlight& node(std::uint32_t n) {
-    return chunks_[n / kChunkNodes][n % kChunkNodes];
-  }
-
-  std::uint32_t acquire_node() {
-    ++in_flight_;
-    if (free_ != kNone) {
-      const std::uint32_t n = free_;
-      free_ = node(n).next;
-      return n;
-    }
-    if (carved_ == chunks_.size() * kChunkNodes) {
-      chunks_.push_back(std::make_unique<InFlight[]>(kChunkNodes));
-    }
-    return carved_++;
-  }
-
-  void release_node(std::uint32_t n) {
-    --in_flight_;
-    node(n).next = free_;
-    free_ = n;
-  }
 
   /// Hand the engine the delivery event of port `i`'s queue head.
   void arm(std::uint32_t i) {
-    const InFlight& h = node(ports_[i].head);
+    const InFlight& h = frames_[ports_[i].head];
     engine_.schedule_at(h.at, h.ticket, [this, i] { deliver(i); });
   }
 
   void deliver(std::uint32_t i) {
     Port& p = ports_[i];
     const std::uint32_t n = p.head;
-    InFlight& f = node(n);
+    InFlight& f = frames_[n];
     const EthFrame frame = std::move(f.frame);
     p.head = f.next;
-    const bool current = f.gen == p.gen;
-    release_node(n);
+    frames_.erase(n);
+    // Queued frames pin their port, so the frame is for the occupant
+    // attached now, if there still is one.
+    const bool current = static_cast<bool>(p.rx);
     if (p.head != kNone) {
       arm(i);
     } else {
       p.tail = kNone;
-      if (!p.rx) recycle(i);
+      if (!current) ports_.erase(i);
     }
     if (current) {
       p.rx(frame);
@@ -293,13 +238,8 @@ class EthernetSwitch {
   sim::Engine& engine_;
   EthernetParams params_;
   sim::Rng loss_rng_;
-  std::vector<Port> ports_;
-  std::vector<std::uint32_t> free_ports_;  // detached, drained, reusable
-  // In-flight frame pool: chunked so growth never moves a queued frame.
-  std::vector<std::unique_ptr<InFlight[]>> chunks_;
-  std::uint32_t carved_ = 0;  // nodes ever handed out
-  std::uint32_t free_ = kNone;
-  std::size_t in_flight_ = 0;
+  sim::HandleTable<Port> ports_{kMaxPorts, kGenerations};
+  sim::HandleTable<InFlight> frames_;
   std::uint64_t bytes_switched_ = 0;
   std::uint64_t frames_lost_ = 0;
   std::uint64_t frames_to_detached_ = 0;

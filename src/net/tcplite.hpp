@@ -64,7 +64,6 @@
 #include <vector>
 
 #include "hw/ethernet.hpp"
-#include "net/packet_pool.hpp"
 #include "net/udp.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"

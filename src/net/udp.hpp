@@ -24,8 +24,8 @@
 
 #include "dwcs/types.hpp"
 #include "hw/ethernet.hpp"
-#include "net/packet_pool.hpp"
 #include "mpeg/frame.hpp"
+#include "sim/block_pool.hpp"
 #include "sim/engine.hpp"
 #include "sim/time.hpp"
 
@@ -45,6 +45,13 @@ struct Packet {
 };
 
 namespace detail {
+
+/// Packet boxes (the Packet copy plus its shared_ptr control block, fused by
+/// allocate_shared) come from their own pool of blocks up to 256 bytes, so
+/// after warm-up no packet touches ::operator new.
+using PacketBoxPool = sim::detail::BlockPool<32, 8>;
+template <typename T>
+using PacketBoxAllocator = sim::detail::PoolAllocator<T, PacketBoxPool>;
 
 /// Run `fn` after `delay` unless `port` is detached first: the event reads
 /// the switch, which outlives its endpoints, before it touches the endpoint

@@ -18,11 +18,13 @@
 //    FIN, or the reaper collecting a half-open session.
 //  * Session ids are incarnation-prefixed; ids minted by an earlier
 //    incarnation answer 454, never touch another session's state.
-//  * Connections are keyed by the client's port index and remember which
-//    occupant (port address) they belong to. The switch recycles ports, so
-//    bytes from a newer occupant of a connection's port mean its client is
-//    gone: the connection closes as its FIN would have closed it. The
-//    connection table is bounded by ports, not by connections ever made.
+//  * Connections and pumps live in sim::HandleTables. A connection is found
+//    by the client's port index and remembers which occupant (port address)
+//    it belongs to. The switch recycles ports, so bytes from a newer
+//    occupant of a connection's port mean its client is gone: the
+//    connection closes as its FIN would have closed it. A session names its
+//    pump by table handle, so a finished pump's stale handle never reaches
+//    a newer pump in its slot. Both tables hold what is open at once.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +49,7 @@
 #include "session/session.hpp"
 #include "sim/coro.hpp"
 #include "sim/engine.hpp"
+#include "sim/handle_table.hpp"
 
 namespace nistream::session {
 
@@ -135,8 +138,13 @@ class RtspFrontDoor {
   [[nodiscard]] int control_port() const { return ctl_rx_.port(); }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t live_sessions() const { return sessions_.size(); }
-  [[nodiscard]] std::size_t live_pumps() const { return pumps_.size(); }
-  [[nodiscard]] std::size_t connections() const { return conns_.size(); }
+  [[nodiscard]] std::size_t live_pumps() const { return pumps_.live_count(); }
+  [[nodiscard]] std::size_t connections() const { return conns_.live_count(); }
+  /// Slots in the pump and connection tables: the most ever live at once.
+  [[nodiscard]] std::size_t pump_table_size() const { return pumps_.size(); }
+  [[nodiscard]] std::size_t connection_table_size() const {
+    return conns_.size();
+  }
   [[nodiscard]] std::uint32_t incarnation() const {
     return config_.incarnation;
   }
@@ -177,14 +185,13 @@ class RtspFrontDoor {
   };
 
   /// A live pump: the session path, its gate, and the RTP state that must
-  /// survive PAUSE/PLAY. Heap-allocated and keyed by pump_id because the
-  /// pump coroutine holds pointers into it across suspensions.
+  /// survive PAUSE/PLAY. The pump coroutine holds a pointer to it across
+  /// suspensions, which the table's pages keep valid until it is erased.
   struct PumpContext {
     path::FramePath path;
     path::PathStats stats;
     path::PumpGate gate;
     path::RtpState rtp;
-    rtos::Task* task = nullptr;
     explicit PumpContext(sim::Engine& engine)
         : path{engine}, gate{engine} {}
   };
@@ -208,48 +215,52 @@ class RtspFrontDoor {
     }
   }
 
+  /// The connection slot of the client on port index `key`, or kNone.
+  [[nodiscard]] std::uint32_t conn_at(std::uint32_t key) const {
+    return key < conn_of_port_.size() ? conn_of_port_[key] : kNone;
+  }
+
   /// The connection of the client at `peer`, made on first use. A
   /// connection of an earlier occupant of that port is closed first.
   Connection& connection(int peer) {
     const std::uint32_t key = hw::EthernetSwitch::index_of(peer);
-    auto it = conns_.find(key);
-    if (it != conns_.end() && it->second.peer != peer) {
-      close_connection(it);
-      it = conns_.end();
+    if (key >= conn_of_port_.size()) {
+      conn_of_port_.resize(ether_.port_table_size(), kNone);
     }
-    if (it == conns_.end()) {
-      it = conns_.emplace(key, Connection{}).first;
-      it->second.peer = peer;
-    }
-    return it->second;
+    if (superseded(peer)) close_connection(key);
+    std::uint32_t& c = conn_of_port_[key];
+    if (c == kNone) c = conns_.emplace(Connection{.peer = peer});
+    return conns_[c];
   }
 
   /// A newer occupant holds `peer`'s port: that client and its connection
   /// are gone.
   [[nodiscard]] bool superseded(int peer) const {
-    const auto it = conns_.find(hw::EthernetSwitch::index_of(peer));
-    return it != conns_.end() && it->second.peer != peer;
+    const std::uint32_t c = conn_at(hw::EthernetSwitch::index_of(peer));
+    return c != kNone && conns_[c].peer != peer;
   }
 
   void on_conn_close(int peer) {
     // A FIN lands after every segment of its connection, and a newer
     // occupant's segments after the FIN, so the entry is this connection or
     // an earlier occupant's; either way it is over.
-    const auto it = conns_.find(hw::EthernetSwitch::index_of(peer));
-    if (it != conns_.end()) close_connection(it);
+    const std::uint32_t key = hw::EthernetSwitch::index_of(peer);
+    if (conn_at(key) != kNone) close_connection(key);
   }
 
-  void close_connection(std::map<std::uint32_t, Connection>::iterator it) {
+  void close_connection(std::uint32_t key) {
     // Close every session the connection owns — the client FIN'd without
     // TEARDOWN (or after it; then the list is already empty).
-    const std::vector<std::uint64_t> owned = std::move(it->second.sessions);
+    const std::uint32_t c = conn_of_port_[key];
+    const std::vector<std::uint64_t> owned = std::move(conns_[c].sessions);
     for (const std::uint64_t sid : owned) {
       if (sessions_.contains(sid)) {
         close_session(sid);
         ++stats_.conn_closed;
       }
     }
-    conns_.erase(it);
+    conn_of_port_[key] = kNone;
+    conns_.erase(c);
   }
 
   sim::Coro control_loop() {
@@ -365,9 +376,9 @@ class RtspFrontDoor {
                         .session_id = s->id});
       return;
     }
-    if (s->paused && s->pump_id != 0) {
+    if (s->paused && s->pump_id) {
       // Resume the parked pump; sequence/timestamp continue where they were.
-      pumps_.at(s->pump_id)->gate.resume();
+      pumps_[s->pump_id.index].gate.resume();
       s->paused = false;
       s->state = SessionState::kPlaying;
       ++stats_.resumes;
@@ -383,7 +394,7 @@ class RtspFrontDoor {
     Session* s = find(req.session_id);
     if (s == nullptr) return stale(peer, req);
     s->last_activity = engine_.now();
-    if (s->state != SessionState::kPlaying || s->pump_id == 0) {
+    if (s->state != SessionState::kPlaying || !s->pump_id) {
       // PAUSE on a Ready session (never played, already paused, or media
       // done) is a state error per §A.1.
       ++stats_.bad_state_455;
@@ -392,7 +403,7 @@ class RtspFrontDoor {
                         .session_id = s->id});
       return;
     }
-    pumps_.at(s->pump_id)->gate.pause();
+    pumps_[s->pump_id.index].gate.pause();
     s->state = SessionState::kReady;
     s->paused = true;
     ++stats_.pauses;
@@ -445,35 +456,28 @@ class RtspFrontDoor {
       ++stats_.post_play_admission_violations;
       return;
     }
-    const std::uint64_t pid = ++pump_counter_;
-    auto ctx = std::make_unique<PumpContext>(engine_);
-    ctx->rtp.ssrc = static_cast<std::uint32_t>(s.id ^ (s.id >> 32));
-    ctx->path = session_path_synthetic(engine_, acquire_task(*ctx), service_,
-                                       ctx->rtp, rtp_out_, s.rtcp_port,
-                                       config_.rtp);
-    PumpContext* raw = ctx.get();
-    pumps_.emplace(pid, std::move(ctx));
+    const std::uint32_t i = pumps_.emplace(engine_);
+    const sim::Handle pid{i, pumps_.generation(i)};
+    // A pump slot keeps its wind task: the table hands slots back in the
+    // order their pumps finished, as a free list of tasks would.
+    if (i == pump_tasks_.size()) {
+      pump_tasks_.push_back(&kernel_.spawn(
+          "rtsp-pump-" + std::to_string(i + 1), config_.pump_priority));
+    }
+    PumpContext& ctx = pumps_[i];
+    ctx.rtp.ssrc = static_cast<std::uint32_t>(s.id ^ (s.id >> 32));
+    ctx.path = session_path_synthetic(engine_, *pump_tasks_[i], service_,
+                                      ctx.rtp, rtp_out_, s.rtcp_port,
+                                      config_.rtp);
     s.pump_id = pid;
     s.state = SessionState::kPlaying;
     s.ever_played = true;
     s.paused = false;
-    pump_wrapper(s.id, pid, raw, s.frames, s.frame_bytes, s.stream, s.period)
+    pump_wrapper(s.id, pid, &ctx, s.frames, s.frame_bytes, s.stream, s.period)
         .detach();
   }
 
-  rtos::Task& acquire_task(PumpContext& ctx) {
-    if (free_tasks_.empty()) {
-      ctx.task = &kernel_.spawn(
-          "rtsp-pump-" + std::to_string(++task_counter_),
-          config_.pump_priority);
-    } else {
-      ctx.task = free_tasks_.back();
-      free_tasks_.pop_back();
-    }
-    return *ctx.task;
-  }
-
-  sim::Coro pump_wrapper(std::uint64_t sid, std::uint64_t pid,
+  sim::Coro pump_wrapper(std::uint64_t sid, sim::Handle pid,
                          PumpContext* ctx, std::uint64_t frames,
                          std::uint32_t bytes, dwcs::StreamId stream,
                          sim::Time period) {
@@ -491,15 +495,13 @@ class RtspFrontDoor {
     // PumpContext was just destroyed.
   }
 
-  void on_pump_done(std::uint64_t sid, std::uint64_t pid) {
-    const auto it = pumps_.find(pid);
-    if (it == pumps_.end()) return;
-    stats_.frames_pumped += it->second->stats.frames_produced;
-    free_tasks_.push_back(it->second->task);
-    pumps_.erase(it);
+  void on_pump_done(std::uint64_t sid, sim::Handle pid) {
+    if (!pumps_.live(pid.index, pid.generation)) return;
+    stats_.frames_pumped += pumps_[pid.index].stats.frames_produced;
+    pumps_.erase(pid.index);
     const auto sit = sessions_.find(sid);
     if (sit != sessions_.end() && sit->second.pump_id == pid) {
-      sit->second.pump_id = 0;
+      sit->second.pump_id = {};
       if (sit->second.state == SessionState::kPlaying) {
         // Media ran dry (not a stop): back to Ready until TEARDOWN or reap.
         sit->second.state = SessionState::kReady;
@@ -518,7 +520,7 @@ class RtspFrontDoor {
     const auto it = sessions_.find(sid);
     if (it == sessions_.end()) return;
     Session& s = it->second;
-    if (s.pump_id != 0) pumps_.at(s.pump_id)->gate.stop();
+    if (s.pump_id) pumps_[s.pump_id.index].gate.stop();
     admission_.release(s.adm);
     if (config_.tenants != nullptr) {
       config_.tenants->release(s.tenant, admission_.link_load(s.adm),
@@ -529,9 +531,9 @@ class RtspFrontDoor {
     // the closing client — they are churn cost, not a scheduling miss.
     if (monitor_ != nullptr) monitor_->retire({s.tenant, s.stream});
     service_.scheduler().purge_stream(s.stream);
-    const auto cit = conns_.find(hw::EthernetSwitch::index_of(s.ctl_peer));
-    if (cit != conns_.end() && cit->second.peer == s.ctl_peer) {
-      std::erase(cit->second.sessions, sid);
+    const std::uint32_t c = conn_at(hw::EthernetSwitch::index_of(s.ctl_peer));
+    if (c != kNone && conns_[c].peer == s.ctl_peer) {
+      std::erase(conns_[c].sessions, sid);
     }
     sessions_.erase(it);
   }
@@ -576,16 +578,16 @@ class RtspFrontDoor {
   sim::Mailbox<Pending> inbox_;
   net::TcpLiteReceiver ctl_rx_;
   rtos::Task& ctl_task_;
-  // std::map throughout: deterministic iteration order is what makes a
-  // same-seed churn replay byte-identical.
-  std::map<std::uint32_t, Connection> conns_;  // by client port index
+  static constexpr std::uint32_t kNone = sim::Handle::kNone;
+  sim::HandleTable<Connection> conns_;
+  std::vector<std::uint32_t> conn_of_port_;  // client port index -> conns_
+  // A std::map: the reaper walks sessions in id order, and that order is
+  // what makes a same-seed churn replay byte-identical.
   std::map<std::uint64_t, Session> sessions_;
-  std::map<std::uint64_t, std::unique_ptr<PumpContext>> pumps_;
-  std::vector<rtos::Task*> free_tasks_;
+  sim::HandleTable<PumpContext> pumps_;
+  std::vector<rtos::Task*> pump_tasks_;  // by pump slot
   std::vector<std::uint64_t> reap_scratch_;
   std::uint32_t session_counter_ = 0;
-  std::uint64_t pump_counter_ = 0;
-  std::uint64_t task_counter_ = 0;
 };
 
 }  // namespace nistream::session

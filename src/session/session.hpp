@@ -14,6 +14,7 @@
 #include "dwcs/admission.hpp"
 #include "dwcs/types.hpp"
 #include "session/rtsp.hpp"
+#include "sim/handle_table.hpp"
 #include "sim/time.hpp"
 
 namespace nistream::session {
@@ -38,7 +39,7 @@ struct Session {
   sim::Time period = sim::Time::zero();
   std::uint64_t frames = 0;  // media length
   sim::Time last_activity = sim::Time::zero();  // reaper clock
-  std::uint64_t pump_id = 0;  // live pump context key; 0 = none
+  sim::Handle pump_id{};  // the front door's live pump; none when null
 };
 
 }  // namespace nistream::session

@@ -30,7 +30,6 @@
 //    holds by construction.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <coroutine>
 #include <cstddef>
@@ -40,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/block_pool.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 #include "sim/time.hpp"
@@ -48,6 +48,11 @@ namespace nistream::sim {
 
 namespace detail {
 
+/// Blocks of (b + 1) × 64 bytes, header included, up to 2 KiB: every frame
+/// in this repository fits well under that.
+using CoroFramePool = BlockPool<64, 32>;
+using CoroPoolStats = CoroFramePool::Stats;  // read via coro_pool_stats()
+
 /// Completion state embedded at the front of every pooled coroutine block.
 /// Refcount covers: the frame itself (1, released by promise operator delete)
 /// and the Coro handle, if still attached (+1). When it hits zero the whole
@@ -55,7 +60,7 @@ namespace detail {
 struct Completion {
   std::coroutine_handle<> continuation{};
   std::uint32_t refs = 0;
-  std::uint16_t bucket = 0;  // pool bucket index; kOversizeBucket = plain new
+  std::uint16_t bucket = 0;  // CoroFramePool bucket, or its kOversize
   bool finished = false;
 };
 
@@ -66,83 +71,6 @@ inline constexpr std::size_t kCompletionHeaderBytes =
                                                     : sizeof(Completion);
 static_assert(kCompletionHeaderBytes % alignof(std::max_align_t) == 0);
 static_assert(alignof(Completion) <= alignof(std::max_align_t));
-
-inline constexpr std::uint16_t kOversizeBucket = 0xFFFF;
-
-/// Pool geometry: bucket b holds blocks of (b + 1) × 64 bytes, header
-/// included, up to 2 KiB.
-inline constexpr std::size_t kCoroGranuleBytes = 64;
-inline constexpr std::size_t kCoroBucketCount = 32;
-
-/// Per-thread allocation counters, readable via coro_pool_stats(). The
-/// zero-steady-state-allocation tests key off fresh_blocks/oversize_blocks
-/// staying flat while frames keep growing; the footprint tests read which
-/// bucket a coroutine's frames come from.
-struct CoroPoolStats {
-  std::uint64_t frames = 0;         // coroutine frames allocated (pool or not)
-  std::uint64_t pool_reuses = 0;    // served from a bucket free list
-  std::uint64_t fresh_blocks = 0;   // had to touch ::operator new (bucketed)
-  std::uint64_t oversize_blocks = 0;  // frame too big for any bucket
-  std::uint64_t releases = 0;       // blocks whose refcount hit zero
-  std::array<std::uint64_t, kCoroBucketCount> bucket_frames{};  // by bucket
-};
-
-/// Size-bucketed free list for coroutine blocks. 64-byte granularity, 32
-/// buckets (up to 2 KiB — every frame in this repository fits well under
-/// that); anything larger falls through to plain operator new/delete and is
-/// counted, so a frame that silently outgrows the pool shows up in stats
-/// rather than quietly re-adding steady-state allocations.
-class CoroFramePool {
- public:
-  ~CoroFramePool() {
-    for (auto& bucket : free_) {
-      for (void* block : bucket) ::operator delete(block);
-    }
-  }
-
-  void* allocate(std::size_t frame_bytes, std::uint16_t& bucket_out) {
-    ++stats_.frames;
-    const std::size_t total = kCompletionHeaderBytes + frame_bytes;
-    const std::size_t bucket =
-        (total + kCoroGranuleBytes - 1) / kCoroGranuleBytes - 1;
-    if (bucket >= kCoroBucketCount) {
-      ++stats_.oversize_blocks;
-      bucket_out = kOversizeBucket;
-      return ::operator new(total);
-    }
-    bucket_out = static_cast<std::uint16_t>(bucket);
-    ++stats_.bucket_frames[bucket];
-    auto& list = free_[bucket];
-    if (!list.empty()) {
-      ++stats_.pool_reuses;
-      void* block = list.back();
-      list.pop_back();
-      return block;
-    }
-    ++stats_.fresh_blocks;
-    return ::operator new((bucket + 1) * kCoroGranuleBytes);
-  }
-
-  void release(void* block, std::uint16_t bucket) {
-    ++stats_.releases;
-    if (bucket == kOversizeBucket) {
-      ::operator delete(block);
-      return;
-    }
-    free_[bucket].push_back(block);
-  }
-
-  [[nodiscard]] const CoroPoolStats& stats() const { return stats_; }
-
-  static CoroFramePool& instance() {
-    static thread_local CoroFramePool pool;
-    return pool;
-  }
-
- private:
-  std::vector<void*> free_[kCoroBucketCount];
-  CoroPoolStats stats_;
-};
 
 /// Handoff from promise operator new to the promise constructor: the frame is
 /// constructed immediately after its block is allocated, on the same thread,
@@ -193,12 +121,11 @@ class [[nodiscard]] Coro {
     detail::Completion* completion_ = nullptr;
 
     static void* operator new(std::size_t frame_bytes) {
-      std::uint16_t bucket = 0;
-      void* block =
-          detail::CoroFramePool::instance().allocate(frame_bytes, bucket);
+      const std::size_t total = detail::kCompletionHeaderBytes + frame_bytes;
+      void* block = detail::CoroFramePool::instance().allocate(total);
       auto* c = ::new (block) detail::Completion{};
       c->refs = 1;  // the frame's own reference
-      c->bucket = bucket;
+      c->bucket = detail::CoroFramePool::bucket_of(total);
       detail::tl_pending_completion = c;
       return static_cast<std::byte*>(block) + detail::kCompletionHeaderBytes;
     }

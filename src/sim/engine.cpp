@@ -16,15 +16,15 @@ std::ostream& operator<<(std::ostream& os, Time t) {
 }
 
 Engine::~Engine() {
-  // Captures may cancel events as they are destroyed. Empty the slab first,
-  // so every handle those destructors use finds no slot and does nothing.
+  // Captures may cancel events as they are destroyed. Empty the slot table
+  // first (a moved-from table is empty), so every handle those destructors
+  // use finds no slot and does nothing.
   heap_.clear();
-  const std::vector<Slot> dying = std::move(slots_);
-  slots_.clear();
+  const HandleTable<Slot> dying = std::move(slots_);
 }
 
 void Engine::sift_up(std::size_t i) {
-  const std::uint32_t moving = heap_[i];
+  Slot* const moving = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 4;
     if (!earlier(moving, heap_[parent])) break;
@@ -35,7 +35,7 @@ void Engine::sift_up(std::size_t i) {
 }
 
 void Engine::sift_down(std::size_t i) {
-  const std::uint32_t moving = heap_[i];
+  Slot* const moving = heap_[i];
   const std::size_t n = heap_.size();
   for (;;) {
     const std::size_t first_child = i * 4 + 1;
@@ -53,7 +53,7 @@ void Engine::sift_down(std::size_t i) {
 }
 
 void Engine::erase_at(std::size_t i) {
-  const std::uint32_t last = heap_.back();
+  Slot* const last = heap_.back();
   heap_.pop_back();
   if (i == heap_.size()) return;
   heap_[i] = last;
@@ -66,10 +66,9 @@ void Engine::erase_at(std::size_t i) {
 
 InlineEvent Engine::release(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  ++s.gen;
   erase_at(s.heap_pos);
   InlineEvent fn = std::move(s.fn);
-  free_.push_back(slot);
+  slots_.erase(slot);
   return fn;
 }
 
@@ -85,27 +84,18 @@ EventHandle Engine::schedule_at(Time at, Ticket ticket, InlineEvent fn) {
 }
 
 EventHandle Engine::insert(Time at, std::uint64_t seq, InlineEvent fn) {
-  std::uint32_t slot;
-  if (!free_.empty()) {
-    slot = free_.back();
-    free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
+  const std::uint32_t slot = slots_.emplace(at, seq, 0u, 0u, std::move(fn));
   Slot& s = slots_[slot];
-  s.at = at;
-  s.seq = seq;
-  s.fn = std::move(fn);
-  heap_.push_back(slot);
+  s.index = slot;
+  heap_.push_back(&s);
   sift_up(heap_.size() - 1);
-  return EventHandle{this, slot, s.gen};
+  return EventHandle{this, slot, slots_.generation(slot)};
 }
 
 bool Engine::step() {
   if (heap_.empty()) return false;
-  const std::uint32_t slot = heap_[0];
-  now_ = slots_[slot].at;
+  const std::uint32_t slot = heap_[0]->index;
+  now_ = heap_[0]->at;
   ++executed_;
   // Free the slot *before* invoking: the callback may schedule new events
   // (which may reuse this slot) or cancel through a stale handle (which the
@@ -121,7 +111,7 @@ Time Engine::run() {
 }
 
 Time Engine::run_until(Time deadline) {
-  while (!heap_.empty() && slots_[heap_[0]].at <= deadline) step();
+  while (!heap_.empty() && heap_[0]->at <= deadline) step();
   if (now_ < deadline) now_ = deadline;
   return now_;
 }

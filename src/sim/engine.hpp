@@ -5,12 +5,13 @@
 // scheduled (FIFO tie-break via a monotonically increasing sequence number),
 // which makes every experiment in this repository bit-for-bit deterministic.
 //
-// Storage layout: events live in a slab of reusable slots (free-list
-// recycling), and the priority queue is an implicit 4-ary heap of slot
-// indices. The event payload is an InlineEvent — the capture lives inside
-// the slot, recycled with it — so scheduling an event after warm-up
-// allocates nothing at all: no std::function heap path, no shared_ptr
-// control block per event, no heap churn at 100k in-flight timers.
+// Storage layout: events live in a sim::HandleTable of slots, and the
+// priority queue is an implicit 4-ary heap of pointers to them (the table's
+// pages never move, so a compare reads its slots directly). The event
+// payload is an InlineEvent — the capture lives inside the slot, recycled
+// with it — so scheduling an event after warm-up allocates nothing at all:
+// no std::function heap path, no shared_ptr control block per event, no heap
+// churn at 100k in-flight timers.
 //
 // Cancellation is eager: each slot records its place in the heap, so
 // cancel() takes the event out of the heap in O(log n) and frees its slot
@@ -34,6 +35,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/handle_table.hpp"
 #include "sim/inline_event.hpp"
 #include "sim/time.hpp"
 
@@ -43,9 +45,10 @@ class Engine;
 
 /// Handle returned by Engine::schedule*; allows cancellation.
 ///
-/// Copyable and cheap: a (slot, generation) pair into the engine's slab. The
-/// generation check makes cancelling an already-fired or already-cancelled
-/// event a no-op even after the slot has been reused for a newer event.
+/// Copyable and cheap: a (slot, generation) pair into the engine's slot
+/// table. The generation check makes cancelling an already-fired or
+/// already-cancelled event a no-op even after the slot has been reused for a
+/// newer event.
 /// Handles must not be used after their Engine is destroyed, except that
 /// cancel() from a capture destroyed by ~Engine is a no-op.
 class EventHandle {
@@ -59,12 +62,12 @@ class EventHandle {
 
  private:
   friend class Engine;
-  EventHandle(Engine* engine, std::uint32_t slot, std::uint64_t gen)
+  EventHandle(Engine* engine, std::uint32_t slot, std::uint32_t gen)
       : engine_{engine}, slot_{slot}, gen_{gen} {}
 
   Engine* engine_ = nullptr;
   std::uint32_t slot_ = 0;
-  std::uint64_t gen_ = 0;
+  std::uint32_t gen_ = 0;
 };
 
 /// A reserved place in the engine's (time, sequence) order; see
@@ -122,7 +125,7 @@ class Engine {
   /// yet, so they are not counted.
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_executed() const { return executed_; }
-  /// Slots in the slab: the most events ever armed at once. Never shrinks.
+  /// Slots in the slot table: the most events ever armed at once.
   [[nodiscard]] std::size_t slab_size() const { return slots_.size(); }
 
  private:
@@ -131,21 +134,19 @@ class Engine {
   struct Slot {
     Time at = Time::zero();
     std::uint64_t seq = 0;
-    std::uint64_t gen = 0;  // bumped on release; stale handles see a mismatch
     std::uint32_t heap_pos = 0;  // index in heap_ while armed
+    std::uint32_t index = 0;     // this slot's index in slots_
     InlineEvent fn;
   };
 
-  [[nodiscard]] bool earlier(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.at != sb.at) return sa.at < sb.at;
-    return sa.seq < sb.seq;
+  [[nodiscard]] static bool earlier(const Slot* a, const Slot* b) {
+    if (a->at != b->at) return a->at < b->at;
+    return a->seq < b->seq;
   }
   EventHandle insert(Time at, std::uint64_t seq, InlineEvent fn);
-  void place(std::size_t i, std::uint32_t slot) {
+  void place(std::size_t i, Slot* slot) {
     heap_[i] = slot;
-    slots_[slot].heap_pos = static_cast<std::uint32_t>(i);
+    slot->heap_pos = static_cast<std::uint32_t>(i);
   }
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
@@ -156,17 +157,12 @@ class Engine {
   /// is consistent again.
   InlineEvent release(std::uint32_t slot);
 
-  void handle_cancel(std::uint32_t slot, std::uint64_t gen) {
-    if (handle_pending(slot, gen)) release(slot);  // capture dies here
-  }
-  [[nodiscard]] bool handle_pending(std::uint32_t slot,
-                                    std::uint64_t gen) const {
-    return slot < slots_.size() && slots_[slot].gen == gen;
+  void handle_cancel(std::uint32_t slot, std::uint32_t gen) {
+    if (slots_.live(slot, gen)) release(slot);  // capture dies here
   }
 
-  std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_;  // slot indices, implicit 4-ary heap
-  std::vector<std::uint32_t> free_;  // recycled slot indices
+  HandleTable<Slot> slots_;
+  std::vector<Slot*> heap_;  // implicit 4-ary heap
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
@@ -177,7 +173,7 @@ inline void EventHandle::cancel() {
 }
 
 inline bool EventHandle::pending() const {
-  return engine_ != nullptr && engine_->handle_pending(slot_, gen_);
+  return engine_ != nullptr && engine_->slots_.live(slot_, gen_);
 }
 
 }  // namespace nistream::sim

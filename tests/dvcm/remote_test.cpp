@@ -192,5 +192,44 @@ TEST(RemoteVcmTeardown, DestroyedPortDropsTheInstructionInItsStack) {
   EXPECT_EQ(f.ether.frames_to_detached(), 1u);
 }
 
+TEST(RemoteVcmTeardown, DestroyedPortMidDispatchResumesNothing) {
+  // The port goes away while its dispatch task is charging the NI CPU for
+  // an instruction it has already dispatched: when the charge completes the
+  // task must not count it on the dead port.
+  const auto destroy_mid_dispatch = [](ClusterFixture& f, auto port,
+                                       const auto& invoke) {
+    bool handled = false;
+    f.sched_node.runtime().registry().add(
+        kExtensionBase + 0x703, [&](const hw::I2oMessage&) { handled = true; });
+    invoke(port->port());
+    while (!handled && f.eng.step()) {}
+    ASSERT_TRUE(handled);
+    ASSERT_EQ(port->dispatched(), 0u);  // the charge is still running
+    port.reset();
+    f.eng.run_until(f.eng.now() + Time::ms(50));
+  };
+  {
+    ClusterFixture f;
+    destroy_mid_dispatch(
+        f,
+        std::make_unique<RemoteVcmPort>(f.sched_node.runtime(), f.ether,
+                                        f.cal.ethernet.stack_traversal),
+        [&](int dst) {
+          f.remote_client.invoke(dst, kExtensionBase + 0x703, 1, nullptr);
+        });
+  }
+  {
+    ClusterFixture f;
+    auto port = std::make_unique<ReliableRemoteVcmPort>(
+        f.sched_node.runtime(), f.ether, f.cal.ethernet.stack_traversal);
+    ReliableRemoteVcmClient client{f.eng, f.ether,
+                                   f.cal.ethernet.stack_traversal,
+                                   port->port()};
+    destroy_mid_dispatch(f, std::move(port), [&](int) {
+      client.invoke(kExtensionBase + 0x703, 1, nullptr);
+    });
+  }
+}
+
 }  // namespace
 }  // namespace nistream::dvcm

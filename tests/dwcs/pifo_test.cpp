@@ -3,12 +3,12 @@
 // The load-bearing property is DECISION IDENTITY for the DWCS rank:
 // PifoRepr<DwcsRank> ranks by the same rule-1..5 total order as
 // DualHeapRepr's full-order shadow heap, so both must pick() the identical
-// stream on every round — flat, and with PIFO engines as the per-core
-// representation inside the hierarchical sharding layer at every shard
-// count. The WFQ rank is stateful (virtual finish tags), so its tests
-// assert the fair-queueing contract instead: service counts converge to
-// weight-proportional shares, and an idle flow rejoins at the clock with
-// no banked catch-up burst.
+// stream on every round. Inside the hierarchical sharding layer, PIFO cores
+// under EDF and static priority must decide exactly as one flat PIFO engine
+// under the same policy, at every shard count. The WFQ rank is stateful
+// (virtual finish tags), so its tests assert the fair-queueing contract
+// instead: service counts converge to weight-proportional shares, and an
+// idle flow rejoins at the clock with no banked catch-up burst.
 #include "dwcs/pifo.hpp"
 
 #include <gtest/gtest.h>
@@ -45,22 +45,32 @@ TEST(PifoIdentity, DwcsRankMatchesDualHeap) {
   }
 }
 
-TEST(PifoIdentity, HierarchicalPifoCoresMatchDualHeap) {
-  // The sharding layer over PIFO cores (params.pifo_cores) must still be
-  // decision-identical to one flat dual heap: same total order per core,
-  // same root arbiter, any shard count.
-  for (const std::uint32_t shards : {1u, 4u, 16u}) {
-    for (const std::uint64_t seed : {7u, 99u, 1234u}) {
-      FakeTable table;
-      Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
-      DualHeapRepr reference{table, cmp, null_cost_hook(), 0x0100'0000};
-      HierarchicalScheduler sharded{
-          table, cmp, null_cost_hook(), 0x0200'0000,
-          HierarchicalParams{.shards = shards, .pifo_cores = true}};
-      EXPECT_EQ(sharded.shards(), shards);
-      EXPECT_GT(run_lockstep(table, reference, sharded, seed, "sharded"),
-                1000)
-          << "shards " << shards << " seed " << seed;
+TEST(PifoIdentity, HierarchicalPifoCoresMatchFlatPifo) {
+  // The sharding layer over PIFO cores must be decision-identical to one
+  // flat PIFO engine under the same policy: EDF and static priority are
+  // total orders, so per-core order plus the root arbiter reproduce the flat
+  // order at any shard count.
+  for (const PolicyKind policy :
+       {PolicyKind::kEdf, PolicyKind::kStaticPriority}) {
+    for (const std::uint32_t shards : {1u, 4u, 16u}) {
+      for (const std::uint64_t seed : {7u, 99u, 1234u}) {
+        FakeTable table;
+        Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
+        const auto reference =
+            make_repr(ReprKind::kPifo, table, cmp, null_cost_hook(),
+                      0x0100'0000, {}, policy);
+        HierarchicalScheduler sharded{table,
+                                      cmp,
+                                      null_cost_hook(),
+                                      0x0200'0000,
+                                      HierarchicalParams{.shards = shards},
+                                      policy};
+        EXPECT_EQ(sharded.shards(), shards);
+        EXPECT_GT(run_lockstep(table, *reference, sharded, seed,
+                               to_string(policy)),
+                  1000)
+            << to_string(policy) << " shards " << shards << " seed " << seed;
+      }
     }
   }
 }

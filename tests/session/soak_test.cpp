@@ -2,10 +2,11 @@
 // SessionServer. Each wave's clients are destroyed once their scripts are
 // done and the next wave takes their switch ports, so the server's stores
 // must track the clients alive now, not every client it has served: the
-// switch's port table, the engine's slab and the control receiver's peer
-// table stay at their size after the first wave, and the connection table
-// never holds more than one wave. Also here: a client on a recycled port
-// closes the connection of the client that held the port before it.
+// switch's port table, the engine's slot table, the control receiver's peer
+// table and the front door's connection and pump tables stay at their size
+// after the first wave, and no more than one wave's connections are open.
+// Also here: a client on a recycled port closes the connection of the
+// client that held the port before it.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -48,6 +49,8 @@ struct Footprint {
   std::size_t ports = 0;
   std::size_t slab = 0;
   std::size_t peers = 0;
+  std::size_t conns = 0;
+  std::size_t pumps = 0;
 };
 
 TEST(SessionSoak, TenWavesOfPoliteAndVanishingClientsLeaveStateFlat) {
@@ -83,7 +86,9 @@ TEST(SessionSoak, TenWavesOfPoliteAndVanishingClientsLeaveStateFlat) {
     EXPECT_EQ(rig.server.admission().admitted(), 0u) << "wave " << wave;
     const Footprint now{.ports = rig.ether.port_table_size(),
                         .slab = rig.eng.slab_size(),
-                        .peers = door.control_rx().peer_count()};
+                        .peers = door.control_rx().peer_count(),
+                        .conns = door.connection_table_size(),
+                        .pumps = door.pump_table_size()};
     if (wave == 0) {
       first = now;
       EXPECT_EQ(first.peers, static_cast<std::size_t>(kClients));
@@ -91,6 +96,8 @@ TEST(SessionSoak, TenWavesOfPoliteAndVanishingClientsLeaveStateFlat) {
     EXPECT_EQ(now.ports, first.ports) << "wave " << wave;
     EXPECT_EQ(now.slab, first.slab) << "wave " << wave;
     EXPECT_EQ(now.peers, first.peers) << "wave " << wave;
+    EXPECT_EQ(now.conns, first.conns) << "wave " << wave;
+    EXPECT_EQ(now.pumps, first.pumps) << "wave " << wave;
     // Last built, first destroyed: each port goes back on the free list in
     // the order the next wave asks for ports, so client i reuses the ports
     // of the previous wave's client i.
