@@ -4,6 +4,7 @@
 #include <memory>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "apps/client.hpp"
 #include "apps/media_server.hpp"
@@ -283,12 +284,29 @@ PciBenchResult run_pci_bench(const hw::Calibration& cal) {
 
 namespace {
 
-StreamOutcome make_outcome(MpegClient& client, std::uint64_t stream_id,
-                           const dvcm::StreamService& service,
-                           sim::Time horizon) {
+/// Figures 8/10's y-axis data: each stream's (frame#, queuing delay ms) for
+/// every frame dispatched, indexed by stream id.
+using QueuingDelays =
+    std::vector<std::vector<std::pair<std::uint64_t, double>>>;
+
+/// The service stores nothing per frame, so the experiment logs the series
+/// itself. The dispatch observer fires at the dispatch instant, after
+/// frames_sent() has counted the frame.
+void log_queuing_delays(sim::Engine& eng, dvcm::StreamService& service,
+                        QueuingDelays& out) {
+  service.set_dispatch_observer(
+      [&eng, &service, &out](dwcs::StreamId id, const dwcs::Dispatch& d) {
+        if (out.size() <= id) out.resize(id + 1);
+        out[id].emplace_back(service.frames_sent(id),
+                             (eng.now() - d.frame.enqueued_at).to_ms());
+      });
+}
+
+StreamOutcome make_outcome(MpegClient& client, dwcs::StreamId stream_id,
+                           QueuingDelays& qdelay, sim::Time horizon) {
   StreamOutcome o;
   o.bandwidth_bps = client.bandwidth(stream_id);
-  o.qdelay_ms = service.queuing_delay(static_cast<dwcs::StreamId>(stream_id));
+  if (stream_id < qdelay.size()) o.qdelay_ms = std::move(qdelay[stream_id]);
   o.frames_delivered = client.frames_received(stream_id);
   o.settle_bandwidth_bps = settle_bandwidth(o.bandwidth_bps, horizon);
   for (const auto& [frame, d] : o.qdelay_ms) {
@@ -302,6 +320,7 @@ StreamOutcome make_outcome(MpegClient& client, std::uint64_t stream_id,
 LoadExperimentResult run_host_load_experiment(
     const LoadExperimentConfig& config) {
   sim::Engine eng;
+  QueuingDelays qdelay;  // declared before the server whose observer fills it
   const auto& cal = config.cal;
   // Two CPUs online for the host-based experiments (paper §4.2.3).
   hostos::HostMachine host{eng, /*online_cpus=*/2, cal, sim::Time::sec(1)};
@@ -316,6 +335,7 @@ LoadExperimentResult run_host_load_experiment(
   scfg.scheduler.decision_overhead_cycles = 7000;  // ~35 us at 200 MHz
   scfg.dispatch_cycles = 500000;  // socket syscall + kernel UDP + copies (~2.5 ms)
   HostSchedulerServer server{host, ether, scfg, cal, /*affinity=*/0};
+  log_queuing_delays(eng, server.service(), qdelay);
   if (config.scheduler_reservation > 0) {
     host.scheduler().set_reservation(server.process().thread(),
                                      config.scheduler_reservation,
@@ -374,14 +394,15 @@ LoadExperimentResult run_host_load_experiment(
   for (const auto& [t, v] : r.cpu_utilization.points()) {
     r.peak_utilization = std::max(r.peak_utilization, v);
   }
-  r.s1 = make_outcome(client, s1, server.service(), config.horizon);
-  r.s2 = make_outcome(client, s2, server.service(), config.horizon);
+  r.s1 = make_outcome(client, s1, qdelay, config.horizon);
+  r.s2 = make_outcome(client, s2, qdelay, config.horizon);
   return r;
 }
 
 LoadExperimentResult run_ni_load_experiment(
     const LoadExperimentConfig& config) {
   sim::Engine eng;
+  QueuingDelays qdelay;  // declared before the server whose observer fills it
   const auto& cal = config.cal;
   // One host CPU online for the NI experiments (paper §4.2.3).
   hostos::HostMachine host{eng, /*online_cpus=*/1, cal, sim::Time::sec(1)};
@@ -392,6 +413,7 @@ LoadExperimentResult run_ni_load_experiment(
   scfg.scheduler.ring_capacity = config.ring_capacity;
   scfg.scheduler.deadline_from_completion = true;
   NiSchedulerServer server{eng, bus, ether, scfg, cal};
+  log_queuing_delays(eng, server.service(), qdelay);
 
   MpegClient client{eng, ether, cal.ethernet.stack_traversal};
 
@@ -447,8 +469,8 @@ LoadExperimentResult run_ni_load_experiment(
   for (const auto& [t, v] : r.cpu_utilization.points()) {
     r.peak_utilization = std::max(r.peak_utilization, v);
   }
-  r.s1 = make_outcome(client, s1, server.service(), config.horizon);
-  r.s2 = make_outcome(client, s2, server.service(), config.horizon);
+  r.s1 = make_outcome(client, s1, qdelay, config.horizon);
+  r.s2 = make_outcome(client, s2, qdelay, config.horizon);
   return r;
 }
 

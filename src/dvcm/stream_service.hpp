@@ -13,6 +13,12 @@
 // *consumed through that machine's scheduler*. On a loaded host this
 // consumption stretches and dispatch falls behind — that stretching is the
 // entire Figure 7/8 effect.
+//
+// Per-stream state is fixed at admission: the client port and the send-side
+// frame counter. Nothing is stored per frame, so a stream that plays for
+// hours costs what it cost at its first frame. Whoever wants per-frame data
+// (the Figure 8/10 queuing-delay series, the session plane's window monitor)
+// reads it from the dispatch and drop observers as each frame goes by.
 #pragma once
 
 #include <cassert>
@@ -94,7 +100,7 @@ class StreamService {
   dwcs::StreamId create_stream(const dwcs::StreamParams& params,
                                int client_port) {
     const auto id = sched_.create_stream(params, engine_.now());
-    streams_.push_back(PerStream{client_port, {}, 0});
+    streams_.push_back(PerStream{client_port, 0});
     return id;
   }
 
@@ -182,8 +188,7 @@ class StreamService {
       for (const auto& d : batch) {
         if (memory_) memory_->release(d.frame.bytes);
         PerStream& ps = streams_[d.stream];
-        const double delay_ms = (engine_.now() - d.frame.enqueued_at).to_ms();
-        ps.queuing_delay_ms.emplace_back(++ps.frames_sent, delay_ms);
+        ++ps.frames_sent;
 
         net::Packet pkt;
         pkt.stream_id = d.stream;
@@ -195,7 +200,8 @@ class StreamService {
         endpoint.send(ps.client_port, pkt);
         ++dispatched_;
         trace_.record(engine_.now(), "dwcs", "dispatch", d.stream,
-                      d.frame.frame_id, delay_ms);
+                      d.frame.frame_id,
+                      (engine_.now() - d.frame.enqueued_at).to_ms());
         if (dispatch_observer_) dispatch_observer_(d.stream, d);
       }
     }
@@ -215,7 +221,8 @@ class StreamService {
   void set_health(fault::BoardHealth* h) { health_ = h; }
 
   /// QoS observers (nullable). The dispatch observer fires once per frame
-  /// put on the wire (Dispatch.late distinguishes on-time from late); the
+  /// put on the wire (Dispatch.late distinguishes on-time from late), at the
+  /// dispatch instant and after frames_sent() has counted the frame; the
   /// drop observer fires once per frame the scheduler discarded. Together
   /// they are exactly the per-stream outcome sequence a
   /// dwcs::WindowViolationMonitor wants.
@@ -301,16 +308,10 @@ class StreamService {
   [[nodiscard]] std::uint64_t frames_sent(dwcs::StreamId id) const {
     return streams_[id].frames_sent;
   }
-  /// (frame#, queuing delay ms) points — the y-axis data of Figures 8/10.
-  [[nodiscard]] const std::vector<std::pair<std::uint64_t, double>>&
-  queuing_delay(dwcs::StreamId id) const {
-    return streams_[id].queuing_delay_ms;
-  }
 
  private:
   struct PerStream {
     int client_port;
-    std::vector<std::pair<std::uint64_t, double>> queuing_delay_ms;
     std::uint64_t frames_sent;
   };
 

@@ -18,11 +18,19 @@
 // counters it accumulated before the crash (the dead placement's stats stay
 // frozen, attributable to the outage). Single-scheduler users keep the old
 // positional API — it is the keyed API specialized to scope 0.
+//
+// Each placement holds its last y outcomes as a y-bit ring of ceil(y/64)
+// words: the session plane monitors every admitted stream for as long as it
+// plays, and y is usually 8 or less. The first word is allocated when the
+// stream is added, which covers y <= 64; a longer window grows one word at a
+// time over its first y packets, so a huge y (it comes from the client's
+// X-Window header) costs only the packets seen.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "dwcs/types.hpp"
 
@@ -46,7 +54,11 @@ class WindowViolationMonitor {
   /// existing key keeps its state (a hang-recovered board resumes the same
   /// window history — nothing was wiped).
   void add_stream(StreamKey key, const WindowConstraint& c) {
-    states_.try_emplace(pack(key), State{c, {}, 0, 0, 0});
+    assert(c.y >= 1);
+    const auto [it, fresh] = states_.try_emplace(pack(key));
+    if (!fresh) return;
+    it->second.constraint = c;
+    it->second.ring.assign(1, 0);
   }
 
   /// Legacy single-scheduler registration: ids must be registered in order,
@@ -60,16 +72,19 @@ class WindowViolationMonitor {
     State& s = states_.at(pack(key));
     if (s.retired) return;
     const bool lost = o != Outcome::kOnTime;
-    s.window.push_back(lost);
+    // Packet n's bit sits at n mod y, so the slot it takes holds packet
+    // n - y's: the one leaving a full window.
+    const auto y = static_cast<std::uint64_t>(s.constraint.y);
+    const std::uint64_t slot = s.packets % y;
+    if (slot / 64 == s.ring.size()) s.ring.push_back(0);
+    std::uint64_t& word = s.ring[slot / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
+    if (s.packets >= y) s.losses_in_window -= (word & bit) != 0;
+    word = lost ? word | bit : word & ~bit;
     s.losses_in_window += lost;
     ++s.packets;
-    if (static_cast<std::int64_t>(s.window.size()) > s.constraint.y) {
-      s.losses_in_window -= s.window.front();
-      s.window.pop_front();
-    }
     // Only full windows can violate; count each offending window position.
-    if (static_cast<std::int64_t>(s.window.size()) == s.constraint.y &&
-        s.losses_in_window > s.constraint.x) {
+    if (s.packets >= y && s.losses_in_window > s.constraint.x) {
       ++s.violating_windows;
     }
   }
@@ -201,10 +216,10 @@ class WindowViolationMonitor {
  private:
   struct State {
     WindowConstraint constraint;
-    std::deque<bool> window;
-    std::int64_t losses_in_window;
-    std::uint64_t packets;
-    std::uint64_t violating_windows;
+    std::vector<std::uint64_t> ring;  // bit n mod y: packet n lost
+    std::int64_t losses_in_window = 0;
+    std::uint64_t packets = 0;
+    std::uint64_t violating_windows = 0;
     bool retired = false;
   };
 

@@ -7,6 +7,10 @@
 // whatever the element owned leaves the queue with it; the husks left in the
 // consumed prefix are reclaimed when the queue drains or when a push finds the
 // buffer full and at least half of it consumed.
+//
+// Iteration runs over the live elements, oldest first. A windowed reader
+// (sim::RateMeter) walks its window that way and pops what falls behind it,
+// so the queue holds one window, not the whole history.
 #pragma once
 
 #include <cassert>
@@ -20,6 +24,7 @@ template <typename T>
 class Fifo {
  public:
   using iterator = typename std::vector<T>::iterator;
+  using const_iterator = typename std::vector<T>::const_iterator;
 
   void push_back(T v) {
     // Compacting only when half the buffer is consumed keeps pushes O(1)
@@ -58,6 +63,10 @@ class Fifo {
     return items_.begin() + static_cast<std::ptrdiff_t>(head_);
   }
   [[nodiscard]] iterator end() { return items_.end(); }
+  [[nodiscard]] const_iterator begin() const {
+    return items_.begin() + static_cast<std::ptrdiff_t>(head_);
+  }
+  [[nodiscard]] const_iterator end() const { return items_.end(); }
 
  private:
   std::vector<T> items_;

@@ -31,17 +31,17 @@ void TimeSeries::write_csv(std::ostream& os, const std::string& value_label) con
 
 void RateMeter::record(Time t, std::uint64_t bytes) {
   sample_up_to(t, /*inclusive=*/false);
-  events_.emplace_back(t, bytes);
+  events_.push_back({t, bytes});
   total_ += bytes;
 }
 
 double RateMeter::current_bps(Time t) const {
-  // Sum bytes inside (t - window, t]; tail_ is advanced by sample_up_to.
+  // Sum bytes inside (t - window, t]; sample_up_to has popped every event at
+  // or before t - window.
   std::uint64_t bytes = 0;
-  const Time lo = t - window_;
-  for (std::size_t i = tail_; i < events_.size(); ++i) {
-    if (events_[i].first > t) break;
-    if (events_[i].first > lo) bytes += events_[i].second;
+  for (const auto& [at, b] : events_) {
+    if (at > t) break;
+    bytes += b;
   }
   const double span = std::min(window_.to_sec(), t.to_sec());
   return span > 0.0 ? static_cast<double>(bytes) * 8.0 / span : 0.0;
@@ -49,9 +49,12 @@ double RateMeter::current_bps(Time t) const {
 
 void RateMeter::sample_up_to(Time t, bool inclusive) {
   while (inclusive ? next_sample_ <= t : next_sample_ < t) {
-    // Drop events that have fallen out of the window for this sample point.
+    // Pop events that have fallen out of the window for this sample point;
+    // sample points only advance, so no later sample reads them.
     const Time lo = next_sample_ - window_;
-    while (tail_ < events_.size() && events_[tail_].first <= lo) ++tail_;
+    while (!events_.empty() && events_.front().first <= lo) {
+      events_.pop_front();
+    }
     if (next_sample_ > Time::zero()) {
       series_.add(next_sample_, current_bps(next_sample_));
     }
@@ -61,31 +64,31 @@ void RateMeter::sample_up_to(Time t, bool inclusive) {
 
 void UtilizationMeter::add_busy(Time start, Time end) {
   if (end <= start) return;
+  assert(start >= last_end_);
   total_busy_ += end - start;
-  // Merge with the previous interval when contiguous: CPU schedulers emit
-  // many abutting slices and merging keeps the vector small.
-  if (!intervals_.empty() && intervals_.back().second == start) {
-    intervals_.back().second = end;
-  } else {
-    assert(intervals_.empty() || start >= intervals_.back().second);
-    intervals_.emplace_back(start, end);
+  last_end_ = end;
+  if (sample_every_ <= Time::zero()) return;
+  // Split the slice at interval edges. Integer ns sums are exact, so each
+  // interval reads the same busy time as clipping every slice to it would.
+  const std::int64_t width = sample_every_.raw_ns();
+  for (std::int64_t lo = start.raw_ns(); lo < end.raw_ns();) {
+    const std::int64_t idx = lo / width;
+    const std::int64_t hi = std::min(end.raw_ns(), (idx + 1) * width);
+    const auto i = static_cast<std::size_t>(idx);
+    if (i >= busy_ns_.size()) busy_ns_.resize(i + 1, 0);
+    busy_ns_[i] += hi - lo;
+    lo = hi;
   }
 }
 
 TimeSeries UtilizationMeter::sample(Time end, double capacity) const {
   TimeSeries out{"utilization"};
   if (sample_every_ <= Time::zero()) return out;
-  std::size_t idx = 0;
-  for (Time lo = Time::zero(); lo < end; lo += sample_every_) {
+  assert(end >= last_end_);
+  std::size_t i = 0;
+  for (Time lo = Time::zero(); lo < end; lo += sample_every_, ++i) {
     const Time hi = std::min(lo + sample_every_, end);
-    Time busy = Time::zero();
-    // Advance past intervals that end before this bucket.
-    while (idx < intervals_.size() && intervals_[idx].second <= lo) ++idx;
-    for (std::size_t i = idx; i < intervals_.size(); ++i) {
-      const auto& [s, e] = intervals_[i];
-      if (s >= hi) break;
-      busy += std::min(e, hi) - std::max(s, lo);
-    }
+    const Time busy = Time::ns(i < busy_ns_.size() ? busy_ns_[i] : 0);
     const double util = 100.0 * (busy / (hi - lo)) / capacity;
     out.add(hi, util);
   }

@@ -3,7 +3,15 @@
 // The paper reports four kinds of data: cumulative/average latencies
 // (Tables 1–5), time series of bandwidth (Figures 7, 9), per-frame queuing
 // delays (Figures 8, 10) and sampled CPU utilization (Figure 6). The classes
-// here back those directly.
+// here back those directly; the Figure 8/10 experiments keep their per-frame
+// series themselves (apps/experiments.cpp), as a plain vector.
+//
+// The two meters sit on the per-frame and per-CPU-slice paths of runs that
+// last as long as their clients watch, so their state is bounded by what
+// their readers need, not by the frames or slices seen: a RateMeter holds the
+// events inside its window, a UtilizationMeter one busy sum per sample
+// period. What still grows with run length is the output series, one point
+// per sample period.
 #pragma once
 
 #include <algorithm>
@@ -14,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/fifo.hpp"
 #include "sim/time.hpp"
 
 namespace nistream::sim {
@@ -130,23 +139,27 @@ class RateMeter {
   Time sample_every_;
   Time next_sample_ = Time::zero();
   std::uint64_t total_ = 0;
-  std::vector<std::pair<Time, std::uint64_t>> events_;  // (t, bytes)
-  std::size_t tail_ = 0;  // first event still inside the window
+  /// (t, bytes) of the events inside the window of the next sample; older
+  /// ones are popped, since no later sample reads them.
+  Fifo<std::pair<Time, std::uint64_t>> events_;
   TimeSeries series_;
 };
 
-/// Busy-time integrator behind the Figure 6 "perfmeter": mark busy/idle
-/// transitions, then sample utilization over fixed intervals.
+/// Busy-time integrator behind the Figure 6 "perfmeter": record busy
+/// slices, then sample utilization over fixed intervals.
 class UtilizationMeter {
  public:
   explicit UtilizationMeter(Time sample_every) : sample_every_{sample_every} {}
 
-  /// Add `busy` time observed within the current sampling position at `now`.
-  /// Busy time is credited to the sample intervals it overlaps.
+  /// Record the busy slice [start, end). Slices must arrive in time order
+  /// and must not overlap. Each is credited, in whole nanoseconds, to the
+  /// sample intervals it overlaps.
   void add_busy(Time start, Time end);
 
   /// Produce the utilization series up to `end`, as percent of `capacity`
-  /// (capacity = number of CPUs for a whole-machine meter).
+  /// (capacity = number of CPUs for a whole-machine meter). `end` must be at
+  /// or after the end of the last recorded slice: an interval cut short by
+  /// `end` reads its whole busy sum.
   [[nodiscard]] TimeSeries sample(Time end, double capacity = 1.0) const;
 
   [[nodiscard]] Time total_busy() const { return total_busy_; }
@@ -154,7 +167,8 @@ class UtilizationMeter {
  private:
   Time sample_every_;
   Time total_busy_ = Time::zero();
-  std::vector<std::pair<Time, Time>> intervals_;  // merged busy intervals
+  Time last_end_ = Time::zero();       // end of the latest recorded slice
+  std::vector<std::int64_t> busy_ns_;  // busy ns per sample interval
 };
 
 }  // namespace nistream::sim

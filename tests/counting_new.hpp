@@ -3,12 +3,15 @@
 // Include from exactly one translation unit of a test binary (every test
 // binary here is one source file). test::heap_allocs() reads the number of
 // global heap allocations so far; an audit reads it before and after the code
-// under test. Set NISTREAM_TRACE_ALLOCS in the environment and call
-// test::trace_next_allocs(n) to dump the backtraces of the next n allocations.
+// under test. test::heap_live_bytes() reads the bytes held by live `new`
+// blocks, as malloc_usable_size reports them, so an audit can tell state that
+// accumulates from allocations that come and go. Set NISTREAM_TRACE_ALLOCS in
+// the environment and call test::trace_next_allocs(n) to dump the backtraces
+// of the next n allocations.
 //
 // Under ASan/TSan the sanitizer owns the allocator, so the shim is compiled
-// out: NISTREAM_COUNTING_NEW is 0 and heap_allocs() always reads 0. Audits
-// then run the same code without asserting counts.
+// out: NISTREAM_COUNTING_NEW is 0 and heap_allocs() and heap_live_bytes()
+// always read 0. Audits then run the same code without asserting counts.
 #pragma once
 
 #include <atomic>
@@ -31,10 +34,12 @@
 #if NISTREAM_COUNTING_NEW
 
 #include <execinfo.h>
+#include <malloc.h>
 #include <unistd.h>
 
 namespace nistream::test::detail {
 inline std::atomic<std::uint64_t> g_heap_allocs{0};
+inline std::atomic<std::int64_t> g_heap_live{0};
 inline std::atomic<int> g_trace_allocs{0};
 
 inline void* counted_alloc(std::size_t n) {
@@ -46,8 +51,17 @@ inline void* counted_alloc(std::size_t n) {
     backtrace_symbols_fd(frames, depth, STDERR_FILENO);
     (void)!write(STDERR_FILENO, "----\n", 5);
   }
-  if (void* p = std::malloc(n ? n : 1)) return p;
+  if (void* p = std::malloc(n ? n : 1)) {
+    g_heap_live += static_cast<std::int64_t>(malloc_usable_size(p));
+    return p;
+  }
   throw std::bad_alloc{};
+}
+
+inline void counted_free(void* p) {
+  if (p == nullptr) return;
+  g_heap_live -= static_cast<std::int64_t>(malloc_usable_size(p));
+  std::free(p);
 }
 }  // namespace nistream::test::detail
 
@@ -63,17 +77,29 @@ void* operator new(std::size_t n, std::align_val_t) {
 void* operator new[](std::size_t n, std::align_val_t) {
   return nistream::test::detail::counted_alloc(n);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  nistream::test::detail::counted_free(p);
+}
+void operator delete[](void* p) noexcept {
+  nistream::test::detail::counted_free(p);
+}
+void operator delete(void* p, std::size_t) noexcept {
+  nistream::test::detail::counted_free(p);
+}
+void operator delete[](void* p, std::size_t) noexcept {
+  nistream::test::detail::counted_free(p);
+}
+void operator delete(void* p, std::align_val_t) noexcept {
+  nistream::test::detail::counted_free(p);
+}
+void operator delete[](void* p, std::align_val_t) noexcept {
+  nistream::test::detail::counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  nistream::test::detail::counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  nistream::test::detail::counted_free(p);
 }
 
 #endif  // NISTREAM_COUNTING_NEW
@@ -84,6 +110,17 @@ namespace nistream::test {
 inline std::uint64_t heap_allocs() {
 #if NISTREAM_COUNTING_NEW
   return detail::g_heap_allocs.load();
+#else
+  return 0;
+#endif
+}
+
+/// Bytes held by live global heap blocks (0 when the shim is compiled out).
+/// Only differences between two readings mean anything: blocks are counted
+/// at their usable size, which malloc may round up from the request.
+inline std::int64_t heap_live_bytes() {
+#if NISTREAM_COUNTING_NEW
+  return detail::g_heap_live.load();
 #else
   return 0;
 #endif

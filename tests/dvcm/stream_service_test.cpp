@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "apps/client.hpp"
 #include "apps/media_server.hpp"
 #include "dvcm/dwcs_extension.hpp"
@@ -93,12 +97,20 @@ TEST(StreamService, QueuingDelayRecorded) {
   const auto id = f.service.create_stream(
       {.tolerance = {1, 4}, .period = Time::ms(10), .lossy = true},
       f.client.port());
+  // The service keeps no per-frame history; the (frame#, delay ms) series of
+  // Figures 8/10 is read as each frame is dispatched.
+  std::vector<std::pair<std::uint64_t, double>> q;
+  f.service.set_dispatch_observer(
+      [&](dwcs::StreamId sid, const dwcs::Dispatch& d) {
+        ASSERT_EQ(sid, id);
+        q.emplace_back(f.service.frames_sent(sid),
+                       (f.eng.now() - d.frame.enqueued_at).to_ms());
+      });
   for (int i = 0; i < 5; ++i) f.service.enqueue(id, 1000, mpeg::FrameType::kP);
   rtos::Task& task = f.kernel.spawn("tSched", 50);
   f.service.run(task, f.ep).detach();
   f.eng.run_until(Time::ms(200));
   f.service.stop();
-  const auto& q = f.service.queuing_delay(id);
   ASSERT_EQ(q.size(), 5u);
   // Paced dispatch: frame k leaves at ~(k+1)*10 ms after enqueue at ~0.
   for (std::size_t k = 0; k < q.size(); ++k) {

@@ -3,10 +3,73 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
+#include <vector>
+
+#include "sim/random.hpp"
+
 namespace nistream::dwcs {
 namespace {
 
 using Outcome = WindowViolationMonitor::Outcome;
+
+/// The monitor's window as it was kept before the bit ring: a deque of the
+/// last y outcomes and a running loss count.
+struct DequeWindowReference {
+  WindowConstraint c;
+  std::deque<bool> window;
+  std::int64_t losses = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t violating = 0;
+
+  void record(bool lost) {
+    window.push_back(lost);
+    losses += lost;
+    ++packets;
+    if (static_cast<std::int64_t>(window.size()) > c.y) {
+      losses -= window.front();
+      window.pop_front();
+    }
+    if (static_cast<std::int64_t>(window.size()) == c.y && losses > c.x) {
+      ++violating;
+    }
+  }
+};
+
+TEST(MonitorRing, MatchesADequeReference) {
+  using Key = WindowViolationMonitor::StreamKey;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    sim::Rng rng{seed};
+    WindowViolationMonitor m;
+    std::vector<DequeWindowReference> refs;
+    for (const std::int64_t y : {1, 4, 63, 64, 65, 200}) {
+      const std::int64_t x =
+          static_cast<std::int64_t>(rng.below(static_cast<std::uint64_t>(y)));
+      refs.push_back({.c = {x, y}});
+      m.add_stream(Key{7, static_cast<StreamId>(refs.size() - 1)}, {x, y});
+    }
+    for (int step = 0; step < 3000; ++step) {
+      const auto i = static_cast<std::size_t>(rng.below(refs.size()));
+      // Loss rates from none to all, so windows both fill and clear.
+      const std::uint64_t phase = static_cast<std::uint64_t>(step / 300) % 4;
+      const bool lost = rng.below(4) < phase;
+      const Outcome o =
+          lost ? (rng.chance(0.5) ? Outcome::kLate : Outcome::kDropped)
+               : Outcome::kOnTime;
+      const Key key{7, static_cast<StreamId>(i)};
+      m.record(key, o);
+      refs[i].record(lost);
+      ASSERT_EQ(m.violating_windows(key), refs[i].violating)
+          << "seed " << seed << " y " << refs[i].c.y << " step " << step;
+      ASSERT_EQ(m.packets(key), refs[i].packets);
+    }
+    std::uint64_t violating = 0;
+    for (const auto& r : refs) violating += r.violating;
+    EXPECT_EQ(m.total_violating_windows(), violating) << "seed " << seed;
+    EXPECT_GT(violating, 0u) << "seed " << seed;
+  }
+}
 
 TEST(Monitor, NoViolationWithinTolerance) {
   WindowViolationMonitor m;

@@ -86,17 +86,20 @@ std::uint64_t steady_state_heap_allocs(std::uint64_t warmup,
 TEST(AllocFree, SteadyStateFrameMachineryNeverAllocates) {
   // The per-frame machinery — coroutine frames, engine event slots, packet
   // boxes, dispatch batches, scheduler rings — must be allocation-free in
-  // steady state. What legitimately remains is geometric capacity growth of
-  // *retained* telemetry series (the queuing-delay figure data, rate and
-  // utilization meters): O(log frames) in total, not per frame. So the
-  // budget is a small constant, and doubling the steady window must add at
-  // most a couple of doublings — nothing that scales with frame count.
+  // steady state, and so must the measurement state: the stream service
+  // stores nothing per frame, and the meters hold a window or one sum per
+  // sample. What remains is geometric capacity growth of the client's
+  // bandwidth series (one point per 500 ms sample), of the rate meter's
+  // buffer until it holds a full 2 s window, and of the coroutine pool's
+  // free list when the pump finishes. These runs measure 10 and 11; the
+  // budget adds a margin of 2 to the first and allows 2 more doublings for
+  // twice the steady window.
   const std::uint64_t short_run = steady_state_heap_allocs(60, 260);
   const std::uint64_t long_run = steady_state_heap_allocs(60, 460);
 
 #if NISTREAM_COUNTING_NEW
-  EXPECT_LE(short_run, 24u) << "per-frame heap traffic has crept back in";
-  EXPECT_LE(long_run, short_run + 8)
+  EXPECT_LE(short_run, 12u) << "per-frame heap traffic has crept back in";
+  EXPECT_LE(long_run, short_run + 2)
       << "heap allocations scale with frames pumped: " << short_run
       << " for 200 steady frames vs " << long_run << " for 400";
 #else

@@ -1,0 +1,81 @@
+// Live-heap audit of steady PLAY: sixteen RTSP sessions stream at 30 fps
+// through a SessionServer into one MpegClient, and between two instants of
+// steady play the live heap must grow by less than one byte per frame the
+// client received. Every per-frame structure on the way (path stages, the
+// DWCS ring, dispatch, the wire, the client's meters, the window monitor)
+// must hold state sized by its window or its sample count, not by the frames
+// seen. A per-frame log fails this by a wide margin: the per-stream frame
+// counts at the two instants differ by more than 2×, so any vector that
+// holds an entry per frame reallocates in between.
+//
+// This binary replaces ::operator new with the counting shim; under ASan or
+// TSan the shim is compiled out and the test runs without the heap check.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "apps/client.hpp"
+#include "counting_new.hpp"
+#include "session/client.hpp"
+#include "session/server.hpp"
+
+namespace nistream::session {
+namespace {
+
+using sim::Time;
+
+TEST(LiveHeap, SteadyPlayHoldsNothingPerFrame) {
+  constexpr int kSessions = 16;
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  SessionServer server{eng, ether, SessionServer::Config{}};
+  apps::MpegClient media{eng, ether};
+  net::UdpEndpoint rtcp_sink{eng, ether, net::kHostStackCost,
+                             [](const net::Packet&, Time) {}};
+  std::vector<std::unique_ptr<RtspChurnClient>> clients;
+  for (int i = 0; i < kSessions; ++i) {
+    clients.push_back(std::make_unique<RtspChurnClient>(
+        eng, ether, server.control_port(), media, rtcp_sink.port(),
+        RtspChurnClient::Config{.arrival = Time::sec(3) + Time::ms(i),
+                                .frames = 900,
+                                .period = Time::us(33'333)}));
+    clients.back()->start();
+  }
+
+  // Sessions PLAY from t ≈ 3 s. By 9 s every window-sized buffer (the rate
+  // meter holds a 2 s window) has reached its capacity. Both instants lie
+  // in one capacity bracket of the client's bandwidth series, which gains a
+  // point every 500 ms of run time (18 and 32 points, capacity 32): that
+  // series grows with run length, about 1 B per frame at 30 fps, and is not
+  // what this audit looks for.
+  eng.run_until(Time::sec(9));
+  const std::uint64_t frames_before = media.total_frames();
+  const std::int64_t live_before = test::heap_live_bytes();
+  eng.run_until(Time::sec(16));
+  const std::int64_t live_after = test::heap_live_bytes();
+  const std::uint64_t frames_after = media.total_frames();
+
+  for (int i = 0; i < kSessions; ++i) {
+    ASSERT_TRUE(clients[static_cast<std::size_t>(i)]->outcome().admitted)
+        << "session " << i;
+  }
+  ASSERT_GT(frames_before, 0u);
+  // Per-stream counts more than double, so every per-frame vector of the
+  // parent reallocated at least once between the instants.
+  ASSERT_GT(frames_after, 2 * frames_before);
+  const std::uint64_t frames = frames_after - frames_before;
+#if NISTREAM_COUNTING_NEW
+  EXPECT_LT(live_after - live_before, static_cast<std::int64_t>(frames))
+      << "live heap grew " << live_after - live_before << " B over " << frames
+      << " frames delivered";
+#else
+  (void)live_before;
+  (void)live_after;
+  (void)frames;
+#endif
+}
+
+}  // namespace
+}  // namespace nistream::session
