@@ -124,19 +124,21 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
   hw::CpuModel cpu2{config.cpu};
   cpu2.dcache().set_enabled(config.dcache_enabled);
   dwcs::CpuModelCostHook hook2{cpu2, config.cal.ni_int, config.cal.ni_softfp};
-  dwcs::FrameRing ring{static_cast<std::size_t>(config.n_frames),
-                       config.residency, 0x0200'0000, hook2};
+  dwcs::RingTable fcfs{static_cast<std::size_t>(config.n_frames),
+                       config.residency, /*base=*/0x0200'0000,
+                       /*stride=*/0x10000, hook2};
+  const std::size_t ring = fcfs.add();
   for (int i = 0; i < config.n_frames; ++i) {
     const auto& fr = file.frames[static_cast<std::size_t>(i)];
-    ring.push(dwcs::FrameDescriptor{
+    fcfs.push(ring, dwcs::FrameDescriptor{
         .frame_id = static_cast<std::uint64_t>(i), .bytes = fr.bytes,
         .type = fr.type, .enqueued_at = sim::Time::zero(),
         .frame_addr = 0x0400'0000 + static_cast<std::uint64_t>(i) * 0x2000});
   }
   cpu2.reset();
   cpu2.dcache().invalidate();
-  while (ring.front().has_value()) {
-    ring.pop();
+  while (fcfs.front(ring).has_value()) {
+    fcfs.pop(ring);
     cpu2.charge(dispatch_cycles);
   }
   const double total_wo_us = cpu2.elapsed().to_us();

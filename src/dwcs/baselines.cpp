@@ -8,14 +8,16 @@ namespace nistream::dwcs {
 // member is constructed; no element is read until streams exist.
 BaselineScheduler::BaselineScheduler(std::size_t ring_capacity)
     : StreamTable{views_},
-      ring_capacity_{ring_capacity},
-      comparator_{ArithMode::kFixedPoint, null_cost_hook()} {}
+      comparator_{ArithMode::kFixedPoint, null_cost_hook()},
+      rings_{ring_capacity, DescriptorResidency::kPinnedMemory,
+             /*base=*/0x0300'0000, /*stride=*/0x10000, null_cost_hook()} {}
 
 BaselineScheduler::BaselineScheduler(PolicyKind policy,
                                      std::size_t ring_capacity)
     : StreamTable{views_},
-      ring_capacity_{ring_capacity},
       comparator_{ArithMode::kFixedPoint, null_cost_hook()},
+      rings_{ring_capacity, DescriptorResidency::kPinnedMemory,
+             /*base=*/0x0300'0000, /*stride=*/0x10000, null_cost_hook()},
       repr_{make_repr(ReprKind::kPifo, *this, comparator_, null_cost_hook(),
                       /*heap_base=*/0x0380'0000, {}, policy)} {}
 
@@ -24,9 +26,8 @@ StreamId BaselineScheduler::create_stream(const StreamParams& params,
   const auto id = static_cast<StreamId>(streams_.size());
   StreamState s;
   s.params = params;
-  s.ring = std::make_unique<FrameRing>(
-      ring_capacity_, DescriptorResidency::kPinnedMemory,
-      0x0300'0000 + static_cast<SimAddr>(id) * 0x10000, null_cost_hook());
+  [[maybe_unused]] const auto ring = rings_.add();
+  assert(ring == id);
   StreamView v;
   v.current = params.tolerance;  // static for baselines: no window adjustments
   v.next_deadline = now + params.period;
@@ -39,8 +40,8 @@ bool BaselineScheduler::enqueue(StreamId id, const FrameDescriptor& frame,
                                 sim::Time now) {
   assert(id < streams_.size());
   StreamState& s = streams_[id];
-  const bool was_empty = s.ring->empty();
-  if (!s.ring->push(frame)) return false;
+  const bool was_empty = rings_.empty(id);
+  if (!rings_.push(id, frame)) return false;
   ++s.stats.enqueued;
   if (was_empty) {
     StreamView& v = views_[id];
@@ -60,18 +61,18 @@ void BaselineScheduler::drop_late_lossy(sim::Time now) {
     if (!s.params.lossy) continue;
     StreamView& v = views_[id];
     bool mutated = false;
-    while (!s.ring->empty() && v.next_deadline < now) {
-      s.ring->pop();
+    while (!rings_.empty(id) && v.next_deadline < now) {
+      rings_.pop(id);
       ++s.stats.dropped;
       v.next_deadline += s.params.period;
       mutated = true;
     }
     if (!mutated) continue;
-    if (s.ring->empty()) {
+    if (rings_.empty(id)) {
       s.has_backlog = false;
       if (repr_) repr_->remove(id);
     } else {
-      if (const auto head = s.ring->front()) {
+      if (const auto head = rings_.front(id)) {
         v.head_enqueued_at = head->enqueued_at;
       }
       if (repr_) repr_->update(id);
@@ -90,9 +91,9 @@ std::optional<Dispatch> BaselineScheduler::schedule_next(sim::Time now) {
   if (!sid) return std::nullopt;
   StreamState& s = streams_[*sid];
   StreamView& v = views_[*sid];
-  const auto head = s.ring->front();
+  const auto head = rings_.front(*sid);
   assert(head.has_value());
-  s.ring->pop();
+  rings_.pop(*sid);
   if (repr_) repr_->on_charge(*sid);
 
   Dispatch d;
@@ -107,11 +108,11 @@ std::optional<Dispatch> BaselineScheduler::schedule_next(sim::Time now) {
   }
   s.stats.bytes_sent += head->bytes;
   v.next_deadline += s.params.period;
-  if (s.ring->empty()) {
+  if (rings_.empty(*sid)) {
     s.has_backlog = false;
     if (repr_) repr_->remove(*sid);
   } else {
-    if (const auto next_head = s.ring->front()) {
+    if (const auto next_head = rings_.front(*sid)) {
       v.head_enqueued_at = next_head->enqueued_at;
     }
     if (repr_) repr_->update(*sid);
@@ -124,7 +125,7 @@ std::optional<StreamId> RoundRobinScheduler::pick(sim::Time) {
   if (n == 0) return std::nullopt;
   for (StreamId k = 0; k < n; ++k) {
     const StreamId i = static_cast<StreamId>((cursor_ + k) % n);
-    if (!streams()[i].ring->empty()) {
+    if (backlog(i) != 0) {
       cursor_ = static_cast<StreamId>((i + 1) % n);
       return i;
     }

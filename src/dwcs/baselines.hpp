@@ -40,7 +40,7 @@ class BaselineScheduler : public PacketScheduler, private StreamTable {
     return streams_[id].stats;
   }
   [[nodiscard]] std::size_t backlog(StreamId id) const override {
-    return streams_[id].ring->size();
+    return rings_.size(id);
   }
   [[nodiscard]] std::size_t stream_count() const override {
     return streams_.size();
@@ -51,9 +51,8 @@ class BaselineScheduler : public PacketScheduler, private StreamTable {
   /// over the backlogged streams.
   BaselineScheduler(PolicyKind policy, std::size_t ring_capacity);
 
-  struct StreamState {
+  struct StreamState {  // stream `id`'s frames sit in ring `id`
     StreamParams params;
-    std::unique_ptr<FrameRing> ring;
     StreamStats stats;
     bool has_backlog = false;  // stream currently in the rank engine
   };
@@ -74,8 +73,8 @@ class BaselineScheduler : public PacketScheduler, private StreamTable {
  private:
   void drop_late_lossy(sim::Time now);
 
-  std::size_t ring_capacity_;
   Comparator comparator_;  // uncharged; the engine signature requires one
+  RingTable rings_;        // uncharged, like the comparator
   std::vector<StreamState> streams_;
   std::vector<StreamView> views_;  // parallel to streams_; backs StreamTable
   std::unique_ptr<ScheduleRepr> repr_;  // null: subclass pick() scans rings

@@ -13,6 +13,8 @@ DwcsScheduler::DwcsScheduler(Config config, CostHook& hook)
       hook_{&hook},
       charged_{hook.accounted()},
       comparator_{config.arith, hook},
+      rings_{config.ring_capacity, config.residency, /*base=*/0x0200'0000,
+             /*stride=*/0x10000, hook},  // rings 64 KB apart in card memory
       repr_{make_repr(config.repr, *this, comparator_, hook,
                       /*heap_base=*/0x0100'0000, config.hierarchical,
                       config.policy)} {}
@@ -29,7 +31,7 @@ const StreamStats& DwcsScheduler::stats(StreamId id) const {
 
 std::size_t DwcsScheduler::backlog(StreamId id) const {
   assert(id < streams_.size());
-  return streams_[id].ring->size();
+  return rings_.size(id);
 }
 
 StreamId DwcsScheduler::create_stream(const StreamParams& params,
@@ -42,10 +44,8 @@ StreamId DwcsScheduler::create_stream(const StreamParams& params,
   StreamView v;
   v.current = params.tolerance;
   v.next_deadline = now + params.period;
-  s.ring = &ring_pool_.emplace(config_.ring_capacity, config_.residency,
-                               next_ring_base_, *hook_);
-  s.state_addr = 0x00F0'0000 + static_cast<SimAddr>(id) * 128;
-  next_ring_base_ += 0x10000;  // rings 64 KB apart in simulated memory
+  [[maybe_unused]] const auto ring = rings_.add();
+  assert(ring == id);
   streams_.push_back(std::move(s));
   views_.push_back(v);
   return id;
@@ -55,8 +55,8 @@ bool DwcsScheduler::enqueue(StreamId id, const FrameDescriptor& frame,
                             sim::Time now) {
   assert(id < streams_.size());
   StreamState& s = streams_[id];
-  const bool was_empty = s.ring->empty();
-  if (!s.ring->push(frame)) return false;
+  const bool was_empty = rings_.empty(id);
+  if (!rings_.push(id, frame)) return false;
   ++s.stats.enqueued;
   if (was_empty) {
     StreamView& v = views_[id];
@@ -69,6 +69,7 @@ bool DwcsScheduler::enqueue(StreamId id, const FrameDescriptor& frame,
     }
     repr_->insert(id);
   }
+  check_backlog(id);
   return true;
 }
 
@@ -108,30 +109,51 @@ void DwcsScheduler::adjust_lost(StreamView& v, const WindowConstraint& orig,
   }
 }
 
-void DwcsScheduler::touch_stream_state(StreamState& s, int words) {
+void DwcsScheduler::touch_stream_state(StreamId id, int words) {
   if (!charged_) return;  // null hook discards every charge
   for (int i = 0; i < words; ++i) {
-    hook_->mem(s.state_addr + static_cast<SimAddr>(i) * 4);
+    hook_->mem(state_block(id) + static_cast<SimAddr>(i) * 4);
   }
 }
 
-void DwcsScheduler::advance_deadline(StreamState& s, StreamView& v,
-                                     sim::Time now) {
+void DwcsScheduler::advance_deadline(StreamId id, sim::Time now) {
   if (charged_) {
     hook_->arith_int(Op::kAdd, 1);
-    hook_->mem(s.state_addr);  // stream-descriptor deadline field
+    hook_->mem(state_block(id));  // stream-descriptor deadline field
   }
+  const sim::Time period = streams_[id].params.period;
+  StreamView& v = views_[id];
   if (config_.deadline_from_completion && now > v.next_deadline) {
-    v.next_deadline = now + s.params.period;
+    v.next_deadline = now + period;
   } else {
-    v.next_deadline += s.params.period;
+    v.next_deadline += period;
   }
 }
 
-void DwcsScheduler::refresh_head_arrival(StreamState& s, StreamView& v) {
-  if (const auto head = s.ring->front()) {
-    v.head_enqueued_at = head->enqueued_at;
+void DwcsScheduler::drop_head(StreamId id, sim::Time now) {
+  StreamState& s = streams_[id];
+  if (drop_hook_) {
+    if (const auto head = rings_.front_unaccounted(id)) drop_hook_(id, *head);
   }
+  rings_.pop(id);
+  ++s.stats.dropped;
+  touch_stream_state(id, kDropStateWords);
+  adjust_lost(views_[id], s.params.tolerance, s.stats);
+  advance_deadline(id, now);
+  settle(id);
+}
+
+void DwcsScheduler::settle(StreamId id) {
+  if (rings_.empty(id)) {
+    streams_[id].has_backlog = false;
+    repr_->remove(id);
+  } else {
+    if (const auto head = rings_.front(id)) {
+      views_[id].head_enqueued_at = head->enqueued_at;
+    }
+    repr_->update(id);
+  }
+  check_backlog(id);
 }
 
 void DwcsScheduler::process_late(sim::Time now) {
@@ -145,23 +167,7 @@ void DwcsScheduler::process_late(sim::Time now) {
     if (v.next_deadline + config_.lateness_slack >= now) break;
     if (s.params.lossy) {
       // Drop without transmitting — saves the wire bandwidth entirely.
-      if (drop_hook_) {
-        if (const auto head = s.ring->front_unaccounted()) {
-          drop_hook_(*sid, *head);
-        }
-      }
-      s.ring->pop();
-      ++s.stats.dropped;
-      touch_stream_state(s, kDropStateWords);
-      adjust_lost(v, s.params.tolerance, s.stats);
-      advance_deadline(s, v, now);
-      if (s.ring->empty()) {
-        s.has_backlog = false;
-        repr_->remove(*sid);
-      } else {
-        refresh_head_arrival(s, v);
-        repr_->update(*sid);
-      }
+      drop_head(*sid, now);
     } else {
       if (!s.head_late_adjusted) {
         adjust_lost(v, s.params.tolerance, s.stats);
@@ -194,29 +200,13 @@ std::optional<Dispatch> DwcsScheduler::schedule_next(sim::Time now) {
         cv.next_deadline + config_.lateness_slack >= now) {
       break;
     }
-    if (drop_hook_) {
-      if (const auto head = cand.ring->front_unaccounted()) {
-        drop_hook_(*sid, *head);
-      }
-    }
-    cand.ring->pop();
-    ++cand.stats.dropped;
-    touch_stream_state(cand, kDropStateWords);
-    adjust_lost(cv, cand.params.tolerance, cand.stats);
-    advance_deadline(cand, cv, now);
-    if (cand.ring->empty()) {
-      cand.has_backlog = false;
-      repr_->remove(*sid);
-    } else {
-      refresh_head_arrival(cand, cv);
-      repr_->update(*sid);
-    }
+    drop_head(*sid, now);
   }
   StreamState& s = streams_[*sid];
   StreamView& v = views_[*sid];
-  const auto head = s.ring->front();
+  const auto head = rings_.front(*sid);
   assert(head.has_value());
-  s.ring->pop();
+  rings_.pop(*sid);
   // The winner is charged one service the moment its head leaves the ring:
   // stateful rank policies (WFQ virtual time) advance here. The repr
   // update()/remove() at the end of this cycle re-sifts, per the on_charge
@@ -231,7 +221,7 @@ std::optional<Dispatch> DwcsScheduler::schedule_next(sim::Time now) {
   if (charged_) hook_->arith_int(Op::kCmp, 1);
   d.late = v.next_deadline + config_.lateness_slack < now;
 
-  touch_stream_state(s, kServiceStateWords);
+  touch_stream_state(*sid, kServiceStateWords);
   if (d.late) {
     // Late transmission on a loss-intolerant stream: the loss adjustment
     // already happened in process_late.
@@ -243,15 +233,8 @@ std::optional<Dispatch> DwcsScheduler::schedule_next(sim::Time now) {
     adjust_serviced(v, s.params.tolerance);
   }
   s.stats.bytes_sent += head->bytes;
-  advance_deadline(s, v, now);
-
-  if (s.ring->empty()) {
-    s.has_backlog = false;
-    repr_->remove(*sid);
-  } else {
-    refresh_head_arrival(s, v);
-    repr_->update(*sid);
-  }
+  advance_deadline(*sid, now);
+  settle(*sid);
   return d;
 }
 
@@ -259,9 +242,9 @@ std::size_t DwcsScheduler::purge_stream(StreamId id) {
   assert(id < streams_.size());
   StreamState& s = streams_[id];
   std::size_t purged = 0;
-  while (const auto head = s.ring->front_unaccounted()) {
+  while (const auto head = rings_.front_unaccounted(id)) {
     if (drop_hook_) drop_hook_(id, *head);
-    s.ring->pop_unaccounted();
+    rings_.pop_unaccounted(id);
     ++purged;
   }
   s.stats.dropped += purged;
@@ -270,6 +253,7 @@ std::size_t DwcsScheduler::purge_stream(StreamId id) {
     repr_->remove(id);
   }
   s.head_late_adjusted = false;
+  check_backlog(id);
   return purged;
 }
 

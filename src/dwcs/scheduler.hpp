@@ -12,6 +12,12 @@
 //   3. Service: dequeue the head frame, apply the rule-(A) window adjustment
 //      (for on-time service), advance the stream's deadline by its period.
 //
+// Stream id `id` names everything the scheduler keeps for a stream: its
+// entry in the state and view vectors, ring `id` of the scheduler's
+// RingTable (simulated region 0x02000000 + id × 64 KB), and its simulated
+// stream-state block at 0x00F00000 + id × 128. Both addresses are computed
+// from the id, not stored.
+//
 // Window-constraint adjustments (West & Schwan). With original constraint
 // x/y and current x'/y':
 //   (A) serviced before deadline:   if (y' > x') y'--;
@@ -23,6 +29,7 @@
 //       violated stream increasingly urgent among zero-tolerance streams]
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -99,12 +106,14 @@ class DwcsScheduler final : public PacketScheduler, private StreamTable {
 
   explicit DwcsScheduler(Config config, CostHook& hook = null_cost_hook());
 
-  /// Pre-size per-stream state and the representation's structures for `n`
-  /// streams (host-side capacity planning; charges nothing). Optional — the
-  /// scheduler grows on demand without it.
+  /// Pre-size per-stream state, the ring table's page list and the
+  /// representation's structures for `n` streams (host-side capacity
+  /// planning; charges nothing). Optional — the scheduler grows on demand
+  /// without it.
   void reserve_streams(std::size_t n) {
     streams_.reserve(n);
     views_.reserve(n);
+    rings_.reserve(n);
     repr_->reserve(n);
   }
 
@@ -156,29 +165,42 @@ class DwcsScheduler final : public PacketScheduler, private StreamTable {
  private:
   // Dynamic keys (StreamView) live in the dense `views_` vector that backs
   // the StreamTable base, not here: representation compares index that array
-  // directly, and keeping it free of cold per-stream state (params, stats,
-  // ring pointers) keeps the sift paths' working set tight.
+  // directly, and keeping it free of cold per-stream state (params, stats)
+  // keeps the sift paths' working set tight. The frames sit in ring `id` of
+  // `rings_`.
   struct StreamState {
     StreamParams params;
-    FrameRing* ring = nullptr;  // owned by ring_pool_, stable address
     StreamStats stats;
     bool has_backlog = false;         // stream currently in the repr
     bool head_late_adjusted = false;  // rule B applied to the current head
-    SimAddr state_addr = 0;  // simulated address of the stream-state block
   };
 
+  /// Simulated address of stream `id`'s state block.
+  static constexpr SimAddr state_block(StreamId id) {
+    return 0x00F0'0000 + static_cast<SimAddr>(id) * 128;
+  }
   /// Words of per-stream state (attributes, deadline, stats, timestamps)
   /// read+written when a frame is serviced / dropped. This is the traffic
   /// the i960 d-cache accelerates in Table 2.
   static constexpr int kServiceStateWords = 24;
   static constexpr int kDropStateWords = 12;
-  void touch_stream_state(StreamState& s, int words);
+  void touch_stream_state(StreamId id, int words);
 
   void adjust_serviced(StreamView& v, const WindowConstraint& orig);  // (A)
   void adjust_lost(StreamView& v, const WindowConstraint& orig,      // (B)
                    StreamStats& stats);
-  void advance_deadline(StreamState& s, StreamView& v, sim::Time now);
-  void refresh_head_arrival(StreamState& s, StreamView& v);
+  void advance_deadline(StreamId id, sim::Time now);
+  /// Drop `id`'s late head without transmitting it (lossy streams).
+  void drop_head(StreamId id, sim::Time now);
+  /// After `id`'s head left its ring: leave the repr if the ring is empty,
+  /// else re-key on the new head.
+  void settle(StreamId id);
+  /// Debug check: a stream is in the repr exactly while its ring holds
+  /// frames.
+  void check_backlog(StreamId id) const {
+    assert(streams_[id].has_backlog == !rings_.empty(id));
+    (void)id;
+  }
   void process_late(sim::Time now);
 
   Config config_;
@@ -188,13 +210,12 @@ class DwcsScheduler final : public PacketScheduler, private StreamTable {
   // virtual no-op call — dozens per decision on wall-clock runs.
   bool charged_;
   Comparator comparator_;
-  FrameRingPool ring_pool_;  // pooled arena; streams_ holds raw pointers
+  RingTable rings_;  // ring `id` holds stream `id`'s frames
   std::vector<StreamState> streams_;
   std::vector<StreamView> views_;  // parallel to streams_; backs StreamTable
   std::unique_ptr<ScheduleRepr> repr_;
   DropHook drop_hook_;
   std::uint64_t decisions_ = 0;
-  SimAddr next_ring_base_ = 0x0200'0000;  // simulated card-memory layout
 };
 
 }  // namespace nistream::dwcs

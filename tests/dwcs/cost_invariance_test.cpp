@@ -13,8 +13,10 @@
 // moved.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "dwcs/scheduler.hpp"
 
@@ -156,6 +158,63 @@ TEST(CostInvariance, CalendarQueueFixedPoint) {
   expect_totals(run_core_loop(ArithMode::kFixedPoint, ReprKind::kCalendarQueue,
                               DescriptorResidency::kPinnedMemory),
                 {2182, 0, 7001, 0, 619100, 0x51695f3cd26c9c0bULL});
+}
+
+/// Records the simulated address of every charged memory word, in order.
+class AddressHook final : public CostHook {
+ public:
+  void mem(SimAddr addr) override { addrs.push_back(addr); }
+  /// The recorded addresses in [lo, hi), sorted, duplicates removed.
+  [[nodiscard]] std::vector<SimAddr> in(SimAddr lo, SimAddr hi) const {
+    std::vector<SimAddr> out;
+    for (const SimAddr a : addrs) {
+      if (a >= lo && a < hi) out.push_back(a);
+    }
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  }
+  std::vector<SimAddr> addrs;
+};
+
+// The goldens above cover four streams, all on the ring table's first page.
+// A stream whose ring sits past the first page still finds its descriptors
+// at 0x02000000 + id × 64 KB and its state block at 0x00F00000 + id × 128:
+// both are computed from the stream id.
+TEST(CostInvariance, StreamPastTheFirstRingPageChargesItsOwnAddresses) {
+  AddressHook hook;
+  DwcsScheduler::Config cfg;
+  cfg.ring_capacity = 8;
+  DwcsScheduler sched{cfg, hook};
+  const auto id = static_cast<StreamId>(
+      RingTable{cfg.ring_capacity, cfg.residency, 0, 0, null_cost_hook()}
+          .rings_per_page() +
+      3);
+  for (StreamId i = 0; i <= id; ++i) {
+    sched.create_stream({.tolerance = {1, 4}, .period = sim::Time::ms(33)},
+                        sim::Time::zero());
+  }
+  const SimAddr ring = 0x0200'0000 + static_cast<SimAddr>(id) * 0x10000;
+  const SimAddr state = 0x00F0'0000 + static_cast<SimAddr>(id) * 128;
+  const std::vector<SimAddr> ring_words{ring, ring + 4, ring + 8, ring + 12,
+                                        ring + 4096};
+
+  FrameDescriptor d;
+  d.frame_addr = 0x0400'0000;
+  ASSERT_TRUE(sched.enqueue(id, d, sim::Time::zero()));
+  EXPECT_EQ(hook.in(0x0200'0000, 0x0400'0000), ring_words);
+  EXPECT_TRUE(hook.in(0x00F0'0000, 0x0100'0000).empty());
+
+  // Service: front + pop on the ring, 24 state words (the deadline word,
+  // touched again by the deadline advance, is the first of them).
+  hook.addrs.clear();
+  const auto dispatch = sched.schedule_next(sim::Time::zero());
+  ASSERT_TRUE(dispatch.has_value());
+  ASSERT_EQ(dispatch->stream, id);
+  std::vector<SimAddr> state_words;
+  for (SimAddr w = 0; w < 24; ++w) state_words.push_back(state + w * 4);
+  EXPECT_EQ(hook.in(0x00F0'0000, 0x0100'0000), state_words);
+  EXPECT_EQ(hook.in(0x0200'0000, 0x0400'0000), ring_words);
 }
 
 /// Prints current totals; enable manually to recapture goldens after a

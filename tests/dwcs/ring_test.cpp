@@ -1,10 +1,14 @@
-// Tests for the per-stream SPSC circular buffer, including a real
-// two-thread stress test backing the paper's no-synchronization claim
-// (Figure 4b).
+// Tests for the per-stream SPSC circular buffers and the table that holds
+// them. FrameRing.* cases drive one ring of a table on its own, including a
+// real two-thread stress test backing the paper's no-synchronization claim
+// (Figure 4b). RingTable.* cases cover what the table adds: the simulated
+// address map of rings on and past the first page, page geometry, and
+// several rings in use by their own threads at once.
 #include "dwcs/ring.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <thread>
 #include <vector>
 
@@ -17,48 +21,56 @@ FrameDescriptor desc(std::uint64_t id, std::uint32_t bytes = 1000) {
                          .enqueued_at = sim::Time::zero(), .frame_addr = 0};
 }
 
+/// A table of one ring at 0x1000 (the stride never matters for ring 0).
+RingTable one_ring(std::size_t capacity,
+                   DescriptorResidency residency =
+                       DescriptorResidency::kPinnedMemory,
+                   CostHook& hook = null_cost_hook()) {
+  return RingTable{capacity, residency, 0x1000, 0x10000, hook};
+}
+
 TEST(FrameRing, FifoOrder) {
-  FrameRing ring{8, DescriptorResidency::kPinnedMemory, 0x1000,
-                 null_cost_hook()};
-  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_TRUE(ring.push(desc(i)));
-  EXPECT_EQ(ring.size(), 5u);
+  RingTable ring = one_ring(8);
+  const auto r = ring.add();
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_TRUE(ring.push(r, desc(i)));
+  EXPECT_EQ(ring.size(r), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    const auto f = ring.front();
+    const auto f = ring.front(r);
     ASSERT_TRUE(f.has_value());
     EXPECT_EQ(f->frame_id, i);
-    ring.pop();
+    ring.pop(r);
   }
-  EXPECT_TRUE(ring.empty());
+  EXPECT_TRUE(ring.empty(r));
 }
 
 TEST(FrameRing, FullRejectsPush) {
-  FrameRing ring{3, DescriptorResidency::kPinnedMemory, 0x1000,
-                 null_cost_hook()};
-  EXPECT_TRUE(ring.push(desc(0)));
-  EXPECT_TRUE(ring.push(desc(1)));
-  EXPECT_TRUE(ring.push(desc(2)));
-  EXPECT_FALSE(ring.push(desc(3)));
-  ring.pop();
-  EXPECT_TRUE(ring.push(desc(3)));  // slot freed
+  RingTable ring = one_ring(3);
+  const auto r = ring.add();
+  EXPECT_TRUE(ring.push(r, desc(0)));
+  EXPECT_TRUE(ring.push(r, desc(1)));
+  EXPECT_TRUE(ring.push(r, desc(2)));
+  EXPECT_FALSE(ring.push(r, desc(3)));
+  ring.pop(r);
+  EXPECT_TRUE(ring.push(r, desc(3)));  // slot freed
 }
 
 TEST(FrameRing, FrontOnEmptyIsNullopt) {
-  FrameRing ring{4, DescriptorResidency::kPinnedMemory, 0x1000,
-                 null_cost_hook()};
-  EXPECT_FALSE(ring.front().has_value());
+  RingTable ring = one_ring(4);
+  const auto r = ring.add();
+  EXPECT_FALSE(ring.front(r).has_value());
 }
 
 TEST(FrameRing, WrapsManyTimes) {
-  FrameRing ring{4, DescriptorResidency::kPinnedMemory, 0x1000,
-                 null_cost_hook()};
+  RingTable ring = one_ring(4);
+  const auto r = ring.add();
   std::uint64_t next_out = 0;
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(ring.push(desc(i)));
+    ASSERT_TRUE(ring.push(r, desc(i)));
     if (i % 2 == 1) {  // drain two at a time
-      ASSERT_EQ(ring.front()->frame_id, next_out++);
-      ring.pop();
-      ASSERT_EQ(ring.front()->frame_id, next_out++);
-      ring.pop();
+      ASSERT_EQ(ring.front(r)->frame_id, next_out++);
+      ring.pop(r);
+      ASSERT_EQ(ring.front(r)->frame_id, next_out++);
+      ring.pop(r);
     }
   }
 }
@@ -74,44 +86,46 @@ struct CountingHook final : CostHook {
 
 TEST(FrameRing, PinnedMemoryChargesMemWords) {
   CountingHook hook;
-  FrameRing ring{8, DescriptorResidency::kPinnedMemory, 0x1000, hook};
-  ring.push(desc(0));
-  EXPECT_EQ(hook.mem_touches, FrameRing::kDescriptorWords + 1);  // + tail ptr
+  RingTable ring = one_ring(8, DescriptorResidency::kPinnedMemory, hook);
+  const auto r = ring.add();
+  ring.push(r, desc(0));
+  EXPECT_EQ(hook.mem_touches, RingTable::kDescriptorWords + 1);  // + tail ptr
   EXPECT_EQ(hook.reg_touches, 0);
 }
 
 TEST(FrameRing, HardwareQueueChargesRegisters) {
   CountingHook hook;
-  FrameRing ring{8, DescriptorResidency::kHardwareQueue, 0x1000, hook};
-  ring.push(desc(0));
-  (void)ring.front();
+  RingTable ring = one_ring(8, DescriptorResidency::kHardwareQueue, hook);
+  const auto r = ring.add();
+  ring.push(r, desc(0));
+  (void)ring.front(r);
   EXPECT_EQ(hook.mem_touches, 0);
-  EXPECT_EQ(hook.reg_touches, 2 * FrameRing::kDescriptorWords + 1);
+  EXPECT_EQ(hook.reg_touches, 2 * RingTable::kDescriptorWords + 1);
 }
 
 // The SPSC concurrency property: one producer thread, one consumer thread,
 // no locks, every descriptor arrives exactly once and in order.
 TEST(FrameRing, ConcurrentSpscStress) {
   constexpr std::uint64_t kCount = 200000;
-  FrameRing ring{64, DescriptorResidency::kPinnedMemory, 0x1000,
-                 null_cost_hook()};
+  RingTable ring = one_ring(64);
+  const auto r = ring.add();
   std::vector<std::uint64_t> got;
   got.reserve(kCount);
 
   std::thread producer{[&] {
     for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!ring.push(desc(i))) std::this_thread::yield();
+      while (!ring.push(r, desc(i))) std::this_thread::yield();
     }
   }};
   std::thread consumer{[&] {
     while (got.size() < kCount) {
-      const auto f = ring.front();
+      const auto f = ring.front(r);
       if (!f) {
         std::this_thread::yield();
         continue;
       }
       got.push_back(f->frame_id);
-      ring.pop();
+      ring.pop(r);
     }
   }};
   producer.join();
@@ -119,6 +133,186 @@ TEST(FrameRing, ConcurrentSpscStress) {
 
   ASSERT_EQ(got.size(), kCount);
   for (std::uint64_t i = 0; i < kCount; ++i) ASSERT_EQ(got[i], i);
+}
+
+// --- The table ---------------------------------------------------------
+
+/// Records every charge in order: a memory word's address, or a register
+/// access (kReg). `accounted` is what the hook reports to the table.
+struct RecordingHook final : CostHook {
+  static constexpr SimAddr kReg = ~SimAddr{0};
+  explicit RecordingHook(bool is_accounted = true)
+      : is_accounted_{is_accounted} {}
+  void arith_int(Op, int) override { ++other; }
+  void arith_float(Op, int) override { ++other; }
+  void mem(SimAddr addr) override { touches.push_back(addr); }
+  void reg() override { touches.push_back(kReg); }
+  void cycles(std::int64_t) override { ++other; }
+  [[nodiscard]] bool accounted() const override { return is_accounted_; }
+
+  std::vector<SimAddr> touches;
+  int other = 0;
+
+ private:
+  bool is_accounted_;
+};
+
+constexpr SimAddr kBase = 0x0200'0000;
+constexpr SimAddr kStride = 0x10000;
+constexpr std::size_t kCapacity = 8;  // 9 slots
+
+/// Adds rings until ring past_first_page() exists, on the second page.
+void add_past_first_page(RingTable& t) {
+  while (t.rings() < t.rings_per_page() + 2) t.add();
+}
+std::size_t past_first_page(const RingTable& t) {
+  return t.rings_per_page() + 1;
+}
+
+// Eleven push/front/pop rounds walk every slot and wrap once. Ring r's
+// descriptor in slot s is at base + r × stride + s × 16 + {0, 4, 8, 12}, and
+// its head/tail word at base + r × stride + 4096.
+TEST(RingTable, PinnedAddressMapAtRingsZeroOneAndPastTheFirstPage) {
+  RecordingHook hook;
+  RingTable t{kCapacity, DescriptorResidency::kPinnedMemory, kBase, kStride,
+              hook};
+  add_past_first_page(t);
+  ASSERT_GT(past_first_page(t), 1u);
+  for (const std::size_t r : {std::size_t{0}, std::size_t{1},
+                              past_first_page(t)}) {
+    const SimAddr region = kBase + r * kStride;
+    for (std::uint64_t round = 0; round < 11; ++round) {
+      const SimAddr slot = region + (round % (kCapacity + 1)) * 16;
+      const std::vector<SimAddr> words{slot, slot + 4, slot + 8, slot + 12};
+      hook.touches.clear();
+      ASSERT_TRUE(t.push(r, desc(round)));
+      std::vector<SimAddr> want = words;
+      want.push_back(region + 4096);
+      EXPECT_EQ(hook.touches, want) << "push, ring " << r << " round " << round;
+
+      hook.touches.clear();
+      ASSERT_EQ(t.front(r)->frame_id, round);
+      EXPECT_EQ(hook.touches, words) << "front, ring " << r;
+
+      hook.touches.clear();
+      t.pop(r);
+      EXPECT_EQ(hook.touches, std::vector<SimAddr>{region + 4096})
+          << "pop, ring " << r;
+    }
+  }
+  EXPECT_EQ(hook.other, 0);
+}
+
+TEST(RingTable, HardwareQueueChargesRegistersOnlyAtEveryRing) {
+  RecordingHook hook;
+  RingTable t{kCapacity, DescriptorResidency::kHardwareQueue, kBase, kStride,
+              hook};
+  add_past_first_page(t);
+  for (const std::size_t r : {std::size_t{0}, std::size_t{1},
+                              past_first_page(t)}) {
+    hook.touches.clear();
+    ASSERT_TRUE(t.push(r, desc(r)));
+    ASSERT_EQ(t.front(r)->frame_id, r);
+    t.pop(r);
+    // push: 4 descriptor words + the index register; front: 4; pop: 1.
+    EXPECT_EQ(hook.touches,
+              std::vector<SimAddr>(2 * RingTable::kDescriptorWords + 2,
+                                   RecordingHook::kReg))
+        << "ring " << r;
+  }
+  EXPECT_EQ(hook.other, 0);
+}
+
+TEST(RingTable, HookThatIsNotAccountedIsNeverCalled) {
+  for (const auto residency : {DescriptorResidency::kPinnedMemory,
+                               DescriptorResidency::kHardwareQueue}) {
+    RecordingHook hook{/*is_accounted=*/false};
+    RingTable t{kCapacity, residency, kBase, kStride, hook};
+    add_past_first_page(t);
+    for (const std::size_t r : {std::size_t{0}, std::size_t{1},
+                                past_first_page(t)}) {
+      ASSERT_TRUE(t.push(r, desc(r)));
+      ASSERT_EQ(t.front(r)->frame_id, r);
+      t.pop(r);
+    }
+    EXPECT_TRUE(hook.touches.empty());
+    EXPECT_EQ(hook.other, 0);
+  }
+}
+
+// A ring of capacity c takes 8 + 32 × (c + 1) bytes; a page holds the
+// largest power of two of them that fits in 64 KiB, and at least one.
+TEST(RingTable, PagesHoldAPowerOfTwoRingsAndAtLeastOne) {
+  EXPECT_EQ(one_ring(8).rings_per_page(), 128u);    // 296 B rings
+  EXPECT_EQ(one_ring(256).rings_per_page(), 4u);    // 8,232 B rings
+  EXPECT_EQ(one_ring(2046).rings_per_page(), 1u);   // 65,512 B: fits once
+  EXPECT_EQ(one_ring(4096).rings_per_page(), 1u);   // larger than a page
+}
+
+// Adding rings allocates new pages but never moves a ring: what ring 0
+// holds survives the growth of the page list, across many pages.
+TEST(RingTable, RingsKeepTheirFramesWhilePagesAreAdded) {
+  RingTable t = one_ring(2);
+  const auto r0 = t.add();
+  ASSERT_TRUE(t.push(r0, desc(7)));
+  std::vector<std::size_t> rings;
+  while (t.rings() < 20 * t.rings_per_page()) {
+    const auto r = t.add();
+    ASSERT_EQ(r, t.rings() - 1);
+    ASSERT_TRUE(t.empty(r));
+    ASSERT_TRUE(t.push(r, desc(r)));
+    rings.push_back(r);
+  }
+  EXPECT_EQ(t.front(r0)->frame_id, 7u);
+  for (const auto r : rings) {
+    ASSERT_EQ(t.size(r), 1u);
+    ASSERT_EQ(t.front(r)->frame_id, r);
+  }
+}
+
+// Four rings of one table, each with its own producer and consumer thread,
+// all running at once: every ring's sequence arrives complete and in order,
+// and no descriptor crosses into another ring. The rings are added before
+// any thread starts.
+TEST(RingTable, FourRingsWithTheirOwnProducersAndConsumers) {
+  constexpr std::size_t kRings = 4;
+  constexpr std::uint64_t kCount = 50000;
+  RingTable t = one_ring(16);
+  for (std::size_t i = 0; i < kRings; ++i) t.add();
+  std::array<std::vector<FrameDescriptor>, kRings> got;
+  for (auto& g : got) g.reserve(kCount);
+
+  std::vector<std::thread> threads;
+  for (std::size_t r = 0; r < kRings; ++r) {
+    threads.emplace_back([&t, r] {
+      for (std::uint64_t i = 0; i < kCount; ++i) {
+        while (!t.push(r, desc(i, static_cast<std::uint32_t>(r)))) {
+          std::this_thread::yield();
+        }
+      }
+    });
+    threads.emplace_back([&t, &got, r] {
+      while (got[r].size() < kCount) {
+        const auto f = t.front(r);
+        if (!f) {
+          std::this_thread::yield();
+          continue;
+        }
+        got[r].push_back(*f);
+        t.pop(r);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (std::size_t r = 0; r < kRings; ++r) {
+    ASSERT_EQ(got[r].size(), kCount);
+    for (std::uint64_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(got[r][i].frame_id, i) << "ring " << r;
+      ASSERT_EQ(got[r][i].bytes, r) << "ring " << r;
+    }
+    EXPECT_TRUE(t.empty(r));
+  }
 }
 
 }  // namespace
