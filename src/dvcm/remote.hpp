@@ -144,7 +144,7 @@ class RemoteVcmClient {
     ri->payload = std::move(payload);
     net::detail::schedule_while_attached(
         engine_, ether_, port_, stack_cost_,
-        [this, dst_port, ri, bulk_bytes] {
+        [this, ri, dst_port, bulk_bytes] {  // this order packs into 48 B
           ether_.send(
               port_, dst_port,
               hw::EthFrame{.bytes = RemoteVcmPort::kHeaderBytes + bulk_bytes,

@@ -9,7 +9,11 @@
 //  * I2oChannel — the inbound/outbound message FIFO pair that the I2O spec
 //    defines between host and card. The host posts message frames with PIO
 //    writes across PCI; a doorbell then wakes the card-side consumer. This
-//    is the transport the DVCM host API rides on.
+//    is the transport the DVCM host API rides on. A posted message waits
+//    out its post cost and doorbell latency in a per-direction queue, and
+//    its doorbell event captures only the channel: that delay is the same
+//    for every post, so each direction's doorbells ring in post order and
+//    each one hands over the queue's oldest message.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +27,7 @@
 #include "hw/pci.hpp"
 #include "sim/coro.hpp"
 #include "sim/engine.hpp"
+#include "sim/fifo.hpp"
 
 namespace nistream::hw {
 
@@ -112,10 +117,10 @@ class I2oChannel {
       ++inbound_dropped_;
       return cost;
     }
-    engine_.schedule_in(cost + params_.doorbell_latency,
-                        [this, m = std::move(m)]() mutable {
-                          inbound_.send(std::move(m));
-                        });
+    inbound_posting_.push_back(std::move(m));
+    engine_.schedule_in(cost + params_.doorbell_latency, [this] {
+      inbound_.send(inbound_posting_.pop_front());
+    });
     ++inbound_posted_;
     return cost;
   }
@@ -127,10 +132,10 @@ class I2oChannel {
       ++outbound_dropped_;
       return cost;
     }
-    engine_.schedule_in(cost + params_.doorbell_latency,
-                        [this, m = std::move(m)]() mutable {
-                          outbound_.send(std::move(m));
-                        });
+    outbound_posting_.push_back(std::move(m));
+    engine_.schedule_in(cost + params_.doorbell_latency, [this] {
+      outbound_.send(outbound_posting_.pop_front());
+    });
     ++outbound_posted_;
     return cost;
   }
@@ -157,6 +162,8 @@ class I2oChannel {
   I2oParams params_;
   sim::Mailbox<I2oMessage> inbound_;
   sim::Mailbox<I2oMessage> outbound_;
+  sim::Fifo<I2oMessage> inbound_posting_;   // posted, doorbell not rung yet
+  sim::Fifo<I2oMessage> outbound_posting_;
   std::uint64_t inbound_posted_ = 0;
   std::uint64_t outbound_posted_ = 0;
   std::uint64_t inbound_dropped_ = 0;

@@ -47,7 +47,13 @@
 // receiver. A service port hears many: every later peer gets the entry of
 // its port index in a vector, grown in one step to the switch's port table
 // whenever an index past its end speaks. Neither allocates per peer, and
-// nothing iterates the peers, so the layout cannot move an output.
+// nothing iterates the peers, so the layout cannot move an output. That
+// vector and the peer-close callback live in a side block that a receiver
+// allocates only when it needs one of them, so a client's receiver is 104
+// bytes and a storm's 100k of them carry no service-port state.
+//
+// A sender is 160 bytes: the RTT estimator marks "no sample yet" with a
+// negative variance instead of a flag of its own.
 //
 // Nothing allocates per segment: an ACK carries its number in EthFrame::tag
 // and points at one shared immutable ACK segment, and a data or FIN segment
@@ -127,7 +133,9 @@ class TcpLiteReceiver {
   ~TcpLiteReceiver() { ether_.detach(port_); }
 
   /// Fires once per peer, when its FIN is delivered in order.
-  void set_on_peer_close(PeerClose cb) { on_peer_close_ = std::move(cb); }
+  void set_on_peer_close(PeerClose cb) {
+    side().on_peer_close = std::move(cb);
+  }
 
   [[nodiscard]] int port() const { return port_; }
   [[nodiscard]] hw::EthernetSwitch& ether() const { return ether_; }
@@ -154,12 +162,26 @@ class TcpLiteReceiver {
     bool closed = false;
   };
 
+  /// What only a service port needs: every peer after the first, by port
+  /// index, and the peer-close callback.
+  struct Side {
+    std::vector<Peer> peers;
+    PeerClose on_peer_close;
+  };
+
+  Side& side() {
+    if (!side_) side_ = std::make_unique<Side>();
+    return *side_;
+  }
+
   /// The sequence space of port index `i`, or nullptr if it never spoke.
   [[nodiscard]] const Peer* find(std::uint32_t i) const {
     if (first_.port >= 0 && hw::EthernetSwitch::index_of(first_.port) == i) {
       return &first_;
     }
-    return i < peers_.size() && peers_[i].port >= 0 ? &peers_[i] : nullptr;
+    if (!side_ || i >= side_->peers.size()) return nullptr;
+    const Peer& peer = side_->peers[i];
+    return peer.port >= 0 ? &peer : nullptr;
   }
 
   /// The sequence space of the occupant at `port`, made on first use: the
@@ -169,8 +191,9 @@ class TcpLiteReceiver {
     const std::uint32_t i = hw::EthernetSwitch::index_of(port);
     Peer* peer = &first_;
     if (first_.port >= 0 && hw::EthernetSwitch::index_of(first_.port) != i) {
-      if (i >= peers_.size()) peers_.resize(ether_.port_table_size());
-      peer = &peers_[i];
+      std::vector<Peer>& peers = side().peers;
+      if (i >= peers.size()) peers.resize(ether_.port_table_size());
+      peer = &peers[i];
     }
     if (peer->port != port) {
       if (peer->port < 0) ++peer_count_;
@@ -192,7 +215,9 @@ class TcpLiteReceiver {
         if (seg->is_fin) {
           peer.closed = true;
           ++peers_closed_;
-          if (on_peer_close_) on_peer_close_(reply_to, now);
+          if (side_ && side_->on_peer_close) {
+            side_->on_peer_close(reply_to, now);
+          }
         } else {
           ++delivered_;
           if (deliver_) deliver_(seg->payload, reply_to, now);
@@ -215,11 +240,10 @@ class TcpLiteReceiver {
   hw::EthernetSwitch& ether_;
   sim::Time stack_cost_;
   DeliverFrom deliver_;
-  PeerClose on_peer_close_;
   int port_ = -1;
   std::uint32_t peer_count_ = 0;
-  Peer first_;               // the first port index to speak
-  std::vector<Peer> peers_;  // every other index's, by port index
+  Peer first_;                  // the first port index to speak
+  std::unique_ptr<Side> side_;  // made on first need
   std::uint64_t delivered_ = 0;
   std::uint64_t discarded_ = 0;
   std::uint64_t peers_closed_ = 0;
@@ -240,10 +264,9 @@ class RttEstimator {
   /// Fold in one round-trip measurement R (§2.2, §2.3).
   void sample(sim::Time r) {
     const std::int64_t rn = r.raw_ns();
-    if (!has_sample_) {
+    if (!has_sample()) {
       srtt_ns_ = rn;
       rttvar_ns_ = rn / 2;
-      has_sample_ = true;
       return;
     }
     rttvar_ns_ = (3 * rttvar_ns_ + std::abs(srtt_ns_ - rn)) / 4;
@@ -252,18 +275,20 @@ class RttEstimator {
 
   /// The timeout before any backoff: SRTT + 4 RTTVAR, within the bounds.
   [[nodiscard]] sim::Time rto() const {
-    if (!has_sample_) return kInitialRto;
+    if (!has_sample()) return kInitialRto;
     return std::clamp(sim::Time::ns(srtt_ns_ + 4 * rttvar_ns_), kMinRto,
                       kMaxRto);
   }
-  [[nodiscard]] bool has_sample() const { return has_sample_; }
+  /// A round trip is never negative, so neither is RTTVAR after a sample.
+  [[nodiscard]] bool has_sample() const { return rttvar_ns_ >= 0; }
   [[nodiscard]] sim::Time srtt() const { return sim::Time::ns(srtt_ns_); }
-  [[nodiscard]] sim::Time rttvar() const { return sim::Time::ns(rttvar_ns_); }
+  [[nodiscard]] sim::Time rttvar() const {
+    return sim::Time::ns(std::max<std::int64_t>(rttvar_ns_, 0));
+  }
 
  private:
   std::int64_t srtt_ns_ = 0;
-  std::int64_t rttvar_ns_ = 0;
-  bool has_sample_ = false;
+  std::int64_t rttvar_ns_ = -1;  // negative until the first sample
 };
 
 struct TcpLiteSenderParams {

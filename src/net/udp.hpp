@@ -88,18 +88,21 @@ class UdpEndpoint {
   static constexpr std::uint32_t kUdpIpHeaderBytes = 28;
 
   /// Send `pkt` to the endpoint at `dst_port`. The packet traverses this
-  /// end's stack, the switch, and the receiver's stack before delivery.
+  /// end's stack, the switch, and the receiver's stack before delivery. It
+  /// waits out the stack in its packet box, which the frame then carries; an
+  /// endpoint destroyed before then sends nothing and the box goes back to
+  /// its pool.
   void send(int dst_port, Packet pkt) {
     ++sent_;
     bytes_sent_ += pkt.bytes;
+    std::shared_ptr<const Packet> box = std::allocate_shared<Packet>(
+        detail::PacketBoxAllocator<Packet>{}, std::move(pkt));
     detail::schedule_while_attached(engine_, ether_, port_, stack_cost_,
-                                    [this, dst_port, pkt] {
+                                    [this, dst_port, box = std::move(box)] {
       ether_.send(port_, dst_port,
-                  hw::EthFrame{.bytes = pkt.bytes + kUdpIpHeaderBytes,
-                               .tag = pkt.stream_id,
-                               .payload = std::allocate_shared<Packet>(
-                                   detail::PacketBoxAllocator<Packet>{},
-                                   pkt)});
+                  hw::EthFrame{.bytes = box->bytes + kUdpIpHeaderBytes,
+                               .tag = box->stream_id,
+                               .payload = box});
     });
   }
 

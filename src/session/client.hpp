@@ -21,11 +21,16 @@
 //    ends. Before that the client is its endpoints and its Config.
 //  * One answer outstanding. A client has at most one request in flight, so
 //    the waiting coroutine's handle and the answer it waits for are all the
-//    answer path needs: no mailbox. An answer that arrives while no request
-//    waits is counted in cseq_errors and dropped.
+//    answer path needs: no mailbox. The answer's CSeq is checked when it
+//    lands, and the client keeps only its status, session id and stream. An
+//    answer that arrives while no request waits is counted in cseq_errors
+//    and dropped.
 //  * The script is a plain member function (next_step) that books each
 //    answer and picks the next request and the wait before it. run() only
 //    loops over it, so its frame, and transact()'s, fit 128-byte pool blocks.
+//  * No engine reference: the client reaches the engine through its switch.
+//    The object is 496 bytes, of which its endpoints take 264 and its own
+//    Config copy 120.
 //
 // Lifetime: a client may be destroyed before its arrival (the arrival event
 // then runs nothing) or after its script completes (outcome().completed).
@@ -86,11 +91,11 @@ class RtspChurnClient {
     std::uint64_t cseq_errors = 0;
   };
 
+  /// `engine` must be the switch's own.
   RtspChurnClient(sim::Engine& engine, hw::EthernetSwitch& ether,
                   int control_port, apps::MpegClient& media, int rtcp_port,
                   Config config)
-      : engine_{engine}, config_{std::move(config)}, media_{media},
-        rtcp_port_{rtcp_port},
+      : config_{std::move(config)}, media_{media}, rtcp_port_{rtcp_port},
         resp_rx_{engine, ether, net::kHostStackCost,
                  net::TcpLiteReceiver::DeliverFrom{
                      [this](const net::Packet& p, int, sim::Time) {
@@ -111,7 +116,7 @@ class RtspChurnClient {
       run().detach();
       return;
     }
-    net::detail::schedule_while_attached(engine_, resp_rx_.ether(),
+    net::detail::schedule_while_attached(engine(), resp_rx_.ether(),
                                          resp_rx_.port(), config_.arrival,
                                          [this] { run().detach(); });
   }
@@ -137,6 +142,10 @@ class RtspChurnClient {
     void await_resume() const noexcept {}
   };
 
+  [[nodiscard]] sim::Engine& engine() const {
+    return resp_rx_.ether().engine();
+  }
+
   void on_response_bytes(const net::Packet& p) {
     if (const auto* chunk = static_cast<const std::string*>(p.body.get())) {
       buf_.append(*chunk);
@@ -148,10 +157,13 @@ class RtspChurnClient {
         ++outcome_.cseq_errors;
         continue;
       }
-      answer_ = *resp;
+      if (resp->cseq != cseq_) ++outcome_.cseq_errors;
+      answer_status_ = resp->status;
+      answer_session_ = resp->session_id;
+      answer_stream_ = resp->stream;
       // The wake-up a Semaphore::release would schedule.
-      engine_.schedule_in(sim::Time::zero(),
-                          [h = std::exchange(waiting_, {})] { h.resume(); });
+      engine().schedule_in(sim::Time::zero(),
+                           [h = std::exchange(waiting_, {})] { h.resume(); });
     }
   }
 
@@ -170,7 +182,7 @@ class RtspChurnClient {
         static_cast<std::size_t>(std::max(config_.slow_start_chunks, 1));
     const std::size_t step = (text.size() + n - 1) / n;
     for (std::size_t pos = 0; pos < text.size(); pos += step) {
-      if (pos != 0) co_await sim::Delay{engine_, config_.dribble_gap};
+      if (pos != 0) co_await sim::Delay{engine(), config_.dribble_gap};
       send_text(text.substr(pos, step));
     }
   }
@@ -196,12 +208,12 @@ class RtspChurnClient {
     return format_request(req);
   }
 
-  /// Send a `method` request and await its answer in answer_ (answers come
-  /// back in order on the control connection; a CSeq mismatch is counted,
-  /// not fatal). The request text moves into the segment body, so while the
+  /// Send a `method` request and await its answer (answers come back in
+  /// order on the control connection; a CSeq mismatch is counted, not
+  /// fatal). The request text moves into the segment body, so while the
   /// client waits the frame holds no text.
   sim::Coro transact(Method method) {
-    const sim::Time sent = engine_.now();
+    const sim::Time sent = engine().now();
     ++cseq_;
     if (config_.behavior == Behavior::kSlowStart && method == Method::kSetup) {
       co_await send_dribbled(method);
@@ -209,14 +221,13 @@ class RtspChurnClient {
       send_text(request_text(method));
     }
     co_await Answer{*this};
-    if (answer_.cseq != cseq_) ++outcome_.cseq_errors;
     if (method == Method::kSetup) {
-      outcome_.setup_latency_ms = (engine_.now() - sent).to_ms();
+      outcome_.setup_latency_ms = (engine().now() - sent).to_ms();
     }
   }
 
   /// The lifecycle script, one call per answer. cseq_ requests have been
-  /// answered so far and the last answer is in answer_: book it, and return
+  /// answered so far and the last answer is in answer_*: book it, and return
   /// the next request with the wait before it. Requests 1 and 2 are SETUP
   /// and PLAY, kPauseResume then sends PAUSE (3) and PLAY (4), and every
   /// behavior but kVanish ends with TEARDOWN.
@@ -234,8 +245,8 @@ class RtspChurnClient {
         return {sim::Time::zero(), Method::kSetup};
       case 1:  // SETUP answered
         outcome_.responded_setup = true;
-        outcome_.setup_status = answer_.status;
-        if (answer_.status != 200) {
+        outcome_.setup_status = answer_status_;
+        if (answer_status_ != 200) {
           // 453: over capacity. The polite thing — and what keeps the
           // server's connection table clean — is to FIN the control channel
           // and go away.
@@ -243,8 +254,8 @@ class RtspChurnClient {
           return finish();
         }
         outcome_.admitted = true;
-        session_id_ = answer_.session_id;
-        stream_ = answer_.stream;
+        session_id_ = answer_session_;
+        stream_ = answer_stream_;
         return {sim::Time::zero(), Method::kPlay};
       case 2:  // PLAY answered
         // Half-open: a vanishing client never speaks again, never closes.
@@ -254,15 +265,15 @@ class RtspChurnClient {
         return {media, Method::kTeardown};
       case 3:  // PAUSE answered (kPauseResume), else TEARDOWN
         if (!pause_resume) break;
-        if (answer_.status == 200) media_.notify_pause(stream_);
+        if (answer_status_ == 200) media_.notify_pause(stream_);
         return {config_.pause_for, Method::kPlay};
       case 4:  // the resuming PLAY answered
-        if (answer_.status == 200) media_.notify_resume(stream_);
+        if (answer_status_ == 200) media_.notify_resume(stream_);
         return {media, Method::kTeardown};
       default:
         break;
     }
-    media_.notify_end(stream_, engine_.now());  // TEARDOWN answered
+    media_.notify_end(stream_, engine().now());  // TEARDOWN answered
     ctl_tx_.close();
     return finish();
   }
@@ -270,24 +281,25 @@ class RtspChurnClient {
   sim::Coro run() {
     for (Step step = next_step(); step.method != Method::kUnknown;
          step = next_step()) {
-      co_await sim::Delay{engine_, step.wait};
+      co_await sim::Delay{engine(), step.wait};
       co_await transact(step.method);
     }
   }
 
-  sim::Engine& engine_;
   Config config_;
   apps::MpegClient& media_;
   int rtcp_port_;
+  int answer_status_ = 0;  // the last answer handed to transact()
   MessageBuffer buf_;
   net::TcpLiteReceiver resp_rx_;
   net::TcpLiteSender ctl_tx_;
   std::coroutine_handle<> waiting_;  // transact() parked on its answer
-  RtspResponse answer_;              // the last answer handed to it
+  std::uint64_t answer_session_ = 0;
   Outcome outcome_;
   std::uint64_t cseq_ = 0;  // requests sent, and the CSeq of the last one
   std::uint64_t session_id_ = 0;
-  std::uint64_t stream_ = 0;
+  dwcs::StreamId stream_ = 0;
+  dwcs::StreamId answer_stream_ = 0;
 };
 
 }  // namespace nistream::session

@@ -1,10 +1,21 @@
 // sim::detail::BlockPool — a per-thread, size-bucketed free list of blocks,
 // for coroutine frames (sim::detail::CoroFramePool) and packet boxes
 // (net::detail::PacketBoxPool). Bucket b holds blocks of (b + 1) × kGranule
-// bytes, so after warm-up every block comes from, and goes back to, a free
-// list, never ::operator new. A block too big for the last bucket falls
-// through to plain new/delete and is counted, so a size that outgrows the
-// pool shows up in stats() instead of quietly adding allocations.
+// bytes. A block comes from its bucket's free list if it can; otherwise it is
+// carved from the pool's current 64 KiB slab, and only a full slab calls
+// ::operator new. A block handed back is threaded onto its bucket's list
+// through its own first word, so the lists cost nothing beyond the blocks,
+// and a block costs its size and no malloc header (a 128-byte frame takes
+// 128 bytes, not a 144-byte chunk; a storm holds ~90k of them). Blocks stay
+// with the pool until it dies; the slabs go then.
+// A block too big for the last bucket falls through to plain new/delete and
+// is counted, so a size that outgrows the pool shows up in stats() instead of
+// quietly adding allocations.
+//
+// Under AddressSanitizer a block is poisoned while it is on a free list and
+// until it is carved, so a use after release() is still reported. A slab
+// has no redzones between its blocks, so an overrun into the next block is
+// not.
 //
 // One pool per geometry and thread: sweep cells are share-nothing and a
 // block never crosses OS threads, so the pool needs no locks.
@@ -16,6 +27,15 @@
 #include <new>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define NISTREAM_POOL_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define NISTREAM_POOL_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define NISTREAM_POOL_POISON(p, n) ((void)(p), (void)(n))
+#define NISTREAM_POOL_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace nistream::sim::detail {
 
 template <std::size_t kGranule, std::size_t kBuckets>
@@ -24,13 +44,19 @@ class BlockPool {
   /// The bucket of blocks too big for any bucket.
   static constexpr std::uint16_t kOversize = 0xFFFF;
   static_assert(kBuckets < kOversize);
+  /// Bytes per slab; every bucket's block fits one many times over.
+  static constexpr std::size_t kSlabBytes = std::size_t{64} * 1024;
+  static_assert(kGranule % alignof(std::max_align_t) == 0 &&
+                kGranule >= sizeof(void*));
+  static_assert(kBuckets * kGranule <= kSlabBytes / 8);
 
   struct Stats {
     std::uint64_t frames = 0;           // blocks asked for (pool or not)
     std::uint64_t pool_reuses = 0;      // served from a bucket free list
-    std::uint64_t fresh_blocks = 0;     // had to touch ::operator new
+    std::uint64_t fresh_blocks = 0;     // carved from a slab
     std::uint64_t oversize_blocks = 0;  // too big for any bucket
     std::uint64_t releases = 0;         // blocks handed back
+    std::uint64_t slabs = 0;            // slabs allocated
     std::array<std::uint64_t, kBuckets> bucket_frames{};  // by bucket
   };
 
@@ -38,8 +64,9 @@ class BlockPool {
   BlockPool(const BlockPool&) = delete;
   BlockPool& operator=(const BlockPool&) = delete;
   ~BlockPool() {
-    for (auto& bucket : free_) {
-      for (void* block : bucket) ::operator delete(block);
+    for (std::byte* slab : slabs_) {
+      NISTREAM_POOL_UNPOISON(slab, kSlabBytes);
+      ::operator delete(slab);
     }
   }
 
@@ -57,27 +84,36 @@ class BlockPool {
       return ::operator new(bytes);
     }
     ++stats_.bucket_frames[b];
-    auto& list = free_[b];
-    if (!list.empty()) {
+    const std::size_t size = (b + 1) * kGranule;
+    if (FreeBlock* block = free_[b]) {
       ++stats_.pool_reuses;
-      void* block = list.back();
-      list.pop_back();
+      NISTREAM_POOL_UNPOISON(block, size);
+      free_[b] = block->next;
       return block;
     }
     ++stats_.fresh_blocks;
-    return ::operator new((b + 1) * kGranule);
+    if (static_cast<std::size_t>(slab_end_ - cursor_) < size) {
+      ++stats_.slabs;
+      cursor_ = static_cast<std::byte*>(::operator new(kSlabBytes));
+      slab_end_ = cursor_ + kSlabBytes;
+      slabs_.push_back(cursor_);
+      NISTREAM_POOL_POISON(cursor_, kSlabBytes);
+    }
+    void* block = cursor_;
+    cursor_ += size;
+    NISTREAM_POOL_UNPOISON(block, size);
+    return block;
   }
 
-  /// Hand back a block allocate() gave out from `bucket`. push_back may
-  /// itself allocate while a free list's capacity is still growing; that
-  /// stops once the list has held the high-water mark of blocks in use.
+  /// Hand back a block allocate() gave out from `bucket`. Never allocates.
   void release(void* block, std::uint16_t bucket) noexcept {
     ++stats_.releases;
     if (bucket == kOversize) {
       ::operator delete(block);
       return;
     }
-    free_[bucket].push_back(block);
+    free_[bucket] = ::new (block) FreeBlock{free_[bucket]};
+    NISTREAM_POOL_POISON(block, (bucket + 1) * kGranule);
   }
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -88,7 +124,15 @@ class BlockPool {
   }
 
  private:
-  std::vector<void*> free_[kBuckets];
+  /// A released block, linked to the next free block of its bucket.
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+
+  FreeBlock* free_[kBuckets] = {};
+  std::byte* cursor_ = nullptr;    // next uncarved byte of the current slab
+  std::byte* slab_end_ = nullptr;  // one past the current slab
+  std::vector<std::byte*> slabs_;  // every slab, freed with the pool
   Stats stats_;
 };
 
@@ -115,3 +159,6 @@ struct PoolAllocator {
 };
 
 }  // namespace nistream::sim::detail
+
+#undef NISTREAM_POOL_POISON
+#undef NISTREAM_POOL_UNPOISON

@@ -11,7 +11,11 @@
 // payload is an InlineEvent — the capture lives inside the slot, recycled
 // with it — so scheduling an event after warm-up allocates nothing at all:
 // no std::function heap path, no shared_ptr control block per event, no heap
-// churn at 100k in-flight timers.
+// churn at 100k in-flight timers. A slot is 80 bytes: the (time, sequence)
+// key, its heap position and table index, and the InlineEvent's 48-byte
+// capture and ops pointer. With the table's 4-byte generation word and the
+// heap's pointer, an armed event costs 92 bytes plus the heap vector's spare
+// capacity (Footprint.ArmedEventCostsAtMostNinetySixBytes).
 //
 // Cancellation is eager: each slot records its place in the heap, so
 // cancel() takes the event out of the heap in O(log n) and frees its slot
@@ -138,6 +142,7 @@ class Engine {
     std::uint32_t index = 0;     // this slot's index in slots_
     InlineEvent fn;
   };
+  static_assert(sizeof(Slot) <= 80, "an event slot outgrew 80 bytes");
 
   [[nodiscard]] static bool earlier(const Slot* a, const Slot* b) {
     if (a->at != b->at) return a->at < b->at;

@@ -8,9 +8,8 @@
 // consumed prefix are reclaimed when the queue drains or when a push finds the
 // buffer full and at least half of it consumed.
 //
-// Iteration runs over the live elements, oldest first. A windowed reader
-// (sim::RateMeter) walks its window that way and pops what falls behind it,
-// so the queue holds one window, not the whole history.
+// Iteration runs over the live elements, oldest first (a TcpLite sender walks
+// its window that way).
 #pragma once
 
 #include <cassert>

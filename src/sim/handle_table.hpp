@@ -7,9 +7,13 @@
 //    Allocating a page constructs and touches nothing.
 //  * emplace() reuses the most recently erased index (LIFO), else appends,
 //    so every index follows from the order of emplaces and erases alone.
-//  * erase() destroys the element, bumps the slot's 32-bit generation and
-//    frees the index, unless the generation reaches the table's limit: then
-//    the slot is retired, so no (index, generation) names two occupants.
+//  * erase() destroys the element, bumps the slot's generation and frees the
+//    index, unless the generation reaches the table's limit: then the slot is
+//    retired, so no (index, generation) names two occupants.
+//  * A slot costs one 32-bit word besides its element: the generation in the
+//    low 31 bits and a live flag in the top one, so every table's generation
+//    limit is at most 2^31 - 1. The engine arms ~100k events at once in a
+//    storm, and the switch holds ~200k ports, so the word is paid that often.
 //  * A moved-from table is empty. There is no iteration.
 #pragma once
 
@@ -41,10 +45,13 @@ class HandleTable {
   static constexpr std::uint32_t kNoLimit = Handle::kNone;
 
   /// Indices stay below `index_limit` (emplacing past it throws
-  /// std::length_error), generations below `generation_limit`.
+  /// std::length_error), generations below `generation_limit` and below
+  /// 2^31 - 1, so a retired slot's word never reads as live.
   explicit HandleTable(std::uint32_t index_limit = kNoLimit,
                        std::uint32_t generation_limit = kNoLimit)
-      : index_limit_{index_limit}, generation_limit_{generation_limit} {}
+      : index_limit_{index_limit},
+        generation_limit_{generation_limit < kLive ? generation_limit
+                                                   : kLive - 1} {}
   HandleTable(HandleTable&& other) noexcept
       : pages_{std::move(other.pages_)},
         free_{std::move(other.free_)},
@@ -56,7 +63,10 @@ class HandleTable {
   HandleTable& operator=(const HandleTable&) = delete;
   ~HandleTable() {
     for (std::uint32_t i = 0; i < size_; ++i) {
-      if (std::exchange(meta(i).live, false)) element(i)->~T();
+      if ((meta(i) & kLive) != 0) {
+        meta(i) &= ~kLive;
+        element(i)->~T();
+      }
     }
   }
 
@@ -66,12 +76,12 @@ class HandleTable {
     const std::uint32_t i = free_.empty() ? fresh_index() : free_.back();
     ::new (static_cast<void*>(element(i))) T(std::forward<Args>(args)...);
     if (i == size_) {
-      meta(i).generation = 0;
+      meta(i) = 0;  // generation 0
       ++size_;
     } else {
       free_.pop_back();
     }
-    meta(i).live = true;
+    meta(i) |= kLive;
     ++live_;
     return i;
   }
@@ -79,32 +89,32 @@ class HandleTable {
   /// The slot is dead before ~T runs and free only after it returns, so a
   /// destructor that reaches back into the table sees neither.
   void erase(std::uint32_t i) {
-    Meta& m = meta(i);
-    assert(m.live);
-    m.live = false;
+    std::uint32_t& m = meta(i);
+    assert((m & kLive) != 0);
+    m = (m & ~kLive) + 1;  // dead, next generation
     --live_;
-    const bool retire = ++m.generation == generation_limit_;
+    const bool retire = m == generation_limit_;
     element(i)->~T();
     if (!retire) free_.push_back(i);
   }
 
   [[nodiscard]] T& operator[](std::uint32_t i) {
-    assert(i < size_ && meta(i).live);
+    assert(i < size_ && (meta(i) & kLive) != 0);
     return *element(i);
   }
   [[nodiscard]] const T& operator[](std::uint32_t i) const {
-    assert(i < size_ && meta(i).live);
+    assert(i < size_ && (meta(i) & kLive) != 0);
     return *element(i);
   }
 
   /// The generation of slot `i`'s occupant, or of its next one while free.
   [[nodiscard]] std::uint32_t generation(std::uint32_t i) const {
     assert(i < size_);
-    return meta(i).generation;
+    return meta(i) & ~kLive;
   }
   /// True while (`i`, `gen`) names the element living in slot `i`.
   [[nodiscard]] bool live(std::uint32_t i, std::uint32_t gen) const {
-    return i < size_ && meta(i).live && meta(i).generation == gen;
+    return i < size_ && meta(i) == (gen | kLive);
   }
 
   /// Slots ever made (live, free or retired): the most ever live at once,
@@ -113,10 +123,11 @@ class HandleTable {
   [[nodiscard]] std::size_t live_count() const { return live_; }
 
  private:
-  struct Meta { std::uint32_t generation; bool live; };
+  static constexpr std::uint32_t kLive = 1u << 31;  // in a slot's meta word
+
   struct Page {  // trivially constructible: allocating one initializes nothing
     alignas(T) std::byte bytes[kPageSlots][sizeof(T)];
-    Meta meta[kPageSlots];
+    std::uint32_t meta[kPageSlots];  // generation | kLive while occupied
   };
 
   std::uint32_t fresh_index() {
@@ -132,7 +143,7 @@ class HandleTable {
     return std::launder(reinterpret_cast<T*>(
         pages_[i / kPageSlots]->bytes[i % kPageSlots]));
   }
-  [[nodiscard]] Meta& meta(std::uint32_t i) const {
+  [[nodiscard]] std::uint32_t& meta(std::uint32_t i) const {
     return pages_[i / kPageSlots]->meta[i % kPageSlots];
   }
 

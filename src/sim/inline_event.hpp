@@ -12,6 +12,15 @@
 // Captures may hold non-trivial members (shared_ptr payloads, std::function
 // callbacks); moves and destruction dispatch through a per-type ops table,
 // one pointer per event.
+//
+// The budget is 48 bytes at 8-byte alignment, so an event slot is 80 bytes
+// (sim::Engine). A storm arms one event per client at t = 0, so every byte
+// here is paid ~100k times. 48 bytes hold the largest capture the stack
+// needs: an endpoint's stack-cost event, which is the switch pointer and
+// the port address (net::detail::schedule_while_attached) around a this-
+// pointer, a port address and one shared_ptr. Anything bigger waits behind
+// a pointer: a UDP datagram rides in its pooled packet box, and an I2O
+// channel queues its messages and captures only itself.
 #pragma once
 
 #include <cstddef>
@@ -23,10 +32,11 @@ namespace nistream::sim {
 
 class InlineEvent {
  public:
-  /// Capture budget. Sized for the largest capture in the repository (a
-  /// net::Packet by value plus a this-pointer); raising it grows every event
+  /// Capture budget (see the header comment). Raising it grows every event
   /// slot, so shrink the capture before reaching for this constant.
-  static constexpr std::size_t kCaptureBytes = 88;
+  static constexpr std::size_t kCaptureBytes = 48;
+  /// Capture alignment: pointers and 64-bit integers, nothing wider.
+  static constexpr std::size_t kCaptureAlign = alignof(void*);
 
   InlineEvent() = default;
 
@@ -39,7 +49,7 @@ class InlineEvent {
                   "event capture exceeds InlineEvent::kCaptureBytes — shrink "
                   "the capture (box large state behind a pointer); there is "
                   "no heap fallback by design");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+    static_assert(alignof(Fn) <= kCaptureAlign,
                   "over-aligned event captures are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
                   "event captures must be nothrow-movable (slots relocate "
@@ -104,7 +114,7 @@ class InlineEvent {
     static constexpr Ops ops{&invoke, &relocate, &destroy};
   };
 
-  alignas(std::max_align_t) std::byte storage_[kCaptureBytes];
+  alignas(kCaptureAlign) std::byte storage_[kCaptureBytes];
   const Ops* ops_ = nullptr;
 };
 

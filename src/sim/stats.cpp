@@ -29,36 +29,45 @@ void TimeSeries::write_csv(std::ostream& os, const std::string& value_label) con
   for (const auto& [t, v] : points_) os << t.to_ms() << "," << v << "\n";
 }
 
-void RateMeter::record(Time t, std::uint64_t bytes) {
-  sample_up_to(t, /*inclusive=*/false);
-  events_.push_back({t, bytes});
-  total_ += bytes;
+RateMeter::RateMeter(Time window, Time sample_every, std::string name)
+    : window_{window}, sample_every_{sample_every}, series_{std::move(name)} {
+  assert(sample_every > Time::zero());
+  // An event leaves the window at most ceil(window / sample_every) samples
+  // after the next one.
+  const std::int64_t step = sample_every.raw_ns();
+  const std::int64_t ahead =
+      window > Time::zero() ? (window.raw_ns() + step - 1) / step : 0;
+  leaving_.assign(static_cast<std::size_t>(ahead) + 1, 0);
 }
 
-double RateMeter::current_bps(Time t) const {
-  // Sum bytes inside (t - window, t]; sample_up_to has popped every event at
-  // or before t - window.
-  std::uint64_t bytes = 0;
-  for (const auto& [at, b] : events_) {
-    if (at > t) break;
-    bytes += b;
-  }
-  const double span = std::min(window_.to_sec(), t.to_sec());
-  return span > 0.0 ? static_cast<double>(bytes) * 8.0 / span : 0.0;
+void RateMeter::record(Time t, std::uint64_t bytes) {
+  sample_up_to(t, /*inclusive=*/false);
+  total_ += bytes;
+  if (window_ <= Time::zero()) return;
+  // The next sample is at or after t, so it is the first to read these
+  // bytes; the first sample at or after t + window is the first that does
+  // not.
+  const auto leaves = static_cast<std::uint64_t>(
+      ((t + window_).raw_ns() + sample_every_.raw_ns() - 1) /
+      sample_every_.raw_ns());
+  if (leaves <= next_index_) return;  // gone before the next sample
+  in_window_ += bytes;
+  leaving_[leaves % leaving_.size()] += bytes;
 }
 
 void RateMeter::sample_up_to(Time t, bool inclusive) {
   while (inclusive ? next_sample_ <= t : next_sample_ < t) {
-    // Pop events that have fallen out of the window for this sample point;
-    // sample points only advance, so no later sample reads them.
-    const Time lo = next_sample_ - window_;
-    while (!events_.empty() && events_.front().first <= lo) {
-      events_.pop_front();
-    }
+    std::uint64_t& left = leaving_[next_index_ % leaving_.size()];
+    in_window_ -= left;
+    left = 0;
     if (next_sample_ > Time::zero()) {
-      series_.add(next_sample_, current_bps(next_sample_));
+      const double span = std::min(window_.to_sec(), next_sample_.to_sec());
+      series_.add(next_sample_,
+                  span > 0.0 ? static_cast<double>(in_window_) * 8.0 / span
+                             : 0.0);
     }
     next_sample_ += sample_every_;
+    ++next_index_;
   }
 }
 

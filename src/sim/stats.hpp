@@ -8,10 +8,10 @@
 //
 // The two meters sit on the per-frame and per-CPU-slice paths of runs that
 // last as long as their clients watch, so their state is bounded by what
-// their readers need, not by the frames or slices seen: a RateMeter holds the
-// events inside its window, a UtilizationMeter one busy sum per sample
-// period. What still grows with run length is the output series, one point
-// per sample period.
+// their readers need, not by the frames or slices seen: a RateMeter holds one
+// byte sum per sample period its window spans, a UtilizationMeter one busy
+// sum per sample period. What still grows with run length is the output
+// series, one point per sample period.
 #pragma once
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/fifo.hpp"
 #include "sim/time.hpp"
 
 namespace nistream::sim {
@@ -112,12 +111,17 @@ class TimeSeries {
 };
 
 /// Sliding-window throughput estimator producing a bandwidth time series in
-/// bits/second — the y-axis of Figures 7 and 9.
+/// bits/second — the y-axis of Figures 7 and 9. The sample at s reads the
+/// bytes recorded in (s - window, s]. Bytes recorded at t count toward every
+/// sample from the next one up to, not including, the first at or after
+/// t + window, so the meter keeps the byte sum the next sample reads and, for
+/// each of the ceil(window / sample_every) samples after it, the bytes that
+/// leave the window there. Its state is fixed at construction, whatever the
+/// event rate.
 class RateMeter {
  public:
-  /// `window`: averaging window; `sample_every`: series granularity.
-  RateMeter(Time window, Time sample_every, std::string name = {})
-      : window_{window}, sample_every_{sample_every}, series_{std::move(name)} {}
+  /// `window`: averaging window; `sample_every`: series granularity (> 0).
+  RateMeter(Time window, Time sample_every, std::string name = {});
 
   /// Record `bytes` delivered at time `t`. Calls must be time-ordered.
   void record(Time t, std::uint64_t bytes);
@@ -133,15 +137,15 @@ class RateMeter {
   /// event recorded exactly at a sample instant counts toward that sample:
   /// record() uses exclusive flushing so the event lands first.
   void sample_up_to(Time t, bool inclusive);
-  [[nodiscard]] double current_bps(Time t) const;
 
   Time window_;
   Time sample_every_;
   Time next_sample_ = Time::zero();
+  std::uint64_t next_index_ = 0;  // next_sample_ / sample_every_
   std::uint64_t total_ = 0;
-  /// (t, bytes) of the events inside the window of the next sample; older
-  /// ones are popped, since no later sample reads them.
-  Fifo<std::pair<Time, std::uint64_t>> events_;
+  std::uint64_t in_window_ = 0;   // bytes the next sample reads
+  /// leaving_[k % size]: bytes that leave the window at sample k.
+  std::vector<std::uint64_t> leaving_;
   TimeSeries series_;
 };
 

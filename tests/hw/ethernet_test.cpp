@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -333,6 +334,36 @@ TEST(EthernetRecycle, PortIsRetiredWhenItsGenerationsRunOut) {
   const int next = sw.add_port([](const EthFrame&) {});
   EXPECT_EQ(EthernetSwitch::index_of(next), 1u);
   EXPECT_EQ(sw.port_table_size(), 2u);
+}
+
+TEST(Ethernet, ReceiverOfAnyCaptureIsCalledCopiedAndFreed) {
+  // A receiver is two words. One that fits a pointer rides in the port
+  // entry; a bigger one (here a shared_ptr and an int) lives in a box the
+  // receiver owns, copied with it and freed when its port is detached.
+  static_assert(sizeof(EthernetSwitch::Receiver) == 2 * sizeof(void*));
+  sim::Engine eng;
+  EthernetSwitch sw{eng};
+  auto hits = std::make_shared<int>(0);
+  const int weight = 10;
+  EthernetSwitch::Receiver big = [hits, weight](const EthFrame& f) {
+    *hits += weight * static_cast<int>(f.tag);
+  };
+  int small_hits = 0;
+  const int a = sw.add_port(big);  // a copy: its own box
+  const int b = sw.add_port(std::move(big));
+  const int c = sw.add_port([&small_hits](const EthFrame&) { ++small_hits; });
+  const int src = sw.add_port(nullptr);
+  EXPECT_FALSE(sw.attached(src)) << "an empty receiver attaches nothing";
+  EXPECT_EQ(hits.use_count(), 3) << "the two ports hold a box each";
+  sw.send(src, a, EthFrame{.bytes = 100, .tag = 1});
+  sw.send(src, b, EthFrame{.bytes = 100, .tag = 2});
+  sw.send(src, c, EthFrame{.bytes = 100, .tag = 3});
+  eng.run();
+  EXPECT_EQ(*hits, 30);
+  EXPECT_EQ(small_hits, 1);
+  sw.detach(a);
+  sw.detach(b);
+  EXPECT_EQ(hits.use_count(), 1) << "detaching freed both boxes";
 }
 
 }  // namespace

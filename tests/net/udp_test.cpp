@@ -111,5 +111,35 @@ TEST(UdpTeardown, DestroyedEndpointDropsItsDatagramsAndFreesItsPort) {
   EXPECT_NE(next, dead);
 }
 
+TEST(UdpTeardown, EndpointDestroyedBeforeItsStackCostSendsNothingAndReturnsItsBox) {
+  // send() puts the datagram in its packet box at once, and the box waits
+  // out the sender's 500 us stack inside the stack-cost event. Destroying
+  // the sender first turns that event into a no-op whose capture hands the
+  // box back to the pool.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  int received = 0;
+  UdpEndpoint rx{eng, ether, Time::us(50),
+                 [&received](const Packet&, Time) { ++received; }};
+  auto tx = std::make_unique<UdpEndpoint>(eng, ether, Time::us(500),
+                                          UdpEndpoint::Receiver{});
+  const auto& pool = detail::PacketBoxPool::instance().stats();
+  const std::uint64_t frames = pool.frames;
+  const std::uint64_t releases = pool.releases;
+  tx->send(rx.port(), Packet{.seq = 0, .bytes = 1000});
+  tx->send(rx.port(), Packet{.seq = 1, .bytes = 1000});
+  EXPECT_EQ(pool.frames - frames, 2u) << "one box per datagram";
+  EXPECT_EQ(pool.releases - releases, 0u);
+  eng.run_until(Time::us(250));
+  ASSERT_EQ(eng.pending_events(), 2u);
+  tx.reset();
+  eng.run();
+  EXPECT_EQ(received, 0);
+  EXPECT_EQ(ether.bytes_switched(), 0u);
+  EXPECT_EQ(pool.frames - frames, 2u);
+  EXPECT_EQ(pool.releases - releases, pool.frames - frames)
+      << "a box was not handed back";
+}
+
 }  // namespace
 }  // namespace nistream::net

@@ -87,13 +87,11 @@ TEST(AllocFree, SteadyStateFrameMachineryNeverAllocates) {
   // The per-frame machinery — coroutine frames, engine event slots, packet
   // boxes, dispatch batches, scheduler rings — must be allocation-free in
   // steady state, and so must the measurement state: the stream service
-  // stores nothing per frame, and the meters hold a window or one sum per
-  // sample. What remains is geometric capacity growth of the client's
-  // bandwidth series (one point per 500 ms sample), of the rate meter's
-  // buffer until it holds a full 2 s window, and of the coroutine pool's
-  // free list when the pump finishes. These runs measure 10 and 11; the
-  // budget adds a margin of 2 to the first and allows 2 more doublings for
-  // twice the steady window.
+  // stores nothing per frame, and the meters hold a fixed ring of byte sums
+  // or one busy sum per sample. What remains is geometric capacity growth of
+  // the client's bandwidth series (one point per 500 ms sample) and of the
+  // CPU meter's busy sums. These runs measure 3 and 5; the second may make
+  // 2 more doublings for twice the steady window.
   const std::uint64_t short_run = steady_state_heap_allocs(60, 260);
   const std::uint64_t long_run = steady_state_heap_allocs(60, 460);
 

@@ -105,11 +105,12 @@ RtspChurnClient::Config polite(Time arrival) {
 std::uint64_t frames_made() { return sim::coro_pool_stats().frames; }
 
 TEST(ChurnClient, ObjectStaysLean) {
-  // 100k clients live through a storm: the endpoints, the config, one
-  // answer and a coroutine handle, and no mailbox.
-  EXPECT_LE(sizeof(RtspChurnClient), 592u);
-  EXPECT_LE(sizeof(net::TcpLiteReceiver), 152u);
-  EXPECT_LE(sizeof(net::TcpLiteSender), 176u);
+  // 100k clients live through a storm: the endpoints, the config, three
+  // fields of one answer and a coroutine handle; no mailbox, no engine
+  // reference, and no service-port state in the receiver.
+  EXPECT_LE(sizeof(RtspChurnClient), 504u);
+  EXPECT_LE(sizeof(net::TcpLiteReceiver), 104u);
+  EXPECT_LE(sizeof(net::TcpLiteSender), 160u);
 }
 
 TEST(ChurnClient, FutureArrivalMakesNothingUntilItFires) {

@@ -9,9 +9,37 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <set>
+#include <vector>
 
 namespace nistream::sim {
 namespace {
+
+TEST(BlockPool, CarvesBlocksFromSlabsAndReusesThemLastInFirstOut) {
+  // 64-byte blocks: 1,024 fill one 64 KiB slab, so 2,048 take exactly two,
+  // each block aligned for any frame and distinct from every other. Blocks
+  // handed back are served again, most recent first, without a new slab.
+  using Pool = detail::BlockPool<64, 4>;
+  constexpr std::size_t kBlocks = 2 * Pool::kSlabBytes / 64;
+  Pool pool;
+  std::vector<void*> blocks;
+  for (std::size_t i = 0; i < kBlocks; ++i) blocks.push_back(pool.allocate(60));
+  EXPECT_EQ(pool.stats().slabs, 2u);
+  EXPECT_EQ(pool.stats().fresh_blocks, kBlocks);
+  EXPECT_EQ(std::set<void*>(blocks.begin(), blocks.end()).size(), kBlocks);
+  for (void* b : blocks) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % alignof(std::max_align_t),
+              0u);
+  }
+  pool.release(blocks[7], Pool::bucket_of(60));
+  pool.release(blocks[3], Pool::bucket_of(60));
+  EXPECT_EQ(pool.allocate(64), blocks[3]);
+  EXPECT_EQ(pool.allocate(33), blocks[7]);
+  EXPECT_NE(pool.allocate(100), blocks[7]) << "another bucket's block";
+  EXPECT_EQ(pool.stats().slabs, 3u) << "the 128-byte block opens a slab";
+  EXPECT_EQ(pool.stats().pool_reuses, 2u);
+}
 
 Coro tick(Engine& eng, int& out) {
   co_await Delay{eng, Time::us(1)};
