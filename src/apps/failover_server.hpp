@@ -39,9 +39,6 @@ class FailoverMediaServer {
  public:
   struct Config {
     dvcm::StreamService::Config service{};
-    dvcm::WatchdogConfig watchdog{};
-    /// CPU binding for the standby host scheduler process (Solaris pbind).
-    int host_affinity = -1;
   };
 
   // Split in two because GCC rejects `Config config = {}` as a default
@@ -58,7 +55,7 @@ class FailoverMediaServer {
         cal_{cal},
         config_{config},
         ni_{host.engine(), bus, ether, config.service, cal},
-        watchdog_{host.engine(), ni_.host_api(), config.watchdog} {
+        watchdog_{host.engine(), ni_.host_api()} {
     auto hb = std::make_unique<dvcm::HeartbeatExtension>();
     heartbeat_ = hb.get();
     ni_.runtime().load_extension(std::move(hb));
@@ -161,7 +158,7 @@ class FailoverMediaServer {
       // Lazily built: in NI mode the host runs no scheduler at all (that is
       // the paper's whole point), so the standby costs nothing until needed.
       host_server_ = std::make_unique<HostSchedulerServer>(
-          host_, ether_, config_.service, cal_, config_.host_affinity);
+          host_, ether_, config_.service, cal_);
       observe(host_server_->service());
     }
     host_server_->service().restore(checkpoint_from_registry(

@@ -7,7 +7,6 @@
 //   when the scheduler lives on the same board (Disk→Segment→Enqueue);
 //   Path B when config.cross_bus routes each frame over PCI p2p DMA to a
 //   dedicated scheduler-NI (Disk→Segment→Pci→Enqueue).
-// * ni_striped_producer — Path C off a Tiger-style striped volume.
 // * host_file_producer — a host process reading through a host filesystem
 //   (UFS or mounted dosFs) into a host-resident scheduler: Path A
 //   (Fs→Segment→Enqueue).
@@ -26,7 +25,6 @@
 #include "hostos/host.hpp"
 #include "hw/pci.hpp"
 #include "hw/scsi_disk.hpp"
-#include "hw/striped_volume.hpp"
 #include "mpeg/frame.hpp"
 #include "path/paths.hpp"
 #include "rtos/wind.hpp"
@@ -87,25 +85,6 @@ inline sim::Coro ni_disk_producer(sim::Engine& engine, hw::ScsiDisk& disk,
                              path::Provenance::kNiDisk),
       config.pacing, stats);
 }
-
-/// Path C variant reading off a striped volume (config.cross_bus unused:
-/// the volume's members already fan out across the board's channels).
-inline sim::Coro ni_striped_producer(sim::Engine& engine,
-                                     hw::StripedVolume& volume,
-                                     rtos::Task& task,
-                                     const mpeg::MpegFile& file,
-                                     dvcm::StreamService& service,
-                                     ProducerStats& stats,
-                                     const ProducerConfig& config = {}) {
-  return detail::pump_owned(
-      path::producer_path_c_striped(engine, volume, task, service),
-      path::mpeg_file_source(file, config.stream, config.disk_offset,
-                             path::Provenance::kStripedVolume),
-      config.pacing, stats);
-}
-
-/// Filesystem abstraction for the host producer (UFS or dosFs).
-enum class HostFs { kUfs, kDosFs };
 
 /// Produce every frame of `file` from a host filesystem into a host-resident
 /// scheduler service (Path A). Filesystem overheads and segmentation both

@@ -54,17 +54,15 @@ class ClusterControlPlane {
   struct Config {
     int boards = 3;
     dvcm::StreamService::Config service{};
-    dvcm::WatchdogConfig watchdog{};
-    /// Admissible fraction of each NI resource (see dwcs::AdmissionController).
-    double admission_headroom = 0.90;
     /// Per-frame NI CPU cost used for admission (apps::ServerNode budgets
     /// 130 us; benches shrink capacity by raising this).
     sim::Time per_frame_cpu = sim::Time::us(130);
-    /// Phase offset between successive boards' watchdog probe loops.
-    sim::Time watchdog_stagger = sim::Time::ms(7);
-    /// CPU binding for the spill host scheduler (Solaris pbind).
-    int host_affinity = -1;
   };
+
+  /// Admissible fraction of each NI resource (see dwcs::AdmissionController).
+  static constexpr double kAdmissionHeadroom = 0.90;
+  /// Phase offset between successive boards' watchdog probe loops.
+  static constexpr sim::Time kWatchdogStagger = sim::Time::ms(7);
 
   struct Metrics {
     std::uint64_t failovers = 0;            // board trips handled
@@ -101,7 +99,7 @@ class ClusterControlPlane {
           engine_, *m->bus, ether, config.service, cal);
       m->admission = std::make_unique<dwcs::AdmissionController>(
           cal.ethernet.bits_per_sec / 8.0, config.per_frame_cpu,
-          config.admission_headroom);
+          kAdmissionHeadroom);
 
       auto hb = std::make_unique<dvcm::HeartbeatExtension>();
       m->heartbeat = hb.get();
@@ -117,11 +115,9 @@ class ClusterControlPlane {
       m->ship = std::make_unique<dvcm::ReliableRemoteVcmClient>(
           engine_, ether, cal.ethernet.stack_traversal, m->port->port());
 
-      dvcm::WatchdogConfig wd = config.watchdog;
-      wd.initial_delay =
-          wd.initial_delay + config.watchdog_stagger * static_cast<std::int64_t>(b);
       m->watchdog = std::make_unique<dvcm::HostWatchdog>(
-          engine_, m->ni->host_api(), wd);
+          engine_, m->ni->host_api(),
+          kWatchdogStagger * static_cast<std::int64_t>(b));
       m->watchdog->set_on_trip(
           [this, b](sim::Time now) { fail_over(b, now); });
       m->watchdog->set_on_recovery([this, b](sim::Time now, std::uint64_t inc) {
@@ -597,7 +593,7 @@ class ClusterControlPlane {
     // Lazily built: while every board lives, the host runs no scheduler at
     // all — that is the paper's whole point.
     host_server_ = std::make_unique<apps::HostSchedulerServer>(
-        host_, ether_, config_.service, cal_, config_.host_affinity);
+        host_, ether_, config_.service, cal_);
     observe_member(Residence::kHost, host_server_->service());
   }
 

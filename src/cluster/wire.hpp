@@ -90,7 +90,6 @@ class ClusterExtension final : public dvcm::ExtensionModule {
         // Dead on arrival: the board cannot admit anything. The control
         // plane's trip handler re-routes in-flight streams; dropping here
         // (rather than adopting into a corpse) keeps the registry honest.
-        ++dead_on_arrival_;
         return;
       }
       ++adopted_;
@@ -102,16 +101,12 @@ class ClusterExtension final : public dvcm::ExtensionModule {
 
   [[nodiscard]] dvcm::StreamService& service() { return service_; }
   [[nodiscard]] std::uint64_t adopted() const { return adopted_; }
-  [[nodiscard]] std::uint64_t dead_on_arrival() const {
-    return dead_on_arrival_;
-  }
 
  private:
   dvcm::StreamService& service_;
   dvcm::VcmRuntime* runtime_ = nullptr;
   AdoptHandler on_adopt_;
   std::uint64_t adopted_ = 0;
-  std::uint64_t dead_on_arrival_ = 0;
 };
 
 }  // namespace nistream::cluster

@@ -16,7 +16,7 @@
 // that "still would have answered".
 //
 // The host watchdog sends a probe, waits one timeout, and checks the ack
-// arrived; `max_missed` consecutive silent probes trip it (so a single
+// arrived; kWatchdogMaxMissed consecutive silent probes trip it (so a single
 // dropped message never triggers failover). While tripped it keeps probing
 // with exponential backoff, and an ack — whenever the board comes back —
 // fires the recovery callback with the board's current incarnation.
@@ -64,29 +64,31 @@ class HeartbeatExtension final : public ExtensionModule {
   std::uint64_t acked_ = 0;
 };
 
-struct WatchdogConfig {
-  sim::Time interval = sim::Time::ms(100);  // probe period while healthy
-  sim::Time timeout = sim::Time::ms(50);    // silence per probe = one miss
-  int max_missed = 3;                       // consecutive misses to trip
-  double backoff_factor = 2.0;              // probe-interval growth once tripped
-  sim::Time max_backoff = sim::Time::ms(1600);
-  /// Delay before the first probe. A cluster runs one watchdog per board;
-  /// staggering their phases keeps N probe bursts from landing on the same
-  /// simulation instant (and, on real hardware, the same PCI cycle).
-  sim::Time initial_delay = sim::Time::zero();
-};
+/// Watchdog timing: a probe every kWatchdogInterval while healthy; one left
+/// unanswered for kWatchdogTimeout is a miss; kWatchdogMaxMissed consecutive
+/// misses trip the watchdog; once tripped, the probe interval grows by
+/// kWatchdogBackoffFactor up to kWatchdogMaxBackoff.
+inline constexpr sim::Time kWatchdogInterval = sim::Time::ms(100);
+inline constexpr sim::Time kWatchdogTimeout = sim::Time::ms(50);
+inline constexpr int kWatchdogMaxMissed = 3;
+inline constexpr double kWatchdogBackoffFactor = 2.0;
+inline constexpr sim::Time kWatchdogMaxBackoff = sim::Time::ms(1600);
 
 /// Host-side half. Owns the probe loop; reports through two callbacks:
-///   on_trip(now)                — max_missed consecutive probes unanswered
+///   on_trip(now)                  — kWatchdogMaxMissed probes unanswered
 ///   on_recovery(now, incarnation) — first ack after a trip
 class HostWatchdog {
  public:
   using TripHandler = std::function<void(sim::Time)>;
   using RecoveryHandler = std::function<void(sim::Time, std::uint64_t)>;
 
+  /// `initial_delay` comes before the first probe. A cluster runs one
+  /// watchdog per board; staggering their phases keeps N probe bursts from
+  /// landing on the same simulation instant (and, on real hardware, the
+  /// same PCI cycle).
   HostWatchdog(sim::Engine& engine, VcmHostApi& api,
-               const WatchdogConfig& config = {})
-      : engine_{engine}, api_{api}, config_{config} {
+               sim::Time initial_delay = sim::Time::zero())
+      : engine_{engine}, api_{api}, initial_delay_{initial_delay} {
     api_.set_notification_handler([this](const hw::I2oMessage& m) {
       if (m.function != (kHeartbeatPing | kReplyFlag)) return;
       last_ack_seq_ = m.w0;
@@ -105,23 +107,22 @@ class HostWatchdog {
   void start() {
     running_ = true;
     [](HostWatchdog& self) -> sim::Coro {
-      if (self.config_.initial_delay > sim::Time::zero()) {
-        co_await sim::Delay{self.engine_, self.config_.initial_delay};
+      if (self.initial_delay_ > sim::Time::zero()) {
+        co_await sim::Delay{self.engine_, self.initial_delay_};
       }
       while (self.running_) {
         const std::uint64_t seq = ++self.probe_seq_;
         co_await self.api_.invoke(kHeartbeatPing, /*w0=*/seq);
-        co_await sim::Delay{self.engine_, self.config_.timeout};
+        co_await sim::Delay{self.engine_, kWatchdogTimeout};
         if (!self.running_) co_return;
         if (self.last_ack_seq_ >= seq) {
           self.on_ack();
         } else {
           self.on_miss();
         }
-        const sim::Time gap =
-            self.probe_gap_ > self.config_.timeout
-                ? self.probe_gap_ - self.config_.timeout
-                : sim::Time::zero();
+        const sim::Time gap = self.probe_gap_ > kWatchdogTimeout
+                                  ? self.probe_gap_ - kWatchdogTimeout
+                                  : sim::Time::zero();
         co_await sim::Delay{self.engine_, gap};
       }
     }(*this).detach();
@@ -136,7 +137,6 @@ class HostWatchdog {
   [[nodiscard]] std::uint64_t last_ack_incarnation() const {
     return last_ack_incarnation_;
   }
-  [[nodiscard]] const WatchdogConfig& config() const { return config_; }
 
  private:
   void on_ack() {
@@ -144,33 +144,33 @@ class HostWatchdog {
     if (tripped_) {
       tripped_ = false;
       ++recoveries_;
-      probe_gap_ = config_.interval;
+      probe_gap_ = kWatchdogInterval;
       if (on_recovery_) on_recovery_(engine_.now(), last_ack_incarnation_);
     }
   }
 
   void on_miss() {
     ++missed_;
-    if (!tripped_ && missed_ >= config_.max_missed) {
+    if (!tripped_ && missed_ >= kWatchdogMaxMissed) {
       tripped_ = true;
       ++trips_;
       if (on_trip_) on_trip_(engine_.now());
     }
     if (tripped_) {
       // Exponential backoff: a dead board should not eat probe bandwidth.
-      const double next_us = probe_gap_.to_us() * config_.backoff_factor;
-      probe_gap_ = next_us < config_.max_backoff.to_us()
+      const double next_us = probe_gap_.to_us() * kWatchdogBackoffFactor;
+      probe_gap_ = next_us < kWatchdogMaxBackoff.to_us()
                        ? sim::Time::us(next_us)
-                       : config_.max_backoff;
+                       : kWatchdogMaxBackoff;
     }
   }
 
   sim::Engine& engine_;
   VcmHostApi& api_;
-  WatchdogConfig config_;
+  sim::Time initial_delay_;
   TripHandler on_trip_;
   RecoveryHandler on_recovery_;
-  sim::Time probe_gap_ = config_.interval;
+  sim::Time probe_gap_ = kWatchdogInterval;
   std::uint64_t probe_seq_ = 0;
   std::uint64_t last_ack_seq_ = 0;
   std::uint64_t last_ack_incarnation_ = 0;

@@ -72,9 +72,8 @@ class VcmRuntime {
         const hw::I2oMessage msg = co_await self.board_.i2o().inbound().receive();
         if (!self.board_.alive()) {
           // Crashed/hung firmware fetches nothing: the message frame rots in
-          // the FIFO from the sender's point of view; here we count it and
-          // move on so the mailbox does not grow without bound.
-          ++self.dropped_offline_;
+          // the FIFO from the sender's point of view; here we drop it so the
+          // mailbox does not grow without bound.
           continue;
         }
         // Handlers run the real (instrumented) code; whatever cycles they
@@ -104,9 +103,6 @@ class VcmRuntime {
 
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
   [[nodiscard]] std::uint64_t unknown_instructions() const { return unknown_; }
-  [[nodiscard]] std::uint64_t dropped_offline() const {
-    return dropped_offline_;
-  }
 
  private:
   hw::NicBoard& board_;
@@ -115,7 +111,6 @@ class VcmRuntime {
   std::vector<std::unique_ptr<ExtensionModule>> extensions_;
   std::uint64_t dispatched_ = 0;
   std::uint64_t unknown_ = 0;
-  std::uint64_t dropped_offline_ = 0;
 };
 
 }  // namespace nistream::dvcm

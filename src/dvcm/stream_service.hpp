@@ -35,7 +35,6 @@
 #include "sim/coro.hpp"
 #include "sim/engine.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace nistream::dvcm {
 
@@ -64,9 +63,6 @@ class StreamService {
     /// protocol encapsulation, NIC doorbell). Tables 1-3's "w/o scheduler"
     /// column measures this path: ~30 us at 66 MHz.
     std::int64_t dispatch_cycles = 1900;
-    /// Paced mode releases each frame at its deadline (media pacing);
-    /// work-conserving mode dispatches as fast as the CPU allows.
-    bool paced = true;
   };
 
   /// `cpu` is the machine the service runs on — its cycle counter prices the
@@ -88,7 +84,6 @@ class StreamService {
     sched_.set_drop_hook(
         [this](dwcs::StreamId id, const dwcs::FrameDescriptor& d) {
           if (memory_) memory_->release(d.bytes);
-          trace_.record(engine_.now(), "dwcs", "drop", id, d.frame_id);
           if (drop_observer_) drop_observer_(id, d);
         });
   }
@@ -123,7 +118,6 @@ class StreamService {
       const auto addr = memory_->allocate(bytes);
       if (!addr) {
         ++rejected_no_memory_;
-        trace_.record(engine_.now(), "dwcs", "reject-memory", id, d.frame_id);
         return false;
       }
       d.frame_addr = *addr;
@@ -131,10 +125,8 @@ class StreamService {
     if (!sched_.enqueue(id, d, engine_.now())) {
       if (memory_) memory_->release(bytes);
       ++rejected_ring_full_;
-      trace_.record(engine_.now(), "dwcs", "reject-ring", id, d.frame_id);
       return false;
     }
-    trace_.record(engine_.now(), "dwcs", "enqueue", id, d.frame_id, bytes);
     work_.signal();
     return true;
   }
@@ -157,7 +149,7 @@ class StreamService {
         co_await work_.wait();
         continue;
       }
-      if (config_.paced && *next > engine_.now()) {
+      if (*next > engine_.now()) {
         co_await sim::Delay{engine_, *next - engine_.now()};
         continue;  // re-evaluate: new streams may have arrived meanwhile
       }
@@ -172,14 +164,11 @@ class StreamService {
       batch_.clear();
       auto& batch = batch_;
       for (;;) {
-        if (config_.paced) {
-          const auto due = sched_.earliest_backlog_deadline();
-          if (!due || *due > engine_.now()) break;
-        }
+        const auto due = sched_.earliest_backlog_deadline();
+        if (!due || *due > engine_.now()) break;
         const auto d = sched_.schedule_next(engine_.now());
         if (!d) break;
         batch.push_back(*d);
-        if (!config_.paced) break;  // work-conserving: one frame per cycle
       }
       const std::int64_t decision = cpu_.cycles() - before;
       co_await ctx.consume(cpu_.time_of(
@@ -199,9 +188,6 @@ class StreamService {
         pkt.dispatched_at = engine_.now();
         endpoint.send(ps.client_port, pkt);
         ++dispatched_;
-        trace_.record(engine_.now(), "dwcs", "dispatch", d.stream,
-                      d.frame.frame_id,
-                      (engine_.now() - d.frame.enqueued_at).to_ms());
         if (dispatch_observer_) dispatch_observer_(d.stream, d);
       }
     }
@@ -211,10 +197,6 @@ class StreamService {
     stopped_ = true;
     work_.signal();
   }
-
-  /// Attach a trace sink; the service then records "dwcs"-category events
-  /// (enqueue / dispatch / reject / drop) for offline analysis.
-  void set_trace(sim::TraceSink sink) { trace_ = sink; }
 
   /// Gate the service on a board's health: while not alive, enqueue rejects
   /// and the dispatch loop stalls. nullptr (the default) means always alive.
@@ -324,7 +306,6 @@ class StreamService {
   dwcs::DwcsScheduler sched_;
   hw::MemoryPool* memory_;
   sim::Condition work_;
-  sim::TraceSink trace_;
   std::vector<dwcs::Dispatch> batch_;  // dispatch-loop scratch, capacity reused
   std::vector<PerStream> streams_;
   std::uint64_t next_frame_id_ = 0;

@@ -1,4 +1,4 @@
-// Baseline packet schedulers: EDF, static priority, round-robin.
+// Baseline packet schedulers: EDF and round-robin.
 //
 // These implement the same PacketScheduler interface and deadline/drop
 // machinery as DWCS but none of its window-constraint logic, so experiments
@@ -6,11 +6,11 @@
 // ablate_policy bench counts window violations under overload for each
 // policy via the WindowViolationMonitor).
 //
-// EDF and static priority are not hand-written scan loops anymore: the base
-// class carries a PIFO rank engine (pifo.hpp) and those baselines are the
-// engine under EdfRank / StaticPriorityRank — the same rank structs
-// DwcsScheduler runs under ReprKind::kPifo, so a baseline and the kPifo
-// ablation cell literally share their ordering code. Round-robin is not
+// EDF is not a hand-written scan loop: the base class carries a PIFO rank
+// engine (pifo.hpp) and EDF is the engine under EdfRank — the same rank
+// struct DwcsScheduler runs under ReprKind::kPifo, so the baseline and the
+// kPifo ablation cell literally share their ordering code. Static priority
+// is DwcsScheduler{kPifo, kStaticPriority} itself. Round-robin is not
 // expressible as a rank over per-stream state alone (its order depends on
 // the cursor, i.e. on service history of OTHER streams), so it keeps its
 // cursor scan.
@@ -86,15 +86,6 @@ class EdfScheduler final : public BaselineScheduler {
   explicit EdfScheduler(std::size_t ring_capacity = 256)
       : BaselineScheduler{PolicyKind::kEdf, ring_capacity} {}
   [[nodiscard]] const char* name() const override { return "edf"; }
-};
-
-/// Fixed priority by creation order (stream 0 most important) — the rank
-/// engine under StaticPriorityRank.
-class StaticPriorityScheduler final : public BaselineScheduler {
- public:
-  explicit StaticPriorityScheduler(std::size_t ring_capacity = 256)
-      : BaselineScheduler{PolicyKind::kStaticPriority, ring_capacity} {}
-  [[nodiscard]] const char* name() const override { return "static-priority"; }
 };
 
 /// Round-robin over backlogged streams (cursor scan; see header comment for

@@ -62,9 +62,9 @@ bool DwcsScheduler::enqueue(StreamId id, const FrameDescriptor& frame,
     StreamView& v = views_[id];
     v.head_enqueued_at = frame.enqueued_at;
     s.has_backlog = true;
-    if (config_.reset_deadline_on_idle && v.next_deadline < now) {
-      // The stream idled past its grid; restart rather than charging the
-      // idle gap as a burst of losses.
+    if (v.next_deadline < now) {
+      // The stream idled past its grid; restart the grid at now + period
+      // rather than charging the idle gap as a burst of losses.
       v.next_deadline = now + s.params.period;
     }
     repr_->insert(id);

@@ -80,9 +80,6 @@ class DwcsScheduler final : public PacketScheduler, private StreamTable {
     HierarchicalParams hierarchical{};
     DescriptorResidency residency = DescriptorResidency::kPinnedMemory;
     std::size_t ring_capacity = 256;
-    /// On an empty->backlogged transition, restart the deadline grid at
-    /// now + period instead of charging the idle gap as misses.
-    bool reset_deadline_on_idle = true;
     /// Deadline anchoring. The paper defines the deadline as "the maximum
     /// allowable time between servicing consecutive packets": anchored to
     /// the previous packet's actual service/drop time (true), the next

@@ -41,19 +41,16 @@ namespace nistream::ingress {
 
 class IngressDemux {
  public:
-  using KeyFn = FlowKey (*)(const net::Packet&);
-
-  struct Config {
-    /// Least urgent by default (above every spawned default): classification
-    /// of unbound traffic must only ever get leftover cycles.
-    int priority = 200;
-    std::int64_t base_cycles = 150;
-    std::int64_t cycles_per_probe = 30;
-    /// Per-tenant counter slots (tenant ids at or above this are folded into
-    /// slot 0); sized once so the classify loop never allocates.
-    std::size_t tenant_slots = 16;
-    KeyFn key_fn = &packet_flow_key;
-  };
+  /// wind priority, the least urgent on the NI (below every spawned
+  /// default): classification of unbound traffic only ever gets leftover
+  /// cycles.
+  static constexpr int kPriority = 200;
+  /// Classification CPU per packet: a base cost plus one per table probe.
+  static constexpr std::int64_t kBaseCycles = 150;
+  static constexpr std::int64_t kCyclesPerProbe = 30;
+  /// Per-tenant counter slots (tenant ids at or above this are folded into
+  /// slot 0); sized once so the classify loop never allocates.
+  static constexpr std::size_t kTenantSlots = 16;
 
   struct Stats {
     std::uint64_t received = 0;
@@ -69,21 +66,14 @@ class IngressDemux {
     std::uint64_t dropped = 0;
   };
 
-  // Delegation instead of `Config config = {}`: GCC 12 cannot use a nested
-  // class's default member initializers in a default argument.
   IngressDemux(sim::Engine& engine, hw::EthernetSwitch& ether,
                rtos::WindKernel& kernel, FlowTable& table,
                dvcm::StreamService& service)
-      : IngressDemux{engine, ether, kernel, table, service, Config{}} {}
-
-  IngressDemux(sim::Engine& engine, hw::EthernetSwitch& ether,
-               rtos::WindKernel& kernel, FlowTable& table,
-               dvcm::StreamService& service, Config config)
-      : table_{table}, service_{service}, config_{config}, inbox_{engine},
+      : table_{table}, service_{service}, inbox_{engine},
         rx_{engine, ether, net::kNiStackCost,
             [this](const net::Packet& p, sim::Time) { inbox_.send(p); }},
-        task_{kernel.spawn("ni-ingress", config.priority)},
-        by_tenant_(config.tenant_slots == 0 ? 1 : config.tenant_slots) {
+        task_{kernel.spawn("ni-ingress", kPriority)},
+        by_tenant_(kTenantSlots) {
     loop().detach();
   }
 
@@ -103,9 +93,8 @@ class IngressDemux {
     for (;;) {
       const net::Packet p = co_await inbox_.receive();
       ++stats_.received;
-      const Decision d = table_.classify(config_.key_fn(p));
-      co_await task_.consume_cycles(config_.base_cycles +
-                                    config_.cycles_per_probe * d.probes);
+      const Decision d = table_.classify(packet_flow_key(p));
+      co_await task_.consume_cycles(kBaseCycles + kCyclesPerProbe * d.probes);
       TenantCounters& tc =
           by_tenant_[d.tenant < by_tenant_.size() ? d.tenant : 0];
       switch (d.match) {
@@ -134,7 +123,6 @@ class IngressDemux {
 
   FlowTable& table_;
   dvcm::StreamService& service_;
-  Config config_;
   sim::Mailbox<net::Packet> inbox_;
   net::UdpEndpoint rx_;
   rtos::Task& task_;

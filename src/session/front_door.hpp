@@ -5,7 +5,7 @@
 // RTP-tailed synthetic producer into the DWCS ring) on a pooled wind task.
 // The layering mirrors the paper's thesis: control traffic terminates on
 // the NI, competes with the data plane for the same i960 cycles
-// (ctl_priority vs pump_priority vs the dispatch task), and never touches
+// (kCtlPriority vs kPumpPriority vs the dispatch task), and never touches
 // the host.
 //
 // Invariants the churn bench asserts:
@@ -42,9 +42,9 @@
 #include "net/tcplite.hpp"
 #include "net/udp.hpp"
 #include "path/frame_path.hpp"
+#include "path/paths.hpp"
 #include "path/rtp_stages.hpp"
 #include "rtos/wind.hpp"
-#include "session/paths.hpp"
 #include "session/rtsp.hpp"
 #include "session/session.hpp"
 #include "sim/coro.hpp"
@@ -57,16 +57,6 @@ class RtspFrontDoor {
  public:
   struct Config {
     std::uint32_t incarnation = 1;
-    /// wind priorities (0 most urgent). Control runs below the pumps and
-    /// the dispatch task: under load, accepted streams keep their deadlines
-    /// while new SETUPs queue — the paper's "data plane first" ordering.
-    int ctl_priority = 140;
-    int pump_priority = 120;
-    /// Request-processing CPU: a fixed per-message cost plus a per-byte
-    /// parse cost, charged to the control task.
-    std::int64_t request_cycles = 1500;
-    std::int64_t parse_cycles_per_byte = 4;
-    RtpTailParams rtp{};
     /// Sessions not in kPlaying and silent this long are reaped (their
     /// reservation released) — half-open teardowns must not leak admission.
     sim::Time idle_timeout = sim::Time::sec(2);
@@ -84,11 +74,51 @@ class RtspFrontDoor {
     /// violation monitor by (tenant, stream) so per-tenant QoS is separable.
     /// Null keeps the single-tenant behaviour (scope 0 everywhere).
     ingress::TenantDirectory* tenants = nullptr;
-    /// Response channel back to each client: bounded retransmit so a
-    /// vanished client cannot pin a response sender forever.
-    net::TcpLiteSenderParams response_params{.window = 8,
-                                             .max_retx_rounds = 8};
   };
+
+  /// wind priorities (0 most urgent). Control runs below the pumps and the
+  /// dispatch task: under load, accepted streams keep their deadlines while
+  /// new SETUPs queue — the paper's "data plane first" ordering.
+  static constexpr int kCtlPriority = 140;
+  static constexpr int kPumpPriority = 120;
+  /// Request-processing CPU: a fixed per-message cost plus a per-byte parse
+  /// cost, charged to the control task.
+  static constexpr std::int64_t kRequestCycles = 1500;
+  static constexpr std::int64_t kParseCyclesPerByte = 4;
+  /// The RTP tail: header build on the NI CPU, and the RTCP report period.
+  static constexpr std::int64_t kRtpCyclesPerPacket = 700;
+  static constexpr sim::Time kRtcpInterval = sim::Time::ms(500);
+  /// Response channel back to each client: bounded retransmit so a vanished
+  /// client cannot pin a response sender forever.
+  static constexpr net::TcpLiteSenderParams kResponseParams{
+      .window = 8, .max_retx_rounds = 8};
+
+  /// A session's data plane: an ordinary producer path (path/paths.hpp)
+  /// with an RTP tail spliced in between segmentation and the ring, all on
+  /// one NI task, with no storage stage (churn workloads stress session
+  /// lifecycle, not disk mechanics):
+  ///
+  ///   segment -> rtp -> rtcp -> enqueue
+  ///
+  /// The packetizer charges the pump's CPU and grows the frame by the RTP
+  /// header; the RTCP stage piggybacks sender reports onto the frame clock
+  /// over a side UDP port. DWCS paces RTP-framed packets exactly as it paces
+  /// raw ones: session control composes onto the datapath, not a fork of it.
+  static path::FramePath session_path(sim::Engine& engine, rtos::Task& task,
+                                      dvcm::StreamService& service,
+                                      path::RtpState& rtp,
+                                      net::UdpEndpoint& rtcp_out,
+                                      int rtcp_port) {
+    path::FramePath p{engine, "session-synthetic"};
+    p.stage<path::SegmentStage<rtos::Task>>(task,
+                                            path::kSegmentationCyclesPerFrame)
+        .stage<path::RtpPacketizeStage<rtos::Task>>(task, rtp,
+                                                    kRtpCyclesPerPacket)
+        .stage<path::RtcpReportStage>(engine, rtcp_out, rtcp_port, rtp,
+                                      kRtcpInterval)
+        .stage<path::EnqueueStage>(engine, service);
+    return p;
+  }
 
   struct Stats {
     std::uint64_t requests = 0;
@@ -124,7 +154,7 @@ class RtspFrontDoor {
                     [this](const net::Packet& p, int peer, sim::Time at) {
                       on_ctl_bytes(p, peer, at);
                     }}},
-        ctl_task_{kernel.spawn("rtsp-ctl", config.ctl_priority)} {
+        ctl_task_{kernel.spawn("rtsp-ctl", kCtlPriority)} {
     ctl_rx_.set_on_peer_close(
         [this](int peer, sim::Time) { on_conn_close(peer); });
     control_loop().detach();
@@ -268,9 +298,8 @@ class RtspFrontDoor {
       Pending p = co_await inbox_.receive();
       ++stats_.requests;
       co_await ctl_task_.consume_cycles(
-          config_.request_cycles +
-          config_.parse_cycles_per_byte *
-              static_cast<std::int64_t>(p.text.size()));
+          kRequestCycles +
+          kParseCyclesPerByte * static_cast<std::int64_t>(p.text.size()));
       // A newer client on the sender's port closed this one's connection
       // while the request waited: there is no one left to answer.
       if (superseded(p.peer)) continue;
@@ -439,7 +468,7 @@ class RtspFrontDoor {
     if (!conn.tx) {
       conn.tx = std::make_unique<net::TcpLiteSender>(
           engine_, ether_, net::kNiStackCost, conn.reply_port,
-          config_.response_params);
+          kResponseParams);
     }
     if (conn.tx->closing() || conn.tx->aborted()) return;
     auto text = std::make_shared<std::string>(format_response(resp));
@@ -462,13 +491,12 @@ class RtspFrontDoor {
     // order their pumps finished, as a free list of tasks would.
     if (i == pump_tasks_.size()) {
       pump_tasks_.push_back(&kernel_.spawn(
-          "rtsp-pump-" + std::to_string(i + 1), config_.pump_priority));
+          "rtsp-pump-" + std::to_string(i + 1), kPumpPriority));
     }
     PumpContext& ctx = pumps_[i];
     ctx.rtp.ssrc = static_cast<std::uint32_t>(s.id ^ (s.id >> 32));
-    ctx.path = session_path_synthetic(engine_, *pump_tasks_[i], service_,
-                                      ctx.rtp, rtp_out_, s.rtcp_port,
-                                      config_.rtp);
+    ctx.path = session_path(engine_, *pump_tasks_[i], service_, ctx.rtp,
+                            rtp_out_, s.rtcp_port);
     s.pump_id = pid;
     s.state = SessionState::kPlaying;
     s.ever_played = true;

@@ -142,6 +142,9 @@ struct RtspResponse {
     out += "X-Frames: " + std::to_string(r.frames) + "\r\n";
   }
   out += "\r\n";
+  // The text rides a TcpLite segment for as long as it is in flight: hand
+  // back what the reserve overshot.
+  out.shrink_to_fit();
   return out;
 }
 
@@ -158,6 +161,7 @@ struct RtspResponse {
     out += "X-Stream: " + std::to_string(r.stream) + "\r\n";
   }
   out += "\r\n";
+  out.shrink_to_fit();  // as in format_request
   return out;
 }
 

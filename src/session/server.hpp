@@ -34,7 +34,6 @@ class SessionServer {
     /// ~110% of the CPU and the earliest-admitted streams go late.
     sim::Time per_frame_cpu = sim::Time::us(120);
     double admission_headroom = 0.90;
-    int dispatch_priority = 50;  // most urgent: dispatches hold deadlines
     RtspFrontDoor::Config door{};
     /// Named tenants with their admission shares. Empty keeps the server
     /// single-tenant (every URI resolves to the default tenant, scope 0).
@@ -42,6 +41,10 @@ class SessionServer {
     /// keying via the front door's TenantDirectory hook.
     std::vector<std::pair<std::string, ingress::TenantBudget>> tenants;
   };
+
+  /// wind priority of the dispatch task, the most urgent on the NI:
+  /// dispatches hold deadlines.
+  static constexpr int kDispatchPriority = 50;
 
   /// Deadline-from-completion keeps a backlogged ring from accumulating
   /// phantom lateness across PAUSE gaps; churn sessions live and die fast,
@@ -70,8 +73,7 @@ class SessionServer {
                  [](const net::Packet&, sim::Time) {}},
         admission_{config_.cal.ethernet.bits_per_sec / 8.0,
                    config_.per_frame_cpu, config_.admission_headroom},
-        dispatch_task_{kernel_.spawn("dwcs-dispatch",
-                                     config_.dispatch_priority)},
+        dispatch_task_{kernel_.spawn("dwcs-dispatch", kDispatchPriority)},
         tenants_{config_.tenants},
         door_{engine,   ether,      kernel_,   service_,
               rtp_out_, admission_, &monitor_, door_config()} {

@@ -56,34 +56,6 @@ class RunningStat {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/// Exact-quantile sample store. Experiments are small (<= a few 100k samples),
-/// so keeping the raw samples beats approximate sketches in both simplicity
-/// and fidelity.
-class SampleSet {
- public:
-  void add(double x) { samples_.push_back(x); sorted_ = false; }
-  [[nodiscard]] std::size_t size() const { return samples_.size(); }
-  [[nodiscard]] bool empty() const { return samples_.empty(); }
-
-  /// Quantile q in [0,1] by nearest-rank; 0 if empty.
-  [[nodiscard]] double quantile(double q) {
-    if (samples_.empty()) return 0.0;
-    sort();
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(samples_.size() - 1) + 0.5);
-    return samples_[std::min(idx, samples_.size() - 1)];
-  }
-  [[nodiscard]] double median() { return quantile(0.5); }
-  [[nodiscard]] const std::vector<double>& raw() const { return samples_; }
-
- private:
-  void sort() {
-    if (!sorted_) { std::sort(samples_.begin(), samples_.end()); sorted_ = true; }
-  }
-  std::vector<double> samples_;
-  bool sorted_ = true;
-};
-
 /// (time, value) series, e.g. bandwidth-vs-time for Figures 7 and 9.
 class TimeSeries {
  public:

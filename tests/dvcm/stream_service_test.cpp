@@ -120,20 +120,23 @@ TEST(StreamService, QueuingDelayRecorded) {
 }
 
 TEST(StreamService, TraceRecordsLifecycle) {
+  // The service's own counters trace each frame from enqueue to dispatch.
   ServiceFixture f;
-  sim::Trace trace;
-  f.service.set_trace(sim::TraceSink{&trace});
   const auto id = f.service.create_stream(
       {.tolerance = {1, 4}, .period = Time::ms(10), .lossy = true},
       f.client.port());
   for (int i = 0; i < 4; ++i) f.service.enqueue(id, 1000, mpeg::FrameType::kP);
+  EXPECT_EQ(f.service.scheduler().stats(id).enqueued, 4u);
+  EXPECT_EQ(f.service.scheduler().backlog(id), 4u);
+  EXPECT_EQ(f.service.dispatched(), 0u);
   rtos::Task& task = f.kernel.spawn("tSched", 50);
   f.service.run(task, f.ep).detach();
   f.eng.run_until(Time::ms(100));
   f.service.stop();
-  EXPECT_EQ(trace.count("dwcs", "enqueue"), 4u);
-  EXPECT_EQ(trace.count("dwcs", "dispatch"), 4u);
-  EXPECT_EQ(trace.count("dwcs", "reject-ring"), 0u);
+  EXPECT_EQ(f.service.dispatched(), 4u);
+  EXPECT_EQ(f.service.frames_sent(id), 4u);
+  EXPECT_EQ(f.service.scheduler().backlog(id), 0u);
+  EXPECT_EQ(f.service.rejected_ring_full(), 0u);
 }
 
 // Full-stack DVCM test: host creates a stream via the instruction set, a

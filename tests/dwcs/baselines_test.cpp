@@ -1,6 +1,6 @@
-// Tests for the EDF / static-priority / round-robin baselines, and the
-// head-to-head property that motivates DWCS: under overload, DWCS respects
-// window constraints that the baselines break.
+// Tests for the EDF and round-robin baselines, and the head-to-head property
+// that motivates DWCS: under overload, DWCS respects window constraints that
+// the baselines break.
 #include "dwcs/baselines.hpp"
 
 #include <gtest/gtest.h>
@@ -40,19 +40,6 @@ TEST(Edf, DropsLateLossyPackets) {
   s.enqueue(id, frame(0, Time::zero()), Time::zero());
   EXPECT_FALSE(s.schedule_next(Time::ms(100)).has_value());
   EXPECT_EQ(s.stats(id).dropped, 1u);
-}
-
-TEST(StaticPriority, LowestIdWins) {
-  StaticPriorityScheduler s;
-  const auto hi = s.create_stream({.tolerance = {1, 2}, .period = Time::ms(50)},
-                                  Time::zero());
-  const auto lo = s.create_stream({.tolerance = {1, 2}, .period = Time::ms(5)},
-                                  Time::zero());
-  s.enqueue(hi, frame(0, Time::zero()), Time::zero());
-  s.enqueue(lo, frame(1, Time::zero()), Time::zero());
-  const auto d = s.schedule_next(Time::zero());
-  ASSERT_TRUE(d);
-  EXPECT_EQ(d->stream, hi);  // creation order, not deadlines
 }
 
 TEST(RoundRobin, CyclesThroughBackloggedStreams) {
@@ -167,7 +154,6 @@ TEST(PolicyComparison, DwcsProtectsTightStreamUnderOverload) {
 TEST(PolicyComparison, SchedulerNames) {
   EXPECT_STREQ(DwcsScheduler{DwcsScheduler::Config{}}.name(), "dwcs");
   EXPECT_STREQ(EdfScheduler{}.name(), "edf");
-  EXPECT_STREQ(StaticPriorityScheduler{}.name(), "static-priority");
   EXPECT_STREQ(RoundRobinScheduler{}.name(), "round-robin");
 }
 

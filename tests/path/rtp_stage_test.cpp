@@ -12,7 +12,7 @@
 #include "net/udp.hpp"
 #include "path/paths.hpp"
 #include "rtos/wind.hpp"
-#include "session/paths.hpp"
+#include "session/front_door.hpp"
 
 namespace nistream::path {
 namespace {
@@ -108,18 +108,16 @@ TEST(RtcpReportStage, EmitsAtConfiguredInterval) {
   }
 }
 
-TEST(SessionPaths, PathCWithRtpTailHasExpectedStages) {
+TEST(SessionPaths, FrontDoorPathHasExpectedStages) {
   RtpRig rig;
-  hw::ScsiDisk disk{rig.eng};
   hw::Calibration cal;
   dvcm::StreamService svc{rig.eng, {}, rig.cpu, cal.ni_int, cal.ni_softfp};
   RtpState state;
-  FramePath p = session::session_path_c(
-      rig.eng, disk, rig.task, svc, state, rig.rtcp_out,
-      rig.rtcp_sink.port(), session::RtpTailParams{});
-  ASSERT_EQ(p.stage_count(), 5u);
-  const char* expected[] = {"disk", "segment", "rtp", "rtcp", "enqueue"};
-  for (std::size_t i = 0; i < 5; ++i) {
+  FramePath p = session::RtspFrontDoor::session_path(
+      rig.eng, rig.task, svc, state, rig.rtcp_out, rig.rtcp_sink.port());
+  ASSERT_EQ(p.stage_count(), 4u);
+  const char* expected[] = {"segment", "rtp", "rtcp", "enqueue"};
+  for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_STREQ(p.stage_at(i).name(), expected[i]) << "stage " << i;
   }
 }

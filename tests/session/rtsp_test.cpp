@@ -72,6 +72,29 @@ TEST(RtspMessage, ResponseCarriesStreamId) {
   EXPECT_EQ(parsed->stream, 42u);
 }
 
+// A text lives as long as the TcpLite segment that carries it, so its
+// buffer must fit it: no more slack than a malloc chunk's rounding.
+TEST(RtspMessage, TextsAreSizedToTheirLength) {
+  RtspRequest setup;
+  setup.method = Method::kSetup;
+  setup.cseq = 1;
+  setup.reply_port = 123456;
+  setup.rtp_port = 123457;
+  setup.rtcp_port = 123458;
+  setup.frames = 300;
+  RtspRequest play;
+  play.method = Method::kPlay;
+  play.cseq = 2;
+  play.reply_port = 123456;
+  play.session_id = make_session_id(1, 77);
+  const std::string texts[] = {
+      format_request(setup), format_request(play),
+      format_response({.status = 453, .cseq = 1})};
+  for (const std::string& t : texts) {
+    EXPECT_LT(t.capacity() - t.size(), 16u) << t;
+  }
+}
+
 TEST(RtspMessage, MalformedRequestsRejected) {
   EXPECT_FALSE(parse_request("").has_value());
   EXPECT_FALSE(parse_request("GARBAGE\r\n").has_value());

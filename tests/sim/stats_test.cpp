@@ -1,5 +1,5 @@
-// Tests for the measurement primitives: RunningStat, SampleSet, TimeSeries,
-// RateMeter and UtilizationMeter. The two meters hold bounded state (a window
+// Tests for the measurement primitives: RunningStat, TimeSeries, RateMeter
+// and UtilizationMeter. The two meters hold bounded state (a window
 // of events, one busy sum per sample); the oracles below keep every event and
 // every busy interval, as the meters once did, and the meters must match them
 // exactly.
@@ -125,15 +125,6 @@ TEST(RunningStat, EmptyIsZero) {
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
-}
-
-TEST(SampleSet, Quantiles) {
-  SampleSet s;
-  for (int i = 100; i >= 1; --i) s.add(i);  // 1..100 reversed
-  EXPECT_DOUBLE_EQ(s.median(), 51.0);       // nearest-rank: idx round(49.5+0.5)
-  EXPECT_DOUBLE_EQ(s.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.quantile(1.0), 100.0);
-  EXPECT_NEAR(s.quantile(0.9), 90.0, 1.0);
 }
 
 TEST(TimeSeries, MeanBetweenAndValueAt) {
