@@ -45,17 +45,6 @@ constexpr int kHorizonMs = 60'000;
 // On-time services per slot both windows need: 1/8 (loose) + 5/8 (tight).
 constexpr std::uint64_t kRequiredBp = 7'500;  // basis points of one slot
 
-const char* engine_of(dwcs::PolicyKind p) {
-  switch (p) {
-    case dwcs::PolicyKind::kDwcs: return "pifo-dwcs";
-    case dwcs::PolicyKind::kEdf: return "pifo-edf";
-    case dwcs::PolicyKind::kStaticPriority: return "pifo-sp";
-    case dwcs::PolicyKind::kWfq: return "pifo-wfq";
-    case dwcs::PolicyKind::kTenantDwcs: return "pifo-tenant-dwcs";
-  }
-  return "?";
-}
-
 struct StreamCell {
   std::uint64_t violating_windows = 0;
   std::uint64_t window_positions = 0;
@@ -72,6 +61,7 @@ struct CellSpec {
 
 struct Cell {
   dwcs::PolicyKind policy{};
+  const char* engine = "";  // the PIFO engine's rank name
   unsigned load_pct = 0;
   std::uint64_t service_share_pct = 0;
   bool checked_identity = false;    // true only for the DWCS cells
@@ -97,6 +87,7 @@ Cell run_cell(const CellSpec& spec, std::uint64_t seed) {
   c.service_share_pct = kRequiredBp / load_pct;  // 83 at 90%, 68 at 110%
 
   auto sched = make_sched(dwcs::ReprKind::kPifo, policy);
+  c.engine = sched->repr().name();
   std::unique_ptr<dwcs::DwcsScheduler> shadow;
   if (policy == dwcs::PolicyKind::kDwcs) {
     shadow = make_sched(dwcs::ReprKind::kDualHeap, policy);
@@ -204,7 +195,7 @@ void write_stream(bench::Json& j, const StreamCell& s) {
 }
 
 void write_cell(bench::Json& j, const Cell& c, const bench::Verdict&) {
-  j.s("policy", dwcs::to_string(c.policy)).s("engine", engine_of(c.policy))
+  j.s("policy", dwcs::to_string(c.policy)).s("engine", c.engine)
       .u("load_pct", c.load_pct).u("service_share_pct", c.service_share_pct)
       .wrap(5);
   if (c.checked_identity) j.b("dual_heap_identical", c.dual_heap_identical);

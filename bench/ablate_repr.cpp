@@ -16,7 +16,7 @@ int main() {
   bench::header("Ablation: schedule representation (Table 2 conditions)");
 
   const dwcs::ReprKind kinds[] = {
-      dwcs::ReprKind::kDualHeap, dwcs::ReprKind::kSingleHeap,
+      dwcs::ReprKind::kDualHeap, dwcs::ReprKind::kPifo,
       dwcs::ReprKind::kSortedList, dwcs::ReprKind::kCalendarQueue,
       dwcs::ReprKind::kFcfs};
 

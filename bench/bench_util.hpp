@@ -17,7 +17,7 @@
 namespace nistream::bench {
 
 /// Schema version of the tracked BENCH_*.json files. Version 2 added the
-/// provenance stamp (git_rev, jobs) emitted by write_stamp below.
+/// provenance stamp (git_rev, jobs) that runner.hpp's open_doc writes.
 inline constexpr int kJsonSchemaVersion = 2;
 
 /// Revision of the tree the bench RAN against, resolved at run time:
@@ -78,16 +78,6 @@ inline bool git_rev_well_formed(const std::string& rev) {
 /// old call-at-write-time scheme always saw its own in-progress write as
 /// "-dirty".
 inline const std::string kGitRevAtStartup = git_rev();
-
-/// Provenance stamp, written right after the opening "bench" key of every
-/// tracked JSON. `jobs` records the worker count the sweep ran under — it is
-/// the ONLY line allowed to differ between `--jobs 1` and `--jobs N` runs of
-/// a deterministic sweep (CI diffs the rest).
-inline void write_stamp(std::ostream& out, unsigned jobs) {
-  out << "  \"schema_version\": " << kJsonSchemaVersion << ",\n"
-      << "  \"git_rev\": \"" << kGitRevAtStartup << "\",\n"
-      << "  \"jobs\": " << jobs << ",\n";
-}
 
 inline void header(const std::string& title) {
   std::printf("\n==== %s ====\n", title.c_str());

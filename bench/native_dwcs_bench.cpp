@@ -6,7 +6,6 @@
 // the build machine.
 #include <benchmark/benchmark.h>
 
-#include "dwcs/baselines.hpp"
 #include "dwcs/comparator.hpp"
 #include "dwcs/scheduler.hpp"
 #include "fixedpt/softfloat.hpp"
@@ -17,7 +16,7 @@ using sim::Time;
 
 namespace {
 
-void setup_streams(dwcs::PacketScheduler& s, int n) {
+void setup_streams(dwcs::DwcsScheduler& s, int n) {
   sim::Rng rng{7};
   for (int i = 0; i < n; ++i) {
     const auto y = 2 + static_cast<std::int64_t>(rng.below(8));
@@ -29,9 +28,13 @@ void setup_streams(dwcs::PacketScheduler& s, int n) {
   }
 }
 
-void BM_ScheduleNext(benchmark::State& state) {
+const dwcs::DwcsScheduler::Config kEdfConfig{
+    .repr = dwcs::ReprKind::kPifo, .policy = dwcs::PolicyKind::kEdf};
+
+void BM_ScheduleNext(benchmark::State& state,
+                     const dwcs::DwcsScheduler::Config& config) {
   const int n_streams = static_cast<int>(state.range(0));
-  dwcs::DwcsScheduler sched{dwcs::DwcsScheduler::Config{}};
+  dwcs::DwcsScheduler sched{config};
   setup_streams(sched, n_streams);
   std::uint64_t fid = 0;
   std::int64_t t_ms = 0;
@@ -52,7 +55,9 @@ void BM_ScheduleNext(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n_streams);
 }
-BENCHMARK(BM_ScheduleNext)->Arg(2)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK_CAPTURE(BM_ScheduleNext, dwcs, dwcs::DwcsScheduler::Config{})
+    ->Arg(2)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK_CAPTURE(BM_ScheduleNext, edf, kEdfConfig)->Arg(8);
 
 void BM_Enqueue(benchmark::State& state) {
   dwcs::DwcsScheduler::Config cfg;
@@ -105,27 +110,6 @@ void BM_SoftFloatDiv(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(a / b);
 }
 BENCHMARK(BM_SoftFloatDiv);
-
-void BM_EdfScheduleNext(benchmark::State& state) {
-  dwcs::EdfScheduler sched;
-  setup_streams(sched, 8);
-  std::uint64_t fid = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    for (dwcs::StreamId i = 0; i < 8; ++i) {
-      sched.enqueue(i,
-                    dwcs::FrameDescriptor{.frame_id = fid++, .bytes = 1000,
-                                          .type = mpeg::FrameType::kP,
-                                          .enqueued_at = Time::zero()},
-                    Time::zero());
-    }
-    state.ResumeTiming();
-    for (int i = 0; i < 8; ++i) {
-      benchmark::DoNotOptimize(sched.schedule_next(Time::zero()));
-    }
-  }
-}
-BENCHMARK(BM_EdfScheduleNext);
 
 }  // namespace
 

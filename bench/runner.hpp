@@ -238,6 +238,20 @@ class Json {
   bool first_ = true;
 };
 
+/// Starts a tracked JSON document: `{`, the "bench" key and the provenance
+/// stamp. `jobs` records the worker count the sweep ran under; it is the
+/// ONLY line allowed to differ between `--jobs 1` and `--jobs N` runs of a
+/// deterministic sweep (CI diffs the rest). Returns a writer for the other
+/// top-level fields, one per line; the caller ends it with `close("\n}\n")`.
+inline Json open_doc(std::ostream& out, std::string_view bench,
+                     unsigned jobs) {
+  out << "{\n  \"bench\": \"" << bench << "\",\n"
+      << "  \"schema_version\": " << kJsonSchemaVersion << ",\n"
+      << "  \"git_rev\": \"" << kGitRevAtStartup << "\",\n"
+      << "  \"jobs\": " << jobs << ",\n";
+  return Json{out, "  ", ",\n  "};
+}
+
 /// One sweep's scenario. Of its callables only `coord` and `replay` may be
 /// left unset.
 template <class Spec, class Result>
@@ -307,9 +321,7 @@ class Sweep {
 
     std::ostringstream json;
     std::vector<Json::Record> records(n);
-    json << "{\n  \"bench\": \"" << bench_ << "\",\n";
-    write_stamp(json, jobs);
-    Json doc{json, "  ", ",\n  "};
+    Json doc = open_doc(json, bench_, jobs);
     doc.u("seed", seed);
     plan.header(doc);
     if (plan.json_ok) doc.b("ok", all_ok);

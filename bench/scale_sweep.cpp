@@ -41,7 +41,7 @@
 // contend for cores, so publication-grade wall-clock numbers should use
 // `--jobs 1`. `--smoke` shrinks the grid and budgets for CI gate runs.
 // `--repr=<list>` selects the scheduler-family representations (default all
-// six flat kinds including `pifo`, the DWCS-ranked PIFO engine; the
+// five flat kinds including `pifo`, the DWCS-ranked PIFO engine; the
 // hierarchical repr is swept separately via `--shards`).
 //
 // `--identity` switches to the CI decision-identity contract instead of a
@@ -62,6 +62,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -630,6 +631,38 @@ std::vector<std::pair<std::string, std::size_t>> rules_flag(int argc,
   return out;
 }
 
+void write_config(bench::Json& j, const SweepResult& r) {
+  j.s("repr", r.repr).u("streams", r.streams);
+  if (r.shards != 0) j.u("shards", r.shards);
+  if (r.skipped) {
+    j.b("skipped", true).s("skip_reason", r.skip_reason);
+    return;
+  }
+  j.u("decisions", r.decisions).f("elapsed_sec", r.elapsed_sec, 3)
+      .f("decisions_per_sec", r.decisions_per_sec, 0)
+      .f("p50_ns", r.p50_ns, 0).f("p99_ns", r.p99_ns, 0);
+  if (r.num_cores != 0) {
+    j.u("num_cores", r.num_cores).u("sim_decisions", r.sim_decisions)
+        .f("sim_elapsed_sec", r.sim_elapsed_sec, 6)
+        .f("sim_decisions_per_s", r.sim_decisions_per_s, 0);
+  }
+}
+
+void write_class(bench::Json& j, const ClassResult& c) {
+  j.s("rules", c.rules).u("wildcards", c.wildcards).u("flows", c.flows)
+      .u("lookups", c.lookups).f("elapsed_sec", c.elapsed_sec, 3)
+      .f("decisions_per_sec", c.lookups_per_sec, 0)
+      .f("p50_ns", c.p50_ns, 0).f("p99_ns", c.p99_ns, 0)
+      .u("exact_hits", c.exact_hits).u("trie_hits", c.trie_hits)
+      .u("misses", c.misses);
+}
+
+void write_path(bench::Json& j, const PathResult& p) {
+  j.s("path", p.path).u("streams", p.streams).u("frames", p.frames)
+      .u("delivered", p.delivered).f("elapsed_sec", p.elapsed_sec, 3)
+      .f("frames_per_sec", p.frames_per_sec, 0);
+}
+
 bool write_json(const std::vector<SweepResult>& results,
                 const std::vector<PathResult>& paths,
                 const std::vector<ClassResult>& classes,
@@ -639,75 +672,18 @@ bool write_json(const std::vector<SweepResult>& results,
     std::printf("could not write %s\n", path.c_str());
     return false;
   }
-  out << "{\n  \"bench\": \"scale_sweep\",\n";
-  bench::write_stamp(out, jobs);
-  out << "  \"seed\": " << seed << ",\n"
-      << "  \"unit\": {\"decisions_per_sec\": \"1/s\", \"latency\": \"ns\", "
-         "\"frames_per_sec\": \"1/s\"},\n"
-      << "  \"configs\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& r = results[i];
-    out << "    {\"repr\": \"" << r.repr << "\", \"streams\": " << r.streams;
-    if (r.shards != 0) out << ", \"shards\": " << r.shards;
-    if (r.skipped) {
-      out << ", \"skipped\": true, \"skip_reason\": \"" << r.skip_reason
-          << "\"}";
-    } else {
-      char buf[256];
-      std::snprintf(buf, sizeof buf,
-                    ", \"decisions\": %llu, \"elapsed_sec\": %.3f, "
-                    "\"decisions_per_sec\": %.0f, \"p50_ns\": %.0f, "
-                    "\"p99_ns\": %.0f",
-                    static_cast<unsigned long long>(r.decisions),
-                    r.elapsed_sec, r.decisions_per_sec, r.p50_ns, r.p99_ns);
-      out << buf;
-      if (r.num_cores != 0) {
-        std::snprintf(buf, sizeof buf,
-                      ", \"num_cores\": %u, \"sim_decisions\": %llu, "
-                      "\"sim_elapsed_sec\": %.6f, "
-                      "\"sim_decisions_per_s\": %.0f",
-                      r.num_cores,
-                      static_cast<unsigned long long>(r.sim_decisions),
-                      r.sim_elapsed_sec, r.sim_decisions_per_s);
-        out << buf;
-      }
-      out << "}";
-    }
-    out << (i + 1 < results.size() ? ",\n" : "\n");
-  }
-  out << "  ],\n  \"classification\": [\n";
-  for (std::size_t i = 0; i < classes.size(); ++i) {
-    const auto& c = classes[i];
-    char buf[320];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"rules\": \"%s\", \"wildcards\": %zu, "
-                  "\"flows\": %zu, \"lookups\": %llu, \"elapsed_sec\": %.3f, "
-                  "\"decisions_per_sec\": %.0f, \"p50_ns\": %.0f, "
-                  "\"p99_ns\": %.0f, \"exact_hits\": %llu, "
-                  "\"trie_hits\": %llu, \"misses\": %llu}",
-                  c.rules.c_str(), c.wildcards, c.flows,
-                  static_cast<unsigned long long>(c.lookups), c.elapsed_sec,
-                  c.lookups_per_sec, c.p50_ns, c.p99_ns,
-                  static_cast<unsigned long long>(c.exact_hits),
-                  static_cast<unsigned long long>(c.trie_hits),
-                  static_cast<unsigned long long>(c.misses));
-    out << buf << (i + 1 < classes.size() ? ",\n" : "\n");
-  }
-  out << "  ],\n  \"datapaths\": [\n";
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const auto& p = paths[i];
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"path\": \"%s\", \"streams\": %zu, \"frames\": %llu, "
-                  "\"delivered\": %llu, \"elapsed_sec\": %.3f, "
-                  "\"frames_per_sec\": %.0f}",
-                  p.path, p.streams,
-                  static_cast<unsigned long long>(p.frames),
-                  static_cast<unsigned long long>(p.delivered), p.elapsed_sec,
-                  p.frames_per_sec);
-    out << buf << (i + 1 < paths.size() ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
+  bench::Json doc = bench::open_doc(out, "scale_sweep", jobs);
+  doc.u("seed", seed).object("unit", [](bench::Json& unit) {
+    unit.s("decisions_per_sec", "1/s").s("latency", "ns")
+        .s("frames_per_sec", "1/s");
+  });
+  doc.list("configs", results.size(), 4, 2,
+           [&](std::size_t i, bench::Json& j) { write_config(j, results[i]); })
+      .list("classification", classes.size(), 4, 2,
+            [&](std::size_t i, bench::Json& j) { write_class(j, classes[i]); })
+      .list("datapaths", paths.size(), 4, 2,
+            [&](std::size_t i, bench::Json& j) { write_path(j, paths[i]); })
+      .close("\n}\n");
   std::printf("wrote %s\n", path.c_str());
   return true;
 }
@@ -802,18 +778,16 @@ int run_identity(const std::vector<std::uint32_t>& shard_list, std::size_t n,
     std::printf("could not write %s\n", out_path.c_str());
     return 1;
   }
-  out << "{\n  \"bench\": \"scale_sweep_identity\",\n";
-  bench::write_stamp(out, jobs);
-  out << "  \"seed\": " << seed << ",\n  \"streams\": " << n
-      << ",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
+  bench::Json doc = bench::open_doc(out, "scale_sweep_identity", jobs);
+  doc.u("seed", seed).u("streams", n);
+  doc.list("rows", rows.size(), 4, 2, [&](std::size_t i, bench::Json& j) {
     const auto& r = rows[i];
-    out << "    {\"repr\": \"" << r.repr << "\", \"shards\": " << r.shards
-        << ", \"decisions\": " << r.decisions << ", \"dispatch_fnv\": \""
-        << std::hex << r.dispatch_fnv << std::dec << "\"}"
-        << (i + 1 < rows.size() ? ",\n" : "\n");
-  }
-  out << "  ],\n  \"identical\": " << (ok ? "true" : "false") << "\n}\n";
+    char fnv[17];
+    std::snprintf(fnv, sizeof fnv, "%llx",
+                  static_cast<unsigned long long>(r.dispatch_fnv));
+    j.s("repr", r.repr).u("shards", r.shards).u("decisions", r.decisions)
+        .s("dispatch_fnv", fnv);
+  }).b("identical", ok).close("\n}\n");
   std::printf("wrote %s\n", out_path.c_str());
   if (!ok) std::printf("DECISION-IDENTITY VIOLATION\n");
   return ok ? 0 : 1;
@@ -823,34 +797,26 @@ int run_identity(const std::vector<std::uint32_t>& shard_list, std::size_t n,
 /// hierarchical repr has its own shard axis and is always appended via
 /// `--shards`; naming it here is an error, as is any unknown token.
 std::vector<dwcs::ReprKind> repr_flag(int argc, char** argv) {
-  static constexpr std::pair<const char*, dwcs::ReprKind> kKnown[] = {
-      {"dual-heap", dwcs::ReprKind::kDualHeap},
-      {"single-heap", dwcs::ReprKind::kSingleHeap},
-      {"sorted-list", dwcs::ReprKind::kSortedList},
-      {"fcfs", dwcs::ReprKind::kFcfs},
-      {"calendar-queue", dwcs::ReprKind::kCalendarQueue},
-      {"pifo", dwcs::ReprKind::kPifo},
-  };
+  static constexpr dwcs::ReprKind kFlat[] = {
+      dwcs::ReprKind::kDualHeap, dwcs::ReprKind::kSortedList,
+      dwcs::ReprKind::kFcfs, dwcs::ReprKind::kCalendarQueue,
+      dwcs::ReprKind::kPifo};
   std::vector<dwcs::ReprKind> out;
   for (const std::string& tok : bench::flag_str_list(
            argc, argv, "repr",
-           "dual-heap,single-heap,sorted-list,fcfs,calendar-queue,pifo")) {
-    bool found = false;
-    for (const auto& [name, kind] : kKnown) {
-      if (tok == name) {
-        out.push_back(kind);
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+           "dual-heap,sorted-list,fcfs,calendar-queue,pifo")) {
+    const auto* kind = std::find_if(
+        std::begin(kFlat), std::end(kFlat),
+        [&](dwcs::ReprKind k) { return tok == dwcs::to_string(k); });
+    if (kind == std::end(kFlat)) {
       std::fprintf(stderr,
-                   "bad --repr entry: '%s' (known: dual-heap, single-heap, "
-                   "sorted-list, fcfs, calendar-queue, pifo; hierarchical is "
-                   "swept via --shards)\n",
+                   "bad --repr entry: '%s' (known: dual-heap, sorted-list, "
+                   "fcfs, calendar-queue, pifo; hierarchical is swept via "
+                   "--shards)\n",
                    tok.c_str());
       std::exit(2);
     }
+    out.push_back(*kind);
   }
   if (out.empty()) out.push_back(dwcs::ReprKind::kDualHeap);
   return out;

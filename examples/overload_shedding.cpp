@@ -4,10 +4,10 @@
 // onto the streams that declared they can tolerate loss, keeping the tight
 // stream's window constraint intact; EDF — blind to tolerances — spreads
 // misses arbitrarily and breaks it. This is the scheduling-policy argument
-// of the paper's §5 made runnable.
+// of the paper's §5 made runnable. EDF and round-robin are rank policies of
+// the same scheduler (PolicyKind), so only the pick order differs.
 #include <cstdio>
 
-#include "dwcs/baselines.hpp"
 #include "dwcs/monitor.hpp"
 #include "dwcs/scheduler.hpp"
 
@@ -21,7 +21,9 @@ struct StreamSpec {
   dwcs::WindowConstraint tolerance;
 };
 
-void run(dwcs::PacketScheduler& sched, const StreamSpec (&specs)[3]) {
+void run(const dwcs::DwcsScheduler::Config& config,
+         const StreamSpec (&specs)[3]) {
+  dwcs::DwcsScheduler sched{config};
   dwcs::WindowViolationMonitor monitor;
   std::vector<dwcs::StreamId> ids;
   for (const auto& spec : specs) {
@@ -91,16 +93,15 @@ int main() {
 
   std::printf("offered load: 3 x 100 pkt/s; capacity: ~80%%\n");
   std::printf("\nDWCS (window-constrained):\n");
-  dwcs::DwcsScheduler dwcs_sched{dwcs::DwcsScheduler::Config{}};
-  run(dwcs_sched, specs);
+  run({}, specs);
 
   std::printf("\nEDF (deadline only):\n");
-  dwcs::EdfScheduler edf;
-  run(edf, specs);
+  run({.repr = dwcs::ReprKind::kPifo, .policy = dwcs::PolicyKind::kEdf},
+      specs);
 
   std::printf("\nRound-robin:\n");
-  dwcs::RoundRobinScheduler rr;
-  run(rr, specs);
+  run({.repr = dwcs::ReprKind::kPifo, .policy = dwcs::PolicyKind::kRoundRobin},
+      specs);
 
   std::printf("\nDWCS keeps the teleconference clean by dropping thumbnail\n"
               "frames — the attribute-blind policies violate it instead.\n");

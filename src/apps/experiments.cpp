@@ -341,7 +341,7 @@ LoadExperimentResult run_host_load_experiment(
   if (config.scheduler_reservation > 0) {
     host.scheduler().set_reservation(server.process().thread(),
                                      config.scheduler_reservation,
-                                     config.reservation_period);
+                                     kReservationPeriod);
   }
 
   MpegClient client{eng, ether, cal.ethernet.stack_traversal};
@@ -372,7 +372,7 @@ LoadExperimentResult run_host_load_experiment(
       .detach();
 
   // Web load on the other NIC/bus segment.
-  WebServerModel web{host, {.seed = config.seed + 9}};
+  WebServerModel web{host, config.seed + 9};
   std::unique_ptr<HttperfLoad> load;
   if (config.target_utilization > 0) {
     load = std::make_unique<HttperfLoad>(
@@ -447,7 +447,7 @@ LoadExperimentResult run_ni_load_experiment(
 
   // The same 60%-class web load hammers the host — which the NI scheduler
   // never sees.
-  WebServerModel web{host, {.seed = config.seed + 9}};
+  WebServerModel web{host, config.seed + 9};
   std::unique_ptr<HttperfLoad> load;
   if (config.target_utilization > 0) {
     load = std::make_unique<HttperfLoad>(

@@ -101,6 +101,9 @@ struct PciBenchResult {
 // Figures 6-10: server-load experiments.
 // ---------------------------------------------------------------------------
 
+/// Period over which a host scheduler reservation's budget refills.
+inline constexpr sim::Time kReservationPeriod = sim::Time::ms(20);
+
 struct LoadExperimentConfig {
   /// Target average web-load utilization (0 = no load, 0.45, 0.60).
   double target_utilization = 0.0;
@@ -113,10 +116,10 @@ struct LoadExperimentConfig {
   std::size_t ring_capacity = 300;
   std::uint64_t seed = 5;
   /// Host-only extension (paper §5, Jones et al.): give the DWCS process a
-  /// CPU reservation of this fraction of one CPU (0 = none). With a
-  /// sufficient reservation the host scheduler rides out the web load.
+  /// CPU reservation of this fraction of one CPU per kReservationPeriod
+  /// (0 = none). With a sufficient reservation the host scheduler rides out
+  /// the web load.
   double scheduler_reservation = 0.0;
-  sim::Time reservation_period = sim::Time::ms(20);
   hw::Calibration cal{};
 };
 

@@ -21,23 +21,21 @@
 
 namespace nistream::apps {
 
+/// Apache's pool: kInitialProcesses (StartServers) at start, growing to
+/// kMaxProcesses (MaxClients) under backlog.
+inline constexpr int kInitialProcesses = 5;
+inline constexpr int kMaxProcesses = 10;
+/// Mean CPU demand per request (dynamic-ish content on a 200 MHz PPro;
+/// CGI-era pages are tens of ms of CPU). Request CPU demand is exponential
+/// around it (mix of static pages and heavier hits).
+inline constexpr sim::Time kMeanRequestCpu = sim::Time::ms(15);
+
 class WebServerModel {
  public:
-  struct Params {
-    int initial_processes = 5;   // Apache StartServers
-    int max_processes = 10;      // MaxClients
-    /// Mean CPU demand per request (dynamic-ish content on a 200 MHz PPro;
-    /// CGI-era pages are tens of ms of CPU).
-    sim::Time mean_request_cpu = sim::Time::ms(15);
-    /// Request CPU demand is exponential around the mean (mix of static
-    /// pages and heavier hits).
-    std::uint64_t seed = 7;
-  };
-
-  WebServerModel(hostos::HostMachine& host, Params p)
-      : host_{host}, params_{p}, rng_{p.seed},
-        queue_{host.engine()} {
-    for (int i = 0; i < p.initial_processes; ++i) spawn_worker();
+  /// `seed` draws the per-request CPU demand.
+  explicit WebServerModel(hostos::HostMachine& host, std::uint64_t seed = 7)
+      : host_{host}, rng_{seed}, queue_{host.engine()} {
+    for (int i = 0; i < kInitialProcesses; ++i) spawn_worker();
   }
 
   WebServerModel(const WebServerModel&) = delete;
@@ -47,8 +45,8 @@ class WebServerModel {
   void submit_request() {
     ++arrived_;
     // Apache grows the pool when requests back up.
-    if (queue_.size() > 2 && workers_ < params_.max_processes) spawn_worker();
-    queue_.send(rng_.exponential(params_.mean_request_cpu.to_us()));
+    if (queue_.size() > 2 && workers_ < kMaxProcesses) spawn_worker();
+    queue_.send(rng_.exponential(kMeanRequestCpu.to_us()));
   }
 
   [[nodiscard]] std::uint64_t requests_arrived() const { return arrived_; }
@@ -71,7 +69,6 @@ class WebServerModel {
   }
 
   hostos::HostMachine& host_;
-  Params params_;
   sim::Rng rng_;
   sim::Mailbox<double> queue_;  // per-request CPU demand in us
   int workers_ = 0;
@@ -112,13 +109,12 @@ class HttperfLoad {
     return {{0, 0.35}, {15, 1.0}, {20, 1.25}, {80, 0.3}};
   }
 
-  HttperfLoad(WebServerModel& server, hostos::HostMachine& host, Params p,
-              sim::Time mean_request_cpu = sim::Time::ms(15))
+  HttperfLoad(WebServerModel& server, hostos::HostMachine& host, Params p)
       : server_{server}, params_{std::move(p)}, rng_{params_.seed} {
     if (params_.profile.empty()) params_.profile = {{0.0, 1.0}};
     const double capacity_us_per_s = 1e6 * params_.cpus;
     const double target_rate = params_.target_utilization *
-                               capacity_us_per_s / mean_request_cpu.to_us();
+                               capacity_us_per_s / kMeanRequestCpu.to_us();
     base_rate_per_sec_ = target_rate / average_multiplier();
     [](HttperfLoad& self, sim::Engine& eng) -> sim::Coro {
       while (eng.now() < self.params_.stop) {

@@ -38,41 +38,35 @@ HierarchicalScheduler::HierarchicalScheduler(const StreamTable& table,
 
 std::unique_ptr<ScheduleRepr> HierarchicalScheduler::make_core(
     SimAddr core_base) {
+  const auto core = [&](auto rank) -> std::unique_ptr<ScheduleRepr> {
+    return std::make_unique<PifoRepr<decltype(rank)>>(table_, rank, *hook_,
+                                                      core_base);
+  };
+  // A stateful rank is copied from the root's, so every core keeps its
+  // ledger (cycle position, clock, scope tags) in the one shared state.
   switch (policy_) {
     case PolicyKind::kDwcs:
       return std::make_unique<DualHeapRepr>(table_, cmp_, *hook_, core_base);
-    case PolicyKind::kEdf:
-      return std::make_unique<PifoRepr<EdfRank>>(table_, EdfRank{}, *hook_,
-                                                 core_base);
-    case PolicyKind::kStaticPriority:
-      return std::make_unique<PifoRepr<StaticPriorityRank>>(
-          table_, StaticPriorityRank{}, *hook_, core_base);
-    case PolicyKind::kWfq:
-      // Every core clocks against the scheduler-wide WfqState held by wfq_.
-      return std::make_unique<PifoRepr<WfqRank>>(table_, WfqRank{wfq_.state},
-                                                 *hook_, core_base);
-    case PolicyKind::kTenantDwcs:
-      // Every core clocks scope finish tags against the scheduler-wide
-      // TenantDwcsState held by tenant_ (same sharing contract as WFQ).
-      return std::make_unique<PifoRepr<TenantDwcsRank>>(
-          table_, TenantDwcsRank{&cmp_, tenant_.state}, *hook_, core_base);
+    case PolicyKind::kEdf: return core(EdfRank{});
+    case PolicyKind::kStaticPriority: return core(StaticPriorityRank{});
+    case PolicyKind::kRoundRobin: return core(rr_);
+    case PolicyKind::kWfq: return core(wfq_);
+    case PolicyKind::kTenantDwcs: return core(tenant_);
   }
   return nullptr;
 }
 
 bool HierarchicalScheduler::winner_precedes(StreamId a, StreamId b) const {
+  const auto by = [&](const auto& rank) {
+    return rank.precedes(table_.view(a), a, table_.view(b), b);
+  };
   switch (policy_) {
-    case PolicyKind::kDwcs:
-      return cmp_.precedes(table_.view(a), a, table_.view(b), b);
-    case PolicyKind::kEdf:
-      return EdfRank{}.precedes(table_.view(a), a, table_.view(b), b);
-    case PolicyKind::kStaticPriority:
-      return StaticPriorityRank{}.precedes(table_.view(a), a, table_.view(b),
-                                           b);
-    case PolicyKind::kWfq:
-      return wfq_.precedes(table_.view(a), a, table_.view(b), b);
-    case PolicyKind::kTenantDwcs:
-      return tenant_.precedes(table_.view(a), a, table_.view(b), b);
+    case PolicyKind::kDwcs: return by(DwcsRank{&cmp_});
+    case PolicyKind::kEdf: return by(EdfRank{});
+    case PolicyKind::kStaticPriority: return by(StaticPriorityRank{});
+    case PolicyKind::kRoundRobin: return by(rr_);
+    case PolicyKind::kWfq: return by(wfq_);
+    case PolicyKind::kTenantDwcs: return by(tenant_);
   }
   return a < b;
 }

@@ -208,13 +208,12 @@ class HierarchicalScheduler final : public ScheduleRepr {
   bool charged_;  // cached hook.accounted(); false only for the null hook
   std::int64_t hop_cycles_;
   PolicyKind policy_;
-  /// WFQ root rank; its WfqState is shared with every per-core engine when
-  /// policy_ == kWfq so finish tags are globally comparable (unused, but
-  /// cheap, for the other policies).
+  /// Root ranks of the stateful policies. Each core's rank is a copy of the
+  /// active one, so all share its ledger (the round-robin cycle position,
+  /// the WFQ clock, the tenant scope tags) and keys stay comparable across
+  /// shards. The inactive two are unused, but cheap.
+  RoundRobinRank rr_;
   WfqRank wfq_;
-  /// Tenant-scoped hybrid root rank; same sharing contract as wfq_ — every
-  /// core clocks scope finish tags against the one shared ledger when
-  /// policy_ == kTenantDwcs.
   TenantDwcsRank tenant_;
   /// Simulated-parallel cycle reporting (set_exec_trace); both null in the
   /// default serial mode.

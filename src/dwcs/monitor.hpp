@@ -7,7 +7,8 @@
 //
 // It is used three ways:
 //  * as the oracle in DWCS property tests (under feasible load the DWCS
-//    violation count must stay at/near zero while baselines rack them up);
+//    violation count must stay at/near zero while EDF and round-robin rack
+//    them up);
 //  * as the scoring function of the ablate_policy bench;
 //  * as the QoS ledger of the cluster control plane, where one logical
 //    stream may be served by several boards over its lifetime.

@@ -9,7 +9,6 @@
 //
 //   struct MyRank {
 //     static constexpr const char* kPifoName = "pifo-mine";
-//     static constexpr bool kStateful = false;  // does on_charge move ranks?
 //     // Total order over backlogged streams ("a is served before b").
 //     // MUST break final ties by stream id, or pick() is not deterministic.
 //     bool precedes(const StreamView& a, StreamId ida,
@@ -18,12 +17,13 @@
 //     void on_charge(StreamId id, const StreamView& v);  // head dispatched
 //   };
 //
-// Four policies ship below: DWCS (precedence rules 1-5, delegating to
+// Six policies ship below: DWCS (precedence rules 1-5, delegating to
 // comparator.hpp so charged arithmetic is identical to every other DWCS
-// representation), EDF, static priority, and an SCFQ-style WFQ with integer
-// virtual finish times. The named heap comparators of the dual-heap world
-// (DeadlineIdLess / ToleranceLess / FullLess) are DERIVED from these rank
-// structs — the rank functions are the single statement of each order.
+// representation), EDF, static priority, round-robin, an SCFQ-style WFQ
+// with integer virtual finish times, and tenant-scoped DWCS. The named heap
+// comparators of the dual-heap world (DeadlineIdLess / ToleranceLess /
+// FullLess) are DERIVED from these rank structs — the rank functions are the
+// single statement of each order.
 //
 // Decision identity: PifoRepr<DwcsRank> ranks by the same total order as
 // DualHeapRepr's full-order shadow heap, so both pick() the unique minimum
@@ -54,7 +54,6 @@ namespace nistream::dwcs {
 /// representation.
 struct DwcsRank {
   static constexpr const char* kPifoName = "pifo-dwcs";
-  static constexpr bool kStateful = false;
 
   const Comparator* cmp;
 
@@ -78,7 +77,6 @@ struct DwcsRank {
 /// by their maintenance — same licence as the Figure 4(a) deadline heap).
 struct EdfRank {
   static constexpr const char* kPifoName = "pifo-edf";
-  static constexpr bool kStateful = false;
 
   [[nodiscard]] bool precedes(const StreamView& a, StreamId ida,
                               const StreamView& b, StreamId idb) const {
@@ -94,7 +92,6 @@ struct EdfRank {
 /// Fixed priority by creation order: stream 0 most important.
 struct StaticPriorityRank {
   static constexpr const char* kPifoName = "pifo-sp";
-  static constexpr bool kStateful = false;
 
   [[nodiscard]] bool precedes(const StreamView&, StreamId ida,
                               const StreamView&, StreamId idb) const {
@@ -102,6 +99,51 @@ struct StaticPriorityRank {
   }
   void on_insert(StreamId, const StreamView&) {}
   void on_charge(StreamId, const StreamView&) {}
+};
+
+/// Shared round-robin cycle position. Separate from the rank struct for the
+/// same reason as WfqState below: the hierarchical layer hands every per-core
+/// engine (and its own root winner order) the SAME position.
+struct RoundRobinState {
+  std::vector<std::uint64_t> round;  // per-stream round it is served in
+  std::uint64_t current = 0;         // round of the last served head
+  StreamId cursor = 0;               // last served id + 1
+};
+
+/// Round-robin over backlogged streams, ranked by (round, id). A stream at
+/// or past the cursor waits for the current round, one before it for the
+/// next, so the smallest key is the first backlogged id in cyclic order
+/// from the cursor: the cursor scan of a classic round-robin, kept in a heap.
+/// Only the served stream's key moves (it joins the next round).
+///
+/// One case differs from a cursor that wraps modulo the stream count: a
+/// stream created after the cycle has passed the highest id is served in
+/// the current cycle here, and in the next one by the wrapping cursor. No
+/// caller creates streams mid-run under round-robin.
+struct RoundRobinRank {
+  static constexpr const char* kPifoName = "pifo-rr";
+
+  std::shared_ptr<RoundRobinState> state = std::make_shared<RoundRobinState>();
+
+  void on_insert(StreamId id, const StreamView&) {
+    auto& st = *state;
+    if (id >= st.round.size()) st.round.resize(id + 1, 0);
+    st.round[id] = id >= st.cursor ? st.current : st.current + 1;
+  }
+  void on_charge(StreamId id, const StreamView&) {
+    auto& st = *state;
+    assert(id < st.round.size());
+    st.current = st.round[id];
+    st.cursor = id + 1;
+    st.round[id] = st.current + 1;
+  }
+  [[nodiscard]] bool precedes(const StreamView&, StreamId ida,
+                              const StreamView&, StreamId idb) const {
+    const auto& st = *state;
+    assert(ida < st.round.size() && idb < st.round.size());
+    if (st.round[ida] != st.round[idb]) return st.round[ida] < st.round[idb];
+    return ida < idb;
+  }
 };
 
 /// Shared WFQ virtual-time ledger. Separate from the rank struct so the
@@ -124,7 +166,6 @@ struct WfqState {
 /// weight-proportional shares (asserted in tests/dwcs/pifo_test.cpp).
 struct WfqRank {
   static constexpr const char* kPifoName = "pifo-wfq";
-  static constexpr bool kStateful = true;
   /// Virtual length of one head. Large so integer division by any sane
   /// weight keeps precision; divisible by small weights exactly.
   static constexpr std::uint64_t kScale = 1u << 20;
@@ -218,7 +259,6 @@ struct TenantDwcsState {
 /// at most one backlogged stream (then the charged stream IS its scope).
 struct TenantDwcsRank {
   static constexpr const char* kPifoName = "pifo-tenant-dwcs";
-  static constexpr bool kStateful = true;
   static constexpr std::uint64_t kScale = 1u << 20;
   /// Default scope assignment (id % this) when none was installed — matches
   /// the bench/ingress convention of four tenants a/b/c/d.
@@ -325,18 +365,16 @@ struct RankLess {
 /// processing is an analysis-layer concern, not a policy concern — §3.1.1's
 /// decoupling of scheduling analysis from schedule representation).
 ///
-/// Simulated memory layout matches SingleHeapRepr exactly (rank heap at
-/// `base`, deadline heap at `base + 0x10000`), so PifoRepr<DwcsRank> IS the
-/// historical single-heap representation charge-for-charge; make_repr hands
-/// it out under the "single-heap" name.
+/// The rank heap sits at `base` and the deadline heap at `base + 0x10000`.
+/// Under DwcsRank this is the single full-order heap that the dual heap's
+/// Figure 4(a) split is measured against.
 template <class Policy>
 class PifoRepr final : public ScheduleRepr {
  public:
   PifoRepr(const StreamTable& table, Policy policy, CostHook& hook,
-           SimAddr base, const char* name = Policy::kPifoName)
+           SimAddr base)
       : table_{table},
         policy_{std::move(policy)},
-        name_{name},
         rank_heap_{RankLess<Policy>{&table, &policy_}, hook, base},
         deadline_heap_{DeadlineIdLess{&table}, hook, base + 0x10000} {}
 
@@ -367,14 +405,11 @@ class PifoRepr final : public ScheduleRepr {
   std::optional<StreamId> earliest_deadline() override {
     return deadline_heap_.top();
   }
-  const char* name() const override { return name_; }
-
-  [[nodiscard]] const Policy& policy() const { return policy_; }
+  const char* name() const override { return Policy::kPifoName; }
 
  private:
   const StreamTable& table_;
   Policy policy_;  // before rank_heap_: its comparator captures &policy_
-  const char* name_;
   IndexedHeap<RankLess<Policy>> rank_heap_;
   IndexedHeap<DeadlineIdLess> deadline_heap_;
 };

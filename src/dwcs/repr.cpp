@@ -14,10 +14,8 @@ namespace {
 
 // DeadlineIdLess / ToleranceLess / FullLess live in pifo.hpp (derived from
 // the rank structs) and DualHeapRepr in dual_heap.hpp (hierarchical.hpp
-// instantiates one per simulated core). The historical SingleHeapRepr — one
-// heap under the full rule-1..5 comparator — is PifoRepr<DwcsRank> under its
-// old name (identical heap layout and charge stream; see pifo.hpp). The
-// remaining representations are single-board-only and stay private here.
+// instantiates one per simulated core). The remaining representations are
+// single-board-only and stay private here.
 
 /// Insertion-sorted list under the full comparator.
 class SortedListRepr final : public ScheduleRepr {
@@ -297,7 +295,6 @@ class CalendarQueueRepr final : public ScheduleRepr {
 const char* to_string(ReprKind kind) {
   switch (kind) {
     case ReprKind::kDualHeap: return "dual-heap";
-    case ReprKind::kSingleHeap: return "single-heap";
     case ReprKind::kSortedList: return "sorted-list";
     case ReprKind::kFcfs: return "fcfs";
     case ReprKind::kCalendarQueue: return "calendar-queue";
@@ -312,6 +309,7 @@ const char* to_string(PolicyKind policy) {
     case PolicyKind::kDwcs: return "dwcs";
     case PolicyKind::kEdf: return "edf";
     case PolicyKind::kStaticPriority: return "static-priority";
+    case PolicyKind::kRoundRobin: return "round-robin";
     case PolicyKind::kWfq: return "wfq";
     case PolicyKind::kTenantDwcs: return "tenant-dwcs";
   }
@@ -326,9 +324,6 @@ std::unique_ptr<ScheduleRepr> make_repr(ReprKind kind, const StreamTable& table,
   switch (kind) {
     case ReprKind::kDualHeap:
       return std::make_unique<DualHeapRepr>(table, cmp, hook, heap_base);
-    case ReprKind::kSingleHeap:
-      return std::make_unique<PifoRepr<DwcsRank>>(table, DwcsRank{&cmp}, hook,
-                                                  heap_base, "single-heap");
     case ReprKind::kSortedList:
       return std::make_unique<SortedListRepr>(table, cmp, hook, heap_base);
     case ReprKind::kFcfs:
@@ -338,20 +333,17 @@ std::unique_ptr<ScheduleRepr> make_repr(ReprKind kind, const StreamTable& table,
     case ReprKind::kHierarchical:
       return std::make_unique<HierarchicalScheduler>(table, cmp, hook,
                                                      heap_base, hier, policy);
-    case ReprKind::kPifo:
+    case ReprKind::kPifo: {
+      const auto pifo = [&](auto rank) -> std::unique_ptr<ScheduleRepr> {
+        return std::make_unique<PifoRepr<decltype(rank)>>(table, rank, hook,
+                                                          heap_base);
+      };
       switch (policy) {
-        case PolicyKind::kDwcs:
-          return std::make_unique<PifoRepr<DwcsRank>>(table, DwcsRank{&cmp},
-                                                      hook, heap_base);
-        case PolicyKind::kEdf:
-          return std::make_unique<PifoRepr<EdfRank>>(table, EdfRank{}, hook,
-                                                     heap_base);
-        case PolicyKind::kStaticPriority:
-          return std::make_unique<PifoRepr<StaticPriorityRank>>(
-              table, StaticPriorityRank{}, hook, heap_base);
-        case PolicyKind::kWfq:
-          return std::make_unique<PifoRepr<WfqRank>>(table, WfqRank{}, hook,
-                                                     heap_base);
+        case PolicyKind::kDwcs: return pifo(DwcsRank{&cmp});
+        case PolicyKind::kEdf: return pifo(EdfRank{});
+        case PolicyKind::kStaticPriority: return pifo(StaticPriorityRank{});
+        case PolicyKind::kRoundRobin: return pifo(RoundRobinRank{});
+        case PolicyKind::kWfq: return pifo(WfqRank{});
         case PolicyKind::kTenantDwcs:
           // Tenant-DWCS is inherently a PIFO TREE — a shared scope tag moves
           // every scope member's key at once, which one heap cannot track
@@ -364,6 +356,7 @@ std::unique_ptr<ScheduleRepr> make_repr(ReprKind kind, const StreamTable& table,
               policy);
       }
       return nullptr;
+    }
   }
   return nullptr;
 }

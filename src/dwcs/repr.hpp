@@ -13,9 +13,9 @@
 //                      the tolerance ordering.
 // * PifoRepr<Policy> (pifo.hpp) — the programmable rank engine: one heap
 //                      under a policy's rank order plus the deadline heap.
-//                      kSingleHeap is this engine under the DWCS rank with
-//                      its historical name; kPifo selects the rank policy
-//                      via PolicyKind (DWCS, EDF, SP, WFQ).
+//                      kPifo selects the rank policy via PolicyKind (DWCS,
+//                      EDF, SP, RR, WFQ, tenant-DWCS); under DWCS it is the
+//                      single full-order heap.
 // * SortedListRepr   — insertion-sorted list, O(n) updates, O(1) pick.
 // * FcfsRepr         — arrival order of head packets; ignores attributes.
 // * CalendarQueueRepr— deadline-bucketed calendar queue.
@@ -86,8 +86,9 @@ class ScheduleRepr {
 
 enum class ReprKind {
   kDualHeap,
-  kSingleHeap,
-  kSortedList,
+  // 1 was an alias of kPifo under the DWCS rank. The later values are kept:
+  // parameterized tests print them in their names.
+  kSortedList = 2,
   kFcfs,
   kCalendarQueue,
   kHierarchical,
@@ -102,6 +103,7 @@ enum class PolicyKind {
   kDwcs,            // precedence rules 1-5 (comparator.hpp)
   kEdf,             // earliest deadline, id tie-break
   kStaticPriority,  // lowest stream id
+  kRoundRobin,      // next backlogged id after the last served one
   kWfq,             // weighted fair queueing (SCFQ virtual finish times)
   kTenantDwcs,      // WFQ share across tenant scopes, DWCS within a scope
 };

@@ -1,5 +1,6 @@
-// The DWCS scheduler, plus the generic packet-scheduler interface that the
-// baseline policies (EDF, static priority, round-robin) also implement.
+// The DWCS scheduler: the one packet scheduler. Its analysis layer (late
+// processing, window adjustment) runs under every rank policy, so EDF,
+// static priority and round-robin are DwcsScheduler{kPifo, <policy>}.
 //
 // Lifecycle per scheduling cycle (schedule_next):
 //   1. Late-packet processing: streams whose head packet missed its deadline
@@ -45,26 +46,7 @@
 
 namespace nistream::dwcs {
 
-/// Interface shared by DWCS and the baseline policies, so experiments can
-/// swap schedulers without touching the harness.
-class PacketScheduler {
- public:
-  virtual ~PacketScheduler() = default;
-
-  virtual StreamId create_stream(const StreamParams& params, sim::Time now) = 0;
-  /// Producer side. Returns false when the stream's ring is full.
-  virtual bool enqueue(StreamId id, const FrameDescriptor& frame,
-                       sim::Time now) = 0;
-  /// One scheduling cycle at time `now`; nullopt when nothing is backlogged.
-  virtual std::optional<Dispatch> schedule_next(sim::Time now) = 0;
-
-  [[nodiscard]] virtual const StreamStats& stats(StreamId id) const = 0;
-  [[nodiscard]] virtual std::size_t backlog(StreamId id) const = 0;
-  [[nodiscard]] virtual std::size_t stream_count() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-};
-
-class DwcsScheduler final : public PacketScheduler, private StreamTable {
+class DwcsScheduler final : private StreamTable {
  public:
   struct Config {
     ArithMode arith = ArithMode::kFixedPoint;
@@ -114,16 +96,14 @@ class DwcsScheduler final : public PacketScheduler, private StreamTable {
     repr_->reserve(n);
   }
 
-  // PacketScheduler:
-  StreamId create_stream(const StreamParams& params, sim::Time now) override;
-  bool enqueue(StreamId id, const FrameDescriptor& frame, sim::Time now) override;
-  std::optional<Dispatch> schedule_next(sim::Time now) override;
-  [[nodiscard]] const StreamStats& stats(StreamId id) const override;
-  [[nodiscard]] std::size_t backlog(StreamId id) const override;
-  [[nodiscard]] std::size_t stream_count() const override {
-    return streams_.size();
-  }
-  [[nodiscard]] const char* name() const override { return "dwcs"; }
+  StreamId create_stream(const StreamParams& params, sim::Time now);
+  /// Producer side. Returns false when the stream's ring is full.
+  bool enqueue(StreamId id, const FrameDescriptor& frame, sim::Time now);
+  /// One scheduling cycle at time `now`; nullopt when nothing is backlogged.
+  std::optional<Dispatch> schedule_next(sim::Time now);
+  [[nodiscard]] const StreamStats& stats(StreamId id) const;
+  [[nodiscard]] std::size_t backlog(StreamId id) const;
+  [[nodiscard]] std::size_t stream_count() const { return streams_.size(); }
 
   // Introspection for tests and experiments:
   [[nodiscard]] const StreamView& stream_view(StreamId id) const {

@@ -112,11 +112,9 @@ class I2oChannel {
   sim::Time post_inbound(I2oMessage m) {
     const sim::Time cost = post_cost();
     // A dropped message still cost the poster its PIO writes — the frame was
-    // written; only the doorbell (and thus delivery) is lost.
-    if (fault_ != nullptr && fault_->drop_inbound()) {
-      ++inbound_dropped_;
-      return cost;
-    }
+    // written; only the doorbell (and thus delivery) is lost. The injector
+    // counts the drop.
+    if (fault_ != nullptr && fault_->drop_inbound()) return cost;
     inbound_posting_.push_back(std::move(m));
     engine_.schedule_in(cost + params_.doorbell_latency, [this] {
       inbound_.send(inbound_posting_.pop_front());
@@ -128,10 +126,7 @@ class I2oChannel {
   /// Card -> host (reply/notification path).
   sim::Time post_outbound(I2oMessage m) {
     const sim::Time cost = post_cost();
-    if (fault_ != nullptr && fault_->drop_outbound()) {
-      ++outbound_dropped_;
-      return cost;
-    }
+    if (fault_ != nullptr && fault_->drop_outbound()) return cost;
     outbound_posting_.push_back(std::move(m));
     engine_.schedule_in(cost + params_.doorbell_latency, [this] {
       outbound_.send(outbound_posting_.pop_front());
@@ -150,8 +145,6 @@ class I2oChannel {
   [[nodiscard]] sim::Mailbox<I2oMessage>& outbound() { return outbound_; }
   [[nodiscard]] std::uint64_t inbound_posted() const { return inbound_posted_; }
   [[nodiscard]] std::uint64_t outbound_posted() const { return outbound_posted_; }
-  [[nodiscard]] std::uint64_t inbound_dropped() const { return inbound_dropped_; }
-  [[nodiscard]] std::uint64_t outbound_dropped() const { return outbound_dropped_; }
 
   /// Attach a fault injector (nullptr detaches).
   void set_fault(fault::I2oFaultInjector* inj) { fault_ = inj; }
@@ -166,8 +159,6 @@ class I2oChannel {
   sim::Fifo<I2oMessage> outbound_posting_;
   std::uint64_t inbound_posted_ = 0;
   std::uint64_t outbound_posted_ = 0;
-  std::uint64_t inbound_dropped_ = 0;
-  std::uint64_t outbound_dropped_ = 0;
   fault::I2oFaultInjector* fault_ = nullptr;
 };
 

@@ -76,7 +76,7 @@ MpegFile SyntheticEncoder::generate(int n_frames) const {
 
   file.bitstream.reserve(static_cast<std::size_t>(
       static_cast<double>(n_frames) * params_.mean_p_bytes));
-  put_sequence_header(file.bitstream, params_.width, params_.height);
+  put_sequence_header(file.bitstream, kSifWidth, kSifHeight);
 
   for (int i = 0; i < n_frames; ++i) {
     const int in_gop = i % params_.gop.n;

@@ -27,9 +27,11 @@ inline constexpr std::uint8_t kGopHeaderCode = 0xB8;
 inline constexpr std::uint8_t kPictureStartCode = 0x00;
 inline constexpr std::uint8_t kSequenceEndCode = 0xB7;
 
+/// Picture size written into the sequence header: SIF.
+inline constexpr int kSifWidth = 352;
+inline constexpr int kSifHeight = 240;
+
 struct EncoderParams {
-  int width = 352;             // SIF
-  int height = 240;
   double fps = 30.0;
   GopPattern gop{};
   /// Mean coded sizes per picture type (bytes). Defaults approximate a

@@ -143,7 +143,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         FuzzAxis{dwcs::ArithMode::kFixedPoint, dwcs::ReprKind::kDualHeap, false},
         FuzzAxis{dwcs::ArithMode::kFixedPoint, dwcs::ReprKind::kDualHeap, true},
-        FuzzAxis{dwcs::ArithMode::kSoftFloat, dwcs::ReprKind::kSingleHeap, false},
+        FuzzAxis{dwcs::ArithMode::kSoftFloat, dwcs::ReprKind::kPifo, false},
         FuzzAxis{dwcs::ArithMode::kNativeFloat, dwcs::ReprKind::kSortedList, true},
         FuzzAxis{dwcs::ArithMode::kFixedPoint, dwcs::ReprKind::kCalendarQueue, false},
         FuzzAxis{dwcs::ArithMode::kFixedPoint, dwcs::ReprKind::kFcfs, true}),

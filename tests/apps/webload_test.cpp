@@ -11,14 +11,14 @@ using sim::Time;
 TEST(WebServer, PoolStartsAtInitialSize) {
   sim::Engine eng;
   hostos::HostMachine host{eng, 2};
-  WebServerModel web{host, {}};
+  WebServerModel web{host};
   EXPECT_EQ(web.pool_size(), 5);  // Apache StartServers
 }
 
 TEST(WebServer, ServesSubmittedRequests) {
   sim::Engine eng;
   hostos::HostMachine host{eng, 2};
-  WebServerModel web{host, {}};
+  WebServerModel web{host};
   for (int i = 0; i < 20; ++i) web.submit_request();
   eng.run();
   EXPECT_EQ(web.requests_arrived(), 20u);
@@ -29,7 +29,7 @@ TEST(WebServer, ServesSubmittedRequests) {
 TEST(WebServer, PoolGrowsUnderBacklogToMax) {
   sim::Engine eng;
   hostos::HostMachine host{eng, 1};
-  WebServerModel web{host, {}};
+  WebServerModel web{host};
   for (int i = 0; i < 200; ++i) web.submit_request();
   eng.run();
   EXPECT_EQ(web.pool_size(), 10);  // Apache MaxClients cap
@@ -40,7 +40,7 @@ TEST(Httperf, HitsTargetUtilization) {
   for (const double target : {0.3, 0.6}) {
     sim::Engine eng;
     hostos::HostMachine host{eng, 2, hw::Calibration{}, Time::ms(500)};
-    WebServerModel web{host, {.seed = 42}};
+    WebServerModel web{host, 42};
     HttperfLoad load{web, host,
                      HttperfLoad::Params{.target_utilization = target,
                                          .cpus = 2,
@@ -56,7 +56,7 @@ TEST(Httperf, HitsTargetUtilization) {
 TEST(Httperf, ProfileShapesTheLoad) {
   sim::Engine eng;
   hostos::HostMachine host{eng, 2, hw::Calibration{}, Time::sec(1)};
-  WebServerModel web{host, {.seed = 7}};
+  WebServerModel web{host, 7};
   HttperfLoad load{web, host,
                    HttperfLoad::Params{.target_utilization = 0.6,
                                        .cpus = 2,
@@ -74,7 +74,7 @@ TEST(Httperf, ProfileShapesTheLoad) {
 TEST(Httperf, MultiplierLookup) {
   sim::Engine eng;
   hostos::HostMachine host{eng, 1};
-  WebServerModel web{host, {}};
+  WebServerModel web{host};
   HttperfLoad load{web, host,
                    HttperfLoad::Params{.target_utilization = 0.5,
                                        .cpus = 1,

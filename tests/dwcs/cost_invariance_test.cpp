@@ -148,8 +148,9 @@ TEST(CostInvariance, Table3HardwareQueueDualHeap) {
                 {2408, 0, 6861, 2098, 619100, 0x400e737594fd53a0ULL});
 }
 
+// The single full-order heap is the PIFO engine under the DWCS rank.
 TEST(CostInvariance, SingleHeapFixedPoint) {
-  expect_totals(run_core_loop(ArithMode::kFixedPoint, ReprKind::kSingleHeap,
+  expect_totals(run_core_loop(ArithMode::kFixedPoint, ReprKind::kPifo,
                               DescriptorResidency::kPinnedMemory),
                 {2307, 0, 8924, 0, 619100, 0xc6952ce3cc0b93c0ULL});
 }
@@ -239,7 +240,7 @@ TEST(CostInvariance, DISABLED_PrintGoldens) {
                                     ReprKind::kDualHeap,
                                     DescriptorResidency::kHardwareQueue));
   p("fixed/single/pinned", run_core_loop(ArithMode::kFixedPoint,
-                                         ReprKind::kSingleHeap,
+                                         ReprKind::kPifo,
                                          DescriptorResidency::kPinnedMemory));
   p("fixed/calendar/pinned",
     run_core_loop(ArithMode::kFixedPoint, ReprKind::kCalendarQueue,

@@ -8,8 +8,8 @@
 // dual-heap behavior) and 3 shards (odd count, so the splitmix64 shard hash
 // is exercised off the power-of-two path). Every round:
 //   * pick() must return the identical stream across all attribute-aware
-//     representations (dual-heap, single-heap, sorted-list, calendar-queue,
-//     pifo, hierarchical x shards) — they are interchangeable structures
+//     representations (dual-heap, sorted-list, calendar-queue, pifo,
+//     hierarchical x shards) — they are interchangeable structures
 //     under one policy (§3.1.1), so the dispatched stream sequence must be
 //     identical;
 //   * earliest_deadline() must agree across ALL representations,
@@ -43,8 +43,8 @@ struct Harness {
   // must agree on pick(); FCFS only joins the earliest_deadline() check.
   Harness() {
     for (const auto kind :
-         {ReprKind::kDualHeap, ReprKind::kSingleHeap, ReprKind::kSortedList,
-          ReprKind::kCalendarQueue, ReprKind::kPifo}) {
+         {ReprKind::kDualHeap, ReprKind::kSortedList, ReprKind::kCalendarQueue,
+          ReprKind::kPifo}) {
       reprs.push_back(
           make_repr(kind, table, cmp, null_cost_hook(), 0x0100'0000));
     }

@@ -1,12 +1,16 @@
 // Representation-equivalence property tests.
 //
-// All attribute-aware representations (dual-heap, single-heap, sorted-list,
-// calendar-queue) must produce the *identical dispatch sequence* for any
-// workload — they are interchangeable data structures under one scheduling
-// policy (§3.1.1). FCFS is checked separately for its own ordering.
+// All attribute-aware representations (dual-heap, sorted-list,
+// calendar-queue, hierarchical) must produce the *identical dispatch
+// sequence* for any workload — they are interchangeable data structures
+// under one scheduling policy (§3.1.1). The reference trace is the single
+// full-order heap: the PIFO engine under the DWCS rank. FCFS is checked
+// separately for its own ordering.
 #include "dwcs/repr.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "dwcs/scheduler.hpp"
 #include "sim/random.hpp"
@@ -72,7 +76,7 @@ class ReprEquivalence : public ::testing::TestWithParam<ReprKind> {};
 TEST_P(ReprEquivalence, MatchesSingleHeapTrace) {
   for (std::uint64_t seed : {11u, 22u, 33u, 44u}) {
     const auto reference =
-        run_workload(ReprKind::kSingleHeap, seed, /*n_streams=*/6,
+        run_workload(ReprKind::kPifo, seed, /*n_streams=*/6,
                      /*horizon_ms=*/3000);
     const auto got = run_workload(GetParam(), seed, 6, 3000);
     ASSERT_EQ(got.size(), reference.size()) << "seed " << seed;
@@ -88,15 +92,11 @@ INSTANTIATE_TEST_SUITE_P(Kinds, ReprEquivalence,
                          ::testing::Values(ReprKind::kDualHeap,
                                            ReprKind::kSortedList,
                                            ReprKind::kCalendarQueue,
-                                           ReprKind::kHierarchical,
-                                           ReprKind::kPifo),
+                                           ReprKind::kHierarchical),
                          [](const auto& param_info) {
-                           const std::string n{to_string(param_info.param)};
-                           return n == "dual-heap"      ? "dual_heap"
-                                  : n == "sorted-list"  ? "sorted_list"
-                                  : n == "hierarchical" ? "hierarchical"
-                                  : n == "pifo"         ? "pifo"
-                                                        : "calendar_queue";
+                           std::string n{to_string(param_info.param)};
+                           std::replace(n.begin(), n.end(), '-', '_');
+                           return n;
                          });
 
 TEST(ReprFcfs, ServesInHeadArrivalOrder) {
@@ -123,7 +123,6 @@ TEST(ReprFcfs, ServesInHeadArrivalOrder) {
 
 TEST(ReprNames, AreStable) {
   EXPECT_STREQ(to_string(ReprKind::kDualHeap), "dual-heap");
-  EXPECT_STREQ(to_string(ReprKind::kSingleHeap), "single-heap");
   EXPECT_STREQ(to_string(ReprKind::kSortedList), "sorted-list");
   EXPECT_STREQ(to_string(ReprKind::kFcfs), "fcfs");
   EXPECT_STREQ(to_string(ReprKind::kCalendarQueue), "calendar-queue");

@@ -95,7 +95,7 @@ TEST(I2oInjection, InboundDropStormSilencesTheBoard) {
   }
   eng.run_until(sim::Time::sec(1));
   EXPECT_EQ(received, 0);
-  EXPECT_EQ(ch.inbound_dropped(), 30u);
+  EXPECT_EQ(plane.i2o().inbound_drops(), 30u);
   EXPECT_EQ(plane.summary().i2o_inbound_dropped, 30u);
 }
 
@@ -111,7 +111,7 @@ TEST(I2oInjection, PartialStormIsSeedDeterministic) {
       m.function = 0x42;
       (void)ch.post_inbound(m);
     }
-    return ch.inbound_dropped();
+    return plane.i2o().inbound_drops();
   };
   const auto a = run();
   EXPECT_GT(a, 50u);

@@ -24,7 +24,6 @@ TEST(Footprint, ArmedEventCostsAtMostNinetySixBytes) {
   // An 80-byte slot, its 4-byte generation word and an 8-byte heap pointer,
   // with the heap vector's spare capacity on top; one page of slack.
   constexpr std::int64_t kEvents = 100'000;
-  constexpr std::int64_t kBytesPerEvent = 96;
   sim::Engine eng;
   std::int64_t fired = 0;
   const std::int64_t before = test::heap_live_bytes();
@@ -35,6 +34,7 @@ TEST(Footprint, ArmedEventCostsAtMostNinetySixBytes) {
   const std::int64_t grown = test::heap_live_bytes() - before;
   EXPECT_EQ(eng.pending_events(), static_cast<std::size_t>(kEvents));
 #if NISTREAM_COUNTING_NEW
+  constexpr std::int64_t kBytesPerEvent = 96;
   EXPECT_LE(grown, (kEvents + kPageSlots) * kBytesPerEvent)
       << static_cast<double>(grown) / kEvents << " bytes per armed event";
 #else
@@ -48,7 +48,6 @@ TEST(Footprint, SwitchPortCostsAtMostFortyEightBytes) {
   // A 40-byte entry and its 4-byte generation word: 2,048 ports fill two
   // pages, and the page list fits in the slack.
   constexpr int kPorts = 2 * kPageSlots;
-  constexpr std::int64_t kBytesPerPort = 48;
   sim::Engine eng;
   hw::EthernetSwitch sw{eng};
   const std::int64_t before = test::heap_live_bytes();
@@ -56,6 +55,7 @@ TEST(Footprint, SwitchPortCostsAtMostFortyEightBytes) {
   const std::int64_t grown = test::heap_live_bytes() - before;
   EXPECT_EQ(sw.port_table_size(), static_cast<std::size_t>(kPorts));
 #if NISTREAM_COUNTING_NEW
+  constexpr std::int64_t kBytesPerPort = 48;
   EXPECT_LE(grown, kPorts * kBytesPerPort)
       << static_cast<double>(grown) / kPorts << " bytes per port";
 #else
