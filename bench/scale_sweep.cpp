@@ -328,12 +328,7 @@ SweepResult run_config(dwcs::ReprKind kind, std::uint32_t shards,
 
   // Simulated-parallel pass (hierarchical cells): fixed decision count so
   // sim_decisions_per_s is comparable across shard counts at equal work.
-  // Capped at 100k streams: the accounted-hook setup (eager per-insert root
-  // refresh through the cycle meter) costs many minutes at 1M for a scaling
-  // ratio that is already unambiguous at 100k — same skip policy as the
-  // sorted-list and fcfs cells above.
-  if (kind == dwcs::ReprKind::kHierarchical && sim_budget > 0 &&
-      n <= 100'000) {
+  if (kind == dwcs::ReprKind::kHierarchical && sim_budget > 0) {
     const auto sp = run_sim_parallel(shards, n, seed, sim_budget);
     r.num_cores = sp.num_cores;
     r.sim_decisions = sp.decisions;

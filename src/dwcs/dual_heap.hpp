@@ -1,10 +1,11 @@
-// The paper's Figure 4(a) dual-heap representation, as a reusable class.
+// The paper's Figure 4(a) dual-heap representation.
 //
-// Lived inside repr.cpp's anonymous namespace until the sharded NI work:
-// the hierarchical scheduler (hierarchical.hpp) instantiates one DualHeapRepr
-// per simulated NI core, so the class (and the named heap comparators it is
-// built from) moved here. make_repr() still hands out the single-board
-// instance; nothing about the representation itself changed.
+// It is the flat, single-core ReprKind::kDualHeap that Tables 1-3 and the
+// session server run, and the reference the tests hold the PIFO engine and
+// the hierarchical scheduler to. The hierarchical scheduler's cores are PIFO
+// engines (pifo.hpp), not dual heaps: a charged pick() here replays the
+// modeled O(n) tie scan, which is the paper's cost on one core but would
+// make each simulated core's decision cost grow with its shard.
 //
 // The named heap comparators this class is built from (DeadlineIdLess,
 // ToleranceLess, FullLess) moved to pifo.hpp with the rank-engine work:

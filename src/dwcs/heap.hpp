@@ -14,6 +14,12 @@
 // Every element the sift path touches is charged as a memory word at the
 // heap's simulated base address, so the heap's cache behaviour shows up in
 // the Table 1/2 numbers exactly as the descriptor loops do.
+//
+// The position array is indexed by stream id, so it is as long as the
+// largest id the heap has held, however few streams it holds. Heaps whose
+// stream sets never overlap may share one array (HeapPositions below): the
+// hierarchical scheduler's per-core heaps of one kind do, since a stream
+// sits in exactly one core.
 #pragma once
 
 #include <cassert>
@@ -27,43 +33,61 @@
 
 namespace nistream::dwcs {
 
+/// Each stream's index in its heap's array, by stream id; -1 when absent.
+/// Grown (never shrunk) to the largest id pushed or reserved.
+using HeapPositions = std::vector<std::int32_t>;
+
 template <class Less>
 class IndexedHeap {
  public:
-  IndexedHeap(Less less, CostHook& hook, SimAddr base_addr)
+  /// `shared_positions`, when given, is used instead of the heap's own
+  /// position array. Every heap sharing it must hold a disjoint set of
+  /// streams, and the array must outlive them.
+  IndexedHeap(Less less, CostHook& hook, SimAddr base_addr,
+              HeapPositions* shared_positions = nullptr)
       : less_{std::move(less)},
         hook_{&hook},
         charged_{hook.accounted()},
-        base_{base_addr} {}
+        base_{base_addr},
+        pos_{shared_positions != nullptr ? shared_positions : &own_pos_} {}
+  // pos_ may point at own_pos_.
+  IndexedHeap(const IndexedHeap&) = delete;
+  IndexedHeap& operator=(const IndexedHeap&) = delete;
 
   [[nodiscard]] bool empty() const { return data_.empty(); }
   [[nodiscard]] std::size_t size() const { return data_.size(); }
+  /// In this heap, not merely in one that shares its positions.
   [[nodiscard]] bool contains(StreamId id) const {
-    return id < pos_.size() && pos_[id] >= 0;
+    const HeapPositions& pos = *pos_;
+    return id < pos.size() && pos[id] >= 0 &&
+           static_cast<std::size_t>(pos[id]) < data_.size() &&
+           data_[static_cast<std::size_t>(pos[id])] == id;
   }
 
   /// Pre-size the backing arrays for `n` streams so the growth phase of a
   /// large run never reallocates mid-decision.
   void reserve(std::size_t n) {
     data_.reserve(n);
-    if (pos_.size() < n) pos_.resize(n, -1);
+    if (pos_->size() < n) pos_->resize(n, -1);
   }
 
   void push(StreamId id) {
     assert(!contains(id));
-    if (id >= pos_.size()) pos_.resize(id + 1, -1);
+    HeapPositions& pos = *pos_;
+    if (id >= pos.size()) pos.resize(id + 1, -1);
     data_.push_back(id);
-    pos_[id] = static_cast<std::int32_t>(data_.size() - 1);
+    pos[id] = static_cast<std::int32_t>(data_.size() - 1);
     touch(data_.size() - 1);
     sift_up(data_.size() - 1);
   }
 
   void erase(StreamId id) {
     assert(contains(id));
-    const auto i = static_cast<std::size_t>(pos_[id]);
+    HeapPositions& pos = *pos_;
+    const auto i = static_cast<std::size_t>(pos[id]);
     swap_at(i, data_.size() - 1);
     data_.pop_back();
-    pos_[id] = -1;
+    pos[id] = -1;
     if (i < data_.size()) {
       if (!sift_up(i)) sift_down(i);
     }
@@ -72,7 +96,7 @@ class IndexedHeap {
   /// Re-establish heap order after `id`'s key changed.
   void update(StreamId id) {
     assert(contains(id));
-    const auto i = static_cast<std::size_t>(pos_[id]);
+    const auto i = static_cast<std::size_t>((*pos_)[id]);
     if (!sift_up(i)) sift_down(i);
   }
 
@@ -113,6 +137,7 @@ class IndexedHeap {
   // level in the old code; `moving` holds it here).
 
   bool sift_up(std::size_t i) {
+    HeapPositions& pos = *pos_;
     const StreamId moving = data_[i];
     bool moved = false;
     while (i > 0) {
@@ -123,18 +148,19 @@ class IndexedHeap {
       touch(i);  // modeled swap traffic (was swap_at)
       touch(parent);
       data_[i] = data_[parent];
-      pos_[data_[i]] = static_cast<std::int32_t>(i);
+      pos[data_[i]] = static_cast<std::int32_t>(i);
       i = parent;
       moved = true;
     }
     if (moved) {
       data_[i] = moving;
-      pos_[moving] = static_cast<std::int32_t>(i);
+      pos[moving] = static_cast<std::int32_t>(i);
     }
     return moved;
   }
 
   void sift_down(std::size_t i) {
+    HeapPositions& pos = *pos_;
     const StreamId moving = data_[i];
     bool moved = false;
     for (;;) {
@@ -160,13 +186,13 @@ class IndexedHeap {
       touch(i);  // modeled swap traffic (was swap_at)
       touch(best);
       data_[i] = best_val;
-      pos_[best_val] = static_cast<std::int32_t>(i);
+      pos[best_val] = static_cast<std::int32_t>(i);
       i = best;
       moved = true;
     }
     if (moved) {
       data_[i] = moving;
-      pos_[moving] = static_cast<std::int32_t>(i);
+      pos[moving] = static_cast<std::int32_t>(i);
     }
   }
 
@@ -175,8 +201,8 @@ class IndexedHeap {
     touch(a);
     touch(b);
     std::swap(data_[a], data_[b]);
-    pos_[data_[a]] = static_cast<std::int32_t>(a);
-    pos_[data_[b]] = static_cast<std::int32_t>(b);
+    (*pos_)[data_[a]] = static_cast<std::int32_t>(a);
+    (*pos_)[data_[b]] = static_cast<std::int32_t>(b);
   }
 
   Less less_;
@@ -184,7 +210,8 @@ class IndexedHeap {
   bool charged_;
   SimAddr base_;
   std::vector<StreamId> data_;
-  std::vector<std::int32_t> pos_;
+  HeapPositions own_pos_;  // unused when the positions are shared
+  HeapPositions* pos_;
 };
 
 }  // namespace nistream::dwcs

@@ -40,13 +40,12 @@ std::unique_ptr<ScheduleRepr> HierarchicalScheduler::make_core(
     SimAddr core_base) {
   const auto core = [&](auto rank) -> std::unique_ptr<ScheduleRepr> {
     return std::make_unique<PifoRepr<decltype(rank)>>(table_, rank, *hook_,
-                                                      core_base);
+                                                      core_base, &positions_);
   };
   // A stateful rank is copied from the root's, so every core keeps its
   // ledger (cycle position, clock, scope tags) in the one shared state.
   switch (policy_) {
-    case PolicyKind::kDwcs:
-      return std::make_unique<DualHeapRepr>(table_, cmp_, *hook_, core_base);
+    case PolicyKind::kDwcs: return core(DwcsRank{&cmp_});
     case PolicyKind::kEdf: return core(EdfRank{});
     case PolicyKind::kStaticPriority: return core(StaticPriorityRank{});
     case PolicyKind::kRoundRobin: return core(rr_);
@@ -224,6 +223,9 @@ void HierarchicalScheduler::update(StreamId id) {
 }
 
 void HierarchicalScheduler::reserve(std::size_t n) {
+  // The shared position arrays are indexed by stream id: n entries each.
+  if (positions_.rank.size() < n) positions_.rank.resize(n, -1);
+  if (positions_.deadline.size() < n) positions_.deadline.resize(n, -1);
   // Hash sharding is balanced to within a few sqrt(n/N); a 1/4 slack on the
   // expected shard size makes growth-free setup the common case without
   // reserving N times the population.

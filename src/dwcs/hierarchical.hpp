@@ -1,28 +1,35 @@
-// Sharded multi-core DWCS: N per-core dual heaps under a tiny root arbiter.
+// Sharded multi-core DWCS: N per-core PIFO engines under a tiny root arbiter.
 //
 // The paper's i960 co-processor is single-core, so every representation in
 // repr.cpp models ONE scheduling engine over the whole stream population —
-// and a single heap's O(log n) decision path hits a cache wall an order of
-// magnitude before the million-stream target (BENCH_scale.json: dual-heap
-// decisions/s collapse 2.89M -> 764k from 1k to 100k streams). Modern NIs
-// are not single-core; following *The Distributed Network Processor*
-// (per-core engines plus an on-chip interconnect) and the two-level
+// and a single heap's O(log n) decision path slows as its working set
+// outgrows the cache (BENCH_scale.json: dual-heap decisions/s fall 1.16M ->
+// 407k from 1k to 1M streams). Modern NIs are not single-core; following
+// *The Distributed Network Processor* (per-core engines plus an on-chip
+// interconnect) and the two-level
 // "winners feed a small root queue" shape of *Programmable Packet
 // Scheduling* (PAPERS.md), this representation shards the stream population
 // across N simulated NI cores:
 //
-//  * Each core runs its own allocation-free schedule engine over its shard
-//    (a DualHeapRepr under DWCS, a PifoRepr<Rank> under any other rank
-//    policy — the layer shards ANY total rank order, not just rules 1-5).
-//    Shard assignment is a stable hash of the stream id — rebalance-free,
-//    identical across runs and boards (shard_of below).
+//  * Each core runs its own allocation-free schedule engine over its shard:
+//    a PifoRepr under the active policy's rank struct (DwcsRank for DWCS),
+//    built the same way for every policy — the layer shards ANY total rank
+//    order, not just rules 1-5. Not the Figure 4(a) dual heap: its charged
+//    pick() replays a scan of the whole deadline heap whenever the
+//    tolerance-heap top misses the earliest deadline, so a dual-heap core's
+//    decision cost would grow with its shard. Shard assignment is a stable
+//    hash of the stream id — rebalance-free, identical across runs and
+//    boards (shard_of below). The cores share one position array per heap
+//    kind (PifoPositions): a stream sits in one core, so per-core arrays
+//    indexed by the global stream id would each pay for every id while
+//    holding a 1/N share of the streams.
 //  * A root arbiter keeps two N-entry indexed heaps whose elements are
 //    SHARD indices, ordered by each shard's cached winner under the full
 //    rule-1..5 precedence (pick) and by each shard's cached earliest
 //    deadline under the rule-1+id order (late-packet processing).
 //
 // One decision is: read the root top (O(1)), mutate that stream's shard
-// (O(log shard_size)), re-decide the shard's winner (O(1), its dual heap
+// (O(log shard_size)), re-decide the shard's winner (O(1), its rank heap
 // keeps it on top) and re-sift the two root entries (O(log N)). The hot
 // path is therefore O(log(n/N)) + O(log N) per decision instead of
 // O(log n) over one n-entry structure. Measured on one host core that is
@@ -37,10 +44,11 @@
 // Decision identity: the full precedence order is total (rule 5 breaks
 // every tie by stream id), so the minimum over per-shard minima is the
 // global minimum for ANY shard count — pick() and earliest_deadline()
-// return exactly what DualHeapRepr returns, decision for decision. The
-// 1-shard configuration is the degenerate proof anchor (one dual heap, one
-// root entry) and is differentially tested against DualHeapRepr; multi-
-// shard identity is tested on top of it.
+// return exactly what the flat DualHeapRepr returns, decision for decision
+// (DwcsRank ranks by the same total order). The 1-shard configuration is
+// the degenerate proof anchor (one PIFO engine, one root entry) and is
+// differentially tested against DualHeapRepr; multi-shard identity is
+// tested on top of it.
 //
 // Cross-core cost model: when a mutation on core c changes what the root
 // sees (the shard's winner or earliest-deadline entry), shipping that
@@ -53,7 +61,8 @@
 #include <memory>
 #include <vector>
 
-#include "dwcs/dual_heap.hpp"
+#include "dwcs/heap.hpp"
+#include "dwcs/pifo.hpp"
 #include "dwcs/repr.hpp"
 
 namespace nistream::dwcs {
@@ -62,7 +71,7 @@ class ShardExecTrace;
 class ShardCycleMeter;
 
 /// Simulated card-memory stride between per-core heap regions. A per-core
-/// engine occupies two 0x10000 regions (rank/deadline or deadline/tolerance
+/// engine occupies two 0x10000 regions (its rank heap and its deadline
 /// heap); each core gets its own pair so cache models see per-core working
 /// sets, not one shared array. The two root heaps occupy the stride after
 /// the last core's. Public so the cycle meter (shard_exec.hpp) can route a
@@ -87,9 +96,9 @@ inline constexpr SimAddr kCoreStride = 0x20000;
 class HierarchicalScheduler final : public ScheduleRepr {
  public:
   /// `policy` selects the rank order of the whole sharded machine: the
-  /// per-core engines (DualHeapRepr for DWCS, a PifoRepr of the policy's
-  /// rank struct otherwise) and the root arbiter's winner order. The
-  /// earliest-deadline side is policy-independent.
+  /// per-core engines (a PifoRepr of the policy's rank struct) and the root
+  /// arbiter's winner order. The earliest-deadline side is
+  /// policy-independent.
   HierarchicalScheduler(const StreamTable& table, const Comparator& cmp,
                         CostHook& hook, SimAddr base,
                         const HierarchicalParams& params,
@@ -220,6 +229,9 @@ class HierarchicalScheduler final : public ScheduleRepr {
   ShardExecTrace* trace_ = nullptr;
   ShardCycleMeter* meter_ = nullptr;
   std::uint64_t hops_charged_ = 0;
+  /// Every core's heap positions (see the header). Declared before cores_,
+  /// whose heaps point into it.
+  PifoPositions positions_;
   std::vector<std::unique_ptr<ScheduleRepr>> cores_;
   std::vector<StreamId> winner_;  // per shard; kInvalidStream when empty
   std::vector<StreamId> edl_;     // per shard; kInvalidStream when empty

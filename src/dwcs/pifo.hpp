@@ -359,6 +359,14 @@ struct RankLess {
   }
 };
 
+/// Position arrays that PIFO engines over disjoint stream sets (the
+/// hierarchical scheduler's cores) share: one per heap kind for all of them,
+/// instead of one per engine.
+struct PifoPositions {
+  HeapPositions rank;
+  HeapPositions deadline;
+};
+
 /// The engine: one heap under the policy's rank order answers pick(); a
 /// second heap under the rule-1+id order answers earliest_deadline() so the
 /// scheduler's late-packet machinery works under ANY rank policy (late
@@ -367,16 +375,19 @@ struct RankLess {
 ///
 /// The rank heap sits at `base` and the deadline heap at `base + 0x10000`.
 /// Under DwcsRank this is the single full-order heap that the dual heap's
-/// Figure 4(a) split is measured against.
+/// Figure 4(a) split is measured against. `shared`, when given, holds both
+/// heaps' positions.
 template <class Policy>
 class PifoRepr final : public ScheduleRepr {
  public:
   PifoRepr(const StreamTable& table, Policy policy, CostHook& hook,
-           SimAddr base)
+           SimAddr base, PifoPositions* shared = nullptr)
       : table_{table},
         policy_{std::move(policy)},
-        rank_heap_{RankLess<Policy>{&table, &policy_}, hook, base},
-        deadline_heap_{DeadlineIdLess{&table}, hook, base + 0x10000} {}
+        rank_heap_{RankLess<Policy>{&table, &policy_}, hook, base,
+                   shared != nullptr ? &shared->rank : nullptr},
+        deadline_heap_{DeadlineIdLess{&table}, hook, base + 0x10000,
+                       shared != nullptr ? &shared->deadline : nullptr} {}
 
   void insert(StreamId id) override {
     policy_.on_insert(id, table_.view(id));

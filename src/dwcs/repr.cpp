@@ -13,9 +13,9 @@ namespace nistream::dwcs {
 namespace {
 
 // DeadlineIdLess / ToleranceLess / FullLess live in pifo.hpp (derived from
-// the rank structs) and DualHeapRepr in dual_heap.hpp (hierarchical.hpp
-// instantiates one per simulated core). The remaining representations are
-// single-board-only and stay private here.
+// the rank structs) and DualHeapRepr in dual_heap.hpp (the tests build it as
+// their reference). The remaining representations are single-board-only and
+// stay private here.
 
 /// Insertion-sorted list under the full comparator.
 class SortedListRepr final : public ScheduleRepr {

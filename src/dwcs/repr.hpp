@@ -22,8 +22,8 @@
 // * HierarchicalScheduler (hierarchical.hpp) — N per-core engines over
 //                      hash shards of the stream population, arbitrated by
 //                      an N-entry root heap of per-shard winners (the
-//                      sharded multi-core NI model). Cores are dual heaps
-//                      for DWCS and PIFO rank engines for any other policy.
+//                      sharded multi-core NI model). Every core is a PIFO
+//                      rank engine under the active policy.
 //
 // All representations must agree with the DWCS rank order on pick() for any
 // state (except FCFS, which deliberately ignores the rules, and kPifo under
@@ -86,9 +86,7 @@ class ScheduleRepr {
 
 enum class ReprKind {
   kDualHeap,
-  // 1 was an alias of kPifo under the DWCS rank. The later values are kept:
-  // parameterized tests print them in their names.
-  kSortedList = 2,
+  kSortedList,
   kFcfs,
   kCalendarQueue,
   kHierarchical,
@@ -112,9 +110,9 @@ enum class PolicyKind {
 /// here so the repr-selection machinery (DwcsScheduler::Config, make_repr)
 /// can carry it without pulling in the implementation header.
 struct HierarchicalParams {
-  /// Simulated NI cores; each runs one schedule engine over its stream
-  /// shard — a DualHeapRepr for DWCS, a PifoRepr for any other rank policy.
-  /// Shard assignment is a stable hash of the stream id (rebalance-free).
+  /// Simulated NI cores; each runs one PifoRepr under the active rank
+  /// policy over its stream shard. Shard assignment is a stable hash of the
+  /// stream id (rebalance-free).
   std::uint32_t shards = 8;
   /// Modeled cost of shipping a shard's winner update across the on-chip
   /// interconnect to the root arbiter, charged per changed root entry.

@@ -410,6 +410,13 @@ class TcpLiteSender {
                                     stack_cost_, [this, ack = f.tag] {
       if (aborted_ || ack <= base_) return;  // stale
       while (!queue_.empty() && queue_.front()->seq < ack) queue_.pop_front();
+      if (queue_.empty() && (closing_ || queue_.capacity() <= 1)) {
+        // A channel that queues one segment at a time (an RTSP request,
+        // then its answer) sits drained most of its life, so it frees its
+        // buffer; a sender that queued a burst keeps its buffer for the
+        // next one, until it closes and can queue nothing more.
+        queue_.release();
+      }
       base_ = ack;
       retx_rounds_ = 0;  // progress resets the give-up counter
       if (timing_ && ack > timed_seq_) {
@@ -434,7 +441,7 @@ class TcpLiteSender {
     if (params_.max_retx_rounds != 0 &&
         ++retx_rounds_ > params_.max_retx_rounds) {
       aborted_ = true;
-      queue_.clear();
+      queue_.release();
       return;
     }
     // Go-back-N: retransmit the whole window from base_, sharing each

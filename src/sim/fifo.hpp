@@ -6,7 +6,8 @@
 // to the high-water mark, and pops in O(1). Popping moves the element out, so
 // whatever the element owned leaves the queue with it; the husks left in the
 // consumed prefix are reclaimed when the queue drains or when a push finds the
-// buffer full and at least half of it consumed.
+// buffer full and at least half of it consumed. An owner that idles between
+// short bursts can release() the buffer itself when the queue drains.
 //
 // Iteration runs over the live elements, oldest first (a TcpLite sender walks
 // its window that way).
@@ -55,8 +56,16 @@ class Fifo {
     head_ = 0;
   }
 
+  /// Drop every element and free the buffer.
+  void release() {
+    std::vector<T>().swap(items_);
+    head_ = 0;
+  }
+
   [[nodiscard]] bool empty() const { return head_ == items_.size(); }
   [[nodiscard]] std::size_t size() const { return items_.size() - head_; }
+  /// Elements the buffer holds without growing, consumed prefix included.
+  [[nodiscard]] std::size_t capacity() const { return items_.capacity(); }
 
   [[nodiscard]] iterator begin() {
     return items_.begin() + static_cast<std::ptrdiff_t>(head_);

@@ -66,6 +66,15 @@ struct FuzzAxis {
   bool completion_anchor;
 };
 
+// gtest prints each parameter into its test's listed name; by default an
+// axis prints as its bytes, which renumbering ReprKind would change.
+void PrintTo(const FuzzAxis& axis, std::ostream* os) {
+  constexpr const char* kArith[] = {"fixed", "softfp", "native"};
+  *os << dwcs::to_string(axis.repr) << ' '
+      << (axis.completion_anchor ? "anchor" : "grid") << ' '
+      << kArith[static_cast<int>(axis.arith)];
+}
+
 class DwcsFuzz : public ::testing::TestWithParam<FuzzAxis> {};
 
 TEST_P(DwcsFuzz, InvariantsHoldUnderRandomWorkloads) {

@@ -8,8 +8,9 @@
 //    plus charged-mode interconnect-hop equality.
 //  * ParallelExec — executor mechanics: same-shard FIFO under back-to-back
 //    mutation bursts, run-to-run determinism of the simulated clock, the
-//    arbiter as the only serialization point, and the headline scaling claim
-//    (8 shards >= 3x the 1-shard simulated decision rate).
+//    arbiter as the only serialization point, and the headline scaling claims
+//    (8 shards >= 3x the 1-shard simulated decision rate; on 4 shards the
+//    rate holds from 1k to 10k streams).
 #include "dwcs/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -283,8 +284,8 @@ TEST(ParallelExec, ArbiterIsTheOnlySerializationPoint) {
 
 TEST(ParallelExec, EightShardsAtLeastTripleOneShardThroughput) {
   // The acceptance bar from the bench (>=3x at 8 shards) holds at test scale
-  // too: per-shard heaps are smaller and per-core caches hit more, so the
-  // modeled speedup is superlinear — 3x is a conservative floor.
+  // too. The root arbiter's serialized share keeps the modeled speedup below
+  // 8x (~7x here), so 3x is a conservative floor.
   constexpr std::size_t kStreams = 512;
   constexpr std::uint64_t kBudget = 1500;
   const auto one = parallel_run(1, kStreams, 7, kBudget);
@@ -293,6 +294,25 @@ TEST(ParallelExec, EightShardsAtLeastTripleOneShardThroughput) {
   ASSERT_EQ(eight.decisions, kBudget);
   ASSERT_GT(eight.sim_sec, 0.0);
   EXPECT_GE(one.sim_sec / eight.sim_sec, 3.0);
+}
+
+TEST(ParallelExec, FourShardRateHoldsFromOneToTenThousandStreams) {
+  // A DWCS core is a PIFO engine, so a decision costs O(log(n/N)) cycles on
+  // its core: ten times the streams must leave the simulated decision rate
+  // within 20%. A core whose charged pick() scans its whole deadline heap
+  // (the dual heap's modeled tie scan) falls ~20x here.
+  constexpr std::uint64_t kBudget = 1024;
+  const auto small = parallel_run(4, 1'000, 7, kBudget);
+  const auto large = parallel_run(4, 10'000, 7, kBudget);
+  ASSERT_EQ(small.decisions, kBudget);
+  ASSERT_EQ(large.decisions, kBudget);
+  ASSERT_GT(small.sim_sec, 0.0);
+  ASSERT_GT(large.sim_sec, 0.0);
+  const double small_rate = static_cast<double>(kBudget) / small.sim_sec;
+  const double large_rate = static_cast<double>(kBudget) / large.sim_sec;
+  EXPECT_NEAR(large_rate / small_rate, 1.0, 0.2)
+      << small_rate << " decisions/s at 1k streams, " << large_rate
+      << " at 10k";
 }
 
 }  // namespace

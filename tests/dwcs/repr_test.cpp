@@ -16,6 +16,11 @@
 #include "sim/random.hpp"
 
 namespace nistream::dwcs {
+
+// gtest prints each parameter into its test's listed name. Without a printer
+// a ReprKind prints as its bytes, so renumbering the enum renamed tests.
+void PrintTo(ReprKind kind, std::ostream* os) { *os << to_string(kind); }
+
 namespace {
 
 using sim::Time;

@@ -1,15 +1,16 @@
-// Footprint audits for the two stores a 100k-client storm fills at once: the
-// engine's armed events (one arrival per client at t = 0) and the switch's
-// ports (two per client). Each reads the live heap before and after filling
-// the store, so it counts every page, vector and malloc header the store
-// costs. Under sanitizers the heap shim is compiled out and the bounds are not
-// asserted.
+// Footprint audits for the stores a 100k-client storm fills at once: the
+// engine's armed events (one arrival per client at t = 0), the switch's ports
+// (two per client) and the clients' TcpLite senders. Each reads the live heap
+// before and after filling the store, so it counts every page, vector and
+// malloc header the store costs. Under sanitizers the heap shim is compiled
+// out and the bounds are not asserted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "counting_new.hpp"
 #include "hw/ethernet.hpp"
+#include "net/tcplite.hpp"
 #include "sim/engine.hpp"
 #include "sim/handle_table.hpp"
 
@@ -61,6 +62,46 @@ TEST(Footprint, SwitchPortCostsAtMostFortyEightBytes) {
 #else
   (void)grown;
 #endif
+}
+
+TEST(Footprint, DrainedTcpLiteSenderHoldsNoHeapBlock) {
+  // A storm client's control channel queues one request at a time and waits
+  // for the answer, so its sender sits drained for most of its life and must
+  // not keep its queue buffer meanwhile. A sender that queued a burst keeps
+  // its buffer while it is open (TcpLiteAllocFree pins a steady exchange at
+  // zero allocations) and gives it back once its FIN is acknowledged.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  const auto deliver = [](const net::Packet&, Time) {};
+  // One receiver per sender: a receiver stores its first peer inline.
+  net::TcpLiteReceiver warm_rx{eng, ether, Time::us(50), deliver};
+  net::TcpLiteReceiver rx{eng, ether, Time::us(50), deliver};
+  net::TcpLiteReceiver burst_rx{eng, ether, Time::us(50), deliver};
+  net::TcpLiteSender warm{eng, ether, Time::us(50), warm_rx.port()};
+  net::TcpLiteSender tx{eng, ether, Time::us(50), rx.port()};
+  net::TcpLiteSender burst{eng, ether, Time::us(50), burst_rx.port()};
+  // The engine's slot pages and heap, the switch's frame pages and the
+  // packet box slabs are grown once, by a larger burst from another sender.
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    warm.send(net::Packet{.seq = i, .bytes = 100});
+  }
+  eng.run();
+  ASSERT_TRUE(warm.idle());
+
+  const std::int64_t before = test::heap_live_bytes();
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    tx.send(net::Packet{.seq = i, .bytes = 100});
+    eng.run();
+    EXPECT_EQ(tx.acked(), i + 1);
+    EXPECT_EQ(test::heap_live_bytes(), before) << "after request " << i;
+  }
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    burst.send(net::Packet{.seq = i, .bytes = 100});
+  }
+  burst.close();
+  eng.run();
+  EXPECT_TRUE(burst.fin_acked());
+  EXPECT_EQ(test::heap_live_bytes(), before);
 }
 
 }  // namespace
