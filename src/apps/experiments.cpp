@@ -94,7 +94,6 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
     d.bytes = fr.bytes;
     d.type = fr.type;
     d.enqueued_at = sim::Time::zero();
-    d.frame_addr = 0x0400'0000 + static_cast<std::uint64_t>(i) * 0x2000;
     const bool ok =
         sched.enqueue(ids[static_cast<std::size_t>(i) % ids.size()], d,
                       sim::Time::zero());
@@ -132,8 +131,7 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
     const auto& fr = file.frames[static_cast<std::size_t>(i)];
     fcfs.push(ring, dwcs::FrameDescriptor{
         .frame_id = static_cast<std::uint64_t>(i), .bytes = fr.bytes,
-        .type = fr.type, .enqueued_at = sim::Time::zero(),
-        .frame_addr = 0x0400'0000 + static_cast<std::uint64_t>(i) * 0x2000});
+        .type = fr.type, .enqueued_at = sim::Time::zero()});
   }
   cpu2.reset();
   cpu2.dcache().invalidate();

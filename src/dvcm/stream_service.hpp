@@ -114,13 +114,9 @@ class StreamService {
     d.bytes = bytes;
     d.type = type;
     d.enqueued_at = engine_.now();
-    if (memory_) {
-      const auto addr = memory_->allocate(bytes);
-      if (!addr) {
-        ++rejected_no_memory_;
-        return false;
-      }
-      d.frame_addr = *addr;
+    if (memory_ && !memory_->allocate(bytes)) {
+      ++rejected_no_memory_;
+      return false;
     }
     if (!sched_.enqueue(id, d, engine_.now())) {
       if (memory_) memory_->release(bytes);

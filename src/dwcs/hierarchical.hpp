@@ -33,13 +33,14 @@
 // keeps it on top) and re-sift the two root entries (O(log N)). The hot
 // path is therefore O(log(n/N)) + O(log N) per decision instead of
 // O(log n) over one n-entry structure. Measured on one host core that is
-// roughly a wash — sharding trims the deep (cache-cold) sift levels but
-// pays root maintenance and a spread working set, so the serial bench
-// shows a tie at 1M streams, not a win (docs/performance.md, "Sharded NI
-// scheduling", has the profile). The structural win is what the serial
-// bench cannot show: the O(log(n/N)) shard work is per-core-parallel and
-// per-core cache-resident on a real multi-core NI, and only the O(log N)
-// root arbiter is serialized.
+// no win — sharding trims the deep (cache-cold) sift levels but pays root
+// maintenance and a spread working set, so at 1M streams the serial bench
+// reads 360k decisions/s on 4 shards against the flat dual heap's 407k
+// (BENCH_scale.json; docs/performance.md, "Sharded NI scheduling", has the
+// profile). The structural win is what the serial bench cannot show: the
+// O(log(n/N)) shard work is per-core-parallel and per-core cache-resident
+// on a real multi-core NI, and only the O(log N) root arbiter is
+// serialized.
 //
 // Decision identity: the full precedence order is total (rule 5 breaks
 // every tie by stream id), so the minimum over per-shard minima is the

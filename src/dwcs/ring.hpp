@@ -16,20 +16,24 @@
 // scheduler). All rings share one capacity, residency and cost hook, stored
 // once:
 //  * Ring r is a 32-bit head and tail plus capacity + 1 descriptor slots (one
-//    empty slot tells full from empty). Rings sit back to back in byte pages
-//    of a power-of-two ring count (as many as fit in 64 KiB, at least one),
-//    so r splits into page and position with a shift and a mask. A page is
-//    allocated when its first ring is added, is never moved, and its slots
-//    are not initialized.
+//    empty slot tells full from empty). A slot holds a descriptor's fields
+//    back to back in 21 bytes (frame_id, enqueued_at, bytes, type; no
+//    padding), and a ring's record is rounded up to 4 bytes so the next
+//    ring's cursors stay aligned: 8 + 9 × 21 → 200 bytes at capacity 8.
+//    Rings sit back to back in byte pages of a power-of-two ring count (as
+//    many as fit in 64 KiB, at least one), so r splits into page and
+//    position with a shift and a mask. A page is allocated when its first
+//    ring is added, is never moved, and its slots are not initialized.
 //  * Ring r's simulated region starts at base + r × stride. It is computed,
 //    not stored.
 //  * add() must not run concurrently with push/pop on any ring: the
 //    scheduler is single-threaded, and concurrent users add every ring
 //    before their threads start.
 //
-// Cost accounting: descriptor words sit at region + slot × 16 and the
-// head/tail word at region + 4096. Reads and writes report through the
-// CostHook according to the residency (pinned memory words vs
+// Cost accounting: the simulated descriptor is kDescriptorWords 32-bit
+// words, whatever the host slot's size. Its words sit at region + slot × 16
+// and the head/tail word at region + 4096. Reads and writes report through
+// the CostHook according to the residency (pinned memory words vs
 // hardware-queue registers); a hook that is not accounted is never called.
 #pragma once
 
@@ -61,7 +65,7 @@ class RingTable {
   RingTable(std::size_t capacity, DescriptorResidency residency, SimAddr base,
             SimAddr stride, CostHook& hook)
       : slots_{static_cast<std::uint32_t>(capacity + 1)},
-        record_bytes_{sizeof(Cursors) + slots_ * sizeof(FrameDescriptor)},
+        record_bytes_{record_size(slots_)},
         page_shift_{static_cast<unsigned>(std::bit_width(
                         std::max<std::size_t>(1, kPageBytes / record_bytes_)) -
                     1)},
@@ -115,7 +119,7 @@ class RingTable {
     const auto next = (t + 1) % slots_;
     if (next == c.head.load(std::memory_order_acquire)) return false;
     touch_slot(r, t);  // descriptor store
-    std::memcpy(slot(r, t), &d, sizeof d);
+    store(r, t, d);
     touch_pointer(r);  // tail pointer update
     c.tail.store(next, std::memory_order_release);
     return true;
@@ -161,8 +165,7 @@ class RingTable {
   /// Rings per page is the largest power of two whose rings fit here.
   static constexpr std::size_t kPageBytes = 64 * 1024;
 
-  // A ring's first bytes; its slots follow. Slots hold raw descriptor bytes,
-  // copied in and out with memcpy.
+  // A ring's first bytes; its slots follow.
   struct Cursors {
     std::atomic<std::uint32_t> head{0};
     std::atomic<std::uint32_t> tail{0};
@@ -170,8 +173,21 @@ class RingTable {
   static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
   static_assert(std::is_trivially_copyable_v<FrameDescriptor>);
   static_assert(std::is_trivially_destructible_v<Cursors>);
-  static_assert(sizeof(FrameDescriptor) % alignof(Cursors) == 0,
-                "every ring's cursors stay aligned");
+
+  /// One slot: every descriptor field, unpadded. store() and load() name the
+  /// same four fields through a structured binding, which stops compiling
+  /// when a field is added to or removed from FrameDescriptor.
+  static constexpr std::size_t kSlotBytes =
+      sizeof(FrameDescriptor::frame_id) + sizeof(FrameDescriptor::enqueued_at) +
+      sizeof(FrameDescriptor::bytes) + sizeof(FrameDescriptor::type);
+  static_assert(kSlotBytes == 21, "frame_id 8, enqueued_at 8, bytes 4, type 1");
+
+  /// One ring's cursors and slots, rounded up so that the next ring's
+  /// cursors stay aligned.
+  static constexpr std::size_t record_size(std::size_t slots) {
+    constexpr std::size_t a = alignof(Cursors);
+    return (sizeof(Cursors) + slots * kSlotBytes + a - 1) / a * a;
+  }
 
   [[nodiscard]] std::size_t page_mask() const {
     return (std::size_t{1} << page_shift_) - 1;
@@ -184,15 +200,29 @@ class RingTable {
     return *std::launder(reinterpret_cast<Cursors*>(record(r)));
   }
   [[nodiscard]] std::byte* slot(std::size_t r, std::uint32_t i) const {
-    return record(r) + sizeof(Cursors) + i * sizeof(FrameDescriptor);
+    return record(r) + sizeof(Cursors) + i * kSlotBytes;
   }
   /// Start of ring r's simulated region.
   [[nodiscard]] SimAddr region(std::size_t r) const {
     return base_ + static_cast<SimAddr>(r) * stride_;
   }
+  /// Copies fields into consecutive slot bytes, or back out in the same order.
+  template <typename... Field>
+  static void pack(std::byte* at, const Field&... f) {
+    ((std::memcpy(at, &f, sizeof f), at += sizeof f), ...);
+  }
+  template <typename... Field>
+  static void unpack(const std::byte* at, Field&... f) {
+    ((std::memcpy(&f, at, sizeof f), at += sizeof f), ...);
+  }
+  void store(std::size_t r, std::uint32_t i, const FrameDescriptor& d) const {
+    const auto& [frame_id, bytes, type, enqueued_at] = d;
+    pack(slot(r, i), frame_id, enqueued_at, bytes, type);
+  }
   [[nodiscard]] FrameDescriptor load(std::size_t r, std::uint32_t i) const {
     FrameDescriptor d;
-    std::memcpy(&d, slot(r, i), sizeof d);
+    auto& [frame_id, bytes, type, enqueued_at] = d;
+    unpack(slot(r, i), frame_id, enqueued_at, bytes, type);
     return d;
   }
 

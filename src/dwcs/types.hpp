@@ -44,13 +44,15 @@ struct StreamParams {
 };
 
 /// Descriptor of one queued frame (the scheduler's unit of work). Frames
-/// themselves live once in NI memory; descriptors carry their address.
+/// themselves live once in NI memory, whose pool releases them by byte
+/// count, so no field holds a frame's address. On the host a ring slot keeps
+/// these fields' 21 bytes, unpadded (RingTable); the cost model charges the
+/// i960's 16-byte descriptor (RingTable::kDescriptorWords).
 struct FrameDescriptor {
   std::uint64_t frame_id = 0;
   std::uint32_t bytes = 0;
   mpeg::FrameType type = mpeg::FrameType::kI;
   sim::Time enqueued_at;    // entry into scheduler queues (queuing delay t0)
-  SimAddr frame_addr = 0;   // frame body location in card memory
 };
 
 /// What the scheduler decided to do on one cycle.

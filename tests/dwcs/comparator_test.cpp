@@ -6,6 +6,14 @@
 #include "sim/random.hpp"
 
 namespace nistream::dwcs {
+
+// gtest prints each parameter into its test's listed name; without a printer
+// an ArithMode prints as its bytes.
+void PrintTo(ArithMode mode, std::ostream* os) {
+  constexpr const char* kNames[] = {"fixed", "softfp", "native"};
+  *os << kNames[static_cast<int>(mode)];
+}
+
 namespace {
 
 StreamView view(sim::Time deadline, std::int64_t x, std::int64_t y) {
@@ -81,12 +89,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, ComparatorAllModes,
                                            ArithMode::kSoftFloat,
                                            ArithMode::kNativeFloat),
                          [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case ArithMode::kFixedPoint: return "fixed";
-                             case ArithMode::kSoftFloat: return "softfp";
-                             case ArithMode::kNativeFloat: return "native";
-                           }
-                           return "?";
+                           return ::testing::PrintToString(param_info.param);
                          });
 
 // §4.2: "Using the fixed point version does not affect the quality of

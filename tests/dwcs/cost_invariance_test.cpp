@@ -101,7 +101,6 @@ Totals run_core_loop(ArithMode arith, ReprKind repr,
     d.frame_id = static_cast<std::uint64_t>(i);
     d.bytes = 1000;
     d.enqueued_at = sim::Time::zero();
-    d.frame_addr = 0x0400'0000 + static_cast<std::uint64_t>(i) * 0x2000;
     EXPECT_TRUE(sched.enqueue(ids[static_cast<std::size_t>(i) % ids.size()], d,
                               sim::Time::zero()));
   }
@@ -201,7 +200,6 @@ TEST(CostInvariance, StreamPastTheFirstRingPageChargesItsOwnAddresses) {
                                         ring + 4096};
 
   FrameDescriptor d;
-  d.frame_addr = 0x0400'0000;
   ASSERT_TRUE(sched.enqueue(id, d, sim::Time::zero()));
   EXPECT_EQ(hook.in(0x0200'0000, 0x0400'0000), ring_words);
   EXPECT_TRUE(hook.in(0x00F0'0000, 0x0100'0000).empty());

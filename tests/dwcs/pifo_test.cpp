@@ -355,8 +355,7 @@ DwcsScheduler::Config pifo(PolicyKind policy) {
 
 FrameDescriptor frame(std::uint64_t id, Time at) {
   return FrameDescriptor{.frame_id = id, .bytes = 1000,
-                         .type = mpeg::FrameType::kP, .enqueued_at = at,
-                         .frame_addr = 0};
+                         .type = mpeg::FrameType::kP, .enqueued_at = at};
 }
 
 TEST(Edf, PicksEarliestDeadline) {

@@ -60,7 +60,7 @@ std::vector<Event> run_workload(ReprKind kind, std::uint64_t seed,
         s.enqueue(ids[static_cast<std::size_t>(i)],
                   FrameDescriptor{.frame_id = fid++, .bytes = 1000,
                                   .type = mpeg::FrameType::kP,
-                                  .enqueued_at = Time::ms(t), .frame_addr = 0},
+                                  .enqueued_at = Time::ms(t)},
                   Time::ms(t));
       }
     }
@@ -115,11 +115,11 @@ TEST(ReprFcfs, ServesInHeadArrivalOrder) {
                                  Time::zero());
   s.enqueue(b, FrameDescriptor{.frame_id = 1, .bytes = 100,
                                .type = mpeg::FrameType::kI,
-                               .enqueued_at = Time::ms(1), .frame_addr = 0},
+                               .enqueued_at = Time::ms(1)},
             Time::ms(1));
   s.enqueue(a, FrameDescriptor{.frame_id = 2, .bytes = 100,
                                .type = mpeg::FrameType::kI,
-                               .enqueued_at = Time::ms(2), .frame_addr = 0},
+                               .enqueued_at = Time::ms(2)},
             Time::ms(2));
   const auto first = s.schedule_next(Time::ms(3));
   ASSERT_TRUE(first);

@@ -2,8 +2,8 @@
 // them. FrameRing.* cases drive one ring of a table on its own, including a
 // real two-thread stress test backing the paper's no-synchronization claim
 // (Figure 4b). RingTable.* cases cover what the table adds: the simulated
-// address map of rings on and past the first page, page geometry, and
-// several rings in use by their own threads at once.
+// address map of rings on and past the first page, the packed slot, page
+// geometry, and several rings in use by their own threads at once.
 #include "dwcs/ring.hpp"
 
 #include <gtest/gtest.h>
@@ -18,7 +18,7 @@ namespace {
 FrameDescriptor desc(std::uint64_t id, std::uint32_t bytes = 1000) {
   return FrameDescriptor{.frame_id = id, .bytes = bytes,
                          .type = mpeg::FrameType::kI,
-                         .enqueued_at = sim::Time::zero(), .frame_addr = 0};
+                         .enqueued_at = sim::Time::zero()};
 }
 
 /// A table of one ring at 0x1000 (the stride never matters for ring 0).
@@ -240,12 +240,59 @@ TEST(RingTable, HookThatIsNotAccountedIsNeverCalled) {
   }
 }
 
-// A ring of capacity c takes 8 + 32 × (c + 1) bytes; a page holds the
-// largest power of two of them that fits in 64 KiB, and at least one.
+// Every field keeps its own bytes in a slot. Descriptors at each field's
+// limits alternate with all-zero ones, so a field written over its
+// neighbour, or a slot over the next, shows in the other. Three adjacent
+// rings, the last two of the first page and the first of the second, are
+// filled and drained twice, which walks all nine slots of each.
+TEST(RingTable, SlotKeepsEveryFieldAtItsLimits) {
+  constexpr std::array kTypes{mpeg::FrameType::kI, mpeg::FrameType::kP,
+                              mpeg::FrameType::kB};
+  const auto make = [&](std::size_t r, std::uint64_t k) {
+    if (k % 2 == 1) {
+      return FrameDescriptor{.frame_id = 0, .bytes = 0, .type = kTypes[k % 3],
+                             .enqueued_at = sim::Time::zero()};
+    }
+    return FrameDescriptor{
+        .frame_id = UINT64_MAX - k,
+        .bytes = UINT32_MAX - static_cast<std::uint32_t>(r),
+        .type = kTypes[k % 3],
+        .enqueued_at = sim::Time::never() - sim::Time::ns(
+                                                static_cast<std::int64_t>(k))};
+  };
+  RingTable t = one_ring(kCapacity);
+  add_past_first_page(t);
+  const std::size_t first = t.rings_per_page() - 2;
+  for (int fill = 0; fill < 2; ++fill) {
+    for (std::size_t r = first; r < first + 3; ++r) {
+      for (std::uint64_t k = 0; k < kCapacity; ++k) {
+        ASSERT_TRUE(t.push(r, make(r, k)));
+      }
+    }
+    for (std::size_t r = first; r < first + 3; ++r) {
+      for (std::uint64_t k = 0; k < kCapacity; ++k) {
+        const FrameDescriptor want = make(r, k);
+        const auto got = t.front(r);
+        ASSERT_TRUE(got.has_value());
+        EXPECT_EQ(got->frame_id, want.frame_id) << "ring " << r << " k " << k;
+        EXPECT_EQ(got->bytes, want.bytes) << "ring " << r << " k " << k;
+        EXPECT_EQ(got->type, want.type) << "ring " << r << " k " << k;
+        EXPECT_EQ(got->enqueued_at.raw_ns(), want.enqueued_at.raw_ns())
+            << "ring " << r << " k " << k;
+        t.pop(r);
+      }
+      EXPECT_TRUE(t.empty(r));
+    }
+  }
+}
+
+// A ring of capacity c takes 8 + 21 × (c + 1) bytes, rounded up to a
+// multiple of 4; a page holds the largest power of two of them that fits in
+// 64 KiB, and at least one.
 TEST(RingTable, PagesHoldAPowerOfTwoRingsAndAtLeastOne) {
-  EXPECT_EQ(one_ring(8).rings_per_page(), 128u);    // 296 B rings
-  EXPECT_EQ(one_ring(256).rings_per_page(), 4u);    // 8,232 B rings
-  EXPECT_EQ(one_ring(2046).rings_per_page(), 1u);   // 65,512 B: fits once
+  EXPECT_EQ(one_ring(8).rings_per_page(), 256u);    // 200 B rings
+  EXPECT_EQ(one_ring(256).rings_per_page(), 8u);    // 5,408 B rings
+  EXPECT_EQ(one_ring(3119).rings_per_page(), 1u);   // 65,528 B: fits once
   EXPECT_EQ(one_ring(4096).rings_per_page(), 1u);   // larger than a page
 }
 

@@ -16,8 +16,7 @@ using sim::Time;
 
 FrameDescriptor frame(std::uint64_t id, Time at, std::uint32_t bytes = 1000) {
   return FrameDescriptor{.frame_id = id, .bytes = bytes,
-                         .type = mpeg::FrameType::kP, .enqueued_at = at,
-                         .frame_addr = 0x400000 + id * 0x2000};
+                         .type = mpeg::FrameType::kP, .enqueued_at = at};
 }
 
 DwcsScheduler::Config config() { return DwcsScheduler::Config{}; }

@@ -60,8 +60,7 @@ CellResult run_cell(std::uint64_t seed) {
                               .bytes = 1000 + static_cast<std::uint32_t>(
                                                   prng.below(8000)),
                               .type = mpeg::FrameType::kP,
-                              .enqueued_at = eng.now(),
-                              .frame_addr = 0x400000 + f * 0x2000};
+                              .enqueued_at = eng.now()};
       (void)sched.enqueue(id, d, eng.now());
     }
   };

@@ -1,15 +1,18 @@
 // Footprint audits for the stores a 100k-client storm fills at once: the
 // engine's armed events (one arrival per client at t = 0), the switch's ports
-// (two per client) and the clients' TcpLite senders. Each reads the live heap
-// before and after filling the store, so it counts every page, vector and
-// malloc header the store costs. Under sanitizers the heap shim is compiled
-// out and the bounds are not asserted.
+// (two per client) and the clients' TcpLite senders; and for the scheduler
+// that nibench's dwcs_shards loads with 100k streams. Each reads the live
+// heap before and after filling the store, so it counts every page, vector
+// and malloc header the store costs. Under sanitizers the heap shim is
+// compiled out and the bounds are not asserted.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "counting_new.hpp"
+#include "dwcs/scheduler.hpp"
 #include "hw/ethernet.hpp"
+#include "mpeg/frame.hpp"
 #include "net/tcplite.hpp"
 #include "sim/engine.hpp"
 #include "sim/handle_table.hpp"
@@ -102,6 +105,41 @@ TEST(Footprint, DrainedTcpLiteSenderHoldsNoHeapBlock) {
   eng.run();
   EXPECT_TRUE(burst.fin_acked());
   EXPECT_EQ(test::heap_live_bytes(), before);
+}
+
+TEST(Footprint, LoadedShardedSchedulerCostsAtMost345BytesPerStream) {
+  // dwcs_shards' scheduler: 100k streams on 4 hierarchical shards, 8-frame
+  // rings, one frame queued on each. A stream's ring is 200 bytes (nine
+  // 21-byte slots and its cursors); its state, view, stats and heap entries
+  // take ~138 more.
+  constexpr std::size_t kStreams = 100'000;
+  const std::int64_t before = test::heap_live_bytes();
+  dwcs::DwcsScheduler::Config cfg;
+  cfg.repr = dwcs::ReprKind::kHierarchical;
+  cfg.hierarchical.shards = 4;
+  cfg.ring_capacity = 8;
+  dwcs::DwcsScheduler sched{cfg};
+  sched.reserve_streams(kStreams);
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    const auto id = sched.create_stream(
+        {.tolerance = {static_cast<std::int64_t>(i % 3), 4},
+         .period = Time::ms(i % 4 == 0 ? 40 : 33),
+         .lossy = i % 10 < 7},
+        Time::zero());
+    ASSERT_TRUE(sched.enqueue(
+        id, dwcs::FrameDescriptor{.frame_id = i,
+                                  .bytes = mpeg::kPaperFrameBytes},
+        Time::zero()));
+  }
+  const std::int64_t grown = test::heap_live_bytes() - before;
+  EXPECT_EQ(sched.stream_count(), kStreams);
+#if NISTREAM_COUNTING_NEW
+  constexpr std::int64_t kBytesPerStream = 345;
+  EXPECT_LE(grown, static_cast<std::int64_t>(kStreams) * kBytesPerStream)
+      << static_cast<double>(grown) / kStreams << " bytes per stream";
+#else
+  (void)grown;
+#endif
 }
 
 }  // namespace
