@@ -1,13 +1,16 @@
 // Chaos sweep: graceful degradation under injected faults, measured.
 //
-// A fault-rate × stream-count grid over the failover media server. Every
-// cell runs the same deterministic scenario: paced producers feed MPEG-sized
-// frames from the NI's disks through the NI-resident DWCS scheduler to a
-// remote client, while the fault plane injects Ethernet loss/corruption, I2O
-// message drops, PCI transaction errors, and disk faults at the cell's rate.
-// Cells with a nonzero rate also crash the NI board mid-run and reboot it
-// one second later, exercising the full watchdog-trip -> host-takeover ->
-// fail-back cycle.
+// A fault-rate × stream-count grid over a one-board cluster control plane
+// (cluster/control_plane.hpp at boards = 1). Every cell runs the same
+// deterministic scenario: paced producers feed MPEG-sized frames from the
+// NI's disks through the NI-resident DWCS scheduler to a remote client,
+// while the fault plane injects Ethernet loss/corruption, I2O message drops,
+// PCI transaction errors, and disk faults at the cell's rate. Cells with a
+// nonzero rate also crash the NI board mid-run and reboot it one second
+// later. With no sibling board the plane's choreography is the single-board
+// one: the watchdog trips, every stream spills to the lazily built host
+// scheduler, and after the reboot each stream drains home over the reliable
+// DVCM link (TcpLite), which rides the same lossy switch as the media.
 //
 // What the JSON proves (the acceptance criteria of the fault-plane work):
 //  * rate 0 == the old perfect world: zero faults injected, zero failovers;
@@ -25,7 +28,7 @@
 #include <vector>
 
 #include "apps/client.hpp"
-#include "apps/failover_server.hpp"
+#include "cluster/control_plane.hpp"
 #include "fault/fault_plane.hpp"
 #include "mpeg/frame.hpp"
 #include "runner.hpp"
@@ -43,6 +46,8 @@ constexpr std::uint32_t kFrameBytes = mpeg::kPaperFrameBytes;
 // full seek+rotation (~4 ms) each, saturating two disks at 32 streams; block
 // reads amortize the mechanical cost as a real media pump does.
 constexpr std::uint32_t kFramesPerBlock = 8;
+constexpr dwcs::StreamParams kStreamParams{
+    .tolerance = {1, 4}, .period = kFramePeriod, .lossy = true};
 
 struct CellSpec {
   double rate;
@@ -52,7 +57,7 @@ struct CellSpec {
 struct CellResult {
   CellSpec spec{};
   fault::FaultPlane::Summary faults;
-  apps::FailoverMediaServer::Metrics server;
+  cluster::ClusterControlPlane::Metrics plane;
   std::uint64_t frames_enqueued = 0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t violating_windows = 0;
@@ -63,10 +68,11 @@ struct CellResult {
 /// it exactly on the period grid (a real pump reads ahead; pacing on
 /// read-completion would drift by the read latency every period and smear
 /// lateness into the rate-0 baseline). A rejected frame is NOT retried — it
-/// stands in for a live source whose moment has passed (the router records it
+/// stands in for a live source whose moment has passed (the plane records it
 /// as a drop against the stream's window).
 sim::Coro chaos_producer(sim::Engine& engine, hw::ScsiDisk& disk,
-                         apps::FailoverMediaServer& server, dwcs::StreamId id,
+                         cluster::ClusterControlPlane& plane,
+                         cluster::GlobalStreamId id,
                          std::uint64_t disk_offset, sim::Time stagger,
                          sim::Time anchor, std::uint64_t* enqueued) {
   // Stagger admission phase so the per-disk block reads do not convoy on the
@@ -90,7 +96,7 @@ sim::Coro chaos_producer(sim::Engine& engine, hw::ScsiDisk& disk,
         co_await sim::Delay{engine, next - engine.now()};
       }
       if (engine.now() >= kRunFor) co_return;
-      if (server.enqueue(id, kFrameBytes, mpeg::FrameType::kP)) ++(*enqueued);
+      if (plane.enqueue(id, kFrameBytes, mpeg::FrameType::kP)) ++(*enqueued);
       next = next + kFramePeriod;
     }
     co_await disk.read(offset, kFrameBytes * kFramesPerBlock);
@@ -105,38 +111,38 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
 
   sim::Engine eng;
   hostos::HostMachine host{eng, 2};
-  hw::PciBus bus{eng};
   hw::EthernetSwitch ether{eng};
-  fault::FaultPlane plane{eng, fault::FaultProfile::uniform(rate, seed)};
+  fault::FaultPlane faults{eng, fault::FaultProfile::uniform(rate, seed)};
 
   // Completion-anchored deadlines: with dozens of same-period streams the
   // VCM serializes near-tied dispatches at ~30 us each, so the last stream
   // in a tie is structurally a few tens of us past its own deadline. Grid
   // anchoring would turn that phase deficit into a permanent 100% drop rate
   // for that stream; completion anchoring absorbs it (see scheduler.hpp).
-  apps::FailoverMediaServer::Config cfg;
+  cluster::ClusterControlPlane::Config cfg;
+  cfg.boards = 1;
   cfg.service.scheduler.deadline_from_completion = true;
-  apps::FailoverMediaServer server{host, bus, ether, cfg};
+  cluster::ClusterControlPlane plane{host, ether, cfg};
   apps::MpegClient client{eng, ether};
 
   // Wire the injectors into every layer the frames traverse. Rate-0 cells
   // wire them too — proving the hooks are inert when the policy is zero.
-  ether.set_fault(&plane.link());
-  bus.set_fault(&plane.pci());
-  server.ni().board().i2o().set_fault(&plane.i2o());
-  server.ni().board().disk(0).set_fault(&plane.disk());
-  server.ni().board().disk(1).set_fault(&plane.disk());
-  server.ni().attach_health(plane.health());
+  hw::NicBoard& board = plane.ni(0).board();
+  ether.set_fault(&faults.link());
+  board.bus().set_fault(&faults.pci());
+  board.i2o().set_fault(&faults.i2o());
+  board.disk(0).set_fault(&faults.disk());
+  board.disk(1).set_fault(&faults.disk());
+  plane.attach_health(0, faults.health());
 
-  if (rate > 0) plane.health().schedule_crash(kCrashAt, kRebootAfter);
+  if (rate > 0) faults.health().schedule_crash(kCrashAt, kRebootAfter);
 
   std::uint64_t enqueued = 0;
   const std::size_t per_disk = (n_streams + 1) / 2;
   const double refill_us = kFramePeriod.to_us() * kFramesPerBlock;
   for (std::size_t i = 0; i < n_streams; ++i) {
-    const auto id = server.create_stream(
-        {.tolerance = {1, 4}, .period = kFramePeriod, .lossy = true},
-        client.port());
+    const auto id =
+        plane.open_stream(kStreamParams, kFrameBytes, client.port()).value();
     const auto stagger = sim::Time::us(
         refill_us * static_cast<double>(i / 2) / static_cast<double>(per_disk));
     // Grid anchor: stagger + a budget covering the worst-case fault-free
@@ -145,22 +151,21 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
     // dispatch window of each other.
     const auto anchor = stagger + sim::Time::ms(10) +
                         sim::Time::us(733.0 * static_cast<double>(i));
-    chaos_producer(eng, server.ni().board().disk(static_cast<int>(i % 2)),
-                   server, id, /*disk_offset=*/i * 0x0100'0000ull, stagger,
-                   anchor, &enqueued)
+    chaos_producer(eng, board.disk(static_cast<int>(i % 2)), plane, id,
+                   /*disk_offset=*/i * 0x0100'0000ull, stagger, anchor,
+                   &enqueued)
         .detach();
   }
 
   eng.run_until(kRunFor);
 
-  r.faults = plane.summary();
-  r.server = server.metrics();
+  r.faults = faults.summary();
+  r.plane = plane.metrics();
   r.frames_enqueued = enqueued;
   r.frames_delivered = client.total_frames();
-  r.violating_windows = server.monitor().total_violating_windows();
-  for (std::size_t i = 0; i < n_streams; ++i) {
-    const double vr =
-        server.monitor().violation_rate(static_cast<dwcs::StreamId>(i));
+  r.violating_windows = plane.monitor().total_violating_windows();
+  for (cluster::GlobalStreamId g = 0; g < plane.streams_opened(); ++g) {
+    const double vr = plane.violation_rate(g);
     if (vr > r.max_stream_violation_rate) r.max_stream_violation_rate = vr;
   }
   return r;
@@ -169,14 +174,14 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
 void check(const CellResult& r, bench::Verdict& v) {
   if (r.spec.rate == 0.0) {
     if (r.faults.total() != 0) v.fail("faults injected at rate 0");
-    if (r.server.failovers != 0) v.fail("failover at rate 0");
+    if (r.plane.failovers != 0) v.fail("failover at rate 0");
     if (r.violating_windows != 0) v.fail("violations in the perfect world");
   } else {
     if (r.faults.total() == 0) v.fail("no faults injected at nonzero rate");
-    if (r.server.failovers == 0) {
+    if (r.plane.failovers == 0) {
       v.fail("watchdog never tripped on a dead board");
     }
-    if (r.server.failbacks == 0) v.fail("NI never re-instated after reboot");
+    if (r.plane.failbacks == 0) v.fail("NI never re-instated after reboot");
     // "Bounded" = degradation, not collapse: even with the board dead for
     // over a second of a six-second run, most window positions must hold.
     if (r.max_stream_violation_rate > 0.5) {
@@ -191,7 +196,7 @@ void check(const CellResult& r, bench::Verdict& v) {
 
 void write_cell(bench::Json& j, const CellResult& c, const bench::Verdict& v) {
   const auto& f = c.faults;
-  const auto& m = c.server;
+  const auto& m = c.plane;
   j.g("fault_rate", c.spec.rate).u("streams", c.spec.streams)
       .b("crash", c.spec.rate > 0)
       .wrap(5).u("faults_injected", f.total())

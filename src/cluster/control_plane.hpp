@@ -2,11 +2,9 @@
 // NIs, with NI-to-NI failover.
 //
 // The paper's scalability argument is "add NIs, not CPUs" (§6's careful
-// construction). The single-board failover server (apps/failover_server.hpp)
-// betrays that argument under faults: when its one board dies, every stream
-// degrades to the *host* scheduler — exactly the resource the architecture
-// exists to spare. This plane generalizes it to N boards, so a board death
-// is absorbed by the boards that remain:
+// construction). On one board, a board death leaves the host scheduler as
+// the only refuge — exactly the resource the architecture exists to spare.
+// With N boards, a death is absorbed by the boards that remain:
 //
 //   board b trips ──▶ purge b's backlog (loss made visible)
 //                 ──▶ evacuate b's streams in violation-pressure order:
@@ -21,6 +19,11 @@
 //                       under the same choreography, each served at its
 //                       refuge until the home adoption lands (no second
 //                       outage during fail-back).
+//
+// At boards = 1 the same choreography is single-board failover: with no
+// sibling, the trip spills every stream to the host, the reboot drains each
+// one home over the reliable link, and while the board is down open_stream
+// refuses fresh streams (bench/chaos_sweep.cpp drives it so).
 //
 // One HostWatchdog per board (phase-staggered), one shadow registry for the
 // cluster (cluster/registry.hpp), one violation monitor keyed by
@@ -435,7 +438,7 @@ class ClusterControlPlane {
       return;
     }
     // No sibling has headroom: the host is the last resort. The registry is
-    // host-resident, so the spill is a local restore, not a shipment.
+    // host-resident, so the spill is a local adoption, not a shipment.
     ensure_host_server();
     const auto local = host_server_->service().adopt(checkpoint_of(rec));
     supersede(rec, Residence{.board = Residence::kHost,
@@ -516,8 +519,7 @@ class ClusterControlPlane {
                        .ni->service()
                        .frames_sent(rec.where.local);
     }
-    return {.id = rec.id,
-            .params = rec.params,
+    return {.params = rec.params,
             .client_port = rec.client_port,
             .frames_sent = sent};
   }

@@ -2,10 +2,9 @@
 //
 // Each logical stream admitted to the cluster gets a GlobalStreamId here at
 // admission time — before any board learns about it — because the board's
-// copy of the state dies with the board (the lesson of the single-board
-// failover server, generalized). A stream's *residence* says where it is
-// being served right now: which board, under which board incarnation, and
-// what service-local id it answers to there. Residences are keyed by
+// copy of the state dies with the board. A stream's *residence* says where
+// it is being served right now: which board, under which board incarnation,
+// and what service-local id it answers to there. Residences are keyed by
 // (board incarnation, local id), never by local id alone: board 2's stream
 // 3 in incarnation 0 and the stream that happens to get local id 3 after
 // board 2 reboots are different placements with different QoS histories.

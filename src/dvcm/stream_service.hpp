@@ -44,7 +44,6 @@ namespace nistream::dvcm {
 /// checkpoint — they lived in the dead board's RAM and are lost by design
 /// (the producer re-enqueues from the source).
 struct StreamCheckpoint {
-  dwcs::StreamId id = 0;
   dwcs::StreamParams params{};
   int client_port = -1;
   std::uint64_t frames_sent = 0;
@@ -213,36 +212,10 @@ class StreamService {
   }
   void set_drop_observer(DropObserver obs) { drop_observer_ = std::move(obs); }
 
-  /// Snapshot every stream's re-admission state (see StreamCheckpoint).
-  [[nodiscard]] std::vector<StreamCheckpoint> checkpoint() const {
-    std::vector<StreamCheckpoint> out;
-    out.reserve(streams_.size());
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      const auto id = static_cast<dwcs::StreamId>(i);
-      out.push_back({.id = id,
-                     .params = sched_.stream_params(id),
-                     .client_port = streams_[i].client_port,
-                     .frames_sent = streams_[i].frames_sent});
-    }
-    return out;
-  }
-
-  /// Re-admit checkpointed streams into this (fresh) service. Stream ids are
-  /// preserved, so the service must not have competing streams already; the
-  /// assert enforces the id agreement.
-  void restore(const std::vector<StreamCheckpoint>& snap) {
-    for (const auto& c : snap) {
-      const auto id = create_stream(c.params, c.client_port);
-      assert(id == c.id);
-      (void)id;
-      streams_[c.id].frames_sent = c.frames_sent;
-    }
-  }
-
-  /// Re-admit one checkpointed stream under a *fresh* local id — cluster
-  /// adoption, where the adopting board's id space has nothing to do with
-  /// the dead board's. Returns the local id assigned here; the caller (the
-  /// cluster control plane's shadow registry) owns the mapping.
+  /// Re-admit one checkpointed stream under a fresh local id: a sibling
+  /// board or the host adopting a dead board's stream, whose id spaces have
+  /// nothing to do with each other. Returns the local id assigned here; the
+  /// caller (the cluster control plane's shadow registry) owns the mapping.
   dwcs::StreamId adopt(const StreamCheckpoint& c) {
     const auto id = create_stream(c.params, c.client_port);
     streams_[id].frames_sent = c.frames_sent;

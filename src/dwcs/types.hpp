@@ -19,8 +19,9 @@ namespace nistream::dwcs {
 using StreamId = std::uint32_t;
 inline constexpr StreamId kInvalidStream = std::numeric_limits<StreamId>::max();
 
-/// Simulated address (see hw::MemoryPool); the scheduler passes these to the
-/// cost hook so the cache model can key on them.
+/// Simulated address of scheduler state (rings, heaps, per-stream blocks),
+/// handed to CostHook::mem so the cache model can key on it. Never a host
+/// pointer, so charged runs are reproducible under ASLR.
 using SimAddr = std::uint64_t;
 
 /// A loss-tolerance window constraint: x losses permitted per y consecutive

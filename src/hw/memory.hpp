@@ -1,39 +1,28 @@
-// On-card memory accounting + simulated-address allocation.
+// On-card memory accounting.
 //
 // The i960 RD ships with 4 MB (expandable to 36 MB); the paper's design
 // keeps a *single copy* of each frame in card memory and passes descriptor
-// addresses around to conserve it. MemoryPool enforces the capacity and
-// hands out stable simulated addresses that the cache model can key on —
-// never real host pointers, so runs are reproducible under ASLR.
+// addresses around to conserve it. MemoryPool enforces the capacity: it
+// counts the bytes that queued frames hold and refuses a frame that would
+// overflow the card.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <optional>
 
 namespace nistream::hw {
 
-/// A simulated physical address on some device's memory.
-using SimAddr = std::uint64_t;
-
 class MemoryPool {
  public:
-  explicit MemoryPool(std::uint64_t capacity_bytes, SimAddr base = 0x100000)
-      : capacity_{capacity_bytes}, base_{base}, bump_{base} {}
+  explicit MemoryPool(std::uint64_t capacity_bytes)
+      : capacity_{capacity_bytes} {}
 
-  /// Allocate `bytes`; returns the block's simulated address, or nullopt when
-  /// the pool is exhausted. Addresses are a bump cursor that wraps over the
-  /// address window — they identify cache lines, not storage.
-  std::optional<SimAddr> allocate(std::uint64_t bytes) {
-    if (used_ + bytes > capacity_) return std::nullopt;
+  /// Reserve `bytes`; false (and nothing reserved) when the pool would
+  /// overflow.
+  bool allocate(std::uint64_t bytes) {
+    if (used_ + bytes > capacity_) return false;
     used_ += bytes;
-    high_water_ = std::max(high_water_, used_);
-    const SimAddr addr = bump_;
-    bump_ += bytes;
-    if (bump_ >= base_ + capacity_) bump_ = base_ + (bump_ - base_) % capacity_;
-    ++allocations_;
-    return addr;
+    return true;
   }
 
   /// Return `bytes` to the pool (caller pairs sizes with allocate()).
@@ -45,16 +34,10 @@ class MemoryPool {
   [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
   [[nodiscard]] std::uint64_t used() const { return used_; }
   [[nodiscard]] std::uint64_t available() const { return capacity_ - used_; }
-  [[nodiscard]] std::uint64_t high_water() const { return high_water_; }
-  [[nodiscard]] std::uint64_t allocations() const { return allocations_; }
 
  private:
   std::uint64_t capacity_;
-  SimAddr base_;
-  SimAddr bump_;
   std::uint64_t used_ = 0;
-  std::uint64_t high_water_ = 0;
-  std::uint64_t allocations_ = 0;
 };
 
 }  // namespace nistream::hw

@@ -18,10 +18,8 @@
 #include "dvcm/stream_service.hpp"
 #include "hostos/filesystem.hpp"
 #include "hostos/host.hpp"
-#include "hw/i2o.hpp"
 #include "hw/pci.hpp"
 #include "hw/scsi_disk.hpp"
-#include "hw/striped_volume.hpp"
 #include "net/udp.hpp"
 #include "path/frame_path.hpp"
 #include "rtos/wind.hpp"
@@ -100,23 +98,6 @@ inline FramePath producer_path_b(sim::Engine& engine, hw::ScsiDisk& disk,
   return p;
 }
 
-/// Path B producer with an explicit I2O descriptor post: the frame body
-/// DMAs peer-to-peer, then the producer pays the PIO cost of pushing the
-/// frame's message descriptor through the I2O channel to the scheduler NI.
-inline FramePath producer_path_b_i2o(sim::Engine& engine, hw::ScsiDisk& disk,
-                                     rtos::Task& task, hw::PciBus& bus,
-                                     hw::I2oChannel& channel,
-                                     dvcm::StreamService& service,
-                                     sim::Time backoff = kEnqueueBackoff) {
-  FramePath p{engine, "producer-b-i2o"};
-  p.stage<DiskStage<hw::ScsiDisk>>(disk)
-      .stage<SegmentStage<rtos::Task>>(task, kSegmentationCyclesPerFrame)
-      .stage<PciDmaStage>(bus)
-      .stage<I2oStage>(engine, channel)
-      .stage<EnqueueStage>(engine, service, backoff);
-  return p;
-}
-
 /// Path C producer: NI disk -> wind-task segmentation -> same-card ring.
 inline FramePath producer_path_c(sim::Engine& engine, hw::ScsiDisk& disk,
                                  rtos::Task& task,
@@ -124,19 +105,6 @@ inline FramePath producer_path_c(sim::Engine& engine, hw::ScsiDisk& disk,
                                  sim::Time backoff = kEnqueueBackoff) {
   FramePath p{engine, "producer-c"};
   p.stage<DiskStage<hw::ScsiDisk>>(disk)
-      .stage<SegmentStage<rtos::Task>>(task, kSegmentationCyclesPerFrame)
-      .stage<EnqueueStage>(engine, service, backoff);
-  return p;
-}
-
-/// Path C over a Tiger-style striped volume instead of a single spindle.
-inline FramePath producer_path_c_striped(sim::Engine& engine,
-                                         hw::StripedVolume& volume,
-                                         rtos::Task& task,
-                                         dvcm::StreamService& service,
-                                         sim::Time backoff = kEnqueueBackoff) {
-  FramePath p{engine, "producer-c-striped"};
-  p.stage<DiskStage<hw::StripedVolume>>(volume)
       .stage<SegmentStage<rtos::Task>>(task, kSegmentationCyclesPerFrame)
       .stage<EnqueueStage>(engine, service, backoff);
   return p;

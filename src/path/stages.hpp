@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "dvcm/stream_service.hpp"
-#include "hw/i2o.hpp"
 #include "hw/pci.hpp"
 #include "net/udp.hpp"
 #include "path/staged_frame.hpp"
@@ -35,7 +34,7 @@ class Stage {
   Stage& operator=(const Stage&) = delete;
 
   /// Short stable name used for the per-stage latency breakdown
-  /// ("disk", "fs", "pci", "i2o", "segment", "enqueue", "send", ...).
+  /// ("disk", "fs", "pci", "segment", "enqueue", "send", ...).
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Move the frame through this stage, charging its cost. Runs inline on
@@ -90,23 +89,6 @@ class PciDmaStage final : public Stage {
 
  private:
   hw::PciBus& bus_;
-};
-
-/// Post the frame's descriptor through the I2O message path: the producer
-/// pays the PIO cost of writing one message frame across the bus (the frame
-/// body itself moves by DMA or stays put — only the descriptor rides I2O).
-class I2oStage final : public Stage {
- public:
-  I2oStage(sim::Engine& engine, hw::I2oChannel& channel)
-      : engine_{engine}, channel_{channel} {}
-  [[nodiscard]] const char* name() const override { return "i2o"; }
-  sim::Coro apply(StagedFrame&) override {
-    co_await sim::Delay{engine_, channel_.post_cost()};
-  }
-
- private:
-  sim::Engine& engine_;
-  hw::I2oChannel& channel_;
 };
 
 /// CPU-charged MPEG segmentation (start-code scan + header decode). CpuCtx

@@ -1,8 +1,10 @@
 // Cluster control plane choreography: board crash -> watchdog trip ->
 // checkpoint shipping to sibling NIs -> capacity-aware mass re-admission
 // (host only as last resort) -> fail-back drain when the board reboots.
-// Plus the monitor-scope keying that keeps a re-admitted stream's QoS
-// counters from aliasing its pre-crash life.
+// The OneBoard cases run the same plane with no sibling: single-board
+// failover, where every stream spills to the host and drains home. Plus the
+// monitor-scope keying that keeps a re-admitted stream's QoS counters from
+// aliasing its pre-crash life.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -230,6 +232,142 @@ TEST(ClusterFailover, RebootStartsAFreshMonitorScopeAndFreezesTheOldOne) {
             frozen + rig.plane.monitor().packets(current) +
                 rig.plane.monitor().packets(
                     {rec.history[1].monitor_scope, rec.history[1].local}));
+}
+
+TEST(ClusterFailover, OneBoardTripSpillsEveryStreamToTheHost) {
+  Rig rig{1};
+  for (std::size_t i = 0; i < 4; ++i) rig.add_stream(i, Time::sec(4));
+  rig.health[0]->schedule_crash(Time::sec(1));  // stays dead
+  rig.eng.run_until(Time::sec(4));
+
+  const auto& m = rig.plane.metrics();
+  EXPECT_EQ(m.failovers, 1u);
+  EXPECT_EQ(m.failbacks, 0u);
+  EXPECT_EQ(rig.plane.watchdog(0).trips(), 1u);
+  EXPECT_FALSE(rig.plane.board_serving(0));
+  // Detection latency: max_missed probes at ~interval cadence plus timeout.
+  EXPECT_GT(m.failover_latency_ms, 0.0);
+  EXPECT_LT(m.failover_latency_ms, 1000.0);
+  // No sibling exists, so the host takes every stream, at the trip.
+  EXPECT_EQ(m.migrations_started, 0u);
+  EXPECT_EQ(m.host_takeover_streams, 4u);
+  EXPECT_EQ(m.readmission_complete_ms, m.failover_latency_ms);
+  ASSERT_NE(rig.plane.host_server(), nullptr);
+  EXPECT_EQ(rig.plane.host_server()->service().scheduler().stream_count(), 4u);
+  // The host kept the tap running: the outage is a bounded violation burst
+  // on every stream, not a collapse.
+  for (GlobalStreamId g = 0; g < 4; ++g) {
+    EXPECT_TRUE(rig.plane.registry().record(g).where.on_host());
+    EXPECT_LT(rig.plane.violation_rate(g), 0.5);
+  }
+  EXPECT_GT(rig.client.total_frames(), 4u * 60);
+}
+
+TEST(ClusterFailover, OneBoardRebootDrainsEveryStreamHomeUnderItsLocalId) {
+  Rig rig{1};
+  for (std::size_t i = 0; i < 4; ++i) rig.add_stream(i, Time::sec(5));
+  rig.health[0]->schedule_crash(Time::sec(1), /*reboot_after=*/Time::ms(800));
+  rig.eng.run_until(Time::sec(5));
+
+  const auto& m = rig.plane.metrics();
+  EXPECT_EQ(m.failovers, 1u);
+  EXPECT_EQ(m.failbacks, 1u);
+  EXPECT_TRUE(rig.plane.board_serving(0));
+  EXPECT_EQ(rig.plane.watchdog(0).recoveries(), 1u);
+  // The ack that triggered recovery carried the post-reboot incarnation.
+  EXPECT_EQ(rig.plane.watchdog(0).last_ack_incarnation(), 1u);
+  EXPECT_EQ(rig.health[0]->incarnation(), 1u);
+  EXPECT_EQ(m.host_takeover_streams, 4u);
+  EXPECT_EQ(m.drainbacks_started, 4u);
+  EXPECT_EQ(m.drainbacks_completed, 4u);
+  EXPECT_GT(m.recovery_time_ms, m.failover_latency_ms);
+
+  // Every stream is home under its original local id, in a fresh monitor
+  // scope (new incarnation), after one placement on the host; the drain
+  // re-reserved it on the board.
+  EXPECT_EQ(rig.plane.admission(0).admitted(), 4u);
+  for (GlobalStreamId g = 0; g < 4; ++g) {
+    const auto& rec = rig.plane.registry().record(g);
+    EXPECT_EQ(rec.where.board, 0);
+    EXPECT_EQ(rec.where.local, rec.home_local);
+    EXPECT_EQ(rec.where.incarnation, 1u);
+    ASSERT_EQ(rec.history.size(), 2u);
+    EXPECT_TRUE(rec.history[1].on_host());
+    // Frames flow end to end on the board again.
+    EXPECT_GT(rig.plane.monitor().packets(
+                  {rec.where.monitor_scope, rec.where.local}),
+              40u);
+  }
+}
+
+TEST(ClusterFailover, OneBoardPurgedFramesShowInPackets) {
+  Rig rig{1};
+  const auto g = rig.plane.open_stream(kParams, 1000, rig.client.port());
+  ASSERT_TRUE(g.has_value());
+  // Queue frames but stop the clock before any dispatch: they sit in the
+  // NI ring when the board dies.
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(rig.plane.enqueue(*g, 1000, mpeg::FrameType::kP));
+  }
+  const auto before = rig.plane.packets(*g);
+  rig.health[0]->crash();
+  rig.eng.run_until(Time::sec(1));  // watchdog trips, fail_over purges
+
+  const auto& m = rig.plane.metrics();
+  EXPECT_EQ(m.failovers, 1u);
+  EXPECT_EQ(m.frames_purged, 5u);
+  // Every purged frame was recorded against the stream's window.
+  EXPECT_EQ(rig.plane.packets(*g), before + 5);
+}
+
+TEST(ClusterFailover, OneBoardEnqueueBetweenDeathAndTripIsRefused) {
+  Rig rig{1};
+  const auto g = rig.plane.open_stream(kParams, 1000, rig.client.port());
+  ASSERT_TRUE(g.has_value());
+  rig.health[0]->crash();
+  // Before the watchdog notices, enqueues hit the dead NI service: refused,
+  // counted, and recorded as a drop at the dead placement.
+  EXPECT_FALSE(rig.plane.enqueue(*g, 1000, mpeg::FrameType::kP));
+  EXPECT_EQ(rig.plane.ni(0).service().rejected_offline(), 1u);
+  EXPECT_EQ(rig.plane.metrics().frames_rejected, 1u);
+  EXPECT_EQ(rig.plane.packets(*g), 1u);
+}
+
+TEST(ClusterFailover, OneBoardFaultFreeRunNeverTrips) {
+  Rig rig{1};
+  for (std::size_t i = 0; i < 4; ++i) rig.add_stream(i, Time::sec(3));
+  rig.eng.run_until(Time::sec(3));
+  EXPECT_TRUE(rig.plane.board_serving(0));
+  EXPECT_EQ(rig.plane.watchdog(0).trips(), 0u);
+  EXPECT_GT(rig.plane.watchdog(0).acks_received(), 20u);
+  EXPECT_EQ(rig.plane.metrics().failovers, 0u);
+  EXPECT_EQ(rig.plane.host_server(), nullptr);
+  EXPECT_EQ(rig.plane.monitor().total_violating_windows(), 0u);
+}
+
+TEST(ClusterFailover, OneBoardRefusesAdmissionWhileDown) {
+  Rig rig{1};
+  for (std::size_t i = 0; i < 2; ++i) rig.add_stream(i, Time::sec(5));
+  rig.health[0]->schedule_crash(Time::sec(1), /*reboot_after=*/Time::ms(800));
+  // The watchdog trips by ~1.4 s; the board is back by ~2.5 s at worst.
+  rig.eng.run_until(Time::ms(1500));
+  ASSERT_FALSE(rig.plane.board_serving(0));
+  // Fresh admission never spills to the host: with its only board down
+  // the plane refuses the stream.
+  EXPECT_FALSE(
+      rig.plane.open_stream(kParams, 1000, rig.client.port()).has_value());
+  EXPECT_EQ(rig.plane.metrics().rejected_admission, 1u);
+
+  rig.eng.run_until(Time::sec(3));
+  ASSERT_TRUE(rig.plane.board_serving(0));
+  const auto fresh = rig.plane.open_stream(kParams, 1000, rig.client.port());
+  ASSERT_TRUE(fresh.has_value());
+  EXPECT_EQ(rig.plane.registry().record(*fresh).where.board, 0);
+  EXPECT_EQ(rig.plane.metrics().rejected_admission, 1u);
+  paced_producer(rig.eng, rig.plane, *fresh, Time::zero(), Time::sec(5))
+      .detach();
+  rig.eng.run_until(Time::sec(5));
+  EXPECT_GT(rig.plane.packets(*fresh), 40u);
 }
 
 TEST(ClusterFailover, MonitorScopeKeyingDoesNotAliasAcrossBoards) {

@@ -8,8 +8,7 @@ namespace {
 
 TEST(Memory, AllocateAndRelease) {
   MemoryPool pool{1000};
-  auto a = pool.allocate(400);
-  ASSERT_TRUE(a.has_value());
+  ASSERT_TRUE(pool.allocate(400));
   EXPECT_EQ(pool.used(), 400u);
   EXPECT_EQ(pool.available(), 600u);
   pool.release(400);
@@ -18,43 +17,23 @@ TEST(Memory, AllocateAndRelease) {
 
 TEST(Memory, ExhaustionFailsCleanly) {
   MemoryPool pool{1000};
-  EXPECT_TRUE(pool.allocate(600).has_value());
-  EXPECT_FALSE(pool.allocate(500).has_value());  // would exceed capacity
-  EXPECT_EQ(pool.used(), 600u);                  // failed alloc changed nothing
-  EXPECT_TRUE(pool.allocate(400).has_value());
-}
-
-TEST(Memory, HighWaterMark) {
-  MemoryPool pool{1000};
-  pool.allocate(700);
-  pool.release(700);
-  pool.allocate(100);
-  EXPECT_EQ(pool.high_water(), 700u);
-}
-
-TEST(Memory, AddressesAreDistinctAndStable) {
-  MemoryPool pool{1 << 20};
-  const auto a = pool.allocate(100);
-  const auto b = pool.allocate(100);
-  ASSERT_TRUE(a && b);
-  EXPECT_NE(*a, *b);
-  EXPECT_EQ(*b, *a + 100);  // bump allocation is deterministic
-
-  MemoryPool pool2{1 << 20};
-  EXPECT_EQ(pool2.allocate(100), a);  // identical across instances
+  EXPECT_TRUE(pool.allocate(600));
+  EXPECT_FALSE(pool.allocate(500));  // would exceed capacity
+  EXPECT_EQ(pool.used(), 600u);      // failed alloc changed nothing
+  EXPECT_TRUE(pool.allocate(400));
 }
 
 TEST(Memory, FourMegabyteCardFitsExpectedFrameLoad) {
   // The design point from §3.1.2: single frame copies in 4 MB of NI memory.
   MemoryPool pool{4ull * 1024 * 1024};
   // ~150 frames of 8 KB (Tables 1-3 workload) is far below capacity…
-  for (int i = 0; i < 151; ++i) ASSERT_TRUE(pool.allocate(8192).has_value());
+  for (int i = 0; i < 151; ++i) ASSERT_TRUE(pool.allocate(8192));
   // …but a full 1000-frame, 8 KB working set would not fit without the
   // single-copy discipline.
   MemoryPool pool2{4ull * 1024 * 1024};
   bool exhausted = false;
   for (int i = 0; i < 1000 && !exhausted; ++i) {
-    exhausted = !pool2.allocate(2 * 8192).has_value();  // two copies each
+    exhausted = !pool2.allocate(2 * 8192);  // two copies each
   }
   EXPECT_TRUE(exhausted);
 }

@@ -6,8 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "apps/client.hpp"
-#include "hw/i2o.hpp"
-#include "hw/striped_volume.hpp"
 #include "mpeg/encoder.hpp"
 
 namespace nistream::path {
@@ -66,19 +64,6 @@ TEST(FramePath, RunFrameStampsEveryStage) {
   EXPECT_EQ(stats.stages[1].name, "pci");
   EXPECT_DOUBLE_EQ(stats.stages[0].ms.mean(),
                    f.samples[0].duration().to_ms());
-}
-
-TEST(Stages, I2oStageChargesPostCost) {
-  sim::Engine eng;
-  hw::PciBus bus{eng};
-  hw::I2oChannel chan{eng, bus};
-  FramePath p{eng, "i2o"};
-  p.stage<I2oStage>(eng, chan);
-  StagedFrame f;
-  auto run = [&]() -> sim::Coro { co_await p.run_frame(f, nullptr); };
-  run().detach();
-  eng.run();
-  EXPECT_EQ(f.samples[0].duration(), chan.post_cost());
 }
 
 TEST(Stages, SegmentStageChargesTaskCycles) {
@@ -203,10 +188,6 @@ TEST(Paths, AllPaperPathsCompose) {
   hw::PciBus bus{eng, cal.pci};
   hw::EthernetSwitch ether{eng, cal.ethernet};
   hw::ScsiDisk disk{eng, cal.disk, 11};
-  hw::ScsiDisk member{eng, cal.disk, 12};
-  std::vector<hw::ScsiDisk*> members{&disk, &member};
-  hw::StripedVolume vol{eng, members};
-  hw::I2oChannel chan{eng, bus};
   hostos::HostMachine host{eng, 1, cal, Time::sec(1)};
   hostos::UfsFilesystem ufs{eng, disk, cal.fs};
   hostos::Process& proc = host.spawn("prod");
@@ -216,8 +197,8 @@ TEST(Paths, AllPaperPathsCompose) {
   net::UdpEndpoint ep{eng, ether, cal.ethernet.stack_traversal,
                       net::UdpEndpoint::Receiver{}};
 
-  // Every paper path plus the striped and I2O variants builds, and carries
-  // the stage sequence its Figure 3 arrow diagram says it should.
+  // Every paper path builds and carries the stage sequence its Figure 3
+  // arrow diagram says it should.
   const auto names = [](const FramePath& p) {
     std::vector<std::string> v;
     for (std::size_t i = 0; i < p.stage_count(); ++i) {
@@ -234,47 +215,10 @@ TEST(Paths, AllPaperPathsCompose) {
             (V{"fs", "segment", "enqueue"}));
   EXPECT_EQ(names(producer_path_b(eng, disk, task, bus, svc)),
             (V{"disk", "segment", "pci", "enqueue"}));
-  EXPECT_EQ(names(producer_path_b_i2o(eng, disk, task, bus, chan, svc)),
-            (V{"disk", "segment", "pci", "i2o", "enqueue"}));
   EXPECT_EQ(names(producer_path_c(eng, disk, task, svc)),
-            (V{"disk", "segment", "enqueue"}));
-  EXPECT_EQ(names(producer_path_c_striped(eng, vol, task, svc)),
             (V{"disk", "segment", "enqueue"}));
   EXPECT_EQ(names(synthetic_producer_path(eng, task, svc)),
             (V{"segment", "enqueue"}));
-}
-
-TEST(Paths, StripedProducerDeliversOffTheVolume) {
-  sim::Engine eng;
-  hw::Calibration cal;
-  hw::CpuModel cpu{hw::kI960Rd};
-  hw::ScsiDisk d0{eng, cal.disk, 21};
-  hw::ScsiDisk d1{eng, cal.disk, 22};
-  std::vector<hw::ScsiDisk*> members{&d0, &d1};
-  hw::StripedVolume vol{eng, members};
-  rtos::WindKernel kernel{eng, cpu, cal.rtos};
-  rtos::Task& task = kernel.spawn("tProd", 120);
-  dvcm::StreamService svc{eng, {}, cpu, cal.ni_int, cal.ni_softfp, nullptr};
-  const auto id = svc.create_stream(
-      {.tolerance = {1, 4}, .period = Time::ms(10), .lossy = true}, 0);
-
-  auto p = producer_path_c_striped(eng, vol, task, svc);
-  PathStats stats;
-  mpeg::EncoderParams ep;
-  ep.seed = 9;
-  const auto file = mpeg::SyntheticEncoder{ep}.generate(12);
-  pump(p, mpeg_file_source(file, id, 0, Provenance::kStripedVolume), {},
-       stats)
-      .detach();
-  eng.run_until(Time::sec(2));
-
-  EXPECT_TRUE(stats.finished);
-  EXPECT_EQ(stats.frames_produced, 12u);
-  EXPECT_GT(stats.stage_mean_ms("disk"), 0.0);
-  EXPECT_GT(stats.stage_mean_ms("segment"), 0.0);
-  // Both members served part of the sweep.
-  EXPECT_GT(d0.requests(), 0u);
-  EXPECT_GT(d1.requests(), 0u);
 }
 
 }  // namespace
