@@ -438,9 +438,23 @@ class ClusterControlPlane {
       return;
     }
     // No sibling has headroom: the host is the last resort. The registry is
-    // host-resident, so the spill is a local adoption, not a shipment.
+    // host-resident, so the spill is a local adoption, not a shipment. A
+    // stream that spilled before re-adopts its host id, as a drain home
+    // re-adopts the board's: the host never reboots, so that placement
+    // resumes (its windows carry on) and leaves the history again.
     ensure_host_server();
-    const auto local = host_server_->service().adopt(checkpoint_of(rec));
+    dvcm::StreamService& host = host_server_->service();
+    const auto earlier = std::find_if(
+        rec.history.begin(), rec.history.end(),
+        [](const Residence& r) { return r.on_host(); });
+    dwcs::StreamId local;
+    if (earlier != rec.history.end()) {
+      local = earlier->local;
+      host.readopt(local, checkpoint_of(rec));
+      rec.history.erase(earlier);
+    } else {
+      local = host.adopt(checkpoint_of(rec));
+    }
     supersede(rec, Residence{.board = Residence::kHost,
                              .incarnation = 0,
                              .local = local,

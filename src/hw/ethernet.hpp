@@ -35,6 +35,15 @@
 // receiver (FrameReceiver; a std::function would take 32 bytes). With its
 // table word a port costs 44 bytes, and a storm's ~207k ports (two per
 // client) take 8.9 MiB.
+//
+// A port's address can outlive the device on it. rebind() swaps the
+// receiver of an attached port and leaves its address, link times and queue
+// alone, so an owner can attach a port parked on a no-op receiver (parked(),
+// which drops what lands) and build the device that uses it later, or
+// destroy that device early, while the address stays its own. A storm
+// client does both: its ports are numbered when the client is built and
+// freed when it dies, and its TcpLite endpoints live on them only from its
+// arrival until its last ACK lands (session/client.hpp).
 #pragma once
 
 #include <cassert>
@@ -174,6 +183,16 @@ class EthernetSwitch {
     const std::uint32_t i = ports_.emplace(Port{.rx = std::move(rx)});
     return static_cast<int>(i | (ports_.generation(i) << kIndexBits));
   }
+
+  /// Hand the attached `port` to a new receiver, which gets every frame
+  /// that lands from now on, those already queued included.
+  void rebind(int port, Receiver rx) {
+    assert(attached(port) && rx);
+    ports_[index_of(port)].rx = std::move(rx);
+  }
+
+  /// The receiver of a parked port: it drops what lands.
+  static void parked(const EthFrame&) {}
 
   /// Detach the device at `port` (see the header comment).
   void detach(int port) {

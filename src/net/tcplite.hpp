@@ -16,7 +16,7 @@
 // to 60 s. A fixed timer shorter than the queueing delay of a busy port fires
 // for segments that are only waiting, and every resend deepens the queue;
 // docs/session_plane.md shows what that did to a 100k-client SETUP storm.
-// Three things the RTSP session plane forced onto that base:
+// What the RTSP session plane forced onto that base:
 //
 //  * Per-peer sequence spaces. The original receiver kept ONE next-expected
 //    counter for every sender that addressed it, so a second client talking
@@ -40,6 +40,22 @@
 //    occupant starts a fresh sequence space. Its old occupant's segments all
 //    landed first, because a downlink delivers in send order. The peer table
 //    is bounded by ports, not by connections ever made.
+//  * Borrowed ports. An endpoint either attaches a port of its own or binds
+//    one that its owner attached and keeps (hw::EthernetSwitch::rebind). A
+//    borrowing endpoint parks the port on a no-op receiver when it dies, so
+//    the address outlives it. Its pending events check only that the port
+//    is attached, so the owner may destroy it early only once none is
+//    pending: a receiver is idle() when no segment waits out its stack
+//    cost, and a sender says when its close is complete.
+//  * The close listener. close() takes a one-word listener, told once, as
+//    the sender's last act, when the FIN is acknowledged and every
+//    transmission the sender scheduled has had its ACK processed. Each
+//    transmission is counted when transmit() schedules it, first send or
+//    go-back-N resend, not when it reaches the wire, and the peer ACKs each
+//    segment it processes exactly once. So a resent FIN keeps the sender
+//    until its duplicate ACK lands, and nothing of the sender is pending
+//    when it is told: the listener may destroy it. A storm client frees
+//    its endpoints so (session/client.hpp).
 //
 // Peer storage follows the two shapes a receiver takes. Most receivers hear
 // one peer (a client's response receiver hears the front door's sender for
@@ -53,7 +69,9 @@
 // bytes and a storm's 100k of them carry no service-port state.
 //
 // A sender is 160 bytes: the RTT estimator marks "no sample yet" with a
-// negative variance instead of a flag of its own.
+// negative variance instead of a flag of its own, the retransmission count
+// is 32 bits, and the window, the give-up bound and the timeout rounds are
+// 16, 8 and 8 bits beside the flags.
 //
 // Nothing allocates per segment: an ACK carries its number in EthFrame::tag
 // and points at one shared immutable ACK segment, and a data or FIN segment
@@ -67,6 +85,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "hw/ethernet.hpp"
@@ -118,19 +137,35 @@ class TcpLiteReceiver {
                                                   sim::Time at) { d(p, at); }}
                                 : DeliverFrom{}} {}
 
-  /// `engine` must be the switch's own; the receiver reaches it through
-  /// the switch.
+  /// On a port of its own. `engine` must be the switch's own; the receiver
+  /// reaches it through the switch.
   TcpLiteReceiver([[maybe_unused]] sim::Engine& engine,
                   hw::EthernetSwitch& ether, sim::Time stack_cost,
                   DeliverFrom deliver)
-      : ether_{ether}, stack_cost_{stack_cost}, deliver_{std::move(deliver)} {
+      : ether_{ether}, stack_cost_{stack_cost}, deliver_{std::move(deliver)},
+        owns_port_{true} {
     assert(&engine == &ether.engine());
     port_ = ether.add_port([this](const hw::EthFrame& f) { on_frame(f); });
   }
 
+  /// On `port`, which the caller attached and keeps: the receiver binds it
+  /// and parks it again when it dies (see the header comment).
+  TcpLiteReceiver(hw::EthernetSwitch& ether, int port, sim::Time stack_cost,
+                  DeliverFrom deliver)
+      : ether_{ether}, stack_cost_{stack_cost}, deliver_{std::move(deliver)},
+        port_{port}, owns_port_{false} {
+    ether.rebind(port, [this](const hw::EthFrame& f) { on_frame(f); });
+  }
+
   TcpLiteReceiver(const TcpLiteReceiver&) = delete;
   TcpLiteReceiver& operator=(const TcpLiteReceiver&) = delete;
-  ~TcpLiteReceiver() { ether_.detach(port_); }
+  ~TcpLiteReceiver() {
+    if (owns_port_) {
+      ether_.detach(port_);
+    } else {
+      ether_.rebind(port_, &hw::EthernetSwitch::parked);
+    }
+  }
 
   /// Fires once per peer, when its FIN is delivered in order.
   void set_on_peer_close(PeerClose cb) {
@@ -148,6 +183,9 @@ class TcpLiteReceiver {
   /// whichever occupant of the port spoke last.
   [[nodiscard]] std::size_t peer_count() const { return peer_count_; }
   [[nodiscard]] std::uint64_t peers_closed() const { return peers_closed_; }
+  /// True while no segment that landed waits out its stack cost: the owner
+  /// of a borrowed port may then destroy the receiver and keep the port.
+  [[nodiscard]] bool idle() const { return landed_ == 0; }
   [[nodiscard]] bool peer_closed(int peer_port) const {
     const Peer* peer = find(hw::EthernetSwitch::index_of(peer_port));
     return peer != nullptr && peer->port == peer_port && peer->closed;
@@ -206,8 +244,10 @@ class TcpLiteReceiver {
     auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
     if (!seg || seg->is_ack) return;
     const int reply_to = f.src_port;
+    ++landed_;
     detail::schedule_while_attached(ether_.engine(), ether_, port_,
                                     stack_cost_, [this, seg, reply_to] {
+      --landed_;
       Peer& peer = peer_for(reply_to);
       if (seg->seq == peer.next_expected && !peer.closed) {
         ++peer.next_expected;
@@ -245,8 +285,10 @@ class TcpLiteReceiver {
   Peer first_;                  // the first port index to speak
   std::unique_ptr<Side> side_;  // made on first need
   std::uint64_t delivered_ = 0;
-  std::uint64_t discarded_ = 0;
-  std::uint64_t peers_closed_ = 0;
+  std::uint32_t discarded_ = 0;
+  std::uint32_t peers_closed_ = 0;
+  std::uint32_t landed_ = 0;  // segments waiting out their stack cost
+  bool owns_port_;
 };
 
 /// RFC 6298 §2 round-trip estimator in integer ns: alpha = 1/8, beta = 1/4,
@@ -292,13 +334,13 @@ class RttEstimator {
 };
 
 struct TcpLiteSenderParams {
-  std::uint32_t window = 8;  // segments in flight
+  std::uint32_t window = 8;  // segments in flight, 1 to 65,535
   /// Consecutive timeout rounds without ACK progress before the sender
   /// gives up (drops its queue and stops its timer). 0 = retry forever,
   /// the historical behavior; services talking to clients that may vanish
   /// mid-connection set a bound so a dead peer cannot pin a timer forever.
   /// With the backoff from the 1 s initial RTO, a bound of 8 resends at 1, 3,
-  /// 7, ..., 183 s and gives up at the ninth timeout, 243 s.
+  /// 7, ..., 183 s and gives up at the ninth timeout, 243 s. At most 254.
   unsigned max_retx_rounds = 0;
 };
 
@@ -306,22 +348,44 @@ class TcpLiteSender {
  public:
   using Params = TcpLiteSenderParams;
 
-  /// `engine` must be the switch's own; the sender reaches it through the
-  /// switch.
+  /// What close() tells, once, when the sender has nothing left to do (see
+  /// close()). The sender keeps a pointer to it: one word.
+  class CloseListener {
+   public:
+    virtual void on_closed() = 0;
+
+   protected:
+    ~CloseListener() = default;
+  };
+
+  /// On a port of its own. `engine` must be the switch's own; the sender
+  /// reaches it through the switch.
   TcpLiteSender([[maybe_unused]] sim::Engine& engine,
                 hw::EthernetSwitch& ether, sim::Time stack_cost, int dst_port,
                 Params params = Params{})
-      : ether_{ether}, stack_cost_{stack_cost}, dst_port_{dst_port},
-        params_{params} {
+      : TcpLiteSender{ether, stack_cost, dst_port, params, true} {
     assert(&engine == &ether.engine());
     port_ = ether.add_port([this](const hw::EthFrame& f) { on_frame(f); });
+  }
+
+  /// On `port`, which the caller attached and keeps: the sender binds it
+  /// and parks it again when it dies (see the header comment).
+  TcpLiteSender(hw::EthernetSwitch& ether, int port, sim::Time stack_cost,
+                int dst_port, Params params = Params{})
+      : TcpLiteSender{ether, stack_cost, dst_port, params, false} {
+    port_ = port;
+    ether.rebind(port, [this](const hw::EthFrame& f) { on_frame(f); });
   }
 
   TcpLiteSender(const TcpLiteSender&) = delete;
   TcpLiteSender& operator=(const TcpLiteSender&) = delete;
   ~TcpLiteSender() {
     timer_.cancel();
-    ether_.detach(port_);
+    if (owns_port_) {
+      ether_.detach(port_);
+    } else {
+      ether_.rebind(port_, &hw::EthernetSwitch::parked);
+    }
   }
 
   [[nodiscard]] int port() const { return port_; }
@@ -338,9 +402,16 @@ class TcpLiteSender {
   }
 
   /// Queue the FIN. Idempotent; returns false if already closing.
-  bool close() {
+  /// `listener`, if given, is told once that the close is complete: the FIN
+  /// is acknowledged, and every transmission the sender scheduled, first
+  /// send or go-back-N resend, has had its ACK processed. No event of the
+  /// sender is pending then, and telling is the sender's last act, so the
+  /// listener may destroy it. A close that aborts, or a transmission whose
+  /// ACK never comes back, never tells.
+  bool close(CloseListener* listener = nullptr) {
     if (closing_) return false;
     closing_ = true;
+    listener_ = listener;
     queue_.push_back(
         make_segment(TcpLiteSegment{.is_fin = true, .seq = next_seq_++}));
     pump();
@@ -368,6 +439,17 @@ class TcpLiteSender {
 
   static constexpr std::uint32_t kFinBytes = 40;
 
+  /// Everything but the port.
+  TcpLiteSender(hw::EthernetSwitch& ether, sim::Time stack_cost, int dst_port,
+                Params params, bool owns_port)
+      : ether_{ether}, stack_cost_{stack_cost}, dst_port_{dst_port},
+        window_{static_cast<std::uint16_t>(params.window)},
+        max_retx_rounds_{static_cast<std::uint8_t>(params.max_retx_rounds)},
+        owns_port_{owns_port} {
+    assert(params.window >= 1 && params.window <= UINT16_MAX);
+    assert(params.max_retx_rounds < UINT8_MAX);  // retx_rounds_ reaches it + 1
+  }
+
   /// A segment and its control block, in one pooled packet box.
   static Segment make_segment(TcpLiteSegment seg) {
     return std::allocate_shared<TcpLiteSegment>(
@@ -378,7 +460,7 @@ class TcpLiteSender {
     if (aborted_) return;
     // Transmit every queued segment inside the window.
     for (const Segment& seg : queue_) {
-      if (seg->seq >= base_ + params_.window) break;
+      if (seg->seq >= base_ + window_) break;
       if (seg->seq < inflight_hi_) continue;  // already on the wire
       if (!timing_) {  // time one first transmission at a time
         timing_ = true;
@@ -391,7 +473,10 @@ class TcpLiteSender {
     arm_timer();
   }
 
+  /// Schedule one transmission of `seg`. It is counted now, not when it
+  /// reaches the wire, so a close cannot complete while it waits.
   void transmit(const Segment& seg) {
+    ++unanswered_;
     detail::schedule_while_attached(ether_.engine(), ether_, port_,
                                     stack_cost_, [this, seg] {
       const std::uint32_t bytes =
@@ -408,28 +493,38 @@ class TcpLiteSender {
     if (seg == nullptr || !seg->is_ack) return;
     detail::schedule_while_attached(ether_.engine(), ether_, port_,
                                     stack_cost_, [this, ack = f.tag] {
-      if (aborted_ || ack <= base_) return;  // stale
-      while (!queue_.empty() && queue_.front()->seq < ack) queue_.pop_front();
-      if (queue_.empty() && (closing_ || queue_.capacity() <= 1)) {
-        // A channel that queues one segment at a time (an RTSP request,
-        // then its answer) sits drained most of its life, so it frees its
-        // buffer; a sender that queued a burst keeps its buffer for the
-        // next one, until it closes and can queue nothing more.
-        queue_.release();
+      // The peer ACKs each segment it processes once, so this answers one
+      // transmission (a hand-made test peer may ACK more: never below 0).
+      if (unanswered_ > 0) --unanswered_;
+      if (!aborted_ && ack > base_) on_progress(ack);  // else stale
+      if (listener_ != nullptr && fin_acked() && unanswered_ == 0) {
+        std::exchange(listener_, nullptr)->on_closed();  // may destroy *this
       }
-      base_ = ack;
-      retx_rounds_ = 0;  // progress resets the give-up counter
-      if (timing_ && ack > timed_seq_) {
-        rtt_.sample(ether_.engine().now() - timed_at_);
-        timing_ = false;
-      }
-      // Progress also ends the backoff, sample or not. Keeping it until a
-      // fresh sample (strict Karn) stalls go-back-N under heavy loss: every
-      // window after a timeout is a retransmission, so no sample comes.
-      rto_ = rtt_.rto();
-      timer_.cancel();
-      pump();
     });
+  }
+
+  /// An ACK that moved base_ to `ack`.
+  void on_progress(std::uint64_t ack) {
+    while (!queue_.empty() && queue_.front()->seq < ack) queue_.pop_front();
+    if (queue_.empty() && (closing_ || queue_.capacity() <= 1)) {
+      // A channel that queues one segment at a time (an RTSP request,
+      // then its answer) sits drained most of its life, so it frees its
+      // buffer; a sender that queued a burst keeps its buffer for the
+      // next one, until it closes and can queue nothing more.
+      queue_.release();
+    }
+    base_ = ack;
+    retx_rounds_ = 0;  // progress resets the give-up counter
+    if (timing_ && ack > timed_seq_) {
+      rtt_.sample(ether_.engine().now() - timed_at_);
+      timing_ = false;
+    }
+    // Progress also ends the backoff, sample or not. Keeping it until a
+    // fresh sample (strict Karn) stalls go-back-N under heavy loss: every
+    // window after a timeout is a retransmission, so no sample comes.
+    rto_ = rtt_.rto();
+    timer_.cancel();
+    pump();
   }
 
   void arm_timer() {
@@ -438,8 +533,7 @@ class TcpLiteSender {
   }
 
   void on_timeout() {
-    if (params_.max_retx_rounds != 0 &&
-        ++retx_rounds_ > params_.max_retx_rounds) {
+    if (max_retx_rounds_ != 0 && ++retx_rounds_ > max_retx_rounds_) {
       aborted_ = true;
       queue_.release();
       return;
@@ -450,7 +544,7 @@ class TcpLiteSender {
     timing_ = false;
     rto_ = std::min(rto_ * 2, RttEstimator::kMaxRto);
     for (const Segment& seg : queue_) {
-      if (seg->seq >= base_ + params_.window) break;
+      if (seg->seq >= base_ + window_) break;
       transmit(seg);
       ++retransmissions_;
     }
@@ -461,21 +555,25 @@ class TcpLiteSender {
   sim::Time stack_cost_;
   int dst_port_;
   int port_ = -1;
-  Params params_;
+  std::uint16_t window_;           // Params::window
+  std::uint8_t max_retx_rounds_;   // Params::max_retx_rounds
+  std::uint8_t retx_rounds_ = 0;   // consecutive timeouts since last progress
+  bool closing_ = false;
+  bool aborted_ = false;
+  bool timing_ = false;            // timed_seq_ awaits its RTT sample
+  bool owns_port_;
   sim::Fifo<Segment> queue_;       // unacked + unsent, seq-ordered
   std::uint64_t next_seq_ = 0;
   std::uint64_t base_ = 0;         // lowest unacked seq
   std::uint64_t inflight_hi_ = 0;  // first never-transmitted seq
-  std::uint64_t retransmissions_ = 0;
-  unsigned retx_rounds_ = 0;       // consecutive timeouts since last progress
-  bool closing_ = false;
-  bool aborted_ = false;
-  bool timing_ = false;            // timed_seq_ awaits its RTT sample
+  std::uint32_t retransmissions_ = 0;
+  std::uint32_t unanswered_ = 0;   // transmissions whose ACK is unprocessed
   std::uint64_t timed_seq_ = 0;
   sim::Time timed_at_;             // when pump() first sent timed_seq_
   RttEstimator rtt_;
   sim::Time rto_ = RttEstimator::kInitialRto;
   sim::EventHandle timer_;
+  CloseListener* listener_ = nullptr;  // close()'s, until it is told
 };
 
 }  // namespace nistream::net

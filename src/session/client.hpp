@@ -15,10 +15,31 @@
 // its response receiver, and names the latter's port in Reply-Port.
 //
 // A client holds only what its stage of the script uses, because a storm
-// builds 100k of them at once:
+// builds 100k of them at once. It is a record and, while it talks, a live
+// block:
+//  * The record (200 bytes) is what the client is from construction to
+//    destruction: its Config copy (120 bytes), its outcome, session id and
+//    stream, and its two port addresses. It attaches both ports at
+//    construction, parked on a no-op receiver (hw::EthernetSwitch::parked),
+//    response receiver's first, and detaches them when it dies, request
+//    sender's first. So every port address, and the order in which the
+//    switch recycles them, is what it would be if the endpoints lived on
+//    their own ports for the client's whole life.
+//  * The live block (344 bytes) is the transport and the answer path: the
+//    reassembly buffer, the TcpLite receiver and sender on the record's
+//    ports (which they borrow and park again when they die), the waiting
+//    handle, the last answer and the CSeq. The arrival event builds it,
+//    after checking that the response port is still attached, so a client
+//    destroyed before its arrival builds nothing. It is destroyed when the
+//    sender reports its close complete (the block is close()'s listener):
+//    the FIN and every segment sent, resends included, acknowledged, so no
+//    event of the sender is pending, and the receiver has no segment
+//    waiting out its stack cost. A kVanish client never closes and keeps
+//    it, as does a client whose close never completes; either is destroyed
+//    with the client.
 //  * It starts at its arrival. start() schedules the arrival event; the
 //    script's coroutine is made when it fires, and lives until the script
-//    ends. Before that the client is its endpoints and its Config.
+//    ends.
 //  * One answer outstanding. A client has at most one request in flight, so
 //    the waiting coroutine's handle and the answer it waits for are all the
 //    answer path needs: no mailbox. The answer's CSeq is checked when it
@@ -29,8 +50,6 @@
 //    answer and picks the next request and the wait before it. run() only
 //    loops over it, so its frame, and transact()'s, fit 128-byte pool blocks.
 //  * No engine reference: the client reaches the engine through its switch.
-//    The object is 496 bytes, of which its endpoints take 264 and its own
-//    Config copy 120.
 //
 // Lifetime: a client may be destroyed before its arrival (the arrival event
 // then runs nothing) or after its script completes (outcome().completed).
@@ -39,6 +58,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
 #include <memory>
@@ -91,21 +111,28 @@ class RtspChurnClient {
     std::uint64_t cseq_errors = 0;
   };
 
-  /// `engine` must be the switch's own.
-  RtspChurnClient(sim::Engine& engine, hw::EthernetSwitch& ether,
-                  int control_port, apps::MpegClient& media, int rtcp_port,
-                  Config config)
-      : config_{std::move(config)}, media_{media}, rtcp_port_{rtcp_port},
-        resp_rx_{engine, ether, net::kHostStackCost,
-                 net::TcpLiteReceiver::DeliverFrom{
-                     [this](const net::Packet& p, int, sim::Time) {
-                       on_response_bytes(p);
-                     }}},
-        ctl_tx_{engine, ether, net::kHostStackCost, control_port,
-                net::TcpLiteSenderParams{.window = 8, .max_retx_rounds = 8}} {}
+  /// `engine` must be the switch's own. The ports are attached in the order
+  /// the endpoints attach their own: the response receiver's first.
+  RtspChurnClient([[maybe_unused]] sim::Engine& engine,
+                  hw::EthernetSwitch& ether, int control_port,
+                  apps::MpegClient& media, int rtcp_port, Config config)
+      : config_{std::move(config)}, ether_{ether}, media_{media},
+        control_port_{control_port}, rtcp_port_{rtcp_port},
+        resp_port_{ether.add_port(&hw::EthernetSwitch::parked)},
+        ctl_port_{ether.add_port(&hw::EthernetSwitch::parked)} {
+    assert(&engine == &ether.engine());
+  }
 
   RtspChurnClient(const RtspChurnClient&) = delete;
   RtspChurnClient& operator=(const RtspChurnClient&) = delete;
+  /// The endpoints, if still live, park the ports first; the ports are
+  /// detached in the order the endpoints detach their own: the sender's
+  /// first.
+  ~RtspChurnClient() {
+    live_.reset();
+    ether_.detach(ctl_port_);
+    ether_.detach(resp_port_);
+  }
 
   /// Kick off the scripted lifecycle `config.arrival` from now (returns
   /// immediately; the script runs on the engine). An arrival at or before
@@ -113,12 +140,12 @@ class RtspChurnClient {
   /// response port first, so a client destroyed before it runs nothing.
   void start() {
     if (config_.arrival <= sim::Time::zero()) {
-      run().detach();
+      arrive();
       return;
     }
-    net::detail::schedule_while_attached(engine(), resp_rx_.ether(),
-                                         resp_rx_.port(), config_.arrival,
-                                         [this] { run().detach(); });
+    net::detail::schedule_while_attached(engine(), ether_, resp_port_,
+                                         config_.arrival,
+                                         [this] { arrive(); });
   }
 
   [[nodiscard]] const Outcome& outcome() const { return outcome_; }
@@ -132,38 +159,77 @@ class RtspChurnClient {
     Method method = Method::kUnknown;  // kUnknown: the script is over
   };
 
+  static constexpr net::TcpLiteSenderParams kControlParams{
+      .window = 8, .max_retx_rounds = 8};
+
+  /// The transport and the answer path, from arrival until the close
+  /// completes (see the header comment). It is its sender's close listener,
+  /// so the record pays no word for one.
+  struct Live final : net::TcpLiteSender::CloseListener {
+    explicit Live(RtspChurnClient& c)
+        : client{c},
+          rx{c.ether_, c.resp_port_, net::kHostStackCost,
+             net::TcpLiteReceiver::DeliverFrom{
+                 [&c](const net::Packet& p, int, sim::Time) {
+                   c.on_response_bytes(p);
+                 }}},
+          tx{c.ether_, c.ctl_port_, net::kHostStackCost, c.control_port_,
+             kControlParams} {}
+
+    /// The close is complete: the block goes, unless a segment that landed
+    /// on the receiver still waits out its stack cost.
+    void on_closed() override {
+      if (rx.idle()) client.live_.reset();  // destroys *this
+    }
+
+    RtspChurnClient& client;
+    MessageBuffer buf;
+    net::TcpLiteReceiver rx;
+    net::TcpLiteSender tx;
+    std::coroutine_handle<> waiting;  // transact() parked on its answer
+    int answer_status = 0;            // the last answer handed to transact()
+    std::uint32_t cseq = 0;  // requests sent, and the CSeq of the last one
+    std::uint64_t answer_session = 0;
+    dwcs::StreamId answer_stream = 0;
+  };
+
   /// co_await Answer{*this}: park until on_response_bytes() has the answer.
   struct Answer {
     RtspChurnClient& client;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> h) const noexcept {
-      client.waiting_ = h;
+      client.live_->waiting = h;
     }
     void await_resume() const noexcept {}
   };
 
-  [[nodiscard]] sim::Engine& engine() const {
-    return resp_rx_.ether().engine();
+  [[nodiscard]] sim::Engine& engine() const { return ether_.engine(); }
+
+  void arrive() {
+    live_ = std::make_unique<Live>(*this);
+    run().detach();
   }
 
   void on_response_bytes(const net::Packet& p) {
+    Live& live = *live_;
     if (const auto* chunk = static_cast<const std::string*>(p.body.get())) {
-      buf_.append(*chunk);
+      live.buf.append(*chunk);
     }
-    while (auto msg = buf_.next()) {
+    while (auto msg = live.buf.next()) {
       const auto resp = parse_response(*msg);
       if (!resp) continue;
-      if (!waiting_) {  // nothing asked for this one
+      if (!live.waiting) {  // nothing asked for this one
         ++outcome_.cseq_errors;
         continue;
       }
-      if (resp->cseq != cseq_) ++outcome_.cseq_errors;
-      answer_status_ = resp->status;
-      answer_session_ = resp->session_id;
-      answer_stream_ = resp->stream;
+      if (resp->cseq != live.cseq) ++outcome_.cseq_errors;
+      live.answer_status = resp->status;
+      live.answer_session = resp->session_id;
+      live.answer_stream = resp->stream;
       // The wake-up a Semaphore::release would schedule.
-      engine().schedule_in(sim::Time::zero(),
-                           [h = std::exchange(waiting_, {})] { h.resume(); });
+      engine().schedule_in(
+          sim::Time::zero(),
+          [h = std::exchange(live.waiting, {})] { h.resume(); });
     }
   }
 
@@ -171,7 +237,7 @@ class RtspChurnClient {
     net::Packet pkt;
     pkt.bytes = static_cast<std::uint32_t>(text.size());
     pkt.body = std::make_shared<std::string>(std::move(text));
-    ctl_tx_.send(pkt);
+    live_->tx.send(pkt);
   }
 
   /// kSlowStart sends the text in pieces with a gap between segments — the
@@ -192,8 +258,8 @@ class RtspChurnClient {
   [[nodiscard]] std::string request_text(Method method) const {
     RtspRequest req;
     req.method = method;
-    req.reply_port = resp_rx_.port();
-    req.cseq = cseq_;
+    req.reply_port = resp_port_;
+    req.cseq = live_->cseq;
     if (method == Method::kSetup) {
       req.uri = config_.uri;
       req.rtp_port = media_.port();
@@ -214,7 +280,7 @@ class RtspChurnClient {
   /// client waits the frame holds no text.
   sim::Coro transact(Method method) {
     const sim::Time sent = engine().now();
-    ++cseq_;
+    ++live_->cseq;
     if (config_.behavior == Behavior::kSlowStart && method == Method::kSetup) {
       co_await send_dribbled(method);
     } else {
@@ -226,12 +292,13 @@ class RtspChurnClient {
     }
   }
 
-  /// The lifecycle script, one call per answer. cseq_ requests have been
-  /// answered so far and the last answer is in answer_*: book it, and return
-  /// the next request with the wait before it. Requests 1 and 2 are SETUP
-  /// and PLAY, kPauseResume then sends PAUSE (3) and PLAY (4), and every
-  /// behavior but kVanish ends with TEARDOWN.
+  /// The lifecycle script, one call per answer. `cseq` requests have been
+  /// answered so far and the last answer is in the live block: book it, and
+  /// return the next request with the wait before it. Requests 1 and 2 are
+  /// SETUP and PLAY, kPauseResume then sends PAUSE (3) and PLAY (4), and
+  /// every behavior but kVanish ends with TEARDOWN.
   Step next_step() {
+    Live& live = *live_;
     const auto finish = [this] {
       outcome_.completed = true;
       return Step{};
@@ -240,22 +307,22 @@ class RtspChurnClient {
     const sim::Time media =
         config_.period * static_cast<std::int64_t>(config_.frames) +
         config_.drain_slack;
-    switch (cseq_) {
+    switch (live.cseq) {
       case 0:
         return {sim::Time::zero(), Method::kSetup};
       case 1:  // SETUP answered
         outcome_.responded_setup = true;
-        outcome_.setup_status = answer_status_;
-        if (answer_status_ != 200) {
+        outcome_.setup_status = live.answer_status;
+        if (live.answer_status != 200) {
           // 453: over capacity. The polite thing — and what keeps the
           // server's connection table clean — is to FIN the control channel
           // and go away.
-          ctl_tx_.close();
+          live.tx.close(&live);
           return finish();
         }
         outcome_.admitted = true;
-        session_id_ = answer_session_;
-        stream_ = answer_stream_;
+        session_id_ = live.answer_session;
+        stream_ = live.answer_stream;
         return {sim::Time::zero(), Method::kPlay};
       case 2:  // PLAY answered
         // Half-open: a vanishing client never speaks again, never closes.
@@ -265,16 +332,16 @@ class RtspChurnClient {
         return {media, Method::kTeardown};
       case 3:  // PAUSE answered (kPauseResume), else TEARDOWN
         if (!pause_resume) break;
-        if (answer_status_ == 200) media_.notify_pause(stream_);
+        if (live.answer_status == 200) media_.notify_pause(stream_);
         return {config_.pause_for, Method::kPlay};
       case 4:  // the resuming PLAY answered
-        if (answer_status_ == 200) media_.notify_resume(stream_);
+        if (live.answer_status == 200) media_.notify_resume(stream_);
         return {media, Method::kTeardown};
       default:
         break;
     }
     media_.notify_end(stream_, engine().now());  // TEARDOWN answered
-    ctl_tx_.close();
+    live.tx.close(&live);
     return finish();
   }
 
@@ -287,19 +354,16 @@ class RtspChurnClient {
   }
 
   Config config_;
+  hw::EthernetSwitch& ether_;
   apps::MpegClient& media_;
+  int control_port_;
   int rtcp_port_;
-  int answer_status_ = 0;  // the last answer handed to transact()
-  MessageBuffer buf_;
-  net::TcpLiteReceiver resp_rx_;
-  net::TcpLiteSender ctl_tx_;
-  std::coroutine_handle<> waiting_;  // transact() parked on its answer
-  std::uint64_t answer_session_ = 0;
+  int resp_port_;  // the response receiver's, named in Reply-Port
+  int ctl_port_;   // the request sender's
+  std::unique_ptr<Live> live_;  // from arrival until the close completes
   Outcome outcome_;
-  std::uint64_t cseq_ = 0;  // requests sent, and the CSeq of the last one
   std::uint64_t session_id_ = 0;
   dwcs::StreamId stream_ = 0;
-  dwcs::StreamId answer_stream_ = 0;
 };
 
 }  // namespace nistream::session

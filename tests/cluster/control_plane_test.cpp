@@ -7,6 +7,7 @@
 // aliasing its pre-crash life.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -297,6 +298,42 @@ TEST(ClusterFailover, OneBoardRebootDrainsEveryStreamHomeUnderItsLocalId) {
     EXPECT_GT(rig.plane.monitor().packets(
                   {rec.where.monitor_scope, rec.where.local}),
               40u);
+  }
+}
+
+TEST(ClusterFailover, OneBoardRepeatedCrashesSpillEachStreamToItsHostIdAgain) {
+  // Three crash/reboot cycles: each trip spills the four streams to the
+  // host and each reboot drains them home. A stream that spilled before
+  // re-adopts its host id, so the host scheduler keeps four entries, not
+  // four more per crash, and the host placement sits once in each history.
+  Rig rig{1};
+  for (std::size_t i = 0; i < 4; ++i) rig.add_stream(i, Time::sec(8));
+  for (int k = 0; k < 3; ++k) {
+    const Time crash = Time::sec(1 + 2 * k);
+    rig.health[0]->schedule_crash(crash, /*reboot_after=*/Time::ms(800));
+    rig.eng.run_until(crash + Time::ms(1800));
+    ASSERT_NE(rig.plane.host_server(), nullptr);
+    EXPECT_EQ(rig.plane.host_server()->service().scheduler().stream_count(),
+              4u)
+        << "after crash " << k + 1;
+  }
+
+  const auto& m = rig.plane.metrics();
+  EXPECT_EQ(m.failovers, 3u);
+  EXPECT_EQ(m.failbacks, 3u);
+  EXPECT_EQ(m.host_takeover_streams, 12u);
+  EXPECT_EQ(m.drainbacks_completed, 12u);
+  for (GlobalStreamId g = 0; g < 4; ++g) {
+    const auto& rec = rig.plane.registry().record(g);
+    EXPECT_EQ(rec.where.board, 0);
+    EXPECT_EQ(rec.where.local, rec.home_local);
+    EXPECT_EQ(rec.where.incarnation, 3u);
+    // Board incarnations 0, 1 and 2, and the host once.
+    ASSERT_EQ(rec.history.size(), 4u);
+    EXPECT_EQ(std::count_if(rec.history.begin(), rec.history.end(),
+                            [](const Residence& r) { return r.on_host(); }),
+              1);
+    EXPECT_TRUE(rec.history.back().on_host());
   }
 }
 

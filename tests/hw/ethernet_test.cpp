@@ -246,6 +246,30 @@ TEST(Ethernet, DetachedPortDropsQueuedAndLaterFrames) {
   EXPECT_EQ(f.eng.events_executed(), 4u);
 }
 
+TEST(Ethernet, RebindKeepsTheAddressAndHandsQueuedFramesToTheNewReceiver) {
+  Fixture f;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = i});
+  }
+  f.eng.step();  // the first frame lands on b's first receiver
+  ASSERT_EQ(f.rx_b.size(), 1u);
+  std::vector<std::uint64_t> tags;
+  f.sw.rebind(f.b, [&tags](const EthFrame& fr) { tags.push_back(fr.tag); });
+  f.eng.step();  // the second lands on the new one
+  ASSERT_EQ(tags.size(), 1u);
+  EXPECT_EQ(tags[0], 1u);
+  f.sw.rebind(f.b, &EthernetSwitch::parked);
+  f.eng.run();  // the third lands on the parked port and is dropped
+  EXPECT_EQ(f.rx_b.size(), 1u);
+  EXPECT_EQ(tags.size(), 1u);
+  EXPECT_TRUE(f.sw.attached(f.b));
+  EXPECT_EQ(f.sw.frames_to_detached(), 0u);
+  // A parked port is still its owner's: detaching it frees it for reuse.
+  f.sw.detach(f.b);
+  EXPECT_EQ(EthernetSwitch::index_of(f.sw.add_port(&EthernetSwitch::parked)),
+            EthernetSwitch::index_of(f.b));
+}
+
 // --- Port recycling.
 
 TEST(EthernetRecycle, DetachedPortIsReusedOnceItsDownlinkDrains) {

@@ -399,6 +399,58 @@ TEST(TcpLiteTeardown, DestroyedReceiverDuringStackDelayNeitherDeliversNorAcks) {
   EXPECT_EQ(tx.acked(), 0u);
 }
 
+TEST(TcpLiteTeardown, CloseListenerWaitsForTheResentFinsAckAndMayDestroyIt) {
+  // A sender with a 5 ms stack cost on a borrowed port. Its first round
+  // trip takes ~10 ms, so its RTO becomes ~30 ms. Then ~27.5 ms of
+  // full-size frames queue on the receiver's downlink ahead of the FIN: the
+  // timer fires before the FIN's ACK is back and schedules a resend, and
+  // that ACK is processed while the resend still waits out the stack cost.
+  // The FIN is then acknowledged, but the resend counts from when it was
+  // scheduled: the listener is told only once its ACK has been processed,
+  // and destroying the sender there leaves nothing of it pending.
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  TcpLiteReceiver rx{eng, ether, Time::us(50), TcpLiteReceiver::Deliver{}};
+  const int port = ether.add_port(&hw::EthernetSwitch::parked);
+  auto tx =
+      std::make_unique<TcpLiteSender>(ether, port, Time::ms(5), rx.port());
+  EXPECT_EQ(tx->port(), port);
+  tx->send(Packet{.seq = 0, .bytes = 300});
+  eng.run();
+  ASSERT_GT(tx->rto(), Time::ms(30));
+  ASSERT_LT(tx->rto(), Time::ms(31));
+
+  const int flood = ether.add_port(&hw::EthernetSwitch::parked);
+  const int frames = static_cast<int>(Time::ms(27.5) / ether.wire_time(1500));
+  for (int i = 0; i < frames; ++i) {
+    ether.send(flood, rx.port(), hw::EthFrame{.bytes = 1500});
+  }
+  struct Listener final : TcpLiteSender::CloseListener {
+    std::unique_ptr<TcpLiteSender>* tx = nullptr;
+    int told = 0;
+    void on_closed() override {
+      ++told;
+      tx->reset();
+    }
+  } listener;
+  listener.tx = &tx;
+  ASSERT_TRUE(tx->close(&listener));
+  while (listener.told == 0 && !tx->fin_acked()) ASSERT_TRUE(eng.step());
+  ASSERT_EQ(listener.told, 0) << "told while the resend was still out";
+  EXPECT_EQ(tx->retransmissions(), 1u);
+  const Time fin_acked_at = eng.now();
+
+  while (listener.told == 0) ASSERT_TRUE(eng.step());
+  EXPECT_GT(eng.now(), fin_acked_at + Time::ms(5));  // the resend's round trip
+  EXPECT_EQ(tx.get(), nullptr);
+  EXPECT_EQ(eng.pending_events(), 0u);
+  EXPECT_TRUE(rx.idle());
+  EXPECT_EQ(rx.peers_closed(), 1u);
+  EXPECT_TRUE(ether.attached(port)) << "parked again, still its owner's";
+  eng.run();
+  EXPECT_EQ(listener.told, 1);
+}
+
 // --- Recycled ports.
 
 TEST(TcpLiteRecycle, NewSenderOnARecycledPortGetsAFreshSequenceSpace) {

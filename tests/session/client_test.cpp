@@ -1,7 +1,8 @@
 // session::RtspChurnClient on its own, against a bare control server that
 // answers only when a test tells it to: the client's footprint (object size,
-// nothing made before its arrival, 128-byte coroutine frames), its one
-// outstanding answer, and owner-safe destruction before its arrival.
+// nothing made before its arrival, transport state only from its arrival
+// until its last ACK lands, 128-byte coroutine frames), its one outstanding
+// answer, and owner-safe destruction before its arrival.
 #include "session/client.hpp"
 
 #include <gtest/gtest.h>
@@ -36,12 +37,23 @@ struct Server {
   std::unique_ptr<net::TcpLiteSender> tx;
   MessageBuffer buf;
   std::vector<RtspRequest> requests;
+  int peer = -1;  // the port the last request came from
 
   Server(sim::Engine& eng_, hw::EthernetSwitch& ether_)
       : eng{eng_}, ether{ether_},
         rx{eng_, ether_, net::kNiStackCost,
            net::TcpLiteReceiver::DeliverFrom{
-               [this](const net::Packet& p, int, Time) { on_bytes(p); }}} {}
+               [this](const net::Packet& p, int from, Time) {
+                 peer = from;
+                 on_bytes(p);
+               }}} {}
+
+  /// Drop what the server holds for the client it served: its answer
+  /// sender and the requests it kept.
+  void forget_client() {
+    tx.reset();
+    requests.clear();
+  }
 
   void on_bytes(const net::Packet& p) {
     buf.append(*static_cast<const std::string*>(p.body.get()));
@@ -105,12 +117,63 @@ RtspChurnClient::Config polite(Time arrival) {
 std::uint64_t frames_made() { return sim::coro_pool_stats().frames; }
 
 TEST(ChurnClient, ObjectStaysLean) {
-  // 100k clients live through a storm: the endpoints, the config, three
-  // fields of one answer and a coroutine handle; no mailbox, no engine
-  // reference, and no service-port state in the receiver.
-  EXPECT_LE(sizeof(RtspChurnClient), 504u);
+  // 100k clients live through a storm. Each is a record: its config, its
+  // outcome, session id, stream and port addresses; no engine reference.
+  // Its endpoints live in the block it holds while it talks, and its
+  // receiver carries no service-port state.
+  EXPECT_LE(sizeof(RtspChurnClient), 208u);
   EXPECT_LE(sizeof(net::TcpLiteReceiver), 104u);
   EXPECT_LE(sizeof(net::TcpLiteSender), 160u);
+}
+
+TEST(ChurnClient, TransportLivesFromArrivalUntilItsLastAckLands) {
+  Rig rig;
+  {  // One lifecycle first warms every pool a lifecycle draws on.
+    auto warm = rig.client(polite(Time::zero()));
+    warm->start();
+    rig.eng.run_until(Time::ms(10));
+    rig.server.answer(1, 453);
+    rig.eng.run();
+    ASSERT_TRUE(warm->outcome().completed);
+    // Freed before the client's ports, so the next client gets the same
+    // port indices and the server's receiver needs no new peer entry.
+    rig.server.forget_client();
+  }
+
+  [[maybe_unused]] const std::int64_t before = test::heap_live_bytes();
+  auto client = rig.client(polite(Time::ms(50)));
+  const std::int64_t record = test::heap_live_bytes();
+  const Time arrival = rig.eng.now() + Time::ms(50);
+  client->start();
+  rig.eng.run_until(arrival - Time::ns(1));
+  EXPECT_EQ(test::heap_live_bytes(), record) << "made before the arrival";
+
+  rig.eng.run_until(arrival + Time::ms(10));
+  ASSERT_EQ(rig.server.requests.size(), 1u);
+  const int resp_port = rig.server.requests[0].reply_port;
+  const int ctl_port = rig.server.peer;
+  [[maybe_unused]] const std::int64_t talking = test::heap_live_bytes();
+  rig.server.answer(1, 453);
+  rig.eng.run();  // the 453, the client's FIN and the FIN's ACK
+  ASSERT_TRUE(client->outcome().completed);
+  rig.server.forget_client();
+  EXPECT_EQ(test::heap_live_bytes(), record)
+      << "transport state outlived the last ACK";
+#if NISTREAM_COUNTING_NEW
+  // The record's block and its URI string's.
+  EXPECT_LE(record - before, 256) << "more than the record before arrival";
+  EXPECT_GE(talking - record, static_cast<std::int64_t>(
+                                  sizeof(net::TcpLiteReceiver) +
+                                  sizeof(net::TcpLiteSender)))
+      << "no endpoints while the client talks";
+#endif
+
+  // The record keeps both port addresses until it dies.
+  EXPECT_TRUE(rig.ether.attached(resp_port));
+  EXPECT_TRUE(rig.ether.attached(ctl_port));
+  client.reset();
+  EXPECT_FALSE(rig.ether.attached(resp_port));
+  EXPECT_FALSE(rig.ether.attached(ctl_port));
 }
 
 TEST(ChurnClient, FutureArrivalMakesNothingUntilItFires) {
