@@ -1,8 +1,9 @@
 // session::RtspChurnClient on its own, against a bare control server that
 // answers only when a test tells it to: the client's footprint (object size,
 // nothing made before its arrival, transport state only from its arrival
-// until its last ACK lands, 128-byte coroutine frames), its one outstanding
-// answer, and owner-safe destruction before its arrival.
+// until its last ACK lands, no coroutine frame in any behavior), its one
+// outstanding answer, and owner-safe destruction before its arrival and
+// while it waits.
 #include "session/client.hpp"
 
 #include <gtest/gtest.h>
@@ -188,30 +189,66 @@ TEST(ChurnClient, FutureArrivalMakesNothingUntilItFires) {
   EXPECT_TRUE(rig.server.requests.empty());
 
   rig.eng.run_until(Time::ms(100));
-  EXPECT_EQ(frames_made() - frames, 2u);  // run() and the SETUP's transact()
+  EXPECT_EQ(frames_made() - frames, 0u);  // the script runs on events
   rig.eng.run_until(Time::ms(110));
   ASSERT_EQ(rig.server.requests.size(), 1u);
   EXPECT_EQ(rig.server.requests[0].method, Method::kSetup);
 }
 
-TEST(ChurnClient, ScriptFramesFitOneHundredTwentyEightByteBlocks) {
+/// One lifecycle: a behavior, the status its SETUP gets (every later
+/// request gets 200) and the requests its script must send.
+struct Script {
+  const char* name;
+  RtspChurnClient::Config config;
+  int setup_status;
+  std::vector<Method> requests;
+};
+
+RtspChurnClient::Config behaving(RtspChurnClient::Behavior behavior,
+                                 Time dribble_gap = Time::ms(40)) {
+  RtspChurnClient::Config c = polite(Time::zero());
+  c.behavior = behavior;
+  c.dribble_gap = dribble_gap;
+  return c;
+}
+
+TEST(ChurnClient, ScriptMakesNoCoroutineFrameInAnyBehavior) {
+  using enum Method;
+  using B = RtspChurnClient::Behavior;
+  const std::vector<Script> scripts = {
+      {"polite", behaving(B::kPolite), 200, {kSetup, kPlay, kTeardown}},
+      {"refused", behaving(B::kPolite), 453, {kSetup}},
+      {"slow start, 40 ms gaps", behaving(B::kSlowStart), 200,
+       {kSetup, kPlay, kTeardown}},
+      {"slow start, no gap", behaving(B::kSlowStart, Time::zero()), 200,
+       {kSetup, kPlay, kTeardown}},
+      {"pause and resume", behaving(B::kPauseResume), 200,
+       {kSetup, kPlay, kPause, kPlay, kTeardown}},
+      {"vanish", behaving(B::kVanish), 200, {kSetup, kPlay}},
+  };
   Rig rig;
-  auto client = rig.client(polite(Time::zero()));
-  const sim::detail::CoroPoolStats before = sim::coro_pool_stats();
-  client->start();
-  rig.eng.run_until(Time::ms(10));
-  rig.server.answer(1);  // SETUP
-  rig.eng.run_until(Time::ms(20));
-  rig.server.answer(2);  // PLAY
-  rig.eng.run_until(Time::ms(200));
-  rig.server.answer(3);  // TEARDOWN
-  rig.eng.run();
-  ASSERT_TRUE(client->outcome().completed);
-  const sim::detail::CoroPoolStats after = sim::coro_pool_stats();
-  // run() and three transact()s, every one from a 128-byte block (bucket 1:
-  // the 16-byte completion header plus at most 112 bytes of frame).
-  EXPECT_EQ(after.frames - before.frames, 4u);
-  EXPECT_EQ(after.bucket_frames[1] - before.bucket_frames[1], 4u);
+  for (const Script& script : scripts) {
+    SCOPED_TRACE(script.name);
+    const std::uint64_t frames = frames_made();
+    auto client = rig.client(script.config);
+    client->start();
+    // Answer each request as soon as the server has all of it.
+    std::uint64_t answered = 0;
+    while (!client->outcome().completed && rig.eng.step()) {
+      if (rig.server.requests.size() > answered) {
+        ++answered;
+        rig.server.answer(answered, answered == 1 ? script.setup_status : 200);
+      }
+    }
+    rig.eng.run();  // the FIN and its ACK, if the script closes
+    ASSERT_TRUE(client->outcome().completed);
+    std::vector<Method> sent;
+    for (const RtspRequest& r : rig.server.requests) sent.push_back(r.method);
+    EXPECT_EQ(sent, script.requests);
+    EXPECT_EQ(frames_made() - frames, 0u);
+    client.reset();
+    rig.server.forget_client();
+  }
 }
 
 TEST(ChurnClient, AnswerWithNoRequestWaitingIsCountedAndDropped) {
@@ -250,6 +287,22 @@ TEST(ChurnClient, DestroyedBeforeItsArrivalRunsNothing) {
   EXPECT_EQ(frames_made() - frames, 0u);
   EXPECT_TRUE(rig.server.requests.empty());
   EXPECT_EQ(rig.eng.pending_events(), 0u);
+}
+
+TEST(ChurnClient, DestroyedWhileItWaitsRunsNothing) {
+  Rig rig;
+  auto client = rig.client(polite(Time::zero()));
+  client->start();
+  rig.eng.run_until(Time::ms(10));
+  rig.server.answer(1);
+  rig.eng.run_until(Time::ms(20));
+  rig.server.answer(2);
+  rig.eng.run_until(Time::ms(30));
+  ASSERT_EQ(rig.server.requests.size(), 2u);
+  ASSERT_GT(rig.eng.pending_events(), 0u);  // the TEARDOWN's wait
+  client.reset();
+  rig.eng.run();
+  EXPECT_EQ(rig.server.requests.size(), 2u);
 }
 
 TEST(ChurnClient, SetupLatencyRunsFromArrivalToAnswer) {

@@ -1,4 +1,6 @@
-// Live-heap audit of steady PLAY: sixteen RTSP sessions stream at 30 fps
+// Live-heap audits of the session plane's clients.
+//
+// Steady PLAY: sixteen RTSP sessions stream at 30 fps
 // through a SessionServer into one MpegClient, and between two instants of
 // steady play the live heap must grow by less than one byte per frame the
 // client received. Every per-frame structure on the way (path stages, the
@@ -7,6 +9,10 @@
 // seen. A per-frame log fails this by a wide margin: the per-stream frame
 // counts at the two instants differ by more than 2×, so any vector that
 // holds an entry per frame reallocates in between.
+//
+// Waiting on SETUP: a storm's clients spend most of their lives waiting for
+// their SETUP answer, so a waiting client must hold only its record and its
+// live block, with no coroutine frame or other script state beside them.
 //
 // This binary replaces ::operator new with the counting shim; under ASan or
 // TSan the shim is compiled out and the test runs without the heap check.
@@ -18,6 +24,7 @@
 
 #include "apps/client.hpp"
 #include "counting_new.hpp"
+#include "net/tcplite.hpp"
 #include "session/client.hpp"
 #include "session/server.hpp"
 
@@ -74,6 +81,61 @@ TEST(LiveHeap, SteadyPlayHoldsNothingPerFrame) {
   (void)live_before;
   (void)live_after;
   (void)frames;
+#endif
+}
+
+TEST(LiveHeap, ClientWaitingOnItsSetupHoldsOnlyItsLiveBlock) {
+  // 2,048 clients arrive 100 us apart and send SETUP to a control port that
+  // acknowledges every segment and never answers. Their records are built
+  // before the audit, and the engine's slots, the pools, the switch's frame
+  // pages and the control receiver's peer table are grown first, so what
+  // the live heap gains is what the waiting clients hold.
+  constexpr int kClients = 2048;
+  sim::Engine eng;
+  hw::EthernetSwitch ether{eng};
+  net::TcpLiteReceiver control{eng, ether, net::kNiStackCost,
+                               net::TcpLiteReceiver::DeliverFrom{}};
+  apps::MpegClient media{eng, ether};
+  net::UdpEndpoint rtcp_sink{eng, ether, net::kHostStackCost,
+                             [](const net::Packet&, Time) {}};
+  for (int i = 0; i < 2 * kClients; ++i) {
+    eng.schedule_at(Time::zero(), [] {});
+  }
+  eng.run();
+  std::vector<std::unique_ptr<RtspChurnClient>> clients;
+  clients.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    clients.push_back(std::make_unique<RtspChurnClient>(
+        eng, ether, control.port(), media, rtcp_sink.port(),
+        RtspChurnClient::Config{.arrival = Time::us(100.0 * (i + 1))}));
+  }
+  // Two senders on ports past every client's: the second makes the control
+  // receiver size its peer table to the whole port table.
+  net::TcpLiteSender warm_a{eng, ether, net::kHostStackCost, control.port()};
+  net::TcpLiteSender warm_b{eng, ether, net::kHostStackCost, control.port()};
+  warm_a.send(net::Packet{.bytes = 200});
+  warm_b.send(net::Packet{.bytes = 200});
+  eng.run();
+  ASSERT_EQ(control.delivered(), 2u);
+
+  const std::int64_t before = test::heap_live_bytes();
+  for (const auto& client : clients) client->start();
+  eng.run();  // every SETUP sent and acknowledged; no answer comes
+  const std::int64_t grown = test::heap_live_bytes() - before;
+
+  EXPECT_EQ(control.delivered(), 2u + kClients);
+  for (const auto& client : clients) {
+    ASSERT_FALSE(client->outcome().responded_setup);
+  }
+#if NISTREAM_COUNTING_NEW
+  // Measured: 344 bytes per client, its live block and nothing else. The
+  // bound leaves 8 bytes per client. A client whose script ran as
+  // coroutines held two 128-byte frames more, 600 bytes in all.
+  constexpr std::int64_t kBytesPerClient = 352;
+  EXPECT_LE(grown, kClients * kBytesPerClient)
+      << static_cast<double>(grown) / kClients << " bytes per waiting client";
+#else
+  (void)grown;
 #endif
 }
 
