@@ -5,7 +5,9 @@
 // reliable sibling — a compact go-back-N transport with cumulative ACKs and
 // a retransmission timer, enough to move control traffic and loss-intolerant
 // streams over a lossy segment (see hw::EthernetParams::loss_rate) with
-// exactly-once, in-order delivery.
+// exactly-once, in-order delivery. A frame that lands with a bad CRC
+// (EthFrame::corrupted) is dropped before the stack, as UDP drops it, so a
+// corrupted segment or ACK is recovered from as a lost one is.
 //
 // Scope deliberately matches what an embedded NI stack of the era shipped:
 // fixed window, cumulative ACK per received segment, go-back-N retransmit on
@@ -241,6 +243,7 @@ class TcpLiteReceiver {
   }
 
   void on_frame(const hw::EthFrame& f) {
+    if (f.corrupted) return;  // bad CRC: never ACKed, so the sender resends
     auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
     if (!seg || seg->is_ack) return;
     const int reply_to = f.src_port;
@@ -489,6 +492,7 @@ class TcpLiteSender {
   }
 
   void on_frame(const hw::EthFrame& f) {
+    if (f.corrupted) return;  // bad CRC: a later ACK covers it, or a resend
     const auto* seg = static_cast<const TcpLiteSegment*>(f.payload.get());
     if (seg == nullptr || !seg->is_ack) return;
     detail::schedule_while_attached(ether_.engine(), ether_, port_,

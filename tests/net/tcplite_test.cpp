@@ -1,6 +1,6 @@
-// Tests for the TcpLite reliable transport over clean and lossy segments,
-// plus the Ethernet loss model it exists for, its RFC 6298 retransmission
-// timer, and owner-safe teardown.
+// Tests for the TcpLite reliable transport over clean, lossy and corrupting
+// segments, plus the Ethernet loss model it exists for, its RFC 6298
+// retransmission timer, and owner-safe teardown.
 #include "net/tcplite.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "apps/client.hpp"
+#include "fault/injector.hpp"
 #include "session/client.hpp"
 #include "session/server.hpp"
 
@@ -140,6 +141,35 @@ TEST(TcpLite, WindowLimitsInflight) {
   EXPECT_TRUE(link.delivered.empty());
   EXPECT_EQ(link.tx.acked(), 0u);
   EXPECT_EQ(link.ether.frames_lost(), 2u);  // exactly the window
+}
+
+TEST(TcpLite, CorruptedFramesAreDiscardedAndResent) {
+  // A frame with a bad CRC never reaches the stack, segment or ACK, as a
+  // corrupted datagram never reaches a UdpEndpoint; go-back-N resends.
+  Link link;
+  fault::LinkFaultInjector corrupt_all{{.frame_corrupt_rate = 1.0},
+                                      sim::Rng{3}};
+  link.ether.set_fault(&corrupt_all);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    link.tx.send(Packet{.seq = i, .bytes = 100});
+  }
+  link.eng.run_until(Time::ms(400));  // the first timeout fires at 1 s
+  EXPECT_TRUE(link.delivered.empty());
+  EXPECT_EQ(corrupt_all.corruptions(), 8u);  // the window's segments
+  send_ack(link.ether, link.rx.port(), link.tx.port(), 10);
+  link.eng.run_until(Time::ms(500));
+  EXPECT_EQ(corrupt_all.corruptions(), 9u);  // and the ACK
+  EXPECT_EQ(link.tx.acked(), 0u);
+  EXPECT_EQ(link.tx.retransmissions(), 0u);
+
+  fault::LinkFaultInjector clean{{.frame_corrupt_rate = 0.0}, sim::Rng{3}};
+  link.ether.set_fault(&clean);
+  link.eng.run_until(Time::sec(10));
+  ASSERT_EQ(link.delivered.size(), 10u);  // exactly once each
+  for (std::uint64_t i = 0; i < 10; ++i) EXPECT_EQ(link.delivered[i], i);
+  EXPECT_EQ(link.tx.acked(), 10u);
+  EXPECT_EQ(link.tx.retransmissions(), 8u);  // the window, once
+  EXPECT_EQ(clean.corruptions(), 0u);
 }
 
 TEST(TcpLiteTeardown, FinDeliveredInOrderClosesPeer) {
