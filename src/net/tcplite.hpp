@@ -242,6 +242,10 @@ class TcpLiteReceiver {
     return *peer;
   }
 
+ public:
+  /// A frame that landed on the port: the port's receiver. Public for an
+  /// owner that builds the receiver when the first frame lands and hands it
+  /// that frame from inside its delivery (session/client.hpp).
   void on_frame(const hw::EthFrame& f) {
     if (f.corrupted) return;  // bad CRC: never ACKed, so the sender resends
     auto seg = std::static_pointer_cast<const TcpLiteSegment>(f.payload);
@@ -280,6 +284,7 @@ class TcpLiteReceiver {
     });
   }
 
+ private:
   hw::EthernetSwitch& ether_;
   sim::Time stack_cost_;
   DeliverFrom deliver_;

@@ -18,25 +18,36 @@
 // builds 100k of them at once. It is a record and, while it talks, a live
 // block:
 //  * The record (200 bytes) is what the client is from construction to
-//    destruction: its Config copy (120 bytes), its outcome, session id and
-//    stream, and its two port addresses. It attaches both ports at
+//    destruction: its Config copy (120 bytes; the default URI is empty and
+//    holds no heap string, see session/rtsp.hpp), its outcome, session id
+//    and stream, and its two port addresses. It attaches both ports at
 //    construction, parked on a no-op receiver (hw::EthernetSwitch::parked),
 //    response receiver's first, and detaches them when it dies, request
 //    sender's first. So every port address, and the order in which the
 //    switch recycles them, is what it would be if the endpoints lived on
 //    their own ports for the client's whole life.
-//  * The live block (344 bytes) is the transport and the answer path: the
-//    reassembly buffer, the TcpLite receiver and sender on the record's
-//    ports (which they borrow and park again when they die), the waiting
-//    flag, the request's send time, the last answer and the CSeq. The
-//    arrival event builds it, after checking that the response port is
-//    still attached, so a client destroyed before its arrival builds
-//    nothing. It is destroyed when the sender reports its close complete
-//    (the block is close()'s listener): the FIN and every segment sent,
-//    resends included, acknowledged, so no event of the sender is pending,
-//    and the receiver has no segment waiting out its stack cost. A kVanish
-//    client never closes and keeps it, as does a client whose close never
-//    completes; either is destroyed with the client.
+//  * The live block (200 bytes) is the transport: the TcpLite sender on
+//    the request port, the request's send time, the CSeq and the waiting
+//    flag. The arrival event builds it, after checking that the response
+//    port is still attached, so a client destroyed before its arrival
+//    builds nothing. It binds the response port to a one-word thunk.
+//  * The answer half (152 bytes) is the answer path: the reassembly buffer,
+//    the TcpLite receiver on the response port and the last answer. The
+//    thunk builds it when the first frame lands on that port and hands it
+//    the frame inside the same delivery event, so the receiver's stack-cost
+//    event keeps its instant and its place in event order, and a receiver
+//    is in its initial state until its first frame anyway. A client waiting
+//    for its SETUP answer, as most of a storm's live clients are, holds no
+//    receiver and no buffer.
+//  * The endpoints borrow the record's ports and park them again when they
+//    die; while there is no answer half, the live block parks the response
+//    port itself. The live block and its answer half are destroyed when
+//    the sender reports its close complete (the block is close()'s
+//    listener): the FIN and every segment sent, resends included,
+//    acknowledged, so no event of the sender is pending, and the receiver
+//    has no segment waiting out its stack cost. A kVanish client never
+//    closes and keeps them, as does a client whose close never completes;
+//    either is destroyed with the client.
 //  * It starts at its arrival. start() schedules the arrival event, and
 //    the script runs from there on engine events, with no stack of its own
 //    (no coroutine frame): the arrival and every answer call advance().
@@ -84,8 +95,9 @@ class RtspChurnClient {
     Behavior behavior = Behavior::kPolite;
     sim::Time arrival = sim::Time::zero();  // when this client SETUPs
     /// Request URI; a tenant-aware server reads the first path segment as
-    /// the tenant name ("rtsp://ni/acme/movie" → tenant "acme").
-    std::string uri = "rtsp://ni/stream";
+    /// the tenant name ("rtsp://ni/acme/movie" → tenant "acme"). Empty
+    /// names kDefaultUri, with no heap copy of it (session/rtsp.hpp).
+    std::string uri;
     std::uint64_t frames = 8;
     sim::Time period = sim::Time::ms(33);
     dwcs::WindowConstraint tolerance{1, 4};
@@ -160,35 +172,62 @@ class RtspChurnClient {
   static constexpr net::TcpLiteSenderParams kControlParams{
       .window = 8, .max_retx_rounds = 8};
 
-  /// The transport and the answer path, from arrival until the close
-  /// completes (see the header comment). It is its sender's close listener,
-  /// so the record pays no word for one.
-  struct Live final : net::TcpLiteSender::CloseListener {
-    explicit Live(RtspChurnClient& c)
-        : client{c},
-          rx{c.ether_, c.resp_port_, net::kHostStackCost,
+  /// The answer half of the live block, built when the first frame lands
+  /// on the response port (see the header comment).
+  struct Answer {
+    explicit Answer(RtspChurnClient& c)
+        : rx{c.ether_, c.resp_port_, net::kHostStackCost,
              net::TcpLiteReceiver::DeliverFrom{
                  [&c](const net::Packet& p, int, sim::Time) {
                    c.on_response_bytes(p);
-                 }}},
+                 }}} {}
+
+    MessageBuffer buf;
+    net::TcpLiteReceiver rx;
+    std::uint64_t session = 0;  // the last answer
+    int status = 0;
+    dwcs::StreamId stream = 0;
+  };
+
+  /// The transport, from arrival until the close completes, and the answer
+  /// half from the first frame on (see the header comment). It is its
+  /// sender's close listener, so the record pays no word for one.
+  struct Live final : net::TcpLiteSender::CloseListener {
+    explicit Live(RtspChurnClient& c)
+        : client{c},
           tx{c.ether_, c.ctl_port_, net::kHostStackCost, c.control_port_,
-             kControlParams} {}
+             kControlParams} {
+      c.ether_.rebind(c.resp_port_,
+                      [this](const hw::EthFrame& f) { on_first_frame(f); });
+    }
+
+    /// The answer half's receiver parks the response port when it dies;
+    /// with none, the thunk still holds it.
+    ~Live() {
+      if (!answer) {
+        client.ether_.rebind(client.resp_port_, &hw::EthernetSwitch::parked);
+      }
+    }
 
     /// The close is complete: the block goes, unless a segment that landed
-    /// on the receiver still waits out its stack cost.
+    /// on the receiver still waits out its stack cost. A client closes only
+    /// after an answer, so the answer half is there.
     void on_closed() override {
-      if (rx.idle()) client.live_.reset();  // destroys *this
+      if (answer->rx.idle()) client.live_.reset();  // destroys *this
+    }
+
+    /// The thunk, inside the first frame's delivery: build the answer half,
+    /// whose receiver takes the port over, and hand it the frame.
+    void on_first_frame(const hw::EthFrame& f) {
+      answer = std::make_unique<Answer>(client);
+      answer->rx.on_frame(f);
     }
 
     RtspChurnClient& client;
-    MessageBuffer buf;
-    net::TcpLiteReceiver rx;
     net::TcpLiteSender tx;
+    std::unique_ptr<Answer> answer;  // from the first frame on
     sim::Time sent;          // when the last request was sent
-    int answer_status = 0;   // the last answer
     std::uint32_t cseq = 0;  // requests sent, and the CSeq of the last one
-    std::uint64_t answer_session = 0;
-    dwcs::StreamId answer_stream = 0;
     bool waiting = false;  // the last request is sent and not yet answered
   };
 
@@ -229,10 +268,11 @@ class RtspChurnClient {
 
   void on_response_bytes(const net::Packet& p) {
     Live& live = *live_;
+    Answer& answer = *live.answer;
     if (const auto* chunk = static_cast<const std::string*>(p.body.get())) {
-      live.buf.append(*chunk);
+      answer.buf.append(*chunk);
     }
-    while (auto msg = live.buf.next()) {
+    while (auto msg = answer.buf.next()) {
       const auto resp = parse_response(*msg);
       if (!resp) continue;
       if (!live.waiting) {  // nothing asked for this one
@@ -240,9 +280,9 @@ class RtspChurnClient {
         continue;
       }
       if (resp->cseq != live.cseq) ++outcome_.cseq_errors;
-      live.answer_status = resp->status;
-      live.answer_session = resp->session_id;
-      live.answer_stream = resp->stream;
+      answer.status = resp->status;
+      answer.session = resp->session_id;
+      answer.stream = resp->stream;
       live.waiting = false;
       // The wake-up a Semaphore::release would schedule.
       after(sim::Time::zero(), [this] { on_answer(); });
@@ -315,8 +355,8 @@ class RtspChurnClient {
   }
 
   /// The lifecycle script, one call per answer. `cseq` requests have been
-  /// answered so far and the last answer is in the live block: book it, and
-  /// return the next request with the wait before it. Requests 1 and 2 are
+  /// answered so far and the last answer is in the answer half: book it,
+  /// and return the next request with the wait before it. Requests 1 and 2 are
   /// SETUP and PLAY, kPauseResume then sends PAUSE (3) and PLAY (4), and
   /// every behavior but kVanish ends with TEARDOWN.
   Step next_step() {
@@ -334,8 +374,8 @@ class RtspChurnClient {
         return {sim::Time::zero(), Method::kSetup};
       case 1:  // SETUP answered
         outcome_.responded_setup = true;
-        outcome_.setup_status = live.answer_status;
-        if (live.answer_status != 200) {
+        outcome_.setup_status = live.answer->status;
+        if (live.answer->status != 200) {
           // 453: over capacity. The polite thing — and what keeps the
           // server's connection table clean — is to FIN the control channel
           // and go away.
@@ -343,8 +383,8 @@ class RtspChurnClient {
           return finish();
         }
         outcome_.admitted = true;
-        session_id_ = live.answer_session;
-        stream_ = live.answer_stream;
+        session_id_ = live.answer->session;
+        stream_ = live.answer->stream;
         return {sim::Time::zero(), Method::kPlay};
       case 2:  // PLAY answered
         // Half-open: a vanishing client never speaks again, never closes.
@@ -354,10 +394,10 @@ class RtspChurnClient {
         return {media, Method::kTeardown};
       case 3:  // PAUSE answered (kPauseResume), else TEARDOWN
         if (!pause_resume) break;
-        if (live.answer_status == 200) media_.notify_pause(stream_);
+        if (live.answer->status == 200) media_.notify_pause(stream_);
         return {config_.pause_for, Method::kPlay};
       case 4:  // the resuming PLAY answered
-        if (live.answer_status == 200) media_.notify_resume(stream_);
+        if (live.answer->status == 200) media_.notify_resume(stream_);
         return {media, Method::kTeardown};
       default:
         break;

@@ -21,11 +21,23 @@
 //    exchange returns; the simulation passes them explicitly.
 //  * X-Stream in responses — the scheduler stream id, so tests and the
 //    churn client can find their data-plane stream without a registry.
+//
+// The default stream URI. An RtspRequest whose uri is empty, as a
+// default-constructed one is, names kDefaultUri, and format_request writes
+// that text for it. kDefaultUri is 16 characters, one more than libstdc++'s
+// std::string holds inline, so a copy of it would be a heap block: this
+// keeps a request, and a churn client config that keeps the default, free
+// of one (a storm builds 100k configs). parse_request keeps whatever URI
+// the text names, the default included.
+//
+// Numeric headers are decimal and must fit the field they fill: a value
+// its type cannot hold is malformed (400), never wrapped or narrowed.
 #pragma once
 
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,6 +49,9 @@
 namespace nistream::session {
 
 enum class Method { kSetup, kPlay, kPause, kTeardown, kUnknown };
+
+/// The URI an empty RtspRequest::uri names (see the header comment).
+inline constexpr std::string_view kDefaultUri = "rtsp://ni/stream";
 
 [[nodiscard]] inline const char* method_name(Method m) {
   switch (m) {
@@ -85,7 +100,7 @@ enum class Method { kSetup, kPlay, kPause, kTeardown, kUnknown };
 
 struct RtspRequest {
   Method method = Method::kUnknown;
-  std::string uri = "rtsp://ni/stream";
+  std::string uri;  // empty: kDefaultUri
   std::uint64_t cseq = 0;
   std::uint64_t session_id = 0;  // 0 = no Session header
   int reply_port = -1;           // client's response-receiver port
@@ -121,7 +136,7 @@ struct RtspResponse {
   out.reserve(256);
   out += method_name(r.method);
   out += ' ';
-  out += r.uri;
+  out += r.uri.empty() ? kDefaultUri : std::string_view{r.uri};
   out += " RTSP/1.0\r\nCSeq: " + std::to_string(r.cseq) + "\r\n";
   if (r.session_id != 0) {
     out += "Session: " + format_session_id(r.session_id) + "\r\n";
@@ -190,14 +205,30 @@ void for_each_line(std::string_view text, Fn&& fn) {
   return s;
 }
 
-[[nodiscard]] inline std::optional<std::uint64_t> to_u64(std::string_view s) {
+/// The value of decimal digits `s`, if it is at most `max`: nullopt on an
+/// empty string, a non-digit or a larger value, which is caught digit by
+/// digit, so nothing wraps.
+[[nodiscard]] inline std::optional<std::uint64_t> to_u64(
+    std::string_view s,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (s.empty()) return std::nullopt;
   std::uint64_t v = 0;
   for (const char c : s) {
     if (c < '0' || c > '9') return std::nullopt;
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (v > (max - d) / 10) return std::nullopt;
+    v = v * 10 + d;
   }
   return v;
+}
+
+/// to_u64 of a field that a `T` holds: nullopt on a value past T's range.
+template <typename T>
+[[nodiscard]] std::optional<T> to_uint(std::string_view s) {
+  const auto v = to_u64(s, static_cast<std::uint64_t>(
+                               std::numeric_limits<T>::max()));
+  if (!v) return std::nullopt;
+  return static_cast<T>(*v);
 }
 
 /// Split "Header: value" → (name, value); nullopt when no colon.
@@ -261,36 +292,37 @@ split_header(std::string_view line) {
       if (!v) { bad = true; return; }
       req.session_id = *v;
     } else if (name == "Reply-Port") {
-      const auto v = detail::to_u64(value);
+      const auto v = detail::to_uint<int>(value);
       if (!v) { bad = true; return; }
-      req.reply_port = static_cast<int>(*v);
+      req.reply_port = *v;
     } else if (name == "Transport") {
       const std::size_t eq = value.rfind("client_port=");
       if (eq == std::string_view::npos) { bad = true; return; }
       const std::string_view ports = value.substr(eq + 12);
       const std::size_t dash = ports.find('-');
       if (dash == std::string_view::npos) { bad = true; return; }
-      const auto rtp = detail::to_u64(ports.substr(0, dash));
-      const auto rtcp = detail::to_u64(ports.substr(dash + 1));
+      const auto rtp = detail::to_uint<int>(ports.substr(0, dash));
+      const auto rtcp = detail::to_uint<int>(ports.substr(dash + 1));
       if (!rtp || !rtcp) { bad = true; return; }
-      req.rtp_port = static_cast<int>(*rtp);
-      req.rtcp_port = static_cast<int>(*rtcp);
+      req.rtp_port = *rtp;
+      req.rtcp_port = *rtcp;
     } else if (name == "X-Window") {
       const std::size_t slash = value.find('/');
       if (slash == std::string_view::npos) { bad = true; return; }
-      const auto x = detail::to_u64(value.substr(0, slash));
-      const auto y = detail::to_u64(value.substr(slash + 1));
+      const auto x = detail::to_uint<std::int64_t>(value.substr(0, slash));
+      const auto y = detail::to_uint<std::int64_t>(value.substr(slash + 1));
       if (!x || !y || *x > *y || *y == 0) { bad = true; return; }
-      req.tolerance = dwcs::WindowConstraint{static_cast<std::int64_t>(*x),
-                                             static_cast<std::int64_t>(*y)};
+      req.tolerance = dwcs::WindowConstraint{*x, *y};
     } else if (name == "X-Period-Us") {
-      const auto v = detail::to_u64(value);
+      // Its nanoseconds must fit a sim::Time.
+      const auto v = detail::to_u64(
+          value, std::numeric_limits<std::int64_t>::max() / 1000);
       if (!v || *v == 0) { bad = true; return; }
-      req.period = sim::Time::us(static_cast<std::int64_t>(*v));
+      req.period = sim::Time::ns(static_cast<std::int64_t>(*v) * 1000);
     } else if (name == "X-Frame-Bytes") {
-      const auto v = detail::to_u64(value);
+      const auto v = detail::to_uint<std::uint32_t>(value);
       if (!v || *v == 0) { bad = true; return; }
-      req.frame_bytes = static_cast<std::uint32_t>(*v);
+      req.frame_bytes = *v;
     } else if (name == "X-Frames") {
       const auto v = detail::to_u64(value);
       if (!v) { bad = true; return; }
@@ -316,11 +348,10 @@ split_header(std::string_view line) {
       if (!line.starts_with("RTSP/1.0 ")) { bad = true; return; }
       const std::string_view rest = line.substr(9);
       const std::size_t sp = rest.find(' ');
-      const auto status =
-          detail::to_u64(sp == std::string_view::npos ? rest
-                                                      : rest.substr(0, sp));
+      const auto status = detail::to_uint<int>(
+          sp == std::string_view::npos ? rest : rest.substr(0, sp));
       if (!status) { bad = true; return; }
-      resp.status = static_cast<int>(*status);
+      resp.status = *status;
       return;
     }
     const auto header = detail::split_header(line);
@@ -336,9 +367,9 @@ split_header(std::string_view line) {
       if (!v) { bad = true; return; }
       resp.session_id = *v;
     } else if (name == "X-Stream") {
-      const auto v = detail::to_u64(value);
+      const auto v = detail::to_uint<dwcs::StreamId>(value);
       if (!v) { bad = true; return; }
-      resp.stream = static_cast<dwcs::StreamId>(*v);
+      resp.stream = *v;
       resp.has_stream = true;
     }
   });
@@ -355,9 +386,7 @@ split_header(std::string_view line) {
   detail::for_each_line(text, [&](std::string_view line) {
     const auto header = detail::split_header(line);
     if (!header || header->first != "Reply-Port") return;
-    if (const auto v = detail::to_u64(header->second)) {
-      port = static_cast<int>(*v);
-    }
+    if (const auto v = detail::to_uint<int>(header->second)) port = *v;
   });
   return port;
 }

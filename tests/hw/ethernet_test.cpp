@@ -270,6 +270,43 @@ TEST(Ethernet, RebindKeepsTheAddressAndHandsQueuedFramesToTheNewReceiver) {
             EthernetSwitch::index_of(f.b));
 }
 
+TEST(Ethernet, OneWordReceiverMayRebindItsOwnPortWhileItRuns) {
+  // A storm client's first-frame thunk: a receiver of one word, stored in
+  // the port entry, hands the port to a new receiver from inside its own
+  // call and then gives that receiver the frame. The rebind overwrites the
+  // running receiver's word, so the thunk reads its capture first, and the
+  // switch must not touch the entry once the call returns.
+  struct Target {
+    EthernetSwitch& sw;
+    int port;
+    int thunk_calls = 0;
+    std::vector<std::uint64_t> tags;  // every frame the new receiver got
+    void first(const EthFrame& fr) {
+      ++thunk_calls;
+      sw.rebind(port, [this](const EthFrame& g) { tags.push_back(g.tag); });
+      tags.push_back(fr.tag);
+    }
+  };
+  Fixture f;
+  Target target{f.sw, f.b};
+  const auto thunk = [t = &target](const EthFrame& fr) { t->first(fr); };
+  static_assert(sizeof(thunk) == sizeof(void*));
+  f.sw.rebind(f.b, thunk);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = i});
+  }
+  f.eng.step();  // the first frame lands on the thunk
+  EXPECT_EQ(target.thunk_calls, 1);
+  EXPECT_EQ(target.tags, (std::vector<std::uint64_t>{0}));
+  f.eng.run();  // the queued frames land on the new receiver
+  f.sw.send(f.a, f.b, EthFrame{.bytes = 1000, .tag = 3});
+  f.eng.run();  // and so does a frame sent after the rebind
+  EXPECT_EQ(target.thunk_calls, 1);
+  EXPECT_EQ(target.tags, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+  EXPECT_TRUE(f.rx_b.empty());
+  EXPECT_EQ(f.sw.frames_to_detached(), 0u);
+}
+
 // --- Port recycling.
 
 TEST(EthernetRecycle, DetachedPortIsReusedOnceItsDownlinkDrains) {

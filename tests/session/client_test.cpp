@@ -1,9 +1,9 @@
 // session::RtspChurnClient on its own, against a bare control server that
 // answers only when a test tells it to: the client's footprint (object size,
 // nothing made before its arrival, transport state only from its arrival
-// until its last ACK lands, no coroutine frame in any behavior), its one
-// outstanding answer, and owner-safe destruction before its arrival and
-// while it waits.
+// until its last ACK lands and its answer path only from its first answer
+// on, no coroutine frame in any behavior), its one outstanding answer, and
+// owner-safe destruction before its arrival and while it waits.
 #include "session/client.hpp"
 
 #include <gtest/gtest.h>
@@ -153,20 +153,32 @@ TEST(ChurnClient, TransportLivesFromArrivalUntilItsLastAckLands) {
   ASSERT_EQ(rig.server.requests.size(), 1u);
   const int resp_port = rig.server.requests[0].reply_port;
   const int ctl_port = rig.server.peer;
-  [[maybe_unused]] const std::int64_t talking = test::heap_live_bytes();
+  [[maybe_unused]] const std::int64_t waiting = test::heap_live_bytes();
   rig.server.answer(1, 453);
+  // Step until the answer's one segment is on the wire and has landed.
+  [[maybe_unused]] const std::int64_t answered = test::heap_live_bytes();
+  while (rig.ether.frames_in_flight() == 0) ASSERT_TRUE(rig.eng.step());
+  while (rig.ether.frames_in_flight() > 0) ASSERT_TRUE(rig.eng.step());
+  [[maybe_unused]] const std::int64_t landed = test::heap_live_bytes();
   rig.eng.run();  // the 453, the client's FIN and the FIN's ACK
   ASSERT_TRUE(client->outcome().completed);
   rig.server.forget_client();
   EXPECT_EQ(test::heap_live_bytes(), record)
       << "transport state outlived the last ACK";
 #if NISTREAM_COUNTING_NEW
-  // The record's block and its URI string's.
-  EXPECT_LE(record - before, 256) << "more than the record before arrival";
-  EXPECT_GE(talking - record, static_cast<std::int64_t>(
-                                  sizeof(net::TcpLiteReceiver) +
-                                  sizeof(net::TcpLiteSender)))
-      << "no endpoints while the client talks";
+  // The record's block alone: a default config holds no URI string.
+  EXPECT_LE(record - before, 208) << "more than the record before arrival";
+  // While it waits on its SETUP, the client holds its sender and no
+  // receiver; the answer's first segment builds the receiver.
+  constexpr auto kSender =
+      static_cast<std::int64_t>(sizeof(net::TcpLiteSender));
+  constexpr auto kReceiver =
+      static_cast<std::int64_t>(sizeof(net::TcpLiteReceiver));
+  EXPECT_GE(waiting - record, kSender) << "no sender while the client waits";
+  EXPECT_LT(waiting - record, kSender + kReceiver)
+      << "a receiver before any answer landed";
+  EXPECT_GE(waiting - record + landed - answered, kSender + kReceiver)
+      << "no receiver once the answer landed";
 #endif
 
   // The record keeps both port addresses until it dies.

@@ -12,7 +12,8 @@
 //
 // Waiting on SETUP: a storm's clients spend most of their lives waiting for
 // their SETUP answer, so a waiting client must hold only its record and its
-// live block, with no coroutine frame or other script state beside them.
+// live block's transport, with no answer path, coroutine frame or other
+// script state beside them.
 //
 // This binary replaces ::operator new with the counting shim; under ASan or
 // TSan the shim is compiled out and the test runs without the heap check.
@@ -128,10 +129,12 @@ TEST(LiveHeap, ClientWaitingOnItsSetupHoldsOnlyItsLiveBlock) {
     ASSERT_FALSE(client->outcome().responded_setup);
   }
 #if NISTREAM_COUNTING_NEW
-  // Measured: 344 bytes per client, its live block and nothing else. The
-  // bound leaves 8 bytes per client. A client whose script ran as
-  // coroutines held two 128-byte frames more, 600 bytes in all.
-  constexpr std::int64_t kBytesPerClient = 352;
+  // Measured: 200 bytes per client, its live block's transport (the
+  // sender, the send time, the CSeq and the waiting flag) and nothing else.
+  // The bound leaves 8 bytes per client, far less than a receiver (104
+  // bytes), so a client that builds its answer path before an answer
+  // lands fails it.
+  constexpr std::int64_t kBytesPerClient = 208;
   EXPECT_LE(grown, kClients * kBytesPerClient)
       << static_cast<double>(grown) / kClients << " bytes per waiting client";
 #else

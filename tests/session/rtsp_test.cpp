@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+
+#include "counting_new.hpp"
+#include "session/client.hpp"
 
 namespace nistream::session {
 namespace {
@@ -70,6 +74,12 @@ TEST(RtspMessage, ResponseCarriesStreamId) {
   ASSERT_TRUE(parsed.has_value());
   ASSERT_TRUE(parsed->has_stream);
   EXPECT_EQ(parsed->stream, 42u);
+  // A stream id or status past its type is malformed, not wrapped.
+  EXPECT_FALSE(parse_response("RTSP/1.0 200 OK\r\nCSeq: 1\r\n"
+                              "X-Stream: 4294967338\r\n")
+                   .has_value());
+  EXPECT_FALSE(
+      parse_response("RTSP/1.0 4294967496 OK\r\nCSeq: 1\r\n").has_value());
 }
 
 // A text lives as long as the TcpLite segment that carries it, so its
@@ -114,6 +124,66 @@ TEST(RtspMessage, MalformedRequestsRejected) {
   EXPECT_FALSE(parse_request("SETUP rtsp://x RTSP/1.0\r\nCSeq: 1\r\n"
                              "X-Period-Us: 0\r\n")
                    .has_value());
+  // Numbers past what their field holds, which used to wrap: to 1, 0, port
+  // 5, ports 1-2, a negative period and a negative window.
+  const auto setup_with = [](const std::string& header) {
+    return parse_request("SETUP rtsp://x RTSP/1.0\r\nCSeq: 1\r\n" + header +
+                         "\r\n");
+  };
+  EXPECT_FALSE(parse_request("PLAY rtsp://x RTSP/1.0\r\n"
+                             "CSeq: 18446744073709551617\r\n")
+                   .has_value());
+  EXPECT_FALSE(setup_with("X-Frame-Bytes: 4294967296").has_value());
+  EXPECT_FALSE(setup_with("Reply-Port: 4294967301").has_value());
+  EXPECT_FALSE(
+      setup_with("Transport: RTP/AVP;unicast;client_port=4294967297-4294967298")
+          .has_value());
+  EXPECT_FALSE(setup_with("X-Period-Us: 9223372036854775808").has_value());
+  EXPECT_FALSE(
+      setup_with("X-Window: 9223372036854775808/9223372036854775809")
+          .has_value());
+  EXPECT_FALSE(find_reply_port("SETUP rtsp://x RTSP/1.0\r\n"
+                               "Reply-Port: 4294967301\r\n")
+                   .has_value());
+  // The largest value of each field still parses.
+  const auto edge = setup_with(
+      "X-Period-Us: 9223372036854775\r\nX-Frame-Bytes: 4294967295\r\n"
+      "Reply-Port: 2147483647\r\n"
+      "X-Window: 9223372036854775807/9223372036854775807");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->period, sim::Time::ns(9'223'372'036'854'775'000));
+  EXPECT_EQ(edge->frame_bytes, 4'294'967'295u);
+  EXPECT_EQ(edge->reply_port, 2'147'483'647);
+  EXPECT_EQ(edge->tolerance.y, 9'223'372'036'854'775'807);
+  EXPECT_FALSE(setup_with("X-Period-Us: 9223372036854776").has_value());
+  const auto max_cseq = parse_request(
+      "PLAY rtsp://x RTSP/1.0\r\nCSeq: 18446744073709551615\r\n");
+  ASSERT_TRUE(max_cseq.has_value());
+  EXPECT_EQ(max_cseq->cseq, 18'446'744'073'709'551'615u);
+}
+
+TEST(RtspMessage, EmptyUriIsTheDefaultAndHoldsNoHeapString) {
+  for (const Method m : {Method::kSetup, Method::kPlay, Method::kTeardown}) {
+    RtspRequest empty;
+    empty.method = m;
+    empty.cseq = 3;
+    empty.reply_port = 12;
+    if (m != Method::kSetup) empty.session_id = make_session_id(1, 2);
+    RtspRequest named = empty;
+    named.uri = "rtsp://ni/stream";
+    EXPECT_EQ(format_request(empty), format_request(named)) << method_name(m);
+  }
+  // The default URI is one character past std::string's inline buffer, so
+  // a copy of it would take a heap block.
+  const std::int64_t before = test::heap_live_bytes();
+  const RtspRequest request;
+  const RtspChurnClient::Config config;
+  [[maybe_unused]] const std::int64_t held = test::heap_live_bytes() - before;
+  EXPECT_TRUE(request.uri.empty());
+  EXPECT_TRUE(config.uri.empty());
+#if NISTREAM_COUNTING_NEW
+  EXPECT_EQ(held, 0) << "a default request or client config allocated";
+#endif
 }
 
 TEST(RtspMessage, UnknownHeadersIgnored) {
