@@ -15,15 +15,38 @@
 // One table holds every ring of its owner (ring r is stream r of a
 // scheduler). All rings share one capacity, residency and cost hook, stored
 // once:
-//  * Ring r is a 32-bit head and tail plus capacity + 1 descriptor slots (one
-//    empty slot tells full from empty). A slot holds a descriptor's fields
-//    back to back in 21 bytes (frame_id, enqueued_at, bytes, type; no
-//    padding), and a ring's record is rounded up to 4 bytes so the next
-//    ring's cursors stay aligned: 8 + 9 × 21 → 200 bytes at capacity 8.
-//    Rings sit back to back in byte pages of a power-of-two ring count (as
-//    many as fit in 64 KiB, at least one), so r splits into page and
-//    position with a shift and a mask. A page is allocated when its first
-//    ring is added, is never moved, and its slots are not initialized.
+//  * Ring r's record is 40 bytes at any capacity: a spill pointer (8), a
+//    32-bit head and tail, and one inline descriptor slot. A slot holds a
+//    descriptor's fields back to back in 21 bytes (frame_id, enqueued_at,
+//    bytes, type; no padding): 8 + 4 + 4 + 21 → 40 with the pointer's
+//    alignment. Records sit back to back in pages of 1,024 (40,960 bytes),
+//    so r splits into page and position with a shift and a mask. A page is
+//    allocated when its first ring is added, is never moved, and its inline
+//    slots are not initialized.
+//  * The head and tail are logical positions mod capacity + 1 (one empty
+//    position tells full from empty), whatever holds the bytes. A ring
+//    without a block holds at most one frame, in its inline slot. A paced
+//    stream holds one frame between dispatches, so most rings never need
+//    more: PIFO likewise ranks only a flow's head, and in paced media the
+//    FIFO behind it is almost always empty.
+//  * Spill: when push() finds the ring already holding a frame, the ring
+//    takes a block of capacity + 1 slots from operator new, and from then on
+//    keeps position i's frame in the block's slot i. A spilled ring costs its
+//    40 bytes plus the block (189 bytes at capacity 8, a 208-byte malloc
+//    chunk), where a record holding all nine slots would take 200. A ring
+//    spills at most once: its block stays until the table dies, because to
+//    free it the producer would have to know that the consumer no longer
+//    reads it, which is the synchronization Figure 4(b) does without.
+//  * The spill keeps the SPSC contract lock-free. Only the producer writes
+//    the spill pointer, once, while the ring holds a frame: it copies the
+//    inline frame into the block at the head's position, publishes the block
+//    with a release store, writes the new frame into the block and then
+//    releases the tail. It never writes the inline slot again. The consumer
+//    loads the spill pointer with acquire after its acquire of the tail, so
+//    a frame pushed after the spill is read from the block, and a frame
+//    pushed before it is the same in either copy. Each ring gets its own
+//    block from operator new, not from an arena the table shares, because
+//    each ring's push() may run on its own thread.
 //  * Ring r's simulated region starts at base + r × stride. It is computed,
 //    not stored.
 //  * add() must not run concurrently with push/pop on any ring: the
@@ -31,13 +54,13 @@
 //    before their threads start.
 //
 // Cost accounting: the simulated descriptor is kDescriptorWords 32-bit
-// words, whatever the host slot's size. Its words sit at region + slot × 16
-// and the head/tail word at region + 4096. Reads and writes report through
-// the CostHook according to the residency (pinned memory words vs
-// hardware-queue registers); a hook that is not accounted is never called.
+// words, whatever the host slot's size or place. Position i's words sit at
+// region + i × 16 and the head/tail word at region + 4096, spilled or not.
+// Reads and writes report through the CostHook according to the residency
+// (pinned memory words vs hardware-queue registers); a hook that is not
+// accounted is never called.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -65,10 +88,6 @@ class RingTable {
   RingTable(std::size_t capacity, DescriptorResidency residency, SimAddr base,
             SimAddr stride, CostHook& hook)
       : slots_{static_cast<std::uint32_t>(capacity + 1)},
-        record_bytes_{record_size(slots_)},
-        page_shift_{static_cast<unsigned>(std::bit_width(
-                        std::max<std::size_t>(1, kPageBytes / record_bytes_)) -
-                    1)},
         residency_{residency},
         charged_{hook.accounted()},
         base_{base},
@@ -78,69 +97,81 @@ class RingTable {
   }
   RingTable(const RingTable&) = delete;
   RingTable& operator=(const RingTable&) = delete;
+  ~RingTable() {
+    for (std::size_t r = 0; r < rings_; ++r) {
+      delete[] record(r).spill.load(std::memory_order_relaxed);
+    }
+  }
 
   /// Append an empty ring; returns its index (0, 1, 2, ...).
   std::size_t add() {
     const std::size_t r = rings_;
-    if ((r & page_mask()) == 0) {
+    if ((r & kPageMask) == 0) {
       pages_.push_back(std::make_unique_for_overwrite<std::byte[]>(
-          record_bytes_ << page_shift_));
+          sizeof(Record) << kPageShift));
     }
     ++rings_;
-    ::new (static_cast<void*>(record(r))) Cursors{};
+    ::new (static_cast<void*>(storage(r))) Record;
     return r;
   }
   /// Pre-size the page list for `n` rings (host-side capacity planning).
   void reserve(std::size_t n) {
-    pages_.reserve((n + page_mask()) >> page_shift_);
+    pages_.reserve((n + kPageMask) >> kPageShift);
   }
 
   [[nodiscard]] std::size_t rings() const { return rings_; }
-  [[nodiscard]] std::size_t rings_per_page() const {
-    return std::size_t{1} << page_shift_;
+  [[nodiscard]] static constexpr std::size_t rings_per_page() {
+    return std::size_t{1} << kPageShift;
+  }
+  /// Bytes of the block a ring takes at its second frame.
+  [[nodiscard]] std::size_t block_bytes() const {
+    return std::size_t{slots_} * kSlotBytes;
   }
 
   [[nodiscard]] bool empty(std::size_t r) const {
-    const Cursors& c = cursors(r);
-    return c.head.load(std::memory_order_acquire) ==
-           c.tail.load(std::memory_order_acquire);
+    const Record& rec = record(r);
+    return rec.head.load(std::memory_order_acquire) ==
+           rec.tail.load(std::memory_order_acquire);
   }
   [[nodiscard]] std::size_t size(std::size_t r) const {
-    const Cursors& c = cursors(r);
-    const auto h = c.head.load(std::memory_order_acquire);
-    const auto t = c.tail.load(std::memory_order_acquire);
+    const Record& rec = record(r);
+    const auto h = rec.head.load(std::memory_order_acquire);
+    const auto t = rec.tail.load(std::memory_order_acquire);
     return (std::size_t{t} + slots_ - h) % slots_;
   }
 
   /// Producer side: returns false when full (producer must back off).
   bool push(std::size_t r, const FrameDescriptor& d) {
-    Cursors& c = cursors(r);
-    const auto t = c.tail.load(std::memory_order_relaxed);
+    Record& rec = record(r);
+    const auto t = rec.tail.load(std::memory_order_relaxed);
     const auto next = (t + 1) % slots_;
-    if (next == c.head.load(std::memory_order_acquire)) return false;
+    const auto h = rec.head.load(std::memory_order_acquire);
+    if (next == h) return false;
     touch_slot(r, t);  // descriptor store
-    store(r, t, d);
+    std::byte* block = rec.spill.load(std::memory_order_relaxed);
+    if (block == nullptr && h != t) block = spill(rec, h);
+    store(block ? block + std::size_t{t} * kSlotBytes : rec.inline_slot, d);
     touch_pointer(r);  // tail pointer update
-    c.tail.store(next, std::memory_order_release);
+    rec.tail.store(next, std::memory_order_release);
     return true;
   }
 
   /// Consumer side: peek the head descriptor without removing it.
   [[nodiscard]] std::optional<FrameDescriptor> front(std::size_t r) const {
-    const Cursors& c = cursors(r);
-    const auto h = c.head.load(std::memory_order_relaxed);
-    if (h == c.tail.load(std::memory_order_acquire)) return std::nullopt;
+    const Record& rec = record(r);
+    const auto h = rec.head.load(std::memory_order_relaxed);
+    if (h == rec.tail.load(std::memory_order_acquire)) return std::nullopt;
     touch_slot(r, h);
-    return load(r, h);
+    return load(rec, h);
   }
 
   /// Consumer side: drop the head descriptor. Precondition: not empty.
   void pop(std::size_t r) {
-    Cursors& c = cursors(r);
-    const auto h = c.head.load(std::memory_order_relaxed);
-    assert(h != c.tail.load(std::memory_order_acquire));
+    Record& rec = record(r);
+    const auto h = rec.head.load(std::memory_order_relaxed);
+    assert(h != rec.tail.load(std::memory_order_acquire));
     touch_pointer(r);
-    c.head.store((h + 1) % slots_, std::memory_order_release);
+    rec.head.store((h + 1) % slots_, std::memory_order_release);
   }
 
   /// Observability variants that charge nothing through the CostHook: for
@@ -149,31 +180,19 @@ class RingTable {
   /// path — they would silently under-charge it.
   [[nodiscard]] std::optional<FrameDescriptor> front_unaccounted(
       std::size_t r) const {
-    const Cursors& c = cursors(r);
-    const auto h = c.head.load(std::memory_order_relaxed);
-    if (h == c.tail.load(std::memory_order_acquire)) return std::nullopt;
-    return load(r, h);
+    const Record& rec = record(r);
+    const auto h = rec.head.load(std::memory_order_relaxed);
+    if (h == rec.tail.load(std::memory_order_acquire)) return std::nullopt;
+    return load(rec, h);
   }
   void pop_unaccounted(std::size_t r) {
-    Cursors& c = cursors(r);
-    const auto h = c.head.load(std::memory_order_relaxed);
-    assert(h != c.tail.load(std::memory_order_acquire));
-    c.head.store((h + 1) % slots_, std::memory_order_release);
+    Record& rec = record(r);
+    const auto h = rec.head.load(std::memory_order_relaxed);
+    assert(h != rec.tail.load(std::memory_order_acquire));
+    rec.head.store((h + 1) % slots_, std::memory_order_release);
   }
 
  private:
-  /// Rings per page is the largest power of two whose rings fit here.
-  static constexpr std::size_t kPageBytes = 64 * 1024;
-
-  // A ring's first bytes; its slots follow.
-  struct Cursors {
-    std::atomic<std::uint32_t> head{0};
-    std::atomic<std::uint32_t> tail{0};
-  };
-  static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
-  static_assert(std::is_trivially_copyable_v<FrameDescriptor>);
-  static_assert(std::is_trivially_destructible_v<Cursors>);
-
   /// One slot: every descriptor field, unpadded. store() and load() name the
   /// same four fields through a structured binding, which stops compiling
   /// when a field is added to or removed from FrameDescriptor.
@@ -182,25 +201,40 @@ class RingTable {
       sizeof(FrameDescriptor::bytes) + sizeof(FrameDescriptor::type);
   static_assert(kSlotBytes == 21, "frame_id 8, enqueued_at 8, bytes 4, type 1");
 
-  /// One ring's cursors and slots, rounded up so that the next ring's
-  /// cursors stay aligned.
-  static constexpr std::size_t record_size(std::size_t slots) {
-    constexpr std::size_t a = alignof(Cursors);
-    return (sizeof(Cursors) + slots * kSlotBytes + a - 1) / a * a;
-  }
+  /// One ring in a page. `spill` is null until the ring's second frame.
+  struct Record {
+    std::atomic<std::byte*> spill{nullptr};
+    std::atomic<std::uint32_t> head{0};
+    std::atomic<std::uint32_t> tail{0};
+    std::byte inline_slot[kSlotBytes];
+  };
+  static_assert(sizeof(Record) == 40,
+                "spill 8, head 4, tail 4, slot 21, padded to 8");
+  static_assert(std::atomic<std::byte*>::is_always_lock_free);
+  static_assert(std::atomic<std::uint32_t>::is_always_lock_free);
+  static_assert(std::is_trivially_copyable_v<FrameDescriptor>);
+  static_assert(std::is_trivially_destructible_v<Record>);
 
-  [[nodiscard]] std::size_t page_mask() const {
-    return (std::size_t{1} << page_shift_) - 1;
-  }
-  [[nodiscard]] std::byte* record(std::size_t r) const {
+  /// Rings per page is the largest power of two whose records fit in 64 KiB.
+  static constexpr unsigned kPageShift =
+      std::bit_width(64 * 1024 / sizeof(Record)) - 1;
+  static constexpr std::size_t kPageMask = (std::size_t{1} << kPageShift) - 1;
+
+  [[nodiscard]] std::byte* storage(std::size_t r) const {
     assert(r < rings_);
-    return pages_[r >> page_shift_].get() + (r & page_mask()) * record_bytes_;
+    return pages_[r >> kPageShift].get() + (r & kPageMask) * sizeof(Record);
   }
-  [[nodiscard]] Cursors& cursors(std::size_t r) const {
-    return *std::launder(reinterpret_cast<Cursors*>(record(r)));
+  [[nodiscard]] Record& record(std::size_t r) const {
+    return *std::launder(reinterpret_cast<Record*>(storage(r)));
   }
-  [[nodiscard]] std::byte* slot(std::size_t r, std::uint32_t i) const {
-    return record(r) + sizeof(Cursors) + i * kSlotBytes;
+  /// Producer side, on a ring that holds its one frame at position h: move
+  /// that frame to slot h of a new block and publish the block.
+  std::byte* spill(Record& rec, std::uint32_t h) {
+    auto* block = new std::byte[block_bytes()];
+    std::memcpy(block + std::size_t{h} * kSlotBytes, rec.inline_slot,
+                kSlotBytes);
+    rec.spill.store(block, std::memory_order_release);
+    return block;
   }
   /// Start of ring r's simulated region.
   [[nodiscard]] SimAddr region(std::size_t r) const {
@@ -215,14 +249,18 @@ class RingTable {
   static void unpack(const std::byte* at, Field&... f) {
     ((std::memcpy(&f, at, sizeof f), at += sizeof f), ...);
   }
-  void store(std::size_t r, std::uint32_t i, const FrameDescriptor& d) const {
+  static void store(std::byte* at, const FrameDescriptor& d) {
     const auto& [frame_id, bytes, type, enqueued_at] = d;
-    pack(slot(r, i), frame_id, enqueued_at, bytes, type);
+    pack(at, frame_id, enqueued_at, bytes, type);
   }
-  [[nodiscard]] FrameDescriptor load(std::size_t r, std::uint32_t i) const {
+  /// Consumer side: position i's frame, from the block once there is one.
+  [[nodiscard]] static FrameDescriptor load(const Record& rec,
+                                            std::uint32_t i) {
+    const std::byte* block = rec.spill.load(std::memory_order_acquire);
     FrameDescriptor d;
     auto& [frame_id, bytes, type, enqueued_at] = d;
-    unpack(slot(r, i), frame_id, enqueued_at, bytes, type);
+    unpack(block ? block + std::size_t{i} * kSlotBytes : rec.inline_slot,
+           frame_id, enqueued_at, bytes, type);
     return d;
   }
 
@@ -251,9 +289,7 @@ class RingTable {
 
   std::vector<std::unique_ptr<std::byte[]>> pages_;
   std::size_t rings_ = 0;
-  std::uint32_t slots_;       // capacity + 1
-  std::size_t record_bytes_;  // one ring: cursors and slots
-  unsigned page_shift_;       // log2(rings per page)
+  std::uint32_t slots_;  // capacity + 1
   DescriptorResidency residency_;
   bool charged_;
   SimAddr base_;

@@ -186,10 +186,7 @@ TEST(CostInvariance, StreamPastTheFirstRingPageChargesItsOwnAddresses) {
   DwcsScheduler::Config cfg;
   cfg.ring_capacity = 8;
   DwcsScheduler sched{cfg, hook};
-  const auto id = static_cast<StreamId>(
-      RingTable{cfg.ring_capacity, cfg.residency, 0, 0, null_cost_hook()}
-          .rings_per_page() +
-      3);
+  const auto id = static_cast<StreamId>(RingTable::rings_per_page() + 3);
   for (StreamId i = 0; i <= id; ++i) {
     sched.create_stream({.tolerance = {1, 4}, .period = sim::Time::ms(33)},
                         sim::Time::zero());
@@ -198,10 +195,12 @@ TEST(CostInvariance, StreamPastTheFirstRingPageChargesItsOwnAddresses) {
   const SimAddr state = 0x00F0'0000 + static_cast<SimAddr>(id) * 128;
   const std::vector<SimAddr> ring_words{ring, ring + 4, ring + 8, ring + 12,
                                         ring + 4096};
+  // Every ring region up to and including stream id's.
+  const SimAddr rings_end = ring + 0x10000;
 
   FrameDescriptor d;
   ASSERT_TRUE(sched.enqueue(id, d, sim::Time::zero()));
-  EXPECT_EQ(hook.in(0x0200'0000, 0x0400'0000), ring_words);
+  EXPECT_EQ(hook.in(0x0200'0000, rings_end), ring_words);
   EXPECT_TRUE(hook.in(0x00F0'0000, 0x0100'0000).empty());
 
   // Service: front + pop on the ring, 24 state words (the deadline word,
@@ -213,7 +212,7 @@ TEST(CostInvariance, StreamPastTheFirstRingPageChargesItsOwnAddresses) {
   std::vector<SimAddr> state_words;
   for (SimAddr w = 0; w < 24; ++w) state_words.push_back(state + w * 4);
   EXPECT_EQ(hook.in(0x00F0'0000, 0x0100'0000), state_words);
-  EXPECT_EQ(hook.in(0x0200'0000, 0x0400'0000), ring_words);
+  EXPECT_EQ(hook.in(0x0200'0000, rings_end), ring_words);
 }
 
 /// Prints current totals; enable manually to recapture goldens after a

@@ -1,14 +1,16 @@
 // Tests for the per-stream SPSC circular buffers and the table that holds
-// them. FrameRing.* cases drive one ring of a table on its own, including a
-// real two-thread stress test backing the paper's no-synchronization claim
-// (Figure 4b). RingTable.* cases cover what the table adds: the simulated
-// address map of rings on and past the first page, the packed slot, page
+// them. FrameRing.* cases drive one ring of a table on its own, including
+// real two-thread tests backing the paper's no-synchronization claim (Figure
+// 4b), one of them across a ring's spill from its inline slot to its block.
+// RingTable.* cases cover what the table adds: the simulated address map of
+// rings on and past the first page, spilled or not, the packed slot, page
 // geometry, and several rings in use by their own threads at once.
 #include "dwcs/ring.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -135,6 +137,63 @@ TEST(FrameRing, ConcurrentSpscStress) {
   for (std::uint64_t i = 0; i < kCount; ++i) ASSERT_EQ(got[i], i);
 }
 
+// The spill under two threads, in the order that forces it: the consumer has
+// read frame 0 from the inline slot and keeps reading it, without popping,
+// while the producer's push of frame 1 moves it into the block. Then the
+// producer pushes the rest while the consumer pops. Each of many fresh rings
+// spills once, and every frame arrives once and in order. Frame ids are
+// unique and never 0, so a frame lost in the spill cannot pass for one.
+TEST(FrameRing, SpillsWhileTheConsumerReadsTheInlineFrame) {
+  constexpr std::size_t kRings = 2000;
+  constexpr std::uint64_t kFrames = 12;  // wraps a capacity-4 ring twice
+  const auto id = [](std::size_t r, std::uint64_t i) {
+    return r * kFrames + i + 1;
+  };
+  RingTable t = one_ring(4);
+  for (std::size_t i = 0; i < kRings; ++i) t.add();
+  std::atomic<std::size_t> held{kRings};  // ring whose frame 0 was read
+  std::vector<std::vector<std::uint64_t>> got(kRings);
+  bool rereads_ok = true;
+
+  std::thread producer{[&] {
+    for (std::size_t r = 0; r < kRings; ++r) {
+      EXPECT_TRUE(t.push(r, desc(id(r, 0))));
+      while (held.load(std::memory_order_acquire) != r) {
+        std::this_thread::yield();
+      }
+      for (std::uint64_t i = 1; i < kFrames; ++i) {
+        while (!t.push(r, desc(id(r, i)))) std::this_thread::yield();
+      }
+    }
+  }};
+  std::thread consumer{[&] {
+    for (std::size_t r = 0; r < kRings; ++r) {
+      while (t.empty(r)) std::this_thread::yield();
+      held.store(r, std::memory_order_release);
+      while (t.size(r) < 2) rereads_ok &= t.front(r)->frame_id == id(r, 0);
+      while (got[r].size() < kFrames) {
+        const auto f = t.front(r);
+        if (!f) {
+          std::this_thread::yield();
+          continue;
+        }
+        got[r].push_back(f->frame_id);
+        t.pop(r);
+      }
+    }
+  }};
+  producer.join();
+  consumer.join();
+
+  EXPECT_TRUE(rereads_ok);
+  for (std::size_t r = 0; r < kRings; ++r) {
+    ASSERT_EQ(got[r].size(), kFrames) << "ring " << r;
+    for (std::uint64_t i = 0; i < kFrames; ++i) {
+      ASSERT_EQ(got[r][i], id(r, i)) << "ring " << r;
+    }
+  }
+}
+
 // --- The table ---------------------------------------------------------
 
 /// Records every charge in order: a memory word's address, or a register
@@ -169,36 +228,47 @@ std::size_t past_first_page(const RingTable& t) {
   return t.rings_per_page() + 1;
 }
 
-// Eleven push/front/pop rounds walk every slot and wrap once. Ring r's
-// descriptor in slot s is at base + r × stride + s × 16 + {0, 4, 8, 12}, and
-// its head/tail word at base + r × stride + 4096.
+// Eleven push/front/pop rounds walk every position and wrap once. Ring r's
+// descriptor at position s is at base + r × stride + s × 16 + {0, 4, 8, 12},
+// and its head/tail word at base + r × stride + 4096. Ring 2 holds a second
+// frame in every round: its first round's push spills it, and its frames are
+// charged at the same words from its block.
 TEST(RingTable, PinnedAddressMapAtRingsZeroOneAndPastTheFirstPage) {
   RecordingHook hook;
   RingTable t{kCapacity, DescriptorResidency::kPinnedMemory, kBase, kStride,
               hook};
   add_past_first_page(t);
-  ASSERT_GT(past_first_page(t), 1u);
-  for (const std::size_t r : {std::size_t{0}, std::size_t{1},
-                              past_first_page(t)}) {
+  ASSERT_GT(past_first_page(t), 2u);
+  struct Input {
+    std::size_t ring;
+    std::uint64_t held;  // frames the ring holds before each round's push
+  };
+  for (const Input in : {Input{0, 0}, Input{1, 0},
+                         Input{past_first_page(t), 0}, Input{2, 1}}) {
+    const std::size_t r = in.ring;
     const SimAddr region = kBase + r * kStride;
+    const auto words = [region](std::uint64_t position) {
+      const SimAddr slot = region + (position % (kCapacity + 1)) * 16;
+      return std::vector<SimAddr>{slot, slot + 4, slot + 8, slot + 12};
+    };
+    for (std::uint64_t k = 0; k < in.held; ++k) ASSERT_TRUE(t.push(r, desc(k)));
     for (std::uint64_t round = 0; round < 11; ++round) {
-      const SimAddr slot = region + (round % (kCapacity + 1)) * 16;
-      const std::vector<SimAddr> words{slot, slot + 4, slot + 8, slot + 12};
       hook.touches.clear();
-      ASSERT_TRUE(t.push(r, desc(round)));
-      std::vector<SimAddr> want = words;
+      ASSERT_TRUE(t.push(r, desc(round + in.held)));
+      std::vector<SimAddr> want = words(round + in.held);
       want.push_back(region + 4096);
       EXPECT_EQ(hook.touches, want) << "push, ring " << r << " round " << round;
 
       hook.touches.clear();
       ASSERT_EQ(t.front(r)->frame_id, round);
-      EXPECT_EQ(hook.touches, words) << "front, ring " << r;
+      EXPECT_EQ(hook.touches, words(round)) << "front, ring " << r;
 
       hook.touches.clear();
       t.pop(r);
       EXPECT_EQ(hook.touches, std::vector<SimAddr>{region + 4096})
           << "pop, ring " << r;
     }
+    EXPECT_EQ(t.size(r), in.held);
   }
   EXPECT_EQ(hook.other, 0);
 }
@@ -243,8 +313,10 @@ TEST(RingTable, HookThatIsNotAccountedIsNeverCalled) {
 // Every field keeps its own bytes in a slot. Descriptors at each field's
 // limits alternate with all-zero ones, so a field written over its
 // neighbour, or a slot over the next, shows in the other. Three adjacent
-// rings, the last two of the first page and the first of the second, are
-// filled and drained twice, which walks all nine slots of each.
+// rings, the last two of the first page and the first of the second, first
+// take every descriptor one at a time in their inline slots. Then they are
+// filled and drained twice, which spills them and walks all nine slots of
+// each block.
 TEST(RingTable, SlotKeepsEveryFieldAtItsLimits) {
   constexpr std::array kTypes{mpeg::FrameType::kI, mpeg::FrameType::kP,
                               mpeg::FrameType::kB};
@@ -262,7 +334,24 @@ TEST(RingTable, SlotKeepsEveryFieldAtItsLimits) {
   };
   RingTable t = one_ring(kCapacity);
   add_past_first_page(t);
+  const auto pop_expecting = [&](std::size_t r, std::uint64_t k) {
+    const FrameDescriptor want = make(r, k);
+    const auto got = t.front(r);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->frame_id, want.frame_id) << "ring " << r << " k " << k;
+    EXPECT_EQ(got->bytes, want.bytes) << "ring " << r << " k " << k;
+    EXPECT_EQ(got->type, want.type) << "ring " << r << " k " << k;
+    EXPECT_EQ(got->enqueued_at.raw_ns(), want.enqueued_at.raw_ns())
+        << "ring " << r << " k " << k;
+    t.pop(r);
+  };
   const std::size_t first = t.rings_per_page() - 2;
+  for (std::size_t r = first; r < first + 3; ++r) {
+    for (std::uint64_t k = 0; k < kCapacity; ++k) {
+      ASSERT_TRUE(t.push(r, make(r, k)));
+      pop_expecting(r, k);
+    }
+  }
   for (int fill = 0; fill < 2; ++fill) {
     for (std::size_t r = first; r < first + 3; ++r) {
       for (std::uint64_t k = 0; k < kCapacity; ++k) {
@@ -270,30 +359,21 @@ TEST(RingTable, SlotKeepsEveryFieldAtItsLimits) {
       }
     }
     for (std::size_t r = first; r < first + 3; ++r) {
-      for (std::uint64_t k = 0; k < kCapacity; ++k) {
-        const FrameDescriptor want = make(r, k);
-        const auto got = t.front(r);
-        ASSERT_TRUE(got.has_value());
-        EXPECT_EQ(got->frame_id, want.frame_id) << "ring " << r << " k " << k;
-        EXPECT_EQ(got->bytes, want.bytes) << "ring " << r << " k " << k;
-        EXPECT_EQ(got->type, want.type) << "ring " << r << " k " << k;
-        EXPECT_EQ(got->enqueued_at.raw_ns(), want.enqueued_at.raw_ns())
-            << "ring " << r << " k " << k;
-        t.pop(r);
-      }
+      for (std::uint64_t k = 0; k < kCapacity; ++k) pop_expecting(r, k);
       EXPECT_TRUE(t.empty(r));
     }
   }
 }
 
-// A ring of capacity c takes 8 + 21 × (c + 1) bytes, rounded up to a
-// multiple of 4; a page holds the largest power of two of them that fits in
-// 64 KiB, and at least one.
+// A ring's record is 40 bytes at any capacity, so a page holds 1,024 of them
+// in 40,960 bytes (2,048 would not fit in 64 KiB). The block a ring takes at
+// its second frame holds capacity + 1 slots of 21 bytes.
 TEST(RingTable, PagesHoldAPowerOfTwoRingsAndAtLeastOne) {
-  EXPECT_EQ(one_ring(8).rings_per_page(), 256u);    // 200 B rings
-  EXPECT_EQ(one_ring(256).rings_per_page(), 8u);    // 5,408 B rings
-  EXPECT_EQ(one_ring(3119).rings_per_page(), 1u);   // 65,528 B: fits once
-  EXPECT_EQ(one_ring(4096).rings_per_page(), 1u);   // larger than a page
+  EXPECT_EQ(RingTable::rings_per_page(), 1024u);
+  EXPECT_EQ(one_ring(1).block_bytes(), 42u);
+  EXPECT_EQ(one_ring(8).block_bytes(), 189u);
+  EXPECT_EQ(one_ring(256).block_bytes(), 5'397u);
+  EXPECT_EQ(one_ring(4096).block_bytes(), 86'037u);
 }
 
 // Adding rings allocates new pages but never moves a ring: what ring 0

@@ -184,6 +184,27 @@ TEST(RtspMessage, EmptyUriIsTheDefaultAndHoldsNoHeapString) {
 #if NISTREAM_COUNTING_NEW
   EXPECT_EQ(held, 0) << "a default request or client config allocated";
 #endif
+
+  // A parsed request that names the default URI keeps it empty too, and
+  // formats back to its own text.
+  RtspRequest setup;
+  setup.method = Method::kSetup;
+  setup.cseq = 1;
+  setup.reply_port = 12;
+  setup.rtp_port = 34;
+  setup.rtcp_port = 35;
+  const std::string text = format_request(setup);
+  ASSERT_NE(text.find(kDefaultUri), std::string::npos);
+  const std::int64_t before_parse = test::heap_live_bytes();
+  const auto parsed = parse_request(text);
+  [[maybe_unused]] const std::int64_t parsed_held =
+      test::heap_live_bytes() - before_parse;
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(parsed->uri.empty());
+  EXPECT_EQ(format_request(*parsed), text);
+#if NISTREAM_COUNTING_NEW
+  EXPECT_EQ(parsed_held, 0) << "a parsed default request allocated";
+#endif
 }
 
 TEST(RtspMessage, UnknownHeadersIgnored) {

@@ -107,11 +107,12 @@ TEST(Footprint, DrainedTcpLiteSenderHoldsNoHeapBlock) {
   EXPECT_EQ(test::heap_live_bytes(), before);
 }
 
-TEST(Footprint, LoadedShardedSchedulerCostsAtMost345BytesPerStream) {
+TEST(Footprint, LoadedShardedSchedulerCostsAtMost185BytesPerStream) {
   // dwcs_shards' scheduler: 100k streams on 4 hierarchical shards, 8-frame
-  // rings, one frame queued on each. A stream's ring is 200 bytes (nine
-  // 21-byte slots and its cursors); its state, view, stats and heap entries
-  // take ~138 more.
+  // rings, one frame queued on each. A stream's ring is its 40-byte record
+  // (cursors, spill pointer and the one frame in its inline slot); its
+  // 88-byte state (params and stats), 32-byte view and heap entries take
+  // ~138 more.
   constexpr std::size_t kStreams = 100'000;
   const std::int64_t before = test::heap_live_bytes();
   dwcs::DwcsScheduler::Config cfg;
@@ -134,7 +135,7 @@ TEST(Footprint, LoadedShardedSchedulerCostsAtMost345BytesPerStream) {
   const std::int64_t grown = test::heap_live_bytes() - before;
   EXPECT_EQ(sched.stream_count(), kStreams);
 #if NISTREAM_COUNTING_NEW
-  constexpr std::int64_t kBytesPerStream = 345;
+  constexpr std::int64_t kBytesPerStream = 185;
   EXPECT_LE(grown, static_cast<std::int64_t>(kStreams) * kBytesPerStream)
       << static_cast<double>(grown) / kStreams << " bytes per stream";
 #else
