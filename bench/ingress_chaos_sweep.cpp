@@ -33,6 +33,7 @@
 //                       [--tenants=alpha,beta]
 // bench/runner.hpp runs the cells in parallel under --jobs and keeps the
 // JSON byte-identical for any job count; --smoke shrinks the fleets for CI.
+#include <cassert>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -144,14 +145,20 @@ FleetResult run_fleet(const CellSpec& spec, bool flood, std::uint64_t seed) {
     c.uri = "rtsp://ni/" + names[tenant_idx] + "/s" + std::to_string(i);
     return c;
   };
+  // Each client borrows its config, so the configs live in a vector
+  // reserved to the fleet's size and outlive the clients.
+  std::vector<session::RtspChurnClient::Config> configs;
+  configs.reserve(names.size() * spec.victim_n + flood_setups);
   std::vector<std::unique_ptr<session::RtspChurnClient>> clients;
   std::vector<std::size_t> owner;  // tenant index per client
   const auto spawn = [&](std::size_t tenant_idx, std::size_t count,
                          std::size_t index_base) {
     for (std::size_t i = 0; i < count; ++i) {
+      assert(configs.size() < configs.capacity());  // no reallocation
+      configs.push_back(client_cfg(tenant_idx, index_base + i));
       clients.push_back(std::make_unique<session::RtspChurnClient>(
           eng, ether, server.control_port(), media, rtcp_sink.port(),
-          client_cfg(tenant_idx, index_base + i)));
+          configs.back()));
       owner.push_back(tenant_idx);
       clients.back()->start();
     }

@@ -113,12 +113,16 @@ CellResult run_cell(const CellSpec& spec, std::uint64_t seed) {
                                ++rtcp_reports;
                              }};
 
+  // Each client borrows its config, so the configs live in a vector
+  // reserved to the fleet's size and outlive the clients.
+  std::vector<session::RtspChurnClient::Config> configs;
+  configs.reserve(n);
   std::vector<std::unique_ptr<session::RtspChurnClient>> clients;
   clients.reserve(n);
   std::uint64_t rng = seed;
   const auto window_us = static_cast<std::uint64_t>(kStormWindow.to_us());
   for (std::size_t i = 0; i < n; ++i) {
-    session::RtspChurnClient::Config c;
+    session::RtspChurnClient::Config& c = configs.emplace_back();
     c.behavior = pick_behavior(*spec.sc, bench::splitmix64(rng));
     c.arrival =
         sim::Time::us(static_cast<double>(bench::splitmix64(rng) % window_us));

@@ -17,10 +17,10 @@
 // A client holds only what its stage of the script uses, because a storm
 // builds 100k of them at once. It is a record and, while it talks, a live
 // block:
-//  * The record (200 bytes) is what the client is from construction to
-//    destruction: its Config copy (120 bytes; the default URI is empty and
-//    holds no heap string, see session/rtsp.hpp), its outcome, session id
-//    and stream, and its two port addresses. It attaches both ports at
+//  * The record (88 bytes) is what the client is from construction to
+//    destruction: a reference to its caller's Config (one word, where a
+//    copy would take 120 bytes), its outcome, session id and stream, and
+//    its two port addresses. It attaches both ports at
 //    construction, parked on a no-op receiver (hw::EthernetSwitch::parked),
 //    response receiver's first, and detaches them when it dies, request
 //    sender's first. So every port address, and the order in which the
@@ -68,7 +68,11 @@
 //
 // Lifetime: a client may be destroyed at any point. Every event it arms,
 // its endpoints' included, checks one of its ports before it touches the
-// client, and the client holds both ports until it dies.
+// client, and the client holds both ports until it dies. It borrows its
+// Config, as it borrows its switch and its media sink: the caller's config
+// must outlive the client, so a fleet builds its configs into storage it
+// owns (a vector reserved to the fleet's size, or a std::deque) before it
+// builds a client from each. A temporary config does not compile.
 #pragma once
 
 #include <algorithm>
@@ -124,17 +128,20 @@ class RtspChurnClient {
     std::uint64_t cseq_errors = 0;
   };
 
-  /// `engine` must be the switch's own. The ports are attached in the order
-  /// the endpoints attach their own: the response receiver's first.
+  /// `engine` must be the switch's own. The client borrows `config`, which
+  /// must outlive it; a temporary cannot bind. The ports are attached in the
+  /// order the endpoints attach their own: the response receiver's first.
   RtspChurnClient([[maybe_unused]] sim::Engine& engine,
                   hw::EthernetSwitch& ether, int control_port,
-                  apps::MpegClient& media, int rtcp_port, Config config)
-      : config_{std::move(config)}, ether_{ether}, media_{media},
+                  apps::MpegClient& media, int rtcp_port, const Config& config)
+      : config_{config}, ether_{ether}, media_{media},
         control_port_{control_port}, rtcp_port_{rtcp_port},
         resp_port_{ether.add_port(&hw::EthernetSwitch::parked)},
         ctl_port_{ether.add_port(&hw::EthernetSwitch::parked)} {
     assert(&engine == &ether.engine());
   }
+  RtspChurnClient(sim::Engine&, hw::EthernetSwitch&, int, apps::MpegClient&,
+                  int, const Config&&) = delete;
 
   RtspChurnClient(const RtspChurnClient&) = delete;
   RtspChurnClient& operator=(const RtspChurnClient&) = delete;
@@ -407,7 +414,7 @@ class RtspChurnClient {
     return finish();
   }
 
-  Config config_;
+  const Config& config_;  // the caller's
   hw::EthernetSwitch& ether_;
   apps::MpegClient& media_;
   int control_port_;

@@ -836,10 +836,13 @@ TEST(TcpLiteSession, TenThousandClientSetupBurstAllClose) {
   apps::MpegClient media{eng, ether};
   UdpEndpoint rtcp_sink{eng, ether, kHostStackCost,
                         [](const Packet&, Time) {}};
+  // Each client borrows its config, so the configs outlive the clients.
+  std::vector<session::RtspChurnClient::Config> configs;
+  configs.reserve(kClients);
   std::vector<std::unique_ptr<session::RtspChurnClient>> clients;
   clients.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
-    session::RtspChurnClient::Config c;
+    session::RtspChurnClient::Config& c = configs.emplace_back();
     c.arrival = Time::us(i);
     c.frames = 4 + static_cast<std::uint64_t>(i % 8);
     c.period = Time::ms(10);

@@ -40,11 +40,14 @@ std::uint64_t run_fleet(std::uint64_t seed, int n) {
   apps::MpegClient media{eng, ether};
   net::UdpEndpoint rtcp_sink{eng, ether, net::kHostStackCost,
                              [](const net::Packet&, Time) {}};
+  // Each client borrows its config, so the configs outlive the clients.
+  std::vector<RtspChurnClient::Config> configs;
+  configs.reserve(static_cast<std::size_t>(n));
   std::vector<std::unique_ptr<RtspChurnClient>> clients;
   clients.reserve(static_cast<std::size_t>(n));
   std::uint64_t rng = seed;
   for (int i = 0; i < n; ++i) {
-    RtspChurnClient::Config c;
+    RtspChurnClient::Config& c = configs.emplace_back();
     c.behavior = pick_behavior(splitmix64(rng));
     c.arrival = Time::us(static_cast<double>(splitmix64(rng) % 1'000'000));
     c.frames = 4 + splitmix64(rng) % 8;

@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/client.hpp"
@@ -100,10 +103,14 @@ struct Rig {
     eng.run();
   }
 
+  /// A client on `c`, which the rig keeps for the client to borrow.
   std::unique_ptr<RtspChurnClient> client(RtspChurnClient::Config c) {
     return std::make_unique<RtspChurnClient>(
-        eng, ether, server.rx.port(), media, rtcp_sink.port(), c);
+        eng, ether, server.rx.port(), media, rtcp_sink.port(),
+        configs.emplace_back(std::move(c)));
   }
+
+  std::deque<RtspChurnClient::Config> configs;  // no element ever moves
 };
 
 /// A polite client with 110 ms of media (one 10 ms frame plus 100 ms of
@@ -117,12 +124,21 @@ RtspChurnClient::Config polite(Time arrival) {
 
 std::uint64_t frames_made() { return sim::coro_pool_stats().frames; }
 
+// A client borrows its caller's config: it is built from a config that
+// outlives it, and a temporary, which would die first, does not compile.
+static_assert(std::is_constructible_v<
+              RtspChurnClient, sim::Engine&, hw::EthernetSwitch&, int,
+              apps::MpegClient&, int, const RtspChurnClient::Config&>);
+static_assert(!std::is_constructible_v<
+              RtspChurnClient, sim::Engine&, hw::EthernetSwitch&, int,
+              apps::MpegClient&, int, RtspChurnClient::Config&&>);
+
 TEST(ChurnClient, ObjectStaysLean) {
-  // 100k clients live through a storm. Each is a record: its config, its
-  // outcome, session id, stream and port addresses; no engine reference.
-  // Its endpoints live in the block it holds while it talks, and its
-  // receiver carries no service-port state.
-  EXPECT_LE(sizeof(RtspChurnClient), 208u);
+  // 100k clients live through a storm. Each is a record: a reference to its
+  // caller's config, its outcome, session id, stream and port addresses; no
+  // engine reference. Its endpoints live in the block it holds while it
+  // talks, and its receiver carries no service-port state.
+  EXPECT_LE(sizeof(RtspChurnClient), 88u);
   EXPECT_LE(sizeof(net::TcpLiteReceiver), 104u);
   EXPECT_LE(sizeof(net::TcpLiteSender), 160u);
 }

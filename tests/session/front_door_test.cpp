@@ -274,12 +274,13 @@ TEST(FrontDoor, MalformedRequestGets400) {
 
 TEST(FrontDoor, HalfOpenSessionIsReapedAndAdmissionReleased) {
   Rig rig;  // idle_timeout 300ms, reap 100ms
+  const RtspChurnClient::Config config{
+      .behavior = RtspChurnClient::Behavior::kVanish,
+      .frames = 5,
+      .period = Time::ms(10)};
   auto client = std::make_unique<RtspChurnClient>(
       rig.eng, rig.ether, rig.server->control_port(), rig.media,
-      rig.rtcp_sink.port(),
-      RtspChurnClient::Config{.behavior = RtspChurnClient::Behavior::kVanish,
-                              .frames = 5,
-                              .period = Time::ms(10)});
+      rig.rtcp_sink.port(), config);
   client->start();
   rig.eng.run_until(Time::sec(2));
   EXPECT_TRUE(client->outcome().admitted);
@@ -320,17 +321,17 @@ TEST(FrontDoor, ControlConnectionFinTearsSessionsDown) {
 
 TEST(FrontDoor, SlowStartClientCompletes) {
   Rig rig;
+  const RtspChurnClient::Config config{
+      .behavior = RtspChurnClient::Behavior::kSlowStart,
+      .frames = 5,
+      .period = Time::ms(10),
+      .slow_start_chunks = 6,
+      .dribble_gap = Time::ms(30),
+      // Tear down well inside the test rig's 300ms idle timeout.
+      .drain_slack = Time::ms(100)};
   auto client = std::make_unique<RtspChurnClient>(
       rig.eng, rig.ether, rig.server->control_port(), rig.media,
-      rig.rtcp_sink.port(),
-      RtspChurnClient::Config{
-          .behavior = RtspChurnClient::Behavior::kSlowStart,
-          .frames = 5,
-          .period = Time::ms(10),
-          .slow_start_chunks = 6,
-          .dribble_gap = Time::ms(30),
-          // Tear down well inside the test rig's 300ms idle timeout.
-          .drain_slack = Time::ms(100)});
+      rig.rtcp_sink.port(), config);
   client->start();
   rig.eng.run_until(Time::sec(3));
   EXPECT_TRUE(client->outcome().admitted);

@@ -13,7 +13,8 @@
 // Waiting on SETUP: a storm's clients spend most of their lives waiting for
 // their SETUP answer, so a waiting client must hold only its record and its
 // live block's transport, with no answer path, coroutine frame or other
-// script state beside them.
+// script state beside them. The record holds no config bytes: it borrows
+// its caller's config.
 //
 // This binary replaces ::operator new with the counting shim; under ASan or
 // TSan the shim is compiled out and the test runs without the heap check.
@@ -42,13 +43,16 @@ TEST(LiveHeap, SteadyPlayHoldsNothingPerFrame) {
   apps::MpegClient media{eng, ether};
   net::UdpEndpoint rtcp_sink{eng, ether, net::kHostStackCost,
                              [](const net::Packet&, Time) {}};
-  std::vector<std::unique_ptr<RtspChurnClient>> clients;
+  std::vector<RtspChurnClient::Config> configs;
   for (int i = 0; i < kSessions; ++i) {
+    configs.push_back({.arrival = Time::sec(3) + Time::ms(i),
+                       .frames = 900,
+                       .period = Time::us(33'333)});
+  }
+  std::vector<std::unique_ptr<RtspChurnClient>> clients;
+  for (const auto& config : configs) {
     clients.push_back(std::make_unique<RtspChurnClient>(
-        eng, ether, server.control_port(), media, rtcp_sink.port(),
-        RtspChurnClient::Config{.arrival = Time::sec(3) + Time::ms(i),
-                                .frames = 900,
-                                .period = Time::us(33'333)}));
+        eng, ether, server.control_port(), media, rtcp_sink.port(), config));
     clients.back()->start();
   }
 
@@ -87,10 +91,12 @@ TEST(LiveHeap, SteadyPlayHoldsNothingPerFrame) {
 
 TEST(LiveHeap, ClientWaitingOnItsSetupHoldsOnlyItsLiveBlock) {
   // 2,048 clients arrive 100 us apart and send SETUP to a control port that
-  // acknowledges every segment and never answers. Their records are built
-  // before the audit, and the engine's slots, the pools, the switch's frame
-  // pages and the control receiver's peer table are grown first, so what
-  // the live heap gains is what the waiting clients hold.
+  // acknowledges every segment and never answers. With the switch's port
+  // pages grown first, building the records from the test's own configs
+  // grows the live heap by the records alone: they borrow their configs.
+  // The engine's slots, the pools, the switch's frame pages and the control
+  // receiver's peer table are grown before the audit too, so what the live
+  // heap gains after the records is what the waiting clients hold.
   constexpr int kClients = 2048;
   sim::Engine eng;
   hw::EthernetSwitch ether{eng};
@@ -103,13 +109,28 @@ TEST(LiveHeap, ClientWaitingOnItsSetupHoldsOnlyItsLiveBlock) {
     eng.schedule_at(Time::zero(), [] {});
   }
   eng.run();
+  // Grow the switch's port pages. The ports are detached last first, so
+  // client i gets the port indices it would get on a fresh switch.
+  {
+    std::vector<int> ports(2 * kClients);
+    for (int& port : ports) port = ether.add_port(&hw::EthernetSwitch::parked);
+    for (auto it = ports.rbegin(); it != ports.rend(); ++it) ether.detach(*it);
+  }
+  std::vector<RtspChurnClient::Config> configs;
+  configs.reserve(kClients);
+  for (int i = 0; i < kClients; ++i) {
+    configs.push_back({.arrival = Time::us(100.0 * (i + 1))});
+  }
   std::vector<std::unique_ptr<RtspChurnClient>> clients;
   clients.reserve(kClients);
-  for (int i = 0; i < kClients; ++i) {
+  const std::uint64_t allocs = test::heap_allocs();
+  const std::int64_t unbuilt = test::heap_live_bytes();
+  for (const auto& config : configs) {
     clients.push_back(std::make_unique<RtspChurnClient>(
-        eng, ether, control.port(), media, rtcp_sink.port(),
-        RtspChurnClient::Config{.arrival = Time::us(100.0 * (i + 1))}));
+        eng, ether, control.port(), media, rtcp_sink.port(), config));
   }
+  const std::uint64_t record_blocks = test::heap_allocs() - allocs;
+  const std::int64_t records = test::heap_live_bytes() - unbuilt;
   // Two senders on ports past every client's: the second makes the control
   // receiver size its peer table to the whole port table.
   net::TcpLiteSender warm_a{eng, ether, net::kHostStackCost, control.port()};
@@ -129,6 +150,16 @@ TEST(LiveHeap, ClientWaitingOnItsSetupHoldsOnlyItsLiveBlock) {
     ASSERT_FALSE(client->outcome().responded_setup);
   }
 #if NISTREAM_COUNTING_NEW
+  // Each record is one block of 88 usable bytes (sizeof(RtspChurnClient))
+  // and nothing beside it: the configs stay in the test's vector. In a
+  // fresh process it reads exactly 88 bytes per record. After the test
+  // above, the allocator hands a few records a chunk one 16-byte step
+  // larger, so the bound allows that step; a copy of the config would add
+  // 112 bytes per record.
+  constexpr std::int64_t kRecordBytes = 88;
+  EXPECT_EQ(record_blocks, static_cast<std::uint64_t>(kClients));
+  EXPECT_LT(records, kClients * (kRecordBytes + 16))
+      << static_cast<double>(records) / kClients << " bytes per record";
   // Measured: 200 bytes per client, its live block's transport (the
   // sender, the send time, the CSeq and the waiting flag) and nothing else.
   // The bound leaves 8 bytes per client, far less than a receiver (104
@@ -138,6 +169,8 @@ TEST(LiveHeap, ClientWaitingOnItsSetupHoldsOnlyItsLiveBlock) {
   EXPECT_LE(grown, kClients * kBytesPerClient)
       << static_cast<double>(grown) / kClients << " bytes per waiting client";
 #else
+  (void)record_blocks;
+  (void)records;
   (void)grown;
 #endif
 }

@@ -11,7 +11,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "apps/client.hpp"
@@ -38,10 +40,14 @@ struct Rig {
     return cfg;
   }
 
+  /// A client on `c`, which the rig keeps for the client to borrow.
   std::unique_ptr<RtspChurnClient> client(RtspChurnClient::Config c) {
     return std::make_unique<RtspChurnClient>(
-        eng, ether, server.control_port(), media, rtcp_sink.port(), c);
+        eng, ether, server.control_port(), media, rtcp_sink.port(),
+        configs.emplace_back(std::move(c)));
   }
+
+  std::deque<RtspChurnClient::Config> configs;  // no element ever moves
 };
 
 /// The sizes that must not grow from one wave to the next.
