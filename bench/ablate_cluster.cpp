@@ -5,14 +5,18 @@
 // a number of such servers." We sweep the architecture — NIs per node and
 // nodes per cluster — and report admitted stream capacity and delivered
 // aggregate bandwidth, verifying near-linear scaling, plus the admission
-// controller holding per-NI load under its headroom.
+// controller holding per-NI load under its headroom. Each cell is one
+// cluster control plane with nodes × NIs-per-node boards; streams go to the
+// least-loaded board.
+#include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "apps/client.hpp"
-#include "apps/cluster.hpp"
 #include "bench_util.hpp"
+#include "cluster/control_plane.hpp"
 
 using namespace nistream;
 using sim::Time;
@@ -27,9 +31,12 @@ struct Result {
 
 Result run(int nodes, int nis_per_node, int offered_streams) {
   sim::Engine eng;
+  hostos::HostMachine host{eng, 1};
   hw::EthernetSwitch ether{eng};
-  apps::MediaCluster cluster{eng, ether, nodes, nis_per_node};
+  cluster::ClusterControlPlane plane{host, ether,
+                                     {.boards = nodes * nis_per_node}};
   std::vector<std::unique_ptr<apps::MpegClient>> clients;
+  std::deque<apps::ProducerStats> producers;
   const dwcs::StreamParams params{.tolerance = {2, 8},
                                   .period = Time::ms(33.333),
                                   .lossy = true};
@@ -37,22 +44,28 @@ Result run(int nodes, int nis_per_node, int offered_streams) {
   Result r;
   for (int i = 0; i < offered_streams; ++i) {
     clients.push_back(std::make_unique<apps::MpegClient>(eng, ether));
-    if (cluster.open_stream(params, 1000, clients.back()->port(), kFrames,
-                            static_cast<std::uint64_t>(9000 + i))) {
-      ++r.admitted;
-    }
+    const auto g = plane.open_stream(params, 1000, clients.back()->port());
+    if (!g) continue;
+    ++r.admitted;
+    const auto where = plane.registry().record(*g).where;
+    apps::NiSchedulerServer& ni = plane.ni(where.board);
+    apps::spawn_synthetic_producer(
+        ni, ni.kernel().spawn("tProd", 120), where.local,
+        {.mean_frame_bytes = 1000,
+         .n_frames = kFrames,
+         .period = params.period,
+         .seed = static_cast<std::uint64_t>(9000 + i)},
+        producers.emplace_back());
   }
   const Time horizon = Time::sec(4);
   eng.run_until(horizon);
   std::uint64_t bytes = 0;
   for (auto& c : clients) bytes += c->total_bytes();
   r.delivered_mbps = static_cast<double>(bytes) * 8.0 / horizon.to_sec() / 1e6;
-  for (int n = 0; n < cluster.node_count(); ++n) {
-    for (int i = 0; i < cluster.node(n).ni_count(); ++i) {
-      r.max_ni_load = std::max(
-          r.max_ni_load, std::max(cluster.node(n).admission(i).cpu_utilization(),
-                                  cluster.node(n).admission(i).link_utilization()));
-    }
+  for (int b = 0; b < nodes * nis_per_node; ++b) {
+    const auto& a = plane.admission(b);
+    r.max_ni_load = std::max(
+        {r.max_ni_load, a.cpu_utilization(), a.link_utilization()});
   }
   return r;
 }
@@ -63,11 +76,9 @@ int main() {
   bench::header("Ablation: server architecture scaling (offered: 1200 streams)");
   std::printf("  %-8s %-10s %10s %16s %14s\n", "nodes", "NIs/node", "admitted",
               "delivered Mb/s", "max NI load");
-  int base = 0;
   for (const auto& [nodes, nis] :
        {std::pair{1, 1}, {1, 2}, {1, 4}, {2, 2}, {2, 4}, {4, 4}}) {
     const Result r = run(nodes, nis, 1200);
-    if (base == 0) base = r.admitted;
     std::printf("  %-8d %-10d %10d %16.1f %14.2f\n", nodes, nis, r.admitted,
                 r.delivered_mbps, r.max_ni_load);
   }

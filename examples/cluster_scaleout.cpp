@@ -2,55 +2,72 @@
 //
 // A 4-node media cluster, each node carrying two scheduler-NIs (i960 boards
 // running the DVCM + DWCS extension), serves hundreds of concurrent stream
-// requests. The director places each request on the least-loaded node whose
-// admission controller accepts it; requests beyond aggregate capacity are
-// rejected up front instead of degrading everyone ("pre-negotiated bound on
-// service degradation", §3.1).
+// requests. One cluster control plane runs the eight boards (board b is NI
+// b % 2 of node b / 2) and places each request on the least-loaded board
+// whose admission controller accepts it; requests beyond aggregate capacity
+// are rejected up front instead of degrading everyone ("pre-negotiated bound
+// on service degradation", §3.1).
 #include <cstdio>
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "apps/client.hpp"
-#include "apps/cluster.hpp"
+#include "cluster/control_plane.hpp"
 
 using namespace nistream;
 using sim::Time;
 
 int main() {
+  constexpr int kNodes = 4;
+  constexpr int kNisPerNode = 2;
   sim::Engine engine;
+  hostos::HostMachine host{engine, 1};
   hw::EthernetSwitch ether{engine};
-  apps::MediaCluster cluster{engine, ether, /*nodes=*/4, /*nis_per_node=*/2};
+  cluster::ClusterControlPlane plane{host, ether,
+                                     {.boards = kNodes * kNisPerNode}};
 
-  // 2000 clients request ~250 kbit/s streams; cluster capacity is ~8x315.
+  // 2000 clients request ~250 kbit/s streams; cluster capacity is ~8x230.
   const dwcs::StreamParams params{.tolerance = {2, 8},
                                   .period = Time::ms(33.333),
                                   .lossy = true};
   std::vector<std::unique_ptr<apps::MpegClient>> clients;
-  std::vector<apps::StreamPlacement> placements;
+  std::deque<apps::ProducerStats> producers;
   int rejected = 0;
   for (int i = 0; i < 2000; ++i) {
     clients.push_back(std::make_unique<apps::MpegClient>(engine, ether));
-    const auto p = cluster.open_stream(params, 1000, clients.back()->port(),
-                                       /*n_frames=*/150,
-                                       static_cast<std::uint64_t>(4000 + i));
-    if (p) {
-      placements.push_back(*p);
-    } else {
+    const auto g = plane.open_stream(params, 1000, clients.back()->port());
+    if (!g) {
       ++rejected;
+      continue;
     }
+    // A paced synthetic producer feeds the stream's board locally (Path C).
+    const auto where = plane.registry().record(*g).where;
+    apps::NiSchedulerServer& ni = plane.ni(where.board);
+    apps::spawn_synthetic_producer(
+        ni, ni.kernel().spawn("tProd", 120), where.local,
+        {.mean_frame_bytes = 1000,
+         .n_frames = 150,
+         .period = params.period,
+         .seed = static_cast<std::uint64_t>(4000 + i)},
+        producers.emplace_back());
   }
 
   engine.run_until(Time::sec(6));
 
   std::printf("requests: 2000, admitted: %zu, rejected: %d\n",
-              placements.size(), rejected);
-  for (int n = 0; n < cluster.node_count(); ++n) {
-    auto& node = cluster.node(n);
-    std::printf("  %s: %llu streams (", node.name().c_str(),
-                static_cast<unsigned long long>(node.streams_opened()));
-    for (int i = 0; i < node.ni_count(); ++i) {
+              producers.size(), rejected);
+  for (int n = 0; n < kNodes; ++n) {
+    const int first = n * kNisPerNode;  // the node's first board
+    std::uint64_t streams = 0;
+    for (int i = 0; i < kNisPerNode; ++i) {
+      streams += plane.admission(first + i).admitted();
+    }
+    std::printf("  node%d: %llu streams (", n,
+                static_cast<unsigned long long>(streams));
+    for (int i = 0; i < kNisPerNode; ++i) {
       std::printf("%sNI%d cpu %.0f%%", i ? ", " : "", i,
-                  100.0 * node.admission(i).cpu_utilization());
+                  100.0 * plane.admission(first + i).cpu_utilization());
     }
     std::printf(")\n");
   }

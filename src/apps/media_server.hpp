@@ -129,8 +129,9 @@ inline path::FrameSource synthetic_stream_source(dwcs::StreamId stream,
 }
 
 /// Spawn a paced synthetic producer (Segment -> Enqueue) feeding `stream`
-/// on `server`'s ring from wind task `task` — the cluster nodes' per-stream
-/// load generators. The pump detaches; `stats` must outlive the run.
+/// on `server`'s ring from wind task `task` — the per-stream load generator
+/// the cluster benches spawn on each admitted stream's board. The pump
+/// detaches; `stats` must outlive the run.
 inline void spawn_synthetic_producer(NiSchedulerServer& server,
                                      rtos::Task& task, dwcs::StreamId stream,
                                      const SyntheticStreamSpec& spec,

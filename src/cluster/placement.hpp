@@ -1,23 +1,17 @@
-// Capacity-aware least-loaded placement — the one decision rule every layer
-// of the scalable-server story shares.
+// Capacity-aware least-loaded placement: the decision rule of the
+// scalable-server story.
 //
 // The paper's abstract distributes "media schedulers and media stream
-// producers among NIs within a server" and clusters such servers; every
-// level of that hierarchy places a stream the same way: among the candidates
-// whose admission controller still has headroom, pick the least loaded
-// (ties to the lowest index, so placement is deterministic and replayable).
+// producers among NIs within a server" and clusters such servers. Placement
+// treats every NI of every server as one candidate: among the candidates
+// whose admission controller still has headroom, pick the least loaded (ties
+// to the lowest index, so placement is deterministic and replayable).
 //
-// Three callers sit on these helpers:
-//  * apps::ServerNode     — NIs within one chassis;
-//  * apps::MediaCluster   — nodes behind the switch;
-//  * cluster::ClusterControlPlane — mass re-admission after a board death,
-//    where honoring headroom is what keeps a failover from cascading into
-//    the overload that kills the next board.
+// The one caller is cluster::ClusterControlPlane, for fresh admission across
+// its boards and for mass re-admission after a board death, where honoring
+// headroom is what keeps a failover from cascading into the overload that
+// kills the next board.
 #pragma once
-
-#include <algorithm>
-#include <numeric>
-#include <vector>
 
 namespace nistream::cluster {
 
@@ -37,18 +31,6 @@ template <typename LoadFn, typename AdmitFn>
     }
   }
   return best;
-}
-
-/// Candidate indices [0, n) sorted least-loaded first (stable, so equal
-/// loads keep index order). For callers that fall through to the next
-/// candidate when admission refuses at the preferred one.
-template <typename LoadFn>
-[[nodiscard]] std::vector<int> load_order(int n, LoadFn&& load) {
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int a, int b) { return load(a) < load(b); });
-  return order;
 }
 
 }  // namespace nistream::cluster

@@ -11,7 +11,7 @@
 // Wire layout (modeled, not byte-serialized — the simulation charges the
 // interconnect for kWireBytes and hands the struct across as the payload):
 //
-//   RemoteVcmPort header            24 B   (instruction id, w0, w1)
+//   dvcm::kRemoteHeaderBytes        24 B   (instruction id, w0, w1)
 //   global stream id                 4 B
 //   failover epoch                   8 B
 //   source (incarnation, local id)   8+4 B

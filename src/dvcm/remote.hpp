@@ -7,18 +7,17 @@
 // interconnect — a stream producer on node A feeds the DWCS extension on
 // node B's scheduler-NI without either host touching a frame.
 //
-// RemoteVcmPort attaches to a runtime and turns arriving instruction frames
-// into registry dispatches (charging the NI CPU for the network-side
-// dispatch, like the I2O path does). RemoteVcmClient sends them over the raw
-// switched LAN (lossless in the paper's testbed). For a degraded segment,
-// ReliableRemoteVcmClient/Port run the same instructions over TcpLite, so
-// every instruction arrives exactly once and in order (see
-// tests/dvcm/remote_test.cpp).
+// ReliableRemoteVcmPort attaches to a runtime and turns arriving
+// instructions into registry dispatches (charging the NI CPU for the
+// network-side dispatch, like the I2O path does). ReliableRemoteVcmClient
+// sends them as TcpLite payload bodies, so every instruction arrives exactly
+// once and in order even on a degraded segment (see
+// tests/dvcm/remote_test.cpp). The cluster control plane ships its
+// checkpoints over this pair (cluster/wire.hpp).
 //
-// Teardown follows the net layer's: each endpoint detaches its switch port
-// when destroyed, and its pending stack-cost events check that port before
-// they touch the endpoint. A port's dispatch task checks it after every
-// wait, so a port may be destroyed even mid-dispatch.
+// Teardown follows the net layer's: TcpLite endpoints detach their switch
+// ports when destroyed, and the port's dispatch task checks its port after
+// every wait, so a port may be destroyed even mid-dispatch.
 #pragma once
 
 #include <cstdint>
@@ -31,15 +30,18 @@
 
 namespace nistream::dvcm {
 
-/// An instruction in flight between two boards. `wire_bytes` sizes the frame
-/// on the interconnect (instruction header + any bulk data that would travel
-/// with it); `payload` is the simulation's zero-copy stand-in for that bulk.
+/// An instruction in flight between two boards. On the interconnect it is
+/// kRemoteHeaderBytes plus any bulk data that would travel with it;
+/// `payload` is the simulation's zero-copy stand-in for that bulk.
 struct RemoteInstruction {
   InstructionId id = 0;
   std::uint64_t w0 = 0;
   std::uint64_t w1 = 0;
   std::shared_ptr<void> payload;
 };
+
+/// Instruction header on the wire: instruction id, w0 and w1.
+inline constexpr std::uint32_t kRemoteHeaderBytes = 24;
 
 namespace detail {
 
@@ -80,90 +82,7 @@ inline sim::Coro dispatch_loop(VcmRuntime& runtime, rtos::Task& task,
 
 }  // namespace detail
 
-class RemoteVcmPort {
- public:
-  static constexpr std::uint32_t kHeaderBytes = 24;
-
-  RemoteVcmPort(VcmRuntime& runtime, hw::EthernetSwitch& ether,
-                sim::Time stack_cost)
-      : ether_{ether}, stack_cost_{stack_cost} {
-    port_ = ether.add_port([this](const hw::EthFrame& f) { on_frame(f); });
-    detail::dispatch_loop(runtime, runtime.kernel().spawn("tVcmRemote", 61),
-                          ether, port_, inbox_, counts_)
-        .detach();
-  }
-
-  RemoteVcmPort(const RemoteVcmPort&) = delete;
-  RemoteVcmPort& operator=(const RemoteVcmPort&) = delete;
-  ~RemoteVcmPort() { ether_.detach(port_); }
-
-  [[nodiscard]] int port() const { return port_; }
-  [[nodiscard]] std::uint64_t dispatched() const { return counts_.dispatched; }
-  [[nodiscard]] std::uint64_t unknown_instructions() const {
-    return counts_.unknown;
-  }
-
- private:
-  void on_frame(const hw::EthFrame& f) {
-    auto ri = std::static_pointer_cast<const RemoteInstruction>(f.payload);
-    if (!ri) return;
-    net::detail::schedule_while_attached(ether_.engine(), ether_, port_,
-                                         stack_cost_,
-                                         [this, ri] { inbox_->send(ri); });
-  }
-
-  hw::EthernetSwitch& ether_;
-  sim::Time stack_cost_;
-  int port_ = -1;
-  detail::Inbox* inbox_ = nullptr;  // in the dispatch task's frame
-  detail::DispatchCounts counts_;
-};
-
-class RemoteVcmClient {
- public:
-  RemoteVcmClient(sim::Engine& engine, hw::EthernetSwitch& ether,
-                  sim::Time stack_cost)
-      : engine_{engine}, ether_{ether}, stack_cost_{stack_cost} {
-    port_ = ether.add_port([](const hw::EthFrame&) {});
-  }
-
-  RemoteVcmClient(const RemoteVcmClient&) = delete;
-  RemoteVcmClient& operator=(const RemoteVcmClient&) = delete;
-  ~RemoteVcmClient() { ether_.detach(port_); }
-
-  [[nodiscard]] int port() const { return port_; }
-
-  /// Fire a remote instruction carrying `bulk_bytes` of data on the wire.
-  void invoke(int dst_port, InstructionId id, std::uint64_t w0,
-              std::shared_ptr<void> payload, std::uint32_t bulk_bytes = 0,
-              std::uint64_t w1 = 0) {
-    auto ri = std::make_shared<RemoteInstruction>();
-    ri->id = id;
-    ri->w0 = w0;
-    ri->w1 = w1;
-    ri->payload = std::move(payload);
-    net::detail::schedule_while_attached(
-        engine_, ether_, port_, stack_cost_,
-        [this, ri, dst_port, bulk_bytes] {  // this order packs into 48 B
-          ether_.send(
-              port_, dst_port,
-              hw::EthFrame{.bytes = RemoteVcmPort::kHeaderBytes + bulk_bytes,
-                           .tag = ri->id, .payload = ri});
-        });
-    ++sent_;
-  }
-
-  [[nodiscard]] std::uint64_t sent() const { return sent_; }
-
- private:
-  sim::Engine& engine_;
-  hw::EthernetSwitch& ether_;
-  sim::Time stack_cost_;
-  int port_ = -1;
-  std::uint64_t sent_ = 0;
-};
-
-/// Reliable variant: instructions travel as TcpLite payload bodies.
+/// The receiving end: a TcpLite receiver feeding the dispatch task.
 class ReliableRemoteVcmPort {
  public:
   ReliableRemoteVcmPort(VcmRuntime& runtime, hw::EthernetSwitch& ether,
@@ -211,7 +130,7 @@ class ReliableRemoteVcmClient {
     ri->payload = std::move(payload);
     net::Packet p;
     p.seq = next_seq_++;
-    p.bytes = RemoteVcmPort::kHeaderBytes + bulk_bytes;
+    p.bytes = kRemoteHeaderBytes + bulk_bytes;
     p.body = std::move(ri);
     tx_.send(std::move(p));
   }

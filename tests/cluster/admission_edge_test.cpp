@@ -1,14 +1,17 @@
-// Admission edge cases of the placement hierarchy: zero-capacity nodes,
-// full-cluster spill ordering, and the shared least-loaded helpers that
-// ServerNode, MediaCluster, and the cluster control plane all sit on.
+// Admission edge cases of the cluster control plane's placement: a plane
+// with no boards, a full cluster, capacity that scales with the boards,
+// admitted streams fed by producers the caller spawns, and the least-loaded
+// helper the plane places through.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <vector>
 
-#include "apps/cluster.hpp"
+#include "apps/client.hpp"
+#include "cluster/control_plane.hpp"
 #include "cluster/placement.hpp"
-#include "sim/engine.hpp"
 
 namespace nistream::cluster {
 namespace {
@@ -17,6 +20,19 @@ using sim::Time;
 
 constexpr dwcs::StreamParams kParams{
     .tolerance = {1, 4}, .period = Time::ms(33), .lossy = true};
+// A 30 fps media stream.
+constexpr dwcs::StreamParams kMedia{
+    .tolerance = {2, 8}, .period = Time::ms(33.333), .lossy = true};
+
+/// A plane of `boards` boards with its own engine, host and switch.
+struct Rig {
+  sim::Engine eng;
+  hostos::HostMachine host{eng, 1};
+  hw::EthernetSwitch ether{eng};
+  ClusterControlPlane plane;
+
+  explicit Rig(int boards) : plane{host, ether, {.boards = boards}} {}
+};
 
 TEST(ClusterAdmission, PickLeastLoadedBreaksTiesToTheLowestIndex) {
   const std::vector<double> loads{0.5, 0.2, 0.2, 0.7};
@@ -28,67 +44,79 @@ TEST(ClusterAdmission, PickLeastLoadedBreaksTiesToTheLowestIndex) {
   EXPECT_EQ(pick_least_loaded(0, load, [](int) { return true; }), -1);
 }
 
-TEST(ClusterAdmission, LoadOrderIsStableOnEqualLoads) {
-  const std::vector<double> loads{0.3, 0.1, 0.3, 0.1};
-  const auto order = load_order(
-      4, [&](int i) { return loads[static_cast<std::size_t>(i)]; });
-  EXPECT_EQ(order, (std::vector<int>{1, 3, 0, 2}));
-}
-
-TEST(ClusterAdmission, ZeroCapacityNodeIsNeverPreferredAndNeverPlaces) {
-  sim::Engine eng;
-  hw::EthernetSwitch ether{eng};
-  // Node 0 has no scheduler-NIs at all (a director/storage chassis).
-  apps::MediaCluster mc{eng, ether, std::vector<int>{0, 2}};
-  EXPECT_EQ(mc.node(0).load(), 1.0);  // no capacity reads as fully loaded
-  EXPECT_EQ(mc.node(1).load(), 0.0);
-
+TEST(ClusterAdmission, PlaneWithNoBoardsRefusesEveryStream) {
+  Rig rig{0};
   for (int i = 0; i < 4; ++i) {
-    const auto placed = mc.open_stream(kParams, 1000, /*client_port=*/0,
-                                       /*n_frames=*/1, /*seed=*/7);
-    ASSERT_TRUE(placed.has_value());
-    EXPECT_EQ(placed->node, 1);
+    EXPECT_FALSE(rig.plane.open_stream(kParams, 1000, /*client_port=*/0));
   }
-  EXPECT_EQ(mc.node(0).streams_opened(), 0u);
-  EXPECT_EQ(mc.node(1).streams_opened(), 4u);
-  // The empty node rejected nothing because it was never even asked twice:
-  // load 1.0 sorts it last, and its open_stream refuses without capacity.
-  EXPECT_EQ(mc.opened(), 4u);
+  EXPECT_EQ(rig.plane.metrics().rejected_admission, 4u);
+  EXPECT_EQ(rig.plane.streams_opened(), 0u);
 }
 
 TEST(ClusterAdmission, FullClusterSpillsInLoadOrderThenRejects) {
-  sim::Engine eng;
-  hw::EthernetSwitch ether{eng};
-  // One NI per node; each NI holds 6 streams: cpu_load per stream =
-  // 130us/33ms ~ 0.0039 is loose, so capacity binds on the link instead —
-  // shrink the period to make CPU bind: 1 ms period -> 0.13 each, 6 fit
-  // under the 0.90 headroom.
+  // At a 33 ms period a stream costs 130us/33ms ~ 0.004 of a board's CPU;
+  // at 1 ms it costs 0.13, so the CPU binds and 6 fit under the 0.90
+  // headroom.
   dwcs::StreamParams tight = kParams;
   tight.period = Time::ms(1);
-  apps::MediaCluster mc{eng, ether, /*nodes=*/2, /*nis_per_node=*/1};
+  Rig rig{2};
 
   std::vector<int> placement;
   for (int i = 0; i < 14; ++i) {
-    const auto placed = mc.open_stream(tight, 1000, 0, 1, 7);
-    if (!placed) break;
-    placement.push_back(placed->node);
+    const auto g = rig.plane.open_stream(tight, 1000, 0);
+    if (!g) break;
+    placement.push_back(rig.plane.registry().record(*g).where.board);
   }
-  // 12 fit (6 per node), alternating least-loaded with ties going low;
-  // the 13th request found every node full and was rejected.
+  // 12 fit (6 per board), alternating least-loaded with ties going low;
+  // the 13th request found every board full and was rejected.
   ASSERT_EQ(placement.size(), 12u);
   for (std::size_t i = 0; i < placement.size(); ++i) {
     EXPECT_EQ(placement[i], static_cast<int>(i % 2)) << "stream " << i;
   }
-  EXPECT_EQ(mc.rejected(), 1u);
-  EXPECT_EQ(mc.opened(), 12u);
+  EXPECT_EQ(rig.plane.metrics().rejected_admission, 1u);
+  EXPECT_EQ(rig.plane.streams_opened(), 12u);
+}
 
-  // Uniform-constructor equivalence: the delegating ctor behaves the same.
-  sim::Engine eng2;
-  hw::EthernetSwitch ether2{eng2};
-  apps::MediaCluster uniform{eng2, ether2, std::vector<int>{1, 1}};
-  const auto p = uniform.open_stream(tight, 1000, 0, 1, 7);
-  ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->node, 0);
+TEST(ClusterAdmission, CapacityScalesLinearlyWithBoards) {
+  const auto capacity = [](int boards) {
+    Rig rig{boards};
+    std::uint64_t placed = 0;
+    // Least-loaded placement: the first refusal means every board is full.
+    while (rig.plane.open_stream(kMedia, 1000, 0)) ++placed;
+    return placed;
+  };
+  const std::uint64_t one = capacity(1);
+  EXPECT_EQ(one, 230u);  // the CPU binds: 130 us per frame at 30 fps
+  EXPECT_EQ(capacity(2), 2 * one);
+  EXPECT_EQ(capacity(4), 4 * one);
+}
+
+TEST(ClusterAdmission, CallerSpawnedProducersDeliverEveryFrame) {
+  Rig rig{2};
+  std::vector<std::unique_ptr<apps::MpegClient>> clients;
+  std::vector<dwcs::StreamId> locals;
+  std::deque<apps::ProducerStats> producers;
+  for (int i = 0; i < 20; ++i) {
+    clients.push_back(std::make_unique<apps::MpegClient>(rig.eng, rig.ether));
+    const auto g = rig.plane.open_stream(kMedia, 1000, clients.back()->port());
+    ASSERT_TRUE(g.has_value());
+    const auto where = rig.plane.registry().record(*g).where;
+    apps::NiSchedulerServer& ni = rig.plane.ni(where.board);
+    apps::spawn_synthetic_producer(
+        ni, ni.kernel().spawn("tProd", 120), where.local,
+        {.mean_frame_bytes = 1000,
+         .n_frames = 30,
+         .period = kMedia.period,
+         .seed = static_cast<std::uint64_t>(500 + i)},
+        producers.emplace_back());
+    locals.push_back(where.local);
+  }
+  EXPECT_EQ(rig.plane.admission(0).admitted(), 10u);
+  EXPECT_EQ(rig.plane.admission(1).admitted(), 10u);
+  rig.eng.run_until(Time::sec(3));
+  for (std::size_t i = 0; i < clients.size(); ++i) {
+    EXPECT_EQ(clients[i]->frames_received(locals[i]), 30u) << "stream " << i;
+  }
 }
 
 }  // namespace

@@ -379,7 +379,8 @@ TEST(StageAccounting, StampsSumToEndToEnd) {
 // pre-refactor inline coroutine, draw-for-draw.
 // ---------------------------------------------------------------------------
 
-// The pre-refactor ServerNode::spawn_producer body, verbatim.
+// The pre-refactor body of the cluster nodes' spawn_producer (apps::ServerNode,
+// since removed), verbatim.
 sim::Coro legacy_synthetic_producer(sim::Engine& eng,
                                     dvcm::StreamService& svc, rtos::Task& t,
                                     dwcs::StreamId sid, Time period,
