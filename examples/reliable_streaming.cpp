@@ -11,6 +11,7 @@
 
 #include "apps/media_server.hpp"
 #include "dvcm/tcp_offload_extension.hpp"
+#include "fault/injector.hpp"
 #include "mpeg/encoder.hpp"
 #include "net/tcplite.hpp"
 #include "net/udp.hpp"
@@ -20,12 +21,12 @@ using sim::Time;
 
 int main() {
   hw::Calibration cal;
-  cal.ethernet.loss_rate = 0.12;
-  cal.ethernet.loss_seed = 4242;
+  fault::LinkFaultInjector loss{{.frame_loss_rate = 0.12}, sim::Rng{4242}};
 
   sim::Engine eng;
   hw::PciBus bus{eng};
   hw::EthernetSwitch ether{eng, cal.ethernet};
+  ether.set_fault(&loss);
   apps::NiSchedulerServer server{eng, bus, ether,
                                  dvcm::StreamService::Config{}, cal};
   auto tcp_ext = std::make_unique<dvcm::TcpOffloadExtension>(ether);
@@ -75,7 +76,7 @@ int main() {
   eng.run_until(Time::sec(20));
 
   std::printf("link loss rate: %.0f%% (%llu frames eaten by the switch)\n",
-              cal.ethernet.loss_rate * 100,
+              loss.policy().frame_loss_rate * 100,
               static_cast<unsigned long long>(ether.frames_lost()));
   std::printf("plain UDP:    %zu of %zu frames reached the player (gaps!)\n",
               udp_got.size(), clip.frames.size());

@@ -10,6 +10,7 @@
 #include "apps/media_server.hpp"
 #include "apps/producer.hpp"
 #include "apps/webload.hpp"
+#include "dvcm/stream_service.hpp"
 #include "dwcs/hw_cost_hook.hpp"
 #include "dwcs/scheduler.hpp"
 #include "hostos/filesystem.hpp"
@@ -105,7 +106,9 @@ MicrobenchResult run_microbench(const MicrobenchConfig& config) {
   // rate; nothing is dropped).
   cpu.reset();
   cpu.dcache().invalidate();
-  const std::int64_t dispatch_cycles = 1900;  // driver + NIC doorbell path
+  // Driver + NIC doorbell path, as the stream service charges it.
+  const std::int64_t dispatch_cycles =
+      dvcm::StreamService::Config{}.dispatch_cycles;
   int scheduled = 0;
   sim::Time now = sim::Time::zero();
   while (scheduled < config.n_frames) {

@@ -108,11 +108,9 @@ class ClusterControlPlane {
           cal.ethernet.bits_per_sec / 8.0, config.per_frame_cpu,
           kAdmissionHeadroom);
 
-      auto hb = std::make_unique<dvcm::HeartbeatExtension>();
-      m->heartbeat = hb.get();
-      m->ni->runtime().load_extension(std::move(hb));
+      m->ni->runtime().load_extension(
+          std::make_unique<dvcm::HeartbeatExtension>());
       auto ext = std::make_unique<ClusterExtension>(m->ni->service());
-      m->cluster_ext = ext.get();
       ext->set_on_adopt(
           [this, b](const ShippedCheckpoint& sc) { on_adopted(b, sc); });
       m->ni->runtime().load_extension(std::move(ext));
@@ -279,8 +277,6 @@ class ClusterControlPlane {
     std::unique_ptr<hw::PciBus> bus;
     std::unique_ptr<apps::NiSchedulerServer> ni;
     std::unique_ptr<dwcs::AdmissionController> admission;
-    dvcm::HeartbeatExtension* heartbeat = nullptr;
-    ClusterExtension* cluster_ext = nullptr;
     std::unique_ptr<dvcm::ReliableRemoteVcmPort> port;
     std::unique_ptr<dvcm::ReliableRemoteVcmClient> ship;
     std::unique_ptr<dvcm::HostWatchdog> watchdog;

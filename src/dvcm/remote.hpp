@@ -7,9 +7,9 @@
 // interconnect — a stream producer on node A feeds the DWCS extension on
 // node B's scheduler-NI without either host touching a frame.
 //
-// ReliableRemoteVcmPort attaches to a runtime and turns arriving
-// instructions into registry dispatches (charging the NI CPU for the
-// network-side dispatch, like the I2O path does). ReliableRemoteVcmClient
+// ReliableRemoteVcmPort attaches to a runtime and runs each arriving
+// instruction through the runtime's dispatch step, charging the NI CPU as
+// the I2O path does (VcmRuntime::dispatch). ReliableRemoteVcmClient
 // sends them as TcpLite payload bodies, so every instruction arrives exactly
 // once and in order even on a degraded segment (see
 // tests/dvcm/remote_test.cpp). The cluster control plane ships its
@@ -43,45 +43,6 @@ struct RemoteInstruction {
 /// Instruction header on the wire: instruction id, w0 and w1.
 inline constexpr std::uint32_t kRemoteHeaderBytes = 24;
 
-namespace detail {
-
-using Inbox = sim::Mailbox<std::shared_ptr<const RemoteInstruction>>;
-
-struct DispatchCounts {
-  std::uint64_t dispatched = 0;
-  std::uint64_t unknown = 0;
-};
-
-/// A remote port's network-dispatch task, peer of the I2O dispatch task:
-/// dispatch each instruction through the registry and charge the NI CPU.
-/// The inbox lives in this frame (`inbox` points at it from the start) and
-/// the port is held by switch address, so after every wait the loop checks
-/// the port is attached before touching its counts, as
-/// net::detail::schedule_while_attached does for events.
-inline sim::Coro dispatch_loop(VcmRuntime& runtime, rtos::Task& task,
-                               hw::EthernetSwitch& ether, int port,
-                               Inbox*& inbox, DispatchCounts& counts) {
-  Inbox box{ether.engine()};
-  inbox = &box;
-  for (;;) {
-    const auto ri = co_await box.receive();
-    if (!ether.attached(port)) co_return;
-    const std::int64_t before = runtime.board().cpu().cycles();
-    hw::I2oMessage msg;
-    msg.function = ri->id;
-    msg.w0 = ri->w0;
-    msg.w1 = ri->w1;
-    msg.payload = ri->payload;
-    const bool known = runtime.registry().dispatch(msg);
-    const std::int64_t handler = runtime.board().cpu().cycles() - before;
-    co_await task.consume_cycles(VcmRuntime::kDispatchCycles + handler);
-    if (!ether.attached(port)) co_return;
-    ++(known ? counts.dispatched : counts.unknown);
-  }
-}
-
-}  // namespace detail
-
 /// The receiving end: a TcpLite receiver feeding the dispatch task.
 class ReliableRemoteVcmPort {
  public:
@@ -89,27 +50,48 @@ class ReliableRemoteVcmPort {
                         sim::Time stack_cost)
       : rx_{runtime.board().engine(), ether, stack_cost,
             [this](const net::Packet& p, sim::Time) { deliver(p); }} {
-    detail::dispatch_loop(runtime,
-                          runtime.kernel().spawn("tVcmRemoteRel", 61), ether,
-                          rx_.port(), inbox_, counts_)
+    serve(runtime, runtime.kernel().spawn("tVcmRemoteRel", 61), ether)
         .detach();
   }
 
   [[nodiscard]] int port() const { return rx_.port(); }
-  [[nodiscard]] std::uint64_t dispatched() const { return counts_.dispatched; }
-  [[nodiscard]] std::uint64_t unknown_instructions() const {
-    return counts_.unknown;
-  }
+  [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
+  [[nodiscard]] std::uint64_t unknown_instructions() const { return unknown_; }
 
  private:
+  using Inbox = sim::Mailbox<std::shared_ptr<const RemoteInstruction>>;
+
+  /// The network-dispatch task, peer of the runtime's I2O task. The inbox
+  /// lives in this frame (`inbox_` points at it from the start) and the
+  /// port is held by switch address, so after every wait the task checks
+  /// the port is attached before touching this object, as
+  /// net::detail::schedule_while_attached does for events.
+  sim::Coro serve(VcmRuntime& runtime, rtos::Task& task,
+                  hw::EthernetSwitch& ether) {
+    const int port = rx_.port();
+    Inbox box{ether.engine()};
+    inbox_ = &box;
+    for (;;) {
+      const auto ri = co_await box.receive();
+      if (!ether.attached(port)) co_return;
+      const VcmRuntime::Dispatched d = runtime.dispatch(
+          {.function = ri->id, .w0 = ri->w0, .w1 = ri->w1,
+           .payload = ri->payload});
+      co_await task.consume_cycles(d.cycles);
+      if (!ether.attached(port)) co_return;
+      ++(d.known ? dispatched_ : unknown_);
+    }
+  }
+
   void deliver(const net::Packet& p) {
     auto ri = std::static_pointer_cast<const RemoteInstruction>(p.body);
     if (ri) inbox_->send(std::move(ri));
   }
 
   net::TcpLiteReceiver rx_;
-  detail::Inbox* inbox_ = nullptr;  // in the dispatch task's frame
-  detail::DispatchCounts counts_;
+  Inbox* inbox_ = nullptr;  // in the dispatch task's frame
+  std::uint64_t dispatched_ = 0;
+  std::uint64_t unknown_ = 0;
 };
 
 class ReliableRemoteVcmClient {

@@ -55,6 +55,22 @@ class VcmRuntime {
     return extensions_;
   }
 
+  /// What running one message frame's handler came to: whether an
+  /// extension knew its opcode, and the NI cycles the dispatching task owes.
+  struct Dispatched {
+    bool known = false;
+    std::int64_t cycles = 0;
+  };
+
+  /// Route `msg` to its handler. Handlers run the real (instrumented) code;
+  /// whatever cycles they charge to the board CPU are owed as task time,
+  /// plus the fixed fetch/route overhead.
+  Dispatched dispatch(const hw::I2oMessage& msg) {
+    const std::int64_t before = board_.cpu().cycles();
+    const bool known = registry_.dispatch(msg);
+    return {known, kDispatchCycles + board_.cpu().cycles() - before};
+  }
+
   /// Send a reply frame back to the host, echoing the request cookie.
   void reply(const hw::I2oMessage& request, hw::I2oMessage response) {
     response.function = request.function | kReplyFlag;
@@ -76,18 +92,9 @@ class VcmRuntime {
           // mailbox does not grow without bound.
           continue;
         }
-        // Handlers run the real (instrumented) code; whatever cycles they
-        // charge to the board CPU become task time here, plus the fixed
-        // fetch/route overhead.
-        const std::int64_t before = self.board_.cpu().cycles();
-        const bool known = self.registry_.dispatch(msg);
-        const std::int64_t handler_cycles = self.board_.cpu().cycles() - before;
-        co_await t.consume_cycles(kDispatchCycles + handler_cycles);
-        if (known) {
-          ++self.dispatched_;
-        } else {
-          ++self.unknown_;
-        }
+        const Dispatched d = self.dispatch(msg);
+        co_await t.consume_cycles(d.cycles);
+        ++(d.known ? self.dispatched_ : self.unknown_);
       }
     }(*this, task).detach();
 

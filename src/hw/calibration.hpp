@@ -109,16 +109,12 @@ struct EthernetParams {
   double bits_per_sec = 100e6;       // 100 Mbps links on the i960 RD card
   std::uint32_t overhead_bytes = 38; // preamble + header + FCS + IFG
   sim::Time switch_latency = sim::Time::us(10);  // store-and-forward cut
-  /// Frame-loss probability per hop (0 on the paper's switched LAN; the
-  /// reliable-transport tests and failure-injection suites raise it).
-  double loss_rate = 0.0;
-  std::uint64_t loss_seed = 99;
   /// One-way protocol-stack traversal cost per endpoint. Calibrated so a
   /// 1000-byte frame sees ~1.2 ms end to end (Table 4 "1.2net": stacks at
   /// both ends + wire time).
   sim::Time stack_traversal = sim::Time::us(555);
 };
-inline const EthernetParams kFastEthernet{};
+inline constexpr EthernetParams kFastEthernet{};
 
 struct DiskParams {
   /// Calibrated so a random 1000-byte frame read averages ~4.2 ms (Table 4

@@ -60,7 +60,6 @@
 #include "hw/calibration.hpp"
 #include "sim/engine.hpp"
 #include "sim/handle_table.hpp"
-#include "sim/random.hpp"
 #include "sim/time.hpp"
 
 namespace nistream::hw {
@@ -158,7 +157,7 @@ class EthernetSwitch {
   using Receiver = FrameReceiver;
 
   EthernetSwitch(sim::Engine& engine, const EthernetParams& p = kFastEthernet)
-      : engine_{engine}, params_{p}, loss_rng_{p.loss_seed} {}
+      : engine_{engine}, params_{p} {}
 
   EthernetSwitch(const EthernetSwitch&) = delete;
   EthernetSwitch& operator=(const EthernetSwitch&) = delete;
@@ -223,12 +222,8 @@ class EthernetSwitch {
     const sim::Time at_switch = up_start + wire;
     sp.uplink_busy_until = at_switch;
 
-    // Loss model: the frame occupied the uplink, but is discarded at the
-    // switch (CRC error / buffer overrun) and never reaches the downlink.
-    if (params_.loss_rate > 0 && loss_rng_.chance(params_.loss_rate)) {
-      ++frames_lost_;
-      return;
-    }
+    // A lost frame occupied the uplink, but is discarded at the switch
+    // (CRC error / buffer overrun) and never reaches the downlink.
     if (fault_ != nullptr) {
       if (fault_->drop_frame()) {
         ++frames_lost_;
@@ -285,9 +280,9 @@ class EthernetSwitch {
   [[nodiscard]] const EthernetParams& params() const { return params_; }
   [[nodiscard]] sim::Engine& engine() { return engine_; }
 
-  /// Attach a fault injector (nullptr detaches). Injection happens at the
-  /// switch, after uplink occupancy is accounted, matching the built-in loss
-  /// model's position.
+  /// Attach a fault injector (nullptr detaches), the switch's only source
+  /// of lost and corrupted frames. Injection happens at the switch, after
+  /// uplink occupancy is accounted.
   void set_fault(fault::LinkFaultInjector* inj) { fault_ = inj; }
 
  private:
@@ -343,7 +338,6 @@ class EthernetSwitch {
 
   sim::Engine& engine_;
   EthernetParams params_;
-  sim::Rng loss_rng_;
   sim::HandleTable<Port> ports_{kMaxPorts, kGenerations};
   sim::HandleTable<InFlight> frames_;
   std::uint64_t bytes_switched_ = 0;

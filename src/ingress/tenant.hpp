@@ -10,9 +10,11 @@
 // headroom they admit against — stays untouched: the paper's host-immunity
 // claim restated as tenant immunity.
 //
-// Scope 0 is the default tenant: single-segment URIs (the pre-multi-tenant
-// "rtsp://ni/stream") and unknown tenant names resolve there, so every
-// legacy caller is a single-tenant deployment with a full-share budget.
+// Scope 0 is the default tenant: single-segment URIs ("rtsp://ni/stream")
+// and unknown tenant names resolve there. It is the global pool: the
+// AdmissionController alone bounds it, and a stream bound to it costs the
+// directory no state. A server with no named tenants runs every SETUP
+// through this same path with everything in scope 0.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,7 @@
 namespace nistream::ingress {
 
 /// Fractions of the admission headroom (not of raw capacity) a tenant may
-/// hold on each resource. The default tenant keeps full shares.
+/// hold on each resource. The default tenant's is never checked.
 struct TenantBudget {
   double link_share = 1.0;
   double cpu_share = 1.0;
@@ -72,9 +74,11 @@ class TenantDirectory {
   }
 
   /// Would this request fit the tenant's budget? `headroom` is the global
-  /// admission headroom the shares are fractions of.
+  /// admission headroom the shares are fractions of. The default tenant has
+  /// no budget of its own: the global controller decides its requests.
   [[nodiscard]] bool would_admit(TenantId id, double link_load,
                                  double cpu_load, double headroom) const {
+    if (id == 0) return true;
     const Tenant& t = tenants_[id];
     return t.link_used + link_load <= t.budget.link_share * headroom &&
            t.cpu_used + cpu_load <= t.budget.cpu_share * headroom;
@@ -100,8 +104,11 @@ class TenantDirectory {
 
   /// Bind a scheduler stream to its owning tenant, so dispatch/drop
   /// observers can key the violation monitor by (tenant scope, stream).
+  /// An unbound stream reads the default scope, so binding one to the
+  /// default tenant stores nothing.
   void bind_stream(dwcs::StreamId stream, TenantId id) {
     if (stream >= stream_scope_.size()) {
+      if (id == 0) return;
       stream_scope_.resize(static_cast<std::size_t>(stream) + 1, 0);
     }
     stream_scope_[stream] = id;

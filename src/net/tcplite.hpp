@@ -4,10 +4,11 @@
 // board-resident protocols (like TCP and UDP)". UDP is udp.hpp; this is the
 // reliable sibling — a compact go-back-N transport with cumulative ACKs and
 // a retransmission timer, enough to move control traffic and loss-intolerant
-// streams over a lossy segment (see hw::EthernetParams::loss_rate) with
-// exactly-once, in-order delivery. A frame that lands with a bad CRC
-// (EthFrame::corrupted) is dropped before the stack, as UDP drops it, so a
-// corrupted segment or ACK is recovered from as a lost one is.
+// streams over a lossy segment (a fault::LinkFaultInjector on the switch,
+// see hw::EthernetSwitch::set_fault) with exactly-once, in-order delivery.
+// A frame that lands with a bad CRC (EthFrame::corrupted) is dropped before
+// the stack, as UDP drops it, so a corrupted segment or ACK is recovered
+// from as a lost one is.
 //
 // Scope deliberately matches what an embedded NI stack of the era shipped:
 // fixed window, cumulative ACK per received segment, go-back-N retransmit on

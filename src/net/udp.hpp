@@ -23,6 +23,7 @@
 #include <utility>
 
 #include "dwcs/types.hpp"
+#include "hw/calibration.hpp"
 #include "hw/ethernet.hpp"
 #include "mpeg/frame.hpp"
 #include "sim/block_pool.hpp"
@@ -140,7 +141,7 @@ class UdpEndpoint {
 };
 
 /// Stack-cost presets (see calibration rationale in hw/calibration.hpp).
-inline constexpr sim::Time kNiStackCost = sim::Time::us(555);
+inline constexpr sim::Time kNiStackCost = hw::kFastEthernet.stack_traversal;
 inline constexpr sim::Time kHostStackCost = sim::Time::us(180);
 
 }  // namespace nistream::net

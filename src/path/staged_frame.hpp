@@ -67,7 +67,6 @@ struct StagedFrame {
   mpeg::FrameType type = mpeg::FrameType::kP;
   std::uint64_t disk_offset = 0;   // where the source stage reads from
   Provenance provenance = Provenance::kUnknown;
-  std::uint32_t tenant = 0;        // ingress scope (stamped by ClassifyStage)
 
   sim::Time created_at;            // pipeline entry (the Table 4 "t0")
   sim::Time completed_at;          // last stage finished

@@ -68,12 +68,6 @@ class RtspFrontDoor {
     /// 0 disables adaptation. Floor below.
     std::size_t reap_storm_threshold = 256;
     sim::Time min_idle_timeout = sim::Time::ms(100);
-    /// Optional multi-tenant directory. When set, SETUP resolves the tenant
-    /// from the request URI's first path segment, enforces that tenant's
-    /// admission share on top of the global controller, and keys the
-    /// violation monitor by (tenant, stream) so per-tenant QoS is separable.
-    /// Null keeps the single-tenant behaviour (scope 0 everywhere).
-    ingress::TenantDirectory* tenants = nullptr;
   };
 
   /// wind priorities (0 most urgent). Control runs below the pumps and the
@@ -141,14 +135,20 @@ class RtspFrontDoor {
     std::uint64_t post_play_admission_violations = 0;
   };
 
+  /// SETUP resolves the tenant from the request URI's first path segment
+  /// in `tenants`, enforces that tenant's admission share on top of the
+  /// global controller, and keys `monitor` by (tenant, stream) so
+  /// per-tenant QoS is separable. A server with no named tenants puts every
+  /// stream in the default tenant, which only the global controller bounds.
   RtspFrontDoor(sim::Engine& engine, hw::EthernetSwitch& ether,
                 rtos::WindKernel& kernel, dvcm::StreamService& service,
                 net::UdpEndpoint& rtp_out,
                 dwcs::AdmissionController& admission,
-                dwcs::WindowViolationMonitor* monitor, Config config)
+                dwcs::WindowViolationMonitor& monitor,
+                ingress::TenantDirectory& tenants, Config config)
       : engine_{engine}, ether_{ether}, kernel_{kernel}, service_{service},
         rtp_out_{rtp_out}, admission_{admission}, monitor_{monitor},
-        config_{config}, inbox_{engine},
+        tenants_{tenants}, config_{config}, inbox_{engine},
         ctl_rx_{engine, ether, net::kNiStackCost,
                 net::TcpLiteReceiver::DeliverFrom{
                     [this](const net::Packet& p, int peer, sim::Time at) {
@@ -339,28 +339,23 @@ class RtspFrontDoor {
         .mean_frame_bytes = req.frame_bytes + path::kRtpHeaderBytes};
     // Tenant budget first: a tenant over its share is denied even while the
     // NI as a whole has headroom — that is the flood-isolation contract.
-    ingress::TenantId tid = 0;
-    if (config_.tenants != nullptr) {
-      tid = config_.tenants->resolve(ingress::tenant_from_uri(req.uri));
-      if (!config_.tenants->would_admit(tid, admission_.link_load(adm),
-                                        admission_.cpu_load(adm),
-                                        admission_.headroom())) {
-        config_.tenants->note_rejected(tid);
-        ++stats_.rejected_453;
-        ++stats_.tenant_rejected_453;
-        respond(peer, RtspResponse{.status = 453, .cseq = req.cseq});
-        return;
-      }
+    const ingress::TenantId tid =
+        tenants_.resolve(ingress::tenant_from_uri(req.uri));
+    const double link = admission_.link_load(adm);
+    const double cpu = admission_.cpu_load(adm);
+    if (!tenants_.would_admit(tid, link, cpu, admission_.headroom())) {
+      tenants_.note_rejected(tid);
+      ++stats_.rejected_453;
+      ++stats_.tenant_rejected_453;
+      respond(peer, RtspResponse{.status = 453, .cseq = req.cseq});
+      return;
     }
     if (!admission_.admit(adm)) {
       ++stats_.rejected_453;
       respond(peer, RtspResponse{.status = 453, .cseq = req.cseq});
       return;
     }
-    if (config_.tenants != nullptr) {
-      config_.tenants->reserve(tid, admission_.link_load(adm),
-                               admission_.cpu_load(adm));
-    }
+    tenants_.reserve(tid, link, cpu);
     const std::uint64_t sid =
         make_session_id(config_.incarnation, ++session_counter_);
     Session s;
@@ -378,12 +373,8 @@ class RtspFrontDoor {
         dwcs::StreamParams{
             .tolerance = req.tolerance, .period = req.period, .lossy = true},
         req.rtp_port);
-    if (config_.tenants != nullptr) {
-      config_.tenants->bind_stream(s.stream, tid);
-    }
-    if (monitor_ != nullptr) {
-      monitor_->add_stream({tid, s.stream}, req.tolerance);
-    }
+    tenants_.bind_stream(s.stream, tid);
+    monitor_.add_stream({tid, s.stream}, req.tolerance);
     connection(peer).sessions.push_back(sid);
     sessions_.emplace(sid, s);
     ++stats_.setups_ok;
@@ -550,14 +541,12 @@ class RtspFrontDoor {
     Session& s = it->second;
     if (s.pump_id) pumps_[s.pump_id.index].gate.stop();
     admission_.release(s.adm);
-    if (config_.tenants != nullptr) {
-      config_.tenants->release(s.tenant, admission_.link_load(s.adm),
-                               admission_.cpu_load(s.adm));
-    }
+    tenants_.release(s.tenant, admission_.link_load(s.adm),
+                     admission_.cpu_load(s.adm));
     // Retire BEFORE purging: the frames the purge drops (and any final
     // in-flight frame the stopping pump still enqueues) were abandoned by
     // the closing client — they are churn cost, not a scheduling miss.
-    if (monitor_ != nullptr) monitor_->retire({s.tenant, s.stream});
+    monitor_.retire({s.tenant, s.stream});
     service_.scheduler().purge_stream(s.stream);
     const std::uint32_t c = conn_at(hw::EthernetSwitch::index_of(s.ctl_peer));
     if (c != kNone && conns_[c].peer == s.ctl_peer) {
@@ -600,7 +589,8 @@ class RtspFrontDoor {
   dvcm::StreamService& service_;
   net::UdpEndpoint& rtp_out_;
   dwcs::AdmissionController& admission_;
-  dwcs::WindowViolationMonitor* monitor_;
+  dwcs::WindowViolationMonitor& monitor_;
+  ingress::TenantDirectory& tenants_;
   Config config_;
   Stats stats_;
   sim::Mailbox<Pending> inbox_;

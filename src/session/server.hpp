@@ -35,10 +35,10 @@ class SessionServer {
     sim::Time per_frame_cpu = sim::Time::us(120);
     double admission_headroom = 0.90;
     RtspFrontDoor::Config door{};
-    /// Named tenants with their admission shares. Empty keeps the server
-    /// single-tenant (every URI resolves to the default tenant, scope 0).
-    /// Non-empty turns on per-tenant budgets and (tenant, stream) monitor
-    /// keying via the front door's TenantDirectory hook.
+    /// Named tenants with their admission shares, each keyed in the monitor
+    /// by its own scope. URIs that name none of them resolve to the default
+    /// tenant (scope 0), which only the global admission budget bounds; with
+    /// none configured the server is single-tenant.
     std::vector<std::pair<std::string, ingress::TenantBudget>> tenants;
   };
 
@@ -75,8 +75,8 @@ class SessionServer {
                    config_.per_frame_cpu, config_.admission_headroom},
         dispatch_task_{kernel_.spawn("dwcs-dispatch", kDispatchPriority)},
         tenants_{config_.tenants},
-        door_{engine,   ether,      kernel_,   service_,
-              rtp_out_, admission_, &monitor_, door_config()} {
+        door_{engine, ether, kernel_, service_, rtp_out_, admission_,
+              monitor_, tenants_, config_.door} {
     service_.set_dispatch_observer(
         [this](dwcs::StreamId id, const dwcs::Dispatch& d) {
           const dwcs::WindowViolationMonitor::StreamKey key{
@@ -113,15 +113,6 @@ class SessionServer {
   [[nodiscard]] int control_port() const { return door_.control_port(); }
 
  private:
-  /// The front door sees the tenant directory only when tenants were
-  /// configured, so a single-tenant server keeps the exact legacy SETUP
-  /// path (and its stats) bit for bit.
-  [[nodiscard]] RtspFrontDoor::Config door_config() {
-    RtspFrontDoor::Config c = config_.door;
-    if (!config_.tenants.empty()) c.tenants = &tenants_;
-    return c;
-  }
-
   sim::Engine& engine_;
   Config config_;
   hw::CpuModel cpu_;

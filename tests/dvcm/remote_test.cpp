@@ -9,6 +9,7 @@
 #include "apps/client.hpp"
 #include "apps/media_server.hpp"
 #include "dvcm/dwcs_extension.hpp"
+#include "fault/injector.hpp"
 
 namespace nistream::dvcm {
 namespace {
@@ -132,11 +133,11 @@ TEST(RemoteVcm, RemoteAndI2oPathsCoexist) {
 // TcpLite-backed path delivers every instruction, exactly once and in order.
 TEST(RemoteVcm, ReliableVariantSurvivesLossyInterconnect) {
   hw::Calibration cal;
-  cal.ethernet.loss_rate = 0.15;
-  cal.ethernet.loss_seed = 33;
+  fault::LinkFaultInjector loss{{.frame_loss_rate = 0.15}, sim::Rng{33}};
   sim::Engine eng;
   hw::PciBus bus{eng};
   hw::EthernetSwitch ether{eng, cal.ethernet};
+  ether.set_fault(&loss);
   apps::NiSchedulerServer sched_node{eng, bus, ether,
                                      dvcm::StreamService::Config{}, cal};
   ReliableRemoteVcmPort port{sched_node.runtime(), ether,

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/media_server.hpp"
+#include "fault/injector.hpp"
 
 namespace nistream::dvcm {
 namespace {
@@ -15,16 +16,17 @@ struct Fixture {
   hw::Calibration cal;
   sim::Engine eng;
   hw::PciBus bus{eng};
+  fault::LinkFaultInjector loss;
   std::unique_ptr<hw::EthernetSwitch> ether;
   std::unique_ptr<apps::NiSchedulerServer> server;
   TcpOffloadExtension* tcp = nullptr;
   std::vector<std::uint64_t> delivered;
   std::unique_ptr<net::TcpLiteReceiver> rx;
 
-  explicit Fixture(double loss_rate = 0.0) {
-    cal.ethernet.loss_rate = loss_rate;
-    cal.ethernet.loss_seed = 21;
+  explicit Fixture(double loss_rate = 0.0)
+      : loss{{.frame_loss_rate = loss_rate}, sim::Rng{21}} {
     ether = std::make_unique<hw::EthernetSwitch>(eng, cal.ethernet);
+    ether->set_fault(&loss);
     server = std::make_unique<apps::NiSchedulerServer>(
         eng, bus, *ether, dvcm::StreamService::Config{}, cal);
     auto ext = std::make_unique<TcpOffloadExtension>(*ether);

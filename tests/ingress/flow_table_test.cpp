@@ -1,12 +1,18 @@
 // FlowTable unit tests: tuple-space search semantics (masked categories,
 // probe order), the longest-prefix trie fallback, the default-drop verdict,
-// and the fixed-capacity discipline (inserts fail, tables never grow).
+// and the fixed-capacity discipline (inserts fail, tables never grow); then
+// IngressDemux verdict routing off the wire, the table's one classify step.
 #include "ingress/flow_table.hpp"
 
 #include <gtest/gtest.h>
 
+#include "hw/calibration.hpp"
+#include "ingress/demux.hpp"
+
 namespace nistream::ingress {
 namespace {
+
+using sim::Time;
 
 TEST(FlowTable, RecordStaysTwoPerCacheLine) {
   static_assert(sizeof(FlowRecord) == 32);
@@ -155,6 +161,74 @@ TEST(FlowTable, StatsCountProbesAndHits) {
   EXPECT_GE(s.probes, 3u);
   EXPECT_GE(s.max_probes, 1u);
   EXPECT_EQ(t.hits(cat, k), 2u);
+}
+
+struct DemuxRig {
+  sim::Engine eng;
+  hw::Calibration cal;
+  hw::EthernetSwitch ether{eng, cal.ethernet};
+  hw::CpuModel cpu{hw::kI960Rd};
+  rtos::WindKernel kernel{eng, cpu, cal.rtos};
+  dvcm::StreamService svc{eng, {}, cpu, cal.ni_int, cal.ni_softfp, nullptr};
+  FlowTable table;
+  IngressDemux demux{eng, ether, kernel, table, svc};
+  net::UdpEndpoint tx{eng, ether, net::kHostStackCost,
+                      net::UdpEndpoint::Receiver{}};
+
+  void send(TenantId tenant, dwcs::StreamId stream, std::uint32_t bytes) {
+    net::Packet p;
+    p.stream_id = pack_flow(tenant, stream);
+    p.bytes = bytes;
+    tx.send(demux.port(), p);
+  }
+};
+
+TEST(IngressDemux, ExactMatchDeliversToTheRing) {
+  DemuxRig rig;
+  const auto cat = rig.table.add_category(kMatchFullTuple, 8);
+  const auto id = rig.svc.create_stream(
+      {.tolerance = {1, 4}, .period = Time::ms(10), .lossy = true}, 0);
+  ASSERT_TRUE(rig.table.insert(cat, flow_key_of(1, id), 1, id));
+
+  rig.send(1, id, 500);
+  rig.send(1, id, 500);
+  rig.eng.run();
+
+  EXPECT_EQ(rig.demux.stats().received, 2u);
+  EXPECT_EQ(rig.demux.stats().delivered, 2u);
+  EXPECT_EQ(rig.demux.tenant_counters(1).delivered, 2u);
+  EXPECT_EQ(rig.svc.scheduler().backlog(id), 2u);
+}
+
+TEST(IngressDemux, PrefixFloodIsAttributedAndDropped) {
+  DemuxRig rig;
+  rig.table.add_category(kMatchFullTuple, 8);
+  ASSERT_TRUE(rig.table.insert_prefix(tenant_prefix_of(2), 16, 2));
+
+  for (int i = 0; i < 5; ++i) rig.send(2, 1000 + i, 100);
+  rig.send(7, 0, 100);  // nobody's address block
+  rig.eng.run();
+
+  EXPECT_EQ(rig.demux.stats().dropped_attributed, 5u);
+  EXPECT_EQ(rig.demux.stats().dropped_unmatched, 1u);
+  EXPECT_EQ(rig.demux.stats().delivered, 0u);
+  EXPECT_EQ(rig.demux.tenant_counters(2).dropped, 5u);
+}
+
+TEST(IngressDemux, DropRuleQuarantinesOneFlow) {
+  DemuxRig rig;
+  const auto cat = rig.table.add_category(kMatchFullTuple, 8);
+  const auto id = rig.svc.create_stream(
+      {.tolerance = {1, 4}, .period = Time::ms(10), .lossy = true}, 0);
+  ASSERT_TRUE(rig.table.insert(cat, flow_key_of(1, id), 1, id,
+                               /*drop=*/true));
+
+  rig.send(1, id, 100);
+  rig.eng.run();
+
+  EXPECT_EQ(rig.demux.stats().dropped_rule, 1u);
+  EXPECT_EQ(rig.demux.stats().delivered, 0u);
+  EXPECT_EQ(rig.svc.scheduler().backlog(id), 0u);
 }
 
 }  // namespace

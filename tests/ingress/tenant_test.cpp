@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -207,6 +208,76 @@ TEST(TenantScope, TeardownReleasesTheTenantBudget) {
   rig.eng.run_until(Time::ms(300));
   ASSERT_EQ(ctl.got.size(), 3u);
   EXPECT_EQ(ctl.got[2].status, 200);
+}
+
+TEST(TenantScope, DefaultTenantIsBoundedByTheGlobalPoolAlone) {
+  // Default-tenant SETUPs fill the NI (0.9 headroom / 0.012 CPU per stream:
+  // ~75 streams). The global controller turns the rest away; no tenant
+  // budget does.
+  TenantRig rig;
+  Ctl ctl{rig.eng, rig.ether, rig.server->control_port()};
+  constexpr std::size_t kSetups = 80;
+  for (std::size_t i = 0; i < kSetups; ++i) {
+    ctl.send(rig.setup_request("rtsp://ni/stream"));
+  }
+  rig.eng.run_until(Time::ms(100));
+  ASSERT_EQ(ctl.got.size(), kSetups);
+  const auto admitted = static_cast<std::size_t>(
+      std::count_if(ctl.got.begin(), ctl.got.end(),
+                    [](const RtspResponse& r) { return r.status == 200; }));
+  ASSERT_GT(admitted, 0u);
+  ASSERT_LT(admitted, kSetups);
+  EXPECT_EQ(ctl.got[admitted - 1].status, 200);
+  EXPECT_EQ(ctl.got[admitted].status, 453);  // the first one past full
+
+  const auto& stats = rig.server->door().stats();
+  EXPECT_EQ(stats.rejected_453, kSetups - admitted);
+  EXPECT_EQ(stats.tenant_rejected_453, 0u);
+  EXPECT_EQ(rig.server->admission().rejected(), kSetups - admitted);
+  EXPECT_EQ(rig.server->tenants().tenant(0).rejected, 0u);
+  EXPECT_EQ(rig.server->tenants().tenant(0).admitted, admitted);
+}
+
+TEST(TenantScope, SingleTenantServerCountsLiveSessionsInTheDefaultTenant) {
+  // No named tenants: every SETUP takes the tenant path into scope 0, whose
+  // reservation count follows the live sessions out through TEARDOWN and
+  // the idle reaper.
+  SessionServer::Config cfg;
+  cfg.door.idle_timeout = Time::ms(300);
+  cfg.door.reap_interval = Time::ms(100);
+  TenantRig rig{cfg};
+  Ctl ctl{rig.eng, rig.ether, rig.server->control_port()};
+  const TenantDirectory::Tenant& dflt = rig.server->tenants().tenant(0);
+  ASSERT_EQ(rig.server->tenants().count(), 1u);
+
+  ctl.send(rig.setup_request("rtsp://ni/stream"));
+  ctl.send(rig.setup_request("rtsp://ni/acme/movie"));  // no such tenant
+  rig.eng.run_until(Time::ms(50));
+  ASSERT_EQ(ctl.got.size(), 2u);
+  ASSERT_EQ(ctl.got[0].status, 200);
+  ASSERT_EQ(ctl.got[1].status, 200);
+  EXPECT_EQ(dflt.admitted, 2u);
+  EXPECT_EQ(rig.server->door().live_sessions(), 2u);
+  EXPECT_TRUE(rig.server->monitor().known(
+      {0, static_cast<dwcs::StreamId>(ctl.got[1].stream)}));
+
+  RtspRequest teardown;
+  teardown.method = Method::kTeardown;
+  teardown.cseq = ++rig.cseq;
+  teardown.session_id = ctl.got[0].session_id;
+  ctl.send(teardown);
+  rig.eng.run_until(Time::ms(250));
+  ASSERT_EQ(ctl.got.size(), 3u);
+  EXPECT_EQ(ctl.got[2].status, 200);
+  EXPECT_EQ(dflt.admitted, 1u);
+  EXPECT_EQ(rig.server->door().live_sessions(), 1u);
+
+  // The second session idles past 300 ms: the reaper releases it.
+  rig.eng.run_until(Time::ms(500));
+  EXPECT_EQ(rig.server->door().stats().reaped_idle, 1u);
+  EXPECT_EQ(rig.server->door().live_sessions(), 0u);
+  EXPECT_EQ(dflt.admitted, 0u);
+  EXPECT_EQ(dflt.rejected, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the TcpLite reliable transport over clean, lossy and corrupting
-// segments, plus the Ethernet loss model it exists for, its RFC 6298
+// segments, plus the switch frame loss it exists for, its RFC 6298
 // retransmission timer, and owner-safe teardown.
 #include "net/tcplite.hpp"
 
@@ -19,11 +19,9 @@ namespace {
 
 using sim::Time;
 
-hw::EthernetParams lossy(double rate, std::uint64_t seed = 7) {
-  hw::EthernetParams p;
-  p.loss_rate = rate;
-  p.loss_seed = seed;
-  return p;
+/// A switch fault injector that loses `rate` of the frames it sees.
+fault::LinkFaultInjector lossy(double rate, std::uint64_t seed = 7) {
+  return fault::LinkFaultInjector{{.frame_loss_rate = rate}, sim::Rng{seed}};
 }
 
 /// Hand-crafted cumulative ACK, as a peer's receiver would send it: the
@@ -42,22 +40,27 @@ std::uint64_t seq_of(const hw::EthFrame& f) {
 
 struct Link {
   sim::Engine eng;
-  hw::EthernetSwitch ether;
+  fault::LinkFaultInjector loss;
+  hw::EthernetSwitch ether{eng};
   std::vector<std::uint64_t> delivered;
   TcpLiteReceiver rx;
   TcpLiteSender tx;
 
-  explicit Link(const hw::EthernetParams& params = {},
+  explicit Link(fault::LinkFaultInjector l = lossy(0.0),
                 TcpLiteSender::Params sp = {})
-      : ether{eng, params},
+      : loss{l},
         rx{eng, ether, Time::us(50),
            [this](const Packet& p, Time) { delivered.push_back(p.seq); }},
-        tx{eng, ether, Time::us(50), rx.port(), sp} {}
+        tx{eng, ether, Time::us(50), rx.port(), sp} {
+    ether.set_fault(&loss);
+  }
 };
 
 TEST(EthernetLoss, DropsConfiguredFraction) {
   sim::Engine eng;
-  hw::EthernetSwitch sw{eng, lossy(0.2)};
+  fault::LinkFaultInjector loss = lossy(0.2);
+  hw::EthernetSwitch sw{eng};
+  sw.set_fault(&loss);
   int got = 0;
   const int rx = sw.add_port([&](const hw::EthFrame&) { ++got; });
   const int tx = sw.add_port([](const hw::EthFrame&) {});
@@ -346,7 +349,7 @@ TEST(TcpLiteDemux, TwoSendersOnePortKeepSeparateSequenceSpaces) {
 }
 
 TEST(TcpLite, ThroughputReasonableOnCleanLink) {
-  Link link{hw::EthernetParams{}, TcpLiteSender::Params{.window = 16}};
+  Link link{lossy(0.0), TcpLiteSender::Params{.window = 16}};
   constexpr std::uint64_t kCount = 500;
   for (std::uint64_t i = 0; i < kCount; ++i) {
     link.tx.send(Packet{.seq = i, .bytes = 1400});
