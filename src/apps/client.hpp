@@ -20,14 +20,9 @@ namespace nistream::apps {
 
 class MpegClient {
  public:
-  /// `bw_window`/`bw_sample` configure the bandwidth meter granularity used
-  /// for the Figure 7/9 series.
   MpegClient(sim::Engine& engine, hw::EthernetSwitch& ether,
-             sim::Time stack_cost = net::kHostStackCost,
-             sim::Time bw_window = sim::Time::sec(2),
-             sim::Time bw_sample = sim::Time::ms(500))
-      : engine_{engine}, bw_window_{bw_window}, bw_sample_{bw_sample},
-        endpoint_{engine, ether, stack_cost,
+             sim::Time stack_cost = net::kHostStackCost)
+      : endpoint_{engine, ether, stack_cost,
                   [this](const net::Packet& p, sim::Time at) { receive(p, at); }} {}
 
   [[nodiscard]] int port() const { return endpoint_.port(); }
@@ -85,12 +80,17 @@ class MpegClient {
   [[nodiscard]] std::uint64_t resumes() const { return resumes_; }
 
  private:
+  /// Bandwidth meter granularity of the Figure 7/9 series: a 2 s sliding
+  /// window sampled every 500 ms.
+  static constexpr sim::Time kBandwidthWindow = sim::Time::sec(2);
+  static constexpr sim::Time kBandwidthSample = sim::Time::ms(500);
+
   sim::RateMeter& meter(std::uint64_t stream_id) {
     auto it = meters_.find(stream_id);
     if (it == meters_.end()) {
       it = meters_
                .emplace(stream_id, std::make_unique<sim::RateMeter>(
-                                       bw_window_, bw_sample_,
+                                       kBandwidthWindow, kBandwidthSample,
                                        "stream" + std::to_string(stream_id)))
                .first;
     }
@@ -107,9 +107,6 @@ class MpegClient {
     net_latency_.add((at - p.dispatched_at).to_ms());
   }
 
-  sim::Engine& engine_;
-  sim::Time bw_window_;
-  sim::Time bw_sample_;
   net::UdpEndpoint endpoint_;
   std::map<std::uint64_t, std::unique_ptr<sim::RateMeter>> meters_;
   std::map<std::uint64_t, std::uint64_t> counts_;

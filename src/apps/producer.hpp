@@ -41,20 +41,14 @@ inline constexpr sim::Time kEnqueueBackoff = path::kEnqueueBackoff;
 /// Producer outcome counters + the per-stage latency breakdown.
 using ProducerStats = path::PathStats;
 
-/// Production pacing. The paper's producers prime the scheduler queues with
-/// an initial burst (the player's pre-roll buffer fill), then feed frames at
-/// the stream's nominal rate. An unpaced producer (gap == 0) pushes as fast
-/// as the disk allows.
-using ProducerPacing = path::Pacing;
-
 /// Everything about a producer's assignment that isn't a hardware resource:
-/// which stream it feeds, where its file starts on the device, how it paces,
-/// and (NI producers only) whether frames cross the PCI bus to a dedicated
-/// scheduler card (Path B) or stay on-card (Path C).
+/// which stream it feeds, where its file starts on the device, and (NI
+/// producers only) whether frames cross the PCI bus to a dedicated scheduler
+/// card (Path B) or stay on-card (Path C). Producers are unpaced: they push
+/// as fast as storage and ring backpressure allow.
 struct ProducerConfig {
   dwcs::StreamId stream = 0;
   std::uint64_t disk_offset = 0;       // file base on the disk / filesystem
-  ProducerPacing pacing = {};
   hw::PciBus* cross_bus = nullptr;     // non-null: Path B's p2p DMA hop
 };
 
@@ -83,7 +77,7 @@ inline sim::Coro ni_disk_producer(sim::Engine& engine, hw::ScsiDisk& disk,
       std::move(p),
       path::mpeg_file_source(file, config.stream, config.disk_offset,
                              path::Provenance::kNiDisk),
-      config.pacing, stats);
+      {}, stats);
 }
 
 /// Produce every frame of `file` from a host filesystem into a host-resident
@@ -100,7 +94,7 @@ sim::Coro host_file_producer(hostos::HostMachine& host, hostos::Process& proc,
       path::producer_path_a(host, proc, fs, service),
       path::mpeg_file_source(file, config.stream, config.disk_offset,
                              path::Provenance::kHostFile),
-      config.pacing, stats);
+      {}, stats);
 }
 
 }  // namespace nistream::apps

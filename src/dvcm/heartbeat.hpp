@@ -103,18 +103,16 @@ class HostWatchdog {
   void set_on_trip(TripHandler h) { on_trip_ = std::move(h); }
   void set_on_recovery(RecoveryHandler h) { on_recovery_ = std::move(h); }
 
-  /// Spawn the probe loop. Runs until stop().
+  /// Spawn the probe loop. It probes for as long as the engine runs.
   void start() {
-    running_ = true;
     [](HostWatchdog& self) -> sim::Coro {
       if (self.initial_delay_ > sim::Time::zero()) {
         co_await sim::Delay{self.engine_, self.initial_delay_};
       }
-      while (self.running_) {
+      for (;;) {
         const std::uint64_t seq = ++self.probe_seq_;
         co_await self.api_.invoke(kHeartbeatPing, /*w0=*/seq);
         co_await sim::Delay{self.engine_, kWatchdogTimeout};
-        if (!self.running_) co_return;
         if (self.last_ack_seq_ >= seq) {
           self.on_ack();
         } else {
@@ -127,8 +125,6 @@ class HostWatchdog {
       }
     }(*this).detach();
   }
-
-  void stop() { running_ = false; }
 
   [[nodiscard]] bool tripped() const { return tripped_; }
   [[nodiscard]] std::uint64_t acks_received() const { return acks_; }
@@ -179,7 +175,6 @@ class HostWatchdog {
   std::uint64_t recoveries_ = 0;
   int missed_ = 0;
   bool tripped_ = false;
-  bool running_ = false;
 };
 
 }  // namespace nistream::dvcm

@@ -131,7 +131,6 @@ class StreamService {
   template <typename CpuCtx>
   sim::Coro run(CpuCtx& ctx, net::UdpEndpoint& endpoint) {
     for (;;) {
-      if (stopped_) co_return;
       if (health_ != nullptr && !health_->alive()) {
         // Crashed or hung board: the dispatch task makes no progress. Poll
         // rather than wait on a condition — a crashed board has nobody left
@@ -186,11 +185,6 @@ class StreamService {
         if (dispatch_observer_) dispatch_observer_(d.stream, d);
       }
     }
-  }
-
-  void stop() {
-    stopped_ = true;
-    work_.signal();
   }
 
   /// Gate the service on a board's health: while not alive, enqueue rejects
@@ -285,7 +279,6 @@ class StreamService {
   fault::BoardHealth* health_ = nullptr;
   DispatchObserver dispatch_observer_;
   DropObserver drop_observer_;
-  bool stopped_ = false;
 };
 
 }  // namespace nistream::dvcm

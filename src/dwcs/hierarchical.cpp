@@ -17,7 +17,6 @@ HierarchicalScheduler::HierarchicalScheduler(const StreamTable& table,
       charged_{hook.accounted()},
       hop_cycles_{params.hop_cycles},
       policy_{policy},
-      tenant_{&cmp},
       root_pick_{RootWinnerLess{this}, hook,
                  base + params.shards * kCoreStride},
       root_deadline_{RootDeadlineLess{this}, hook,
@@ -43,14 +42,13 @@ std::unique_ptr<ScheduleRepr> HierarchicalScheduler::make_core(
                                                       core_base, &positions_);
   };
   // A stateful rank is copied from the root's, so every core keeps its
-  // ledger (cycle position, clock, scope tags) in the one shared state.
+  // ledger (cycle position, clock) in the one shared state.
   switch (policy_) {
     case PolicyKind::kDwcs: return core(DwcsRank{&cmp_});
     case PolicyKind::kEdf: return core(EdfRank{});
     case PolicyKind::kStaticPriority: return core(StaticPriorityRank{});
     case PolicyKind::kRoundRobin: return core(rr_);
     case PolicyKind::kWfq: return core(wfq_);
-    case PolicyKind::kTenantDwcs: return core(tenant_);
   }
   return nullptr;
 }
@@ -65,7 +63,6 @@ bool HierarchicalScheduler::winner_precedes(StreamId a, StreamId b) const {
     case PolicyKind::kStaticPriority: return by(StaticPriorityRank{});
     case PolicyKind::kRoundRobin: return by(rr_);
     case PolicyKind::kWfq: return by(wfq_);
-    case PolicyKind::kTenantDwcs: return by(tenant_);
   }
   return a < b;
 }
@@ -73,7 +70,7 @@ bool HierarchicalScheduler::winner_precedes(StreamId a, StreamId b) const {
 void HierarchicalScheduler::on_charge(StreamId id) {
   // Forward to the owning core's policy state; the scheduler's follow-up
   // update()/remove() of the same stream refreshes the shard and root.
-  const auto s = shard_for(id);
+  const auto s = shard_of(id, shards());
   std::int64_t t0 = 0;
   if (trace_ != nullptr) {
     meter_->set_context(s);
@@ -163,7 +160,7 @@ void HierarchicalScheduler::flush_dirty() {
 }
 
 void HierarchicalScheduler::insert(StreamId id) {
-  const auto s = shard_for(id);
+  const auto s = shard_of(id, shards());
   std::int64_t t0 = 0;
   if (trace_ != nullptr) {
     meter_->set_context(s);
@@ -183,7 +180,7 @@ void HierarchicalScheduler::insert(StreamId id) {
 }
 
 void HierarchicalScheduler::remove(StreamId id) {
-  const auto s = shard_for(id);
+  const auto s = shard_of(id, shards());
   std::int64_t t0 = 0;
   if (trace_ != nullptr) {
     meter_->set_context(s);
@@ -204,7 +201,7 @@ void HierarchicalScheduler::remove(StreamId id) {
 }
 
 void HierarchicalScheduler::update(StreamId id) {
-  const auto s = shard_for(id);
+  const auto s = shard_of(id, shards());
   std::int64_t t0 = 0;
   if (trace_ != nullptr) {
     meter_->set_context(s);

@@ -138,28 +138,7 @@ class HierarchicalScheduler final : public ScheduleRepr {
   /// asserts this equals the serial scheduler's count for the same workload.
   [[nodiscard]] std::uint64_t hops_charged() const { return hops_charged_; }
 
-  /// The shared tenant-scope ledger (kTenantDwcs only): install scope and
-  /// weight assignments here BEFORE inserting the affected streams — under
-  /// kTenantDwcs the scope IS the shard assignment (see shard_for).
-  [[nodiscard]] const std::shared_ptr<TenantDwcsState>& tenant_state() {
-    return tenant_.state;
-  }
-
  private:
-  /// Core that owns `id`. Hash sharding by default; under kTenantDwcs the
-  /// stream's tenant SCOPE is the shard, because a scope is a serialization
-  /// domain here: all of a scope's streams must live in one engine so that
-  /// within-engine compares fall through to pure DWCS (stable per-stream
-  /// keys) and the shared scope tag only ranks ROOT entries — where the one
-  /// entry a charge moves is exactly the one shard refresh() re-sifts. Run
-  /// with shards >= distinct scopes; scopes colliding mod `shards` would
-  /// share an engine and forfeit the isolation guarantee between them (see
-  /// TenantDwcsRank's structural-requirement note).
-  [[nodiscard]] std::uint32_t shard_for(StreamId id) const {
-    return policy_ == PolicyKind::kTenantDwcs ? tenant_.scope(id) % shards()
-                                              : shard_of(id, shards());
-  }
-
   // Root-heap comparators. Elements are shard indices; keys are the cached
   // winner / earliest-deadline stream of each shard, read through the
   // shared stream table. Root compares charge through the scheduler's
@@ -220,11 +199,10 @@ class HierarchicalScheduler final : public ScheduleRepr {
   PolicyKind policy_;
   /// Root ranks of the stateful policies. Each core's rank is a copy of the
   /// active one, so all share its ledger (the round-robin cycle position,
-  /// the WFQ clock, the tenant scope tags) and keys stay comparable across
-  /// shards. The inactive two are unused, but cheap.
+  /// the WFQ clock) and keys stay comparable across shards. The inactive
+  /// one is unused, but cheap.
   RoundRobinRank rr_;
   WfqRank wfq_;
-  TenantDwcsRank tenant_;
   /// Simulated-parallel cycle reporting (set_exec_trace); both null in the
   /// default serial mode.
   ShardExecTrace* trace_ = nullptr;

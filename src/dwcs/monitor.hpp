@@ -30,6 +30,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -98,9 +99,7 @@ class WindowViolationMonitor {
     return violating_windows(StreamKey{0, id});
   }
   [[nodiscard]] std::uint64_t total_violating_windows() const {
-    std::uint64_t sum = 0;
-    for (const auto& [k, s] : states_) sum += s.violating_windows;
-    return sum;
+    return fold(std::nullopt).violating;
   }
   [[nodiscard]] std::uint64_t packets(StreamKey key) const {
     return states_.at(pack(key)).packets;
@@ -141,37 +140,19 @@ class WindowViolationMonitor {
   /// the "no stream collapsed" headline number of the sweep benches.
   /// Placements that never filled a window contribute 0.
   [[nodiscard]] double max_violation_rate() const {
-    double worst = 0.0;
-    for (const auto& [k, s] : states_) {
-      const std::uint64_t windows = positions_of(s);
-      if (windows == 0) continue;
-      const double rate = static_cast<double>(s.violating_windows) /
-                          static_cast<double>(windows);
-      if (rate > worst) worst = rate;
-    }
-    return worst;
+    return fold(std::nullopt).worst;
   }
 
   /// Violating window positions over ALL positions, across every placement —
   /// the population-level QoS number (max_violation_rate can be pinned at
   /// 1.0 by a single unlucky four-packet stream).
   [[nodiscard]] double aggregate_violation_rate() const {
-    std::uint64_t windows = 0;
-    std::uint64_t violating = 0;
-    for (const auto& [k, s] : states_) {
-      windows += positions_of(s);
-      violating += s.violating_windows;
-    }
-    return windows ? static_cast<double>(violating) /
-                         static_cast<double>(windows)
-                   : 0.0;
+    return fold(std::nullopt).rate();
   }
 
   /// Placements with at least one violating window position.
   [[nodiscard]] std::uint64_t violating_streams() const {
-    std::uint64_t n = 0;
-    for (const auto& [k, s] : states_) n += s.violating_windows > 0;
-    return n;
+    return fold(std::nullopt).streams;
   }
 
   /// Per-scope variants of the three fleet numbers above, filtering to one
@@ -179,39 +160,17 @@ class WindowViolationMonitor {
   /// tenant-isolation gate compares scope_max_violation_rate of the victim
   /// tenant against its flood-free baseline.
   [[nodiscard]] double scope_max_violation_rate(std::uint32_t scope) const {
-    double worst = 0.0;
-    for (const auto& [k, s] : states_) {
-      if ((k >> 32) != scope) continue;
-      const std::uint64_t windows = positions_of(s);
-      if (windows == 0) continue;
-      const double rate = static_cast<double>(s.violating_windows) /
-                          static_cast<double>(windows);
-      if (rate > worst) worst = rate;
-    }
-    return worst;
+    return fold(scope).worst;
   }
 
   [[nodiscard]] double scope_aggregate_violation_rate(
       std::uint32_t scope) const {
-    std::uint64_t windows = 0;
-    std::uint64_t violating = 0;
-    for (const auto& [k, s] : states_) {
-      if ((k >> 32) != scope) continue;
-      windows += positions_of(s);
-      violating += s.violating_windows;
-    }
-    return windows ? static_cast<double>(violating) /
-                         static_cast<double>(windows)
-                   : 0.0;
+    return fold(scope).rate();
   }
 
   [[nodiscard]] std::uint64_t scope_violating_streams(
       std::uint32_t scope) const {
-    std::uint64_t n = 0;
-    for (const auto& [k, s] : states_) {
-      if ((k >> 32) == scope) n += s.violating_windows > 0;
-    }
-    return n;
+    return fold(scope).streams;
   }
 
  private:
@@ -232,6 +191,36 @@ class WindowViolationMonitor {
     return s.packets >= static_cast<std::uint64_t>(s.constraint.y)
                ? s.packets - static_cast<std::uint64_t>(s.constraint.y) + 1
                : 0;
+  }
+
+  /// The fleet numbers over every placement, or over one scope's.
+  struct Totals {
+    std::uint64_t windows = 0;    // full window positions
+    std::uint64_t violating = 0;  // of them, positions over the bound
+    std::uint64_t streams = 0;    // placements with a violating position
+    double worst = 0.0;           // highest per-placement violation rate
+
+    [[nodiscard]] double rate() const {
+      return windows ? static_cast<double>(violating) /
+                           static_cast<double>(windows)
+                     : 0.0;
+    }
+  };
+
+  [[nodiscard]] Totals fold(std::optional<std::uint32_t> scope) const {
+    Totals t;
+    for (const auto& [k, s] : states_) {
+      if (scope && (k >> 32) != *scope) continue;
+      const std::uint64_t windows = positions_of(s);
+      t.windows += windows;
+      t.violating += s.violating_windows;
+      t.streams += s.violating_windows > 0;
+      if (windows == 0) continue;
+      const double rate = static_cast<double>(s.violating_windows) /
+                          static_cast<double>(windows);
+      if (rate > t.worst) t.worst = rate;
+    }
+    return t;
   }
 
   std::unordered_map<std::uint64_t, State> states_;

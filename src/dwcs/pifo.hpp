@@ -17,10 +17,10 @@
 //     void on_charge(StreamId id, const StreamView& v);  // head dispatched
 //   };
 //
-// Six policies ship below: DWCS (precedence rules 1-5, delegating to
+// Five policies ship below: DWCS (precedence rules 1-5, delegating to
 // comparator.hpp so charged arithmetic is identical to every other DWCS
-// representation), EDF, static priority, round-robin, an SCFQ-style WFQ
-// with integer virtual finish times, and tenant-scoped DWCS. The named heap
+// representation), EDF, static priority, round-robin, and an SCFQ-style WFQ
+// with integer virtual finish times. The named heap
 // comparators of the dual-heap world (DeadlineIdLess / ToleranceLess /
 // FullLess) are DERIVED from these rank structs — the rank functions are the
 // single statement of each order.
@@ -204,112 +204,6 @@ struct WfqRank {
     const std::uint64_t fb = st.finish[idb];
     if (fa != fb) return fa < fb;
     return ida < idb;
-  }
-};
-
-/// Shared tenant-scope ledger of TenantDwcsRank. Separate from the rank
-/// struct for the same reason as WfqState: the hierarchical layer hands every
-/// per-core engine (and its own root winner order) the SAME ledger, so scope
-/// finish tags stay globally comparable across shards.
-struct TenantDwcsState {
-  /// Per-stream scope assignment; streams beyond the vector default to
-  /// `id % TenantDwcsRank::kDefaultScopes` (the session plane's tenant-id
-  /// hash can install real assignments via set_scope).
-  std::vector<std::uint32_t> scope_of;
-  std::vector<std::uint64_t> finish;  // per-scope virtual finish tag
-  std::vector<std::uint64_t> weight;  // per-scope share weight; 0 -> 1
-  std::uint64_t vtime = 0;            // finish tag of the last served scope
-
-  void set_scope(StreamId id, std::uint32_t scope) {
-    if (id >= scope_of.size()) scope_of.resize(id + 1, 0);
-    scope_of[id] = scope;
-  }
-  void set_weight(std::uint32_t scope, std::uint64_t w) {
-    if (scope >= weight.size()) weight.resize(scope + 1, 0);
-    weight[scope] = w;
-  }
-};
-
-/// Hybrid rank: WFQ share ACROSS tenant scopes, DWCS precedence WITHIN a
-/// scope (the ROADMAP's "tenant-aware scheduling inside DWCS" — an
-/// over-admitted tenant degrades itself instead of starving its neighbours,
-/// while each tenant's own streams still see full windowed-lossy semantics).
-///
-/// The order is lexicographic over (scope SCFQ key, DWCS rules 1-5): compare
-/// the two streams' scopes by (finish tag, scope index) — a total order over
-/// scopes — and only fall through to the DWCS comparator when the scopes are
-/// equal. Scope clocking is SCFQ exactly like WfqRank, but the tag belongs
-/// to the SCOPE: any service charged to a scope member advances the scope's
-/// tag by kScale/weight(scope), so service converges to weight-proportional
-/// shares per scope regardless of how many streams each tenant runs.
-///
-/// STRUCTURAL REQUIREMENT — one scope per engine. Because the tag is shared,
-/// charging one stream moves the cross-scope rank of EVERY backlogged member
-/// of its scope, and a single PIFO heap only re-sifts the charged stream
-/// (the ScheduleRepr contract): the uncharged members keep their stale
-/// positions, and a scope head held up by same-scope siblings never sinks —
-/// the scope monopolizes the top. Tenant-DWCS is therefore inherently a PIFO
-/// TREE (Sivaraman et al.: root PIFO ranks scopes, one leaf engine per
-/// scope), which is exactly the hierarchical scheduler's shape: under
-/// PolicyKind::kTenantDwcs it shards streams BY SCOPE, so within a core
-/// every compare falls through to pure DWCS, and the root entry whose key a
-/// charge moves is precisely the one shard the mutation re-sifts.
-/// make_repr() builds that engine even when the flat kPifo kind is asked
-/// for. A flat PifoRepr<TenantDwcsRank> is sound only while each scope has
-/// at most one backlogged stream (then the charged stream IS its scope).
-struct TenantDwcsRank {
-  static constexpr const char* kPifoName = "pifo-tenant-dwcs";
-  static constexpr std::uint64_t kScale = 1u << 20;
-  /// Default scope assignment (id % this) when none was installed — matches
-  /// the bench/ingress convention of four tenants a/b/c/d.
-  static constexpr std::uint32_t kDefaultScopes = 4;
-
-  const Comparator* cmp;
-  std::shared_ptr<TenantDwcsState> state = std::make_shared<TenantDwcsState>();
-
-  [[nodiscard]] std::uint32_t scope(StreamId id) const {
-    const auto& st = *state;
-    return id < st.scope_of.size() ? st.scope_of[id] : id % kDefaultScopes;
-  }
-  [[nodiscard]] std::uint64_t weight_of(std::uint32_t scope_idx) const {
-    const auto& st = *state;
-    const std::uint64_t w =
-        scope_idx < st.weight.size() ? st.weight[scope_idx] : 0;
-    return w > 0 ? w : 1;
-  }
-
-  /// A stream (re)entered the backlog: an idle scope resumes at the clock
-  /// (SCFQ — idle time is forfeited, never banked), a busy scope's tag is
-  /// already >= the clock and stays put.
-  void on_insert(StreamId id, const StreamView&) {
-    auto& st = *state;
-    const std::uint32_t s = scope(id);
-    if (s >= st.finish.size()) st.finish.resize(s + 1, 0);
-    st.finish[s] = std::max(st.finish[s], st.vtime);
-  }
-
-  /// A scope member was served: the clock advances to the scope's tag and
-  /// the scope's next service finishes one weighted quantum later.
-  void on_charge(StreamId id, const StreamView&) {
-    auto& st = *state;
-    const std::uint32_t s = scope(id);
-    assert(s < st.finish.size());
-    st.vtime = std::max(st.vtime, st.finish[s]);
-    st.finish[s] += kScale / weight_of(s);
-  }
-
-  [[nodiscard]] bool precedes(const StreamView& a, StreamId ida,
-                              const StreamView& b, StreamId idb) const {
-    const std::uint32_t sa = scope(ida);
-    const std::uint32_t sb = scope(idb);
-    if (sa != sb) {
-      const auto& st = *state;
-      const std::uint64_t fa = sa < st.finish.size() ? st.finish[sa] : st.vtime;
-      const std::uint64_t fb = sb < st.finish.size() ? st.finish[sb] : st.vtime;
-      if (fa != fb) return fa < fb;
-      return sa < sb;  // deterministic scope tie-break
-    }
-    return cmp->precedes(a, ida, b, idb);  // DWCS inside the scope
   }
 };
 

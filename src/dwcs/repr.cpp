@@ -311,7 +311,6 @@ const char* to_string(PolicyKind policy) {
     case PolicyKind::kStaticPriority: return "static-priority";
     case PolicyKind::kRoundRobin: return "round-robin";
     case PolicyKind::kWfq: return "wfq";
-    case PolicyKind::kTenantDwcs: return "tenant-dwcs";
   }
   return "?";
 }
@@ -344,16 +343,6 @@ std::unique_ptr<ScheduleRepr> make_repr(ReprKind kind, const StreamTable& table,
         case PolicyKind::kStaticPriority: return pifo(StaticPriorityRank{});
         case PolicyKind::kRoundRobin: return pifo(RoundRobinRank{});
         case PolicyKind::kWfq: return pifo(WfqRank{});
-        case PolicyKind::kTenantDwcs:
-          // Tenant-DWCS is inherently a PIFO TREE — a shared scope tag moves
-          // every scope member's key at once, which one heap cannot track
-          // under the update-only-the-charged-stream contract (see the
-          // structural-requirement note on TenantDwcsRank). Build the
-          // scope-sharded hierarchical engine even for the flat kind.
-          return std::make_unique<HierarchicalScheduler>(
-              table, cmp, hook, heap_base,
-              HierarchicalParams{.shards = TenantDwcsRank::kDefaultScopes},
-              policy);
       }
       return nullptr;
     }

@@ -14,8 +14,8 @@
 // * PifoRepr<Policy> (pifo.hpp) — the programmable rank engine: one heap
 //                      under a policy's rank order plus the deadline heap.
 //                      kPifo selects the rank policy via PolicyKind (DWCS,
-//                      EDF, SP, RR, WFQ, tenant-DWCS); under DWCS it is the
-//                      single full-order heap.
+//                      EDF, SP, RR, WFQ); under DWCS it is the single
+//                      full-order heap.
 // * SortedListRepr   — insertion-sorted list, O(n) updates, O(1) pick.
 // * FcfsRepr         — arrival order of head packets; ignores attributes.
 // * CalendarQueueRepr— deadline-bucketed calendar queue.
@@ -103,7 +103,6 @@ enum class PolicyKind {
   kStaticPriority,  // lowest stream id
   kRoundRobin,      // next backlogged id after the last served one
   kWfq,             // weighted fair queueing (SCFQ virtual finish times)
-  kTenantDwcs,      // WFQ share across tenant scopes, DWCS within a scope
 };
 
 /// Knobs of the sharded multi-core representation (hierarchical.hpp). Lives

@@ -16,6 +16,19 @@
 
 namespace nistream::fault {
 
+namespace detail {
+
+/// One fault draw at `rate`, counted in `count` when it hits. A rate of zero
+/// or less returns false without drawing, so a disabled fault leaves the
+/// injector's RNG stream untouched.
+inline bool draw(sim::Rng& rng, double rate, std::uint64_t& count) {
+  if (rate <= 0.0 || !rng.chance(rate)) return false;
+  ++count;
+  return true;
+}
+
+}  // namespace detail
+
 class LinkFaultInjector {
  public:
   LinkFaultInjector(const LinkFaultPolicy& policy, sim::Rng rng)
@@ -23,22 +36,12 @@ class LinkFaultInjector {
 
   /// Should this frame be discarded at the switch?
   bool drop_frame() {
-    if (policy_.frame_loss_rate <= 0.0 ||
-        !rng_.chance(policy_.frame_loss_rate)) {
-      return false;
-    }
-    ++drops_;
-    return true;
+    return detail::draw(rng_, policy_.frame_loss_rate, drops_);
   }
 
   /// Should this frame arrive with a bad CRC?
   bool corrupt_frame() {
-    if (policy_.frame_corrupt_rate <= 0.0 ||
-        !rng_.chance(policy_.frame_corrupt_rate)) {
-      return false;
-    }
-    ++corruptions_;
-    return true;
+    return detail::draw(rng_, policy_.frame_corrupt_rate, corruptions_);
   }
 
   [[nodiscard]] const LinkFaultPolicy& policy() const { return policy_; }
@@ -58,21 +61,11 @@ class I2oFaultInjector {
       : policy_{policy}, rng_{rng} {}
 
   bool drop_inbound() {
-    if (policy_.inbound_drop_rate <= 0.0 ||
-        !rng_.chance(policy_.inbound_drop_rate)) {
-      return false;
-    }
-    ++inbound_drops_;
-    return true;
+    return detail::draw(rng_, policy_.inbound_drop_rate, inbound_drops_);
   }
 
   bool drop_outbound() {
-    if (policy_.outbound_drop_rate <= 0.0 ||
-        !rng_.chance(policy_.outbound_drop_rate)) {
-      return false;
-    }
-    ++outbound_drops_;
-    return true;
+    return detail::draw(rng_, policy_.outbound_drop_rate, outbound_drops_);
   }
 
   [[nodiscard]] const I2oFaultPolicy& policy() const { return policy_; }
@@ -93,12 +86,7 @@ class PciFaultInjector {
 
   /// Did this DMA transaction abort? (The bus retries up to max_retries.)
   bool transaction_error() {
-    if (policy_.transaction_error_rate <= 0.0 ||
-        !rng_.chance(policy_.transaction_error_rate)) {
-      return false;
-    }
-    ++errors_;
-    return true;
+    return detail::draw(rng_, policy_.transaction_error_rate, errors_);
   }
 
   [[nodiscard]] const PciFaultPolicy& policy() const { return policy_; }
@@ -116,21 +104,11 @@ class DiskFaultInjector {
       : policy_{policy}, rng_{rng} {}
 
   bool read_error() {
-    if (policy_.read_error_rate <= 0.0 ||
-        !rng_.chance(policy_.read_error_rate)) {
-      return false;
-    }
-    ++read_errors_;
-    return true;
+    return detail::draw(rng_, policy_.read_error_rate, read_errors_);
   }
 
   bool latency_spike() {
-    if (policy_.latency_spike_rate <= 0.0 ||
-        !rng_.chance(policy_.latency_spike_rate)) {
-      return false;
-    }
-    ++spikes_;
-    return true;
+    return detail::draw(rng_, policy_.latency_spike_rate, spikes_);
   }
 
   [[nodiscard]] const DiskFaultPolicy& policy() const { return policy_; }

@@ -153,7 +153,6 @@ struct I2oParams {
   /// microseconds of NI CPU time.
   std::int64_t message_frame_words = 16;
   sim::Time doorbell_latency = sim::Time::us(2);
-  std::uint32_t hardware_queue_regs = 1004;  // paper §4.2.1
 };
 inline const I2oParams kI2o{};
 
@@ -175,13 +174,13 @@ struct RtosParams {
 inline const RtosParams kVxWorks{};
 
 /// Multi-core NI topology (The Distributed Network Processor, PAPERS.md):
-/// N scheduling cores on one board, each with its own CpuModel (private
-/// d-cache and cycle counter), linked by an on-chip interconnect. The
+/// N scheduling cores on one board, linked by an on-chip interconnect. The
 /// paper's i960 RD is the cores=1 degenerate case — the default, so every
 /// existing single-core experiment is untouched.
 struct InterconnectParams {
-  /// Scheduling cores per NI board. Boards build one CpuModel per core and
-  /// the wind kernel schedules tasks across all of them.
+  /// Scheduling cores per NI board. The wind kernel schedules tasks across
+  /// all of them; dwcs::ShardCycleMeter prices each core's heap accesses
+  /// against its own d-cache.
   int cores = 1;
   /// Fixed latency of shipping a per-core winner update to the root arbiter
   /// over the on-chip hop, in cycles of the NI clock. Default 0: decision-

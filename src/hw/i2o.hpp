@@ -1,90 +1,29 @@
-// I2O messaging hardware on the i960 RD card.
+// I2O messaging hardware on the i960 RD card: the inbound/outbound message
+// FIFO pair that the I2O spec defines between host and card. The host posts
+// message frames with PIO writes across PCI; a doorbell then wakes the
+// card-side consumer. This is the transport the DVCM host API rides on. A
+// posted message waits out its post cost and doorbell latency in a
+// per-direction queue, and its doorbell event captures only the channel:
+// that delay is the same for every post, so each direction's doorbells ring
+// in post order and each one hands over the queue's oldest message.
 //
-// Two pieces:
-//  * HardwareQueue — the card's 1004 memory-mapped 32-bit registers
-//    (paper §4.2.1), usable as a circular buffer of frame descriptors.
-//    Accesses are on-chip and "do not generate any external bus cycles";
-//    they are charged at the CPU's mmio register cost and never go through
-//    the data cache.
-//  * I2oChannel — the inbound/outbound message FIFO pair that the I2O spec
-//    defines between host and card. The host posts message frames with PIO
-//    writes across PCI; a doorbell then wakes the card-side consumer. This
-//    is the transport the DVCM host API rides on. A posted message waits
-//    out its post cost and doorbell latency in a per-direction queue, and
-//    its doorbell event captures only the channel: that delay is the same
-//    for every post, so each direction's doorbells ring in post order and
-//    each one hands over the queue's oldest message.
+// The card's 1004 memory-mapped "hardware queue" registers (paper §4.2.1)
+// are modelled where Table 3 uses them: dwcs::RingTable under
+// DescriptorResidency::kHardwareQueue charges each descriptor access at the
+// register cost.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "fault/injector.hpp"
 #include "hw/calibration.hpp"
-#include "hw/cpu.hpp"
 #include "hw/pci.hpp"
 #include "sim/coro.hpp"
 #include "sim/engine.hpp"
 #include "sim/fifo.hpp"
 
 namespace nistream::hw {
-
-/// Circular queue over the card's memory-mapped register file.
-/// Capacity is regs-1 (one slot distinguishes full from empty).
-class HardwareQueue {
- public:
-  HardwareQueue(CpuModel& cpu, std::uint32_t regs = kI2o.hardware_queue_regs)
-      : cpu_{cpu}, regs_(regs, 0) {}
-
-  [[nodiscard]] std::size_t capacity() const { return regs_.size() - 1; }
-  [[nodiscard]] std::size_t size() const {
-    return (head_ + regs_.size() - tail_) % regs_.size();
-  }
-  [[nodiscard]] bool empty() const { return head_ == tail_; }
-  [[nodiscard]] bool full() const { return (head_ + 1) % regs_.size() == tail_; }
-
-  /// Enqueue a 32-bit descriptor. Charges one register write (+ index
-  /// register update). Returns false when full.
-  bool push(std::uint32_t v) {
-    if (full()) return false;
-    cpu_.reg_access();  // data register write
-    cpu_.reg_access();  // index register update
-    regs_[head_] = v;
-    head_ = (head_ + 1) % regs_.size();
-    return true;
-  }
-
-  /// Dequeue the oldest descriptor; empty -> nullopt.
-  std::optional<std::uint32_t> pop() {
-    if (empty()) return std::nullopt;
-    cpu_.reg_access();
-    cpu_.reg_access();
-    const std::uint32_t v = regs_[tail_];
-    tail_ = (tail_ + 1) % regs_.size();
-    return v;
-  }
-
-  /// Random-access read of the i-th queued element (0 = oldest). The
-  /// embedded scheduler scans descriptors in place without dequeuing.
-  [[nodiscard]] std::uint32_t peek(std::size_t i) const {
-    cpu_.reg_access();
-    return regs_[(tail_ + i) % regs_.size()];
-  }
-
-  /// Overwrite the i-th queued element in place.
-  void poke(std::size_t i, std::uint32_t v) {
-    cpu_.reg_access();
-    regs_[(tail_ + i) % regs_.size()] = v;
-  }
-
- private:
-  CpuModel& cpu_;
-  mutable std::vector<std::uint32_t> regs_;
-  std::size_t head_ = 0;
-  std::size_t tail_ = 0;
-};
 
 /// One I2O message frame. `function` selects the operation (the DVCM layers
 /// its instruction opcodes here); the words are operation-defined arguments;

@@ -2,15 +2,14 @@
 //
 // Per the paper (§1, §4.2.2): an i960 RD CPU at 66 MHz, 4 MB of on-board
 // memory (expandable to 36 MB), two 100 Mbps Ethernet ports, two SCSI ports
-// with directly attached disks, the I2O inbound/outbound message FIFOs, and
-// the 1004-register memory-mapped "hardware queue". The board plugs into a
-// PCI segment and an Ethernet switch.
+// with directly attached disks and the I2O inbound/outbound message FIFOs.
+// The board plugs into a PCI segment and an Ethernet switch.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "fault/board_health.hpp"
 #include "hw/calibration.hpp"
@@ -37,18 +36,13 @@ class NicBoard {
         bus_{bus},
         ether_{ether},
         cpu_{cal.ni_cpu},
+        num_cores_{std::max(cal.interconnect.cores, 1)},
         memory_{mem_bytes},
-        hwqueue_{cpu_, cal.i2o.hardware_queue_regs},
         i2o_{engine, bus, cal.i2o} {
     eth_ports_[0] = ether.add_port(rx);
     eth_ports_[1] = ether.add_port(rx);
     disks_[0] = std::make_unique<ScsiDisk>(engine, cal.disk, /*seed=*/1001);
     disks_[1] = std::make_unique<ScsiDisk>(engine, cal.disk, /*seed=*/1002);
-    // Cores beyond the first (cal.interconnect.cores, the multi-core NI
-    // model): identical CPUs, each with its own d-cache and cycle counter.
-    for (int c = 1; c < cal.interconnect.cores; ++c) {
-      extra_cores_.push_back(std::make_unique<CpuModel>(cal.ni_cpu));
-    }
   }
 
   NicBoard(const NicBoard&) = delete;
@@ -62,14 +56,8 @@ class NicBoard {
   /// Scheduling cores on this board (>= 1). cpu() is core 0 — every
   /// single-core consumer keeps working unchanged; the sharded scheduler
   /// model pins one DWCS shard per core.
-  [[nodiscard]] int num_cores() const {
-    return 1 + static_cast<int>(extra_cores_.size());
-  }
-  [[nodiscard]] CpuModel& core(int i) {
-    return i == 0 ? cpu_ : *extra_cores_.at(static_cast<std::size_t>(i - 1));
-  }
+  [[nodiscard]] int num_cores() const { return num_cores_; }
   [[nodiscard]] MemoryPool& memory() { return memory_; }
-  [[nodiscard]] HardwareQueue& hwqueue() { return hwqueue_; }
   [[nodiscard]] I2oChannel& i2o() { return i2o_; }
   [[nodiscard]] int eth_port(int i) const { return eth_ports_.at(static_cast<std::size_t>(i)); }
   [[nodiscard]] ScsiDisk& disk(int i) { return *disks_.at(static_cast<std::size_t>(i)); }
@@ -89,9 +77,8 @@ class NicBoard {
   PciBus& bus_;
   EthernetSwitch& ether_;
   CpuModel cpu_;
-  std::vector<std::unique_ptr<CpuModel>> extra_cores_;  // cores 1..N-1
+  int num_cores_;
   MemoryPool memory_;
-  HardwareQueue hwqueue_;
   I2oChannel i2o_;
   std::array<int, 2> eth_ports_{};
   std::array<std::unique_ptr<ScsiDisk>, 2> disks_{};

@@ -74,13 +74,12 @@ inline FramePath critical_path_c(sim::Engine& engine, hw::ScsiDisk& disk,
 /// producer process's CPU, so they contend with everything else on the host.
 template <typename Fs>
 FramePath producer_path_a(hostos::HostMachine& host, hostos::Process& proc,
-                          Fs& fs, dvcm::StreamService& service,
-                          sim::Time backoff = kEnqueueBackoff) {
+                          Fs& fs, dvcm::StreamService& service) {
   FramePath p{host.engine(), "producer-a"};
   p.template stage<FsStage<Fs>>(fs, &host.scheduler(), &proc.thread())
       .template stage<SegmentStage<hostos::Process>>(
           proc, kSegmentationCyclesPerFrame)
-      .template stage<EnqueueStage>(host.engine(), service, backoff);
+      .template stage<EnqueueStage>(host.engine(), service);
   return p;
 }
 
@@ -88,25 +87,23 @@ FramePath producer_path_a(hostos::HostMachine& host, hostos::Process& proc,
 /// scheduler-NI ring.
 inline FramePath producer_path_b(sim::Engine& engine, hw::ScsiDisk& disk,
                                  rtos::Task& task, hw::PciBus& bus,
-                                 dvcm::StreamService& service,
-                                 sim::Time backoff = kEnqueueBackoff) {
+                                 dvcm::StreamService& service) {
   FramePath p{engine, "producer-b"};
   p.stage<DiskStage<hw::ScsiDisk>>(disk)
       .stage<SegmentStage<rtos::Task>>(task, kSegmentationCyclesPerFrame)
       .stage<PciDmaStage>(bus)
-      .stage<EnqueueStage>(engine, service, backoff);
+      .stage<EnqueueStage>(engine, service);
   return p;
 }
 
 /// Path C producer: NI disk -> wind-task segmentation -> same-card ring.
 inline FramePath producer_path_c(sim::Engine& engine, hw::ScsiDisk& disk,
                                  rtos::Task& task,
-                                 dvcm::StreamService& service,
-                                 sim::Time backoff = kEnqueueBackoff) {
+                                 dvcm::StreamService& service) {
   FramePath p{engine, "producer-c"};
   p.stage<DiskStage<hw::ScsiDisk>>(disk)
       .stage<SegmentStage<rtos::Task>>(task, kSegmentationCyclesPerFrame)
-      .stage<EnqueueStage>(engine, service, backoff);
+      .stage<EnqueueStage>(engine, service);
   return p;
 }
 
@@ -114,11 +111,10 @@ inline FramePath producer_path_c(sim::Engine& engine, hw::ScsiDisk& disk,
 /// get segmented, and enter the ring — the cluster load generators.
 template <typename CpuCtx>
 FramePath synthetic_producer_path(sim::Engine& engine, CpuCtx& ctx,
-                                  dvcm::StreamService& service,
-                                  sim::Time backoff = kEnqueueBackoff) {
+                                  dvcm::StreamService& service) {
   FramePath p{engine, "producer-synthetic"};
   p.template stage<SegmentStage<CpuCtx>>(ctx, kSegmentationCyclesPerFrame)
-      .template stage<EnqueueStage>(engine, service, backoff);
+      .template stage<EnqueueStage>(engine, service);
   return p;
 }
 

@@ -111,25 +111,23 @@ class SegmentStage final : public Stage {
 };
 
 /// Admit the frame into a StreamService ring with backpressure: a full ring
-/// (or exhausted card memory) is retried after `backoff`, never dropped.
-/// Retries are stamped into the frame and aggregated by the pump.
+/// (or exhausted card memory) is retried after kEnqueueBackoff, never
+/// dropped. Retries are stamped into the frame and aggregated by the pump.
 class EnqueueStage final : public Stage {
  public:
-  EnqueueStage(sim::Engine& engine, dvcm::StreamService& service,
-               sim::Time backoff = kEnqueueBackoff)
-      : engine_{engine}, service_{service}, backoff_{backoff} {}
+  EnqueueStage(sim::Engine& engine, dvcm::StreamService& service)
+      : engine_{engine}, service_{service} {}
   [[nodiscard]] const char* name() const override { return "enqueue"; }
   sim::Coro apply(StagedFrame& f) override {
     while (!service_.enqueue(f.stream, f.bytes, f.type)) {
       ++f.enqueue_retries;
-      co_await sim::Delay{engine_, backoff_};
+      co_await sim::Delay{engine_, kEnqueueBackoff};
     }
   }
 
  private:
   sim::Engine& engine_;
   dvcm::StreamService& service_;
-  sim::Time backoff_;
 };
 
 /// Put the frame on the wire as a UDP packet — the schedulerless tail of the

@@ -42,7 +42,6 @@ TEST(HostServer, PathAEndToEnd) {
                      {.stream = sid})
       .detach();
   eng.run_until(Time::sec(3));
-  server.service().stop();
 
   EXPECT_TRUE(stats.finished);
   EXPECT_EQ(stats.frames_produced, 30u);
@@ -137,7 +136,6 @@ TEST(HostServer, PbindAffinityIsApplied) {
       {.tolerance = {1, 4}, .period = Time::ms(10), .lossy = true}, 0);
   server.service().enqueue(sid, 1000, mpeg::FrameType::kP);
   eng.run_until(Time::ms(100));
-  server.service().stop();
   // All scheduler CPU time landed on the bound CPU.
   EXPECT_GT(server.process().cpu_time(), Time::zero());
   EXPECT_EQ(host.scheduler().cpu_meter(0).total_busy(), Time::zero());

@@ -41,7 +41,6 @@ TEST(StreamService, PacedDispatchAtFramePeriod) {
   rtos::Task& task = f.kernel.spawn("tSched", 50);
   f.service.run(task, f.ep).detach();
   f.eng.run_until(Time::ms(500));
-  f.service.stop();
   // Paced at 20 ms: 10 frames in 200 ms, all delivered.
   EXPECT_EQ(f.service.dispatched(), 10u);
   EXPECT_EQ(f.client.frames_received(id), 10u);
@@ -62,7 +61,6 @@ TEST(StreamService, SingleFrameCopyAccounting) {
   rtos::Task& task = f.kernel.spawn("tSched", 50);
   f.service.run(task, f.ep).detach();
   f.eng.run_until(Time::ms(100));
-  f.service.stop();
   EXPECT_EQ(f.memory.used(), 0u);  // released at dispatch
 }
 
@@ -110,7 +108,6 @@ TEST(StreamService, QueuingDelayRecorded) {
   rtos::Task& task = f.kernel.spawn("tSched", 50);
   f.service.run(task, f.ep).detach();
   f.eng.run_until(Time::ms(200));
-  f.service.stop();
   ASSERT_EQ(q.size(), 5u);
   // Paced dispatch: frame k leaves at ~(k+1)*10 ms after enqueue at ~0.
   for (std::size_t k = 0; k < q.size(); ++k) {
@@ -132,7 +129,6 @@ TEST(StreamService, TraceRecordsLifecycle) {
   rtos::Task& task = f.kernel.spawn("tSched", 50);
   f.service.run(task, f.ep).detach();
   f.eng.run_until(Time::ms(100));
-  f.service.stop();
   EXPECT_EQ(f.service.dispatched(), 4u);
   EXPECT_EQ(f.service.frames_sent(id), 4u);
   EXPECT_EQ(f.service.scheduler().backlog(id), 0u);

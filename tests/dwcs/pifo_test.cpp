@@ -140,7 +140,6 @@ TEST(PolicyKindNames, Stable) {
   EXPECT_STREQ(to_string(PolicyKind::kStaticPriority), "static-priority");
   EXPECT_STREQ(to_string(PolicyKind::kRoundRobin), "round-robin");
   EXPECT_STREQ(to_string(PolicyKind::kWfq), "wfq");
-  EXPECT_STREQ(to_string(PolicyKind::kTenantDwcs), "tenant-dwcs");
   EXPECT_STREQ(to_string(ReprKind::kPifo), "pifo");
 }
 
@@ -226,123 +225,6 @@ TEST(WfqRank, HierarchicalCoresShareOneClock) {
   EXPECT_NEAR(count[0], 1000, 2);
   EXPECT_NEAR(count[1], 2000, 2);
   EXPECT_NEAR(count[2], 4000, 2);
-}
-
-// ---------------------------------------------------------------------------
-// TenantDwcs rank: WFQ share across scopes, DWCS order within a scope.
-// ---------------------------------------------------------------------------
-
-TEST(TenantDwcs, WeightProportionalSharesAcrossScopes) {
-  FakeTable table;
-  Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
-  TenantDwcsRank rank{&cmp};
-  // One stream per scope, scope weights 1/2/4. Identical DWCS attributes so
-  // the share split is purely the scope clocking.
-  StreamView v;
-  v.current = {0, 4};
-  v.next_deadline = Time::ms(10);
-  for (StreamId id = 0; id < 3; ++id) {
-    rank.state->set_scope(id, id);
-    rank.state->set_weight(id, std::uint64_t{1} << id);  // 1, 2, 4
-  }
-  PifoRepr<TenantDwcsRank> repr{table, rank, null_cost_hook(), 0x0100'0000};
-  EXPECT_STREQ(repr.name(), "pifo-tenant-dwcs");
-  for (StreamId id = 0; id < 3; ++id) repr.insert(table.add(v));
-  // With one stream per scope the charged stream IS the scope, so its
-  // update() re-sift keeps the heap exact — shares land like WfqRank's.
-  const auto count = serve(repr, table, 7000);
-  EXPECT_NEAR(count[0], 1000, 2);
-  EXPECT_NEAR(count[1], 2000, 2);
-  EXPECT_NEAR(count[2], 4000, 2);
-}
-
-TEST(TenantDwcs, DwcsOrderDecidesWithinScope) {
-  FakeTable table;
-  Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
-  TenantDwcsRank rank{&cmp};
-  rank.state->set_scope(0, 0);
-  rank.state->set_scope(1, 0);  // both streams in one tenant scope
-  PifoRepr<TenantDwcsRank> repr{table, rank, null_cost_hook(), 0x0100'0000};
-  StreamView v;
-  v.current = {1, 4};
-  v.next_deadline = Time::ms(30);
-  const auto late = table.add(v);
-  v.next_deadline = Time::ms(10);
-  const auto soon = table.add(v);
-  repr.insert(late);
-  repr.insert(soon);
-  // Same scope, so the scope tag is shared and rules 1-5 decide: the earlier
-  // deadline wins no matter how often the scope is charged.
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(repr.pick(), std::optional<StreamId>{soon});
-    repr.on_charge(soon);
-    repr.update(soon);
-  }
-  repr.remove(soon);
-  EXPECT_EQ(repr.pick(), std::optional<StreamId>{late});
-}
-
-TEST(TenantDwcs, OverAdmittedScopeDegradesItselfNotNeighbours) {
-  FakeTable table;
-  Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
-  // Scope 0 admits three streams, scope 1 one stream, equal weights: the
-  // scope SHARES stay equal — scope 0's extra streams contend with each
-  // other inside their own engine, not with scope 1 (the ROADMAP's
-  // tenant-isolation property). Scope sharding makes this exact: the root
-  // alternates between the two scope tags, whatever the populations.
-  HierarchicalScheduler sharded{table, cmp, null_cost_hook(), 0x0100'0000,
-                                HierarchicalParams{.shards = 2},
-                                PolicyKind::kTenantDwcs};
-  for (StreamId id = 0; id < 3; ++id) sharded.tenant_state()->set_scope(id, 0);
-  sharded.tenant_state()->set_scope(3, 1);
-  StreamView v;
-  v.current = {0, 4};
-  v.next_deadline = Time::ms(10);
-  for (StreamId id = 0; id < 4; ++id) sharded.insert(table.add(v));
-  const auto count = serve(sharded, table, 4000);
-  const int scope0 = count[0] + count[1] + count[2];
-  EXPECT_NEAR(scope0, 2000, 2);
-  EXPECT_NEAR(count[3], 2000, 2);
-}
-
-TEST(TenantDwcs, MakeReprBuildsTheScopeShardedTree) {
-  FakeTable table;
-  Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
-  const auto repr = make_repr(ReprKind::kPifo, table, cmp, null_cost_hook(),
-                              0x0100'0000, {}, PolicyKind::kTenantDwcs);
-  // Flat kPifo reroutes to the two-level engine — tenant-DWCS cannot live in
-  // one heap (see TenantDwcsRank's structural-requirement note).
-  EXPECT_STREQ(repr->name(), "hierarchical");
-  // Four streams land in four distinct default scopes (id % 4) with default
-  // weight 1: equal shares.
-  StreamView v;
-  v.current = {0, 4};
-  v.next_deadline = Time::ms(10);
-  for (StreamId id = 0; id < 4; ++id) repr->insert(table.add(v));
-  const auto count = serve(*repr, table, 4000);
-  for (StreamId id = 0; id < 4; ++id) EXPECT_NEAR(count[id], 1000, 2);
-}
-
-TEST(TenantDwcs, HierarchicalCoresShareOneLedger) {
-  // The sharded machine hands every core (and the root winner order) the
-  // same TenantDwcsState: scope finish tags stay globally comparable, so
-  // per-scope shares hold across shard boundaries — same contract as
-  // WfqRank.HierarchicalCoresShareOneClock.
-  FakeTable table;
-  Comparator cmp{ArithMode::kFixedPoint, null_cost_hook()};
-  HierarchicalScheduler sharded{table, cmp, null_cost_hook(), 0x0100'0000,
-                                HierarchicalParams{.shards = 4},
-                                PolicyKind::kTenantDwcs};
-  StreamView v;
-  v.current = {0, 4};
-  v.next_deadline = Time::ms(10);
-  // Ids 0..7 -> default scopes 0..3, two streams per scope, equal weights.
-  for (StreamId id = 0; id < 8; ++id) sharded.insert(table.add(v));
-  const auto count = serve(sharded, table, 4000);
-  for (std::uint32_t scope = 0; scope < 4; ++scope) {
-    EXPECT_NEAR(count[scope] + count[scope + 4], 1000, 32) << "scope "
-                                                           << scope;
-  }
 }
 
 // ---------------------------------------------------------------------------

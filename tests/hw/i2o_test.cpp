@@ -1,5 +1,4 @@
-// Tests for the I2O hardware queue (1004-register circular buffer) and the
-// host<->card message channel.
+// Tests for the I2O host<->card message channel.
 #include "hw/i2o.hpp"
 
 #include <gtest/gtest.h>
@@ -9,65 +8,6 @@
 
 namespace nistream::hw {
 namespace {
-
-TEST(HardwareQueue, PushPopFifo) {
-  CpuModel cpu{kI960Rd};
-  HardwareQueue q{cpu, 8};
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.capacity(), 7u);
-  for (std::uint32_t i = 0; i < 7; ++i) EXPECT_TRUE(q.push(i));
-  EXPECT_TRUE(q.full());
-  EXPECT_FALSE(q.push(99));
-  for (std::uint32_t i = 0; i < 7; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(HardwareQueue, WrapsAround) {
-  CpuModel cpu{kI960Rd};
-  HardwareQueue q{cpu, 4};
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(q.push(static_cast<std::uint32_t>(round)));
-    EXPECT_TRUE(q.push(static_cast<std::uint32_t>(round + 100)));
-    EXPECT_EQ(*q.pop(), static_cast<std::uint32_t>(round));
-    EXPECT_EQ(*q.pop(), static_cast<std::uint32_t>(round + 100));
-  }
-}
-
-TEST(HardwareQueue, PeekPokeInPlace) {
-  CpuModel cpu{kI960Rd};
-  HardwareQueue q{cpu, 16};
-  q.push(10);
-  q.push(20);
-  q.push(30);
-  EXPECT_EQ(q.peek(0), 10u);
-  EXPECT_EQ(q.peek(2), 30u);
-  q.poke(1, 99);
-  EXPECT_EQ(q.peek(1), 99u);
-  q.pop();
-  EXPECT_EQ(q.peek(0), 99u);  // indices are relative to the tail
-}
-
-TEST(HardwareQueue, AccessesChargeRegisterCostNotMemory) {
-  CpuModel cpu{kI960Rd};
-  cpu.dcache().set_enabled(false);  // register file must be unaffected
-  HardwareQueue q{cpu, 1004};
-  cpu.reset();
-  q.push(1);
-  EXPECT_EQ(cpu.cycles(), 2 * kI960Rd.mmio_reg_cycles);
-  cpu.reset();
-  (void)q.peek(0);
-  EXPECT_EQ(cpu.cycles(), kI960Rd.mmio_reg_cycles);
-}
-
-TEST(HardwareQueue, DefaultSizeMatchesPaper) {
-  CpuModel cpu{kI960Rd};
-  HardwareQueue q{cpu};
-  EXPECT_EQ(q.capacity(), 1003u);  // 1004 registers, one empty slot
-}
 
 TEST(I2oChannel, InboundDeliversAfterPostCost) {
   sim::Engine eng;

@@ -18,7 +18,6 @@ struct Fixture {
 TEST(NicBoard, HasPaperHardwareComplement) {
   Fixture f;
   EXPECT_EQ(f.board.memory().capacity(), 4ull * 1024 * 1024);
-  EXPECT_EQ(f.board.hwqueue().capacity(), 1003u);
   EXPECT_NE(f.board.eth_port(0), f.board.eth_port(1));
   EXPECT_DOUBLE_EQ(f.board.cpu().hz(), 66e6);
 }

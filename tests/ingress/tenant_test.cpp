@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "apps/client.hpp"
+#include "rtsp_ctl.hpp"
 #include "session/client.hpp"
 #include "session/server.hpp"
 
@@ -20,10 +21,10 @@ namespace {
 
 using sim::Time;
 using session::Method;
-using session::MessageBuffer;
 using session::RtspRequest;
 using session::RtspResponse;
 using session::SessionServer;
+using test::Ctl;
 
 TEST(TenantScope, UriParsingGoldens) {
   EXPECT_EQ(tenant_from_uri("rtsp://ni/acme/movie"), "acme");
@@ -59,41 +60,6 @@ TEST(TenantScope, DirectoryResolvesAndEnforcesShares) {
   EXPECT_EQ(dir.scope_of(7), 2u);
   EXPECT_EQ(dir.scope_of(99), 0u);  // unbound streams default-scope
 }
-
-/// Scripted control channel (same shape as the front-door tests).
-struct Ctl {
-  sim::Engine& eng;
-  net::TcpLiteReceiver rx;
-  net::TcpLiteSender tx;
-  MessageBuffer buf;
-  std::vector<RtspResponse> got;
-
-  Ctl(sim::Engine& eng_, hw::EthernetSwitch& ether, int control_port)
-      : eng{eng_},
-        rx{eng_, ether, net::kHostStackCost,
-           net::TcpLiteReceiver::DeliverFrom{
-               [this](const net::Packet& p, int, Time) {
-                 if (const auto* chunk =
-                         static_cast<const std::string*>(p.body.get())) {
-                   buf.append(*chunk);
-                 }
-                 while (auto msg = buf.next()) {
-                   if (auto r = session::parse_response(*msg)) {
-                     got.push_back(*r);
-                   }
-                 }
-               }}},
-        tx{eng_, ether, net::kHostStackCost, control_port} {}
-
-  void send(RtspRequest req) {
-    req.reply_port = rx.port();
-    auto body = std::make_shared<std::string>(session::format_request(req));
-    net::Packet pkt;
-    pkt.bytes = static_cast<std::uint32_t>(body->size());
-    pkt.body = std::move(body);
-    tx.send(pkt);
-  }
-};
 
 struct TenantRig {
   sim::Engine eng;

@@ -92,7 +92,7 @@ TEST(Stages, EnqueueStageRetriesUntilAdmitted) {
   ASSERT_TRUE(svc.enqueue(id, 100, mpeg::FrameType::kP));  // fill the ring
 
   FramePath p{eng, "enq"};
-  p.stage<EnqueueStage>(eng, svc, Time::ms(5));
+  p.stage<EnqueueStage>(eng, svc);
   StagedFrame f;
   f.stream = id;
   f.bytes = 100;
@@ -112,7 +112,7 @@ TEST(Stages, EnqueueStageRetriesUntilAdmitted) {
   EXPECT_TRUE(done);
   EXPECT_GE(f.enqueue_retries, 1u);
   EXPECT_EQ(f.samples[0].duration(),
-            Time::ms(5) * static_cast<std::int64_t>(f.enqueue_retries));
+            kEnqueueBackoff * static_cast<std::int64_t>(f.enqueue_retries));
 }
 
 TEST(Stages, UdpSendStampsDispatchOnlyWhenAsked) {

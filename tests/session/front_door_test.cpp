@@ -11,47 +11,14 @@
 #include <vector>
 
 #include "apps/client.hpp"
+#include "rtsp_ctl.hpp"
 #include "session/client.hpp"
 
 namespace nistream::session {
 namespace {
 
 using sim::Time;
-
-/// Raw scripted control channel: fire requests, collect parsed responses.
-/// Unlike RtspChurnClient this makes no protocol decisions, so tests can
-/// send exactly the (possibly wrong) thing.
-struct Ctl {
-  sim::Engine& eng;
-  net::TcpLiteReceiver rx;
-  net::TcpLiteSender tx;
-  MessageBuffer buf;
-  std::vector<RtspResponse> got;
-
-  Ctl(sim::Engine& eng_, hw::EthernetSwitch& ether, int control_port)
-      : eng{eng_},
-        rx{eng_, ether, net::kHostStackCost,
-           net::TcpLiteReceiver::DeliverFrom{
-               [this](const net::Packet& p, int, Time) {
-                 if (const auto* chunk =
-                         static_cast<const std::string*>(p.body.get())) {
-                   buf.append(*chunk);
-                 }
-                 while (auto msg = buf.next()) {
-                   if (auto r = parse_response(*msg)) got.push_back(*r);
-                 }
-               }}},
-        tx{eng_, ether, net::kHostStackCost, control_port} {}
-
-  void send(RtspRequest req) {
-    req.reply_port = rx.port();
-    auto body = std::make_shared<std::string>(format_request(req));
-    net::Packet pkt;
-    pkt.bytes = static_cast<std::uint32_t>(body->size());
-    pkt.body = std::move(body);
-    tx.send(pkt);
-  }
-};
+using test::Ctl;
 
 struct Rig {
   sim::Engine eng;
